@@ -4,9 +4,9 @@ Measures events/s for the full generate → sort → serve pipeline twice:
 
 * **object path** — the retired per-call Python generator (kept verbatim
   below as the baseline), ``event_stream``'s global Python sort, and the
-  admission engine's per-event object dispatch;
-* **columnar path** — vectorized ``TraceGenerator.generate_columnar``,
-  ``build_event_batch``'s lexsort, and the engine's array fast path.
+  engine's object → batch encoding at its boundary;
+* **columnar path** — vectorized ``TraceGenerator.generate_columnar``
+  and ``build_event_batch``'s lexsort, served as is.
 
 Also measures the peak traced memory of the *streaming* iterator
 (``iter_chunks`` → ``iter_event_batches``) at 1x and 2x the horizon:
@@ -24,7 +24,7 @@ the columnar path wins, since tiny inputs under-feed the vectorization.
 
 ``--executor process --workers N`` serves the *columnar* arm through
 the multiprocess engine (the object baseline stays on the thread
-executor — object streams cannot cross the shared-memory boundary).
+executor, so the two arms differ only in how the stream is built).
 """
 
 from __future__ import annotations

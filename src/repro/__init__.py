@@ -15,7 +15,7 @@ See README.md for the architecture overview and examples/ for runnable
 end-to-end scenarios.
 """
 
-from repro.core.errors import SwitchboardDeprecationWarning, SwitchboardError
+from repro.core.errors import SwitchboardError
 from repro.core.types import Call, CallConfig, MediaType
 from repro.autoscale import Autoscaler
 from repro.config import (AutoscaleConfig, MigrationConfig, PlannerConfig,
@@ -55,7 +55,6 @@ __all__ = [
     "SimulationReport",
     "SolveSupervisor",
     "Switchboard",
-    "SwitchboardDeprecationWarning",
     "SwitchboardError",
     "SwitchboardPipeline",
     "Topology",

@@ -13,11 +13,6 @@ injection), and travels as a single immutable value:
 ...                        solve_timeout_s=30.0)
 >>> controller = Switchboard(Topology.default(), config=config)
 
-The old keywords still work on :class:`~repro.switchboard.Switchboard`
-as deprecated shims (they emit
-:class:`~repro.core.errors.SwitchboardDeprecationWarning` and build the
-equivalent config), so existing callers keep running while they migrate.
-
 ``dataclasses.replace`` (or :meth:`PlannerConfig.but`) derives variants::
 
     fast = config.but(backup_method="incremental", solve_retries=0)

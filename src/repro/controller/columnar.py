@@ -19,6 +19,8 @@ sort.  Iterating a batch yields lazily-constructed ``ControllerEvent``
 views (with :class:`~repro.workload.columnar.CallView` payloads for
 CALL_START/CONFIG_FREEZE), so every object-based consumer keeps working;
 columnar-aware consumers read the arrays directly.
+:func:`batch_from_events` is the reverse edge: an object event stream
+encoded as one batch, which is how the admission service ingests one.
 
 :func:`iter_event_batches` is the bounded-memory streaming contract:
 chunks arrive at call granularity (each call's events complete within
@@ -29,7 +31,7 @@ the trace length.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Optional
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -38,9 +40,11 @@ from repro.core.units import DEFAULT_FREEZE_WINDOW_S
 from repro.controller.events import EVENT_SORT_CODE, ControllerEvent, EventType
 from repro.core.types import MediaType
 from repro.workload.columnar import ColumnarTrace
+from repro.workload.trace import CallTrace
 
 __all__ = [
     "ColumnarEventBatch",
+    "batch_from_events",
     "build_event_batch",
     "events_per_call",
     "iter_event_batches",
@@ -224,6 +228,49 @@ def build_event_batch(trace: ColumnarTrace,
         country_code=np.concatenate(ctry_parts)[order],
         media_code=np.concatenate(media_parts)[order],
     )
+
+
+def batch_from_events(events: Iterable[ControllerEvent]
+                      ) -> Tuple[ColumnarEventBatch, int]:
+    """Encode an object event stream as one batch, rows in the given
+    order; returns ``(batch, undeliverable)``.
+
+    The batch's trace is built from the calls carried on CALL_START
+    events.  An event whose call id no CALL_START delivered a call for
+    (or a CALL_START carrying none) has no row to point at: it is left
+    out and counted, for the caller to report as dropped.  A missing
+    country or media encodes as ``-1``, like the generated batches.
+    """
+    events = list(events)
+    calls = []
+    index_of: Dict[str, int] = {}
+    for event in events:
+        if (event.event_type is EventType.CALL_START
+                and event.call is not None
+                and event.call_id not in index_of):
+            index_of[event.call_id] = len(calls)
+            calls.append(event.call)
+    trace = ColumnarTrace.from_trace(CallTrace(calls, []))
+    country_code = trace.countries.code
+    rows = [
+        (e.t_s, index_of[e.call_id], EVENT_SORT_CODE[e.event_type],
+         country_code(e.country) if e.country is not None else -1,
+         e.media.code if e.media is not None else -1)
+        for e in events
+        if e.call_id in index_of
+        and (e.call is not None or e.event_type is not EventType.CALL_START)
+    ]
+    t_s, call_idx, type_code, country, media = (
+        zip(*rows) if rows else ((),) * 5)
+    batch = ColumnarEventBatch(
+        trace=trace,
+        t_s=np.array(t_s, dtype=np.float64),
+        call_idx=np.array(call_idx, dtype=np.int64),
+        type_code=np.array(type_code, dtype=np.int8),
+        country_code=np.array(country, dtype=np.int32),
+        media_code=np.array(media, dtype=np.int8),
+    )
+    return batch, len(events) - len(rows)
 
 
 def iter_event_batches(chunks: Iterable[ColumnarTrace],

@@ -53,12 +53,3 @@ class ForecastError(SwitchboardError):
 
 class RecordError(SwitchboardError):
     """The call-records database was queried or fed inconsistently."""
-
-
-class SwitchboardDeprecationWarning(DeprecationWarning):
-    """A deprecated repro API was used (e.g. Switchboard keyword sprawl).
-
-    A library-specific subclass so the test suite can escalate *our*
-    deprecations to errors without fighting third-party dependencies'
-    ``DeprecationWarning`` noise.
-    """

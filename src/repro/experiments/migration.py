@@ -15,20 +15,17 @@ selector statistics are read off the resulting
 (``RealTimeSelector.process_trace`` straight over the call list) is kept
 as the *planning oracle*: ``run()`` replays it and raises if the live
 path disagrees on a single call, so any drift between the serving and
-planning planes fails loudly.  Calling the offline helper directly
-(:func:`run_direct`) still works but warns
-:class:`~repro.core.errors.SwitchboardDeprecationWarning`.
+planning planes fails loudly.
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import Dict, Optional
 
 from repro.allocation.realtime import RealTimeSelector
 from repro.config import PlannerConfig, ServiceConfig
 from repro.controller.events import event_stream
-from repro.core.errors import SwitchboardDeprecationWarning, SwitchboardError
+from repro.core.errors import SwitchboardError
 from repro.experiments.common import Scenario, build_scenario
 from repro.provisioning.planner import CapacityPlan
 from repro.service import ServiceRuntime
@@ -61,8 +58,8 @@ def _oracle_stats(scn: Scenario, plan):
     return selector.stats
 
 
-def _as_result(scn: Scenario, stats, lf_migrations: int,
-               live: bool) -> Dict[str, object]:
+def _as_result(scn: Scenario, stats, lf_migrations: int
+               ) -> Dict[str, object]:
     trace = scn.trace
     return {
         "sb_migration_rate": stats.migration_rate,
@@ -72,7 +69,7 @@ def _as_result(scn: Scenario, stats, lf_migrations: int,
         "lf_migration_rate": lf_migrations / len(trace.calls),
         "majority_matches_first_joiner": trace.majority_matches_first_joiner_rate(),
         "n_calls": len(trace.calls),
-        "live_path": live,
+        "live_path": True,
     }
 
 
@@ -124,35 +121,7 @@ def run(scenario: Optional[Scenario] = None,
             f"live service path diverged from the planning oracle: "
             f"{mismatches} (live, oracle)")
 
-    return _as_result(scn, live_stats, _lf_migrations(scn), live=True)
-
-
-def run_direct(scenario: Optional[Scenario] = None,
-               cushion: float = 1.25,
-               with_backup: bool = True,
-               max_link_scenarios: int = 0) -> Dict[str, object]:
-    """The pre-service offline replay (deprecated).
-
-    Replays the trace straight through ``RealTimeSelector.process_trace``
-    with no service plane around it.  Kept for comparisons against the
-    oracle; new callers should use :func:`run`, which serves the same
-    trace through ``ServiceRuntime.from_config`` and pins itself to this
-    replay automatically.
-    """
-    warnings.warn(
-        "experiments.migration.run_direct() bypasses the service plane; "
-        "use experiments.migration.run(), which serves through "
-        "ServiceRuntime.from_config and pins the offline replay as its "
-        "oracle",
-        SwitchboardDeprecationWarning, stacklevel=2)
-    scn = scenario if scenario is not None else build_scenario("default")
-    plan = _build_plan(scn, cushion, with_backup, max_link_scenarios)
-    stats = _oracle_stats(scn, plan)
-    return _as_result(scn, stats, _lf_migrations(scn), live=False)
-
-
-#: Historical alias for the offline path (same deprecation warning).
-run_replay = run_direct
+    return _as_result(scn, live_stats, _lf_migrations(scn))
 
 
 def render(result: Dict[str, object]) -> str:

@@ -1,36 +1,42 @@
-"""The online admission engine: event-driven call serving at rate.
+"""The serving core: one window kernel, one engine base, the thread executor.
 
 This is the serving layer the paper's controller actually is (§5.4,
 §6.6): every call reaches the service as a stream of events — start,
-joins, media changes, the A-second config freeze, the hangup — and the
-engine routes each through the stateless selector core while keeping
-**all** call state and slot ledgers in the (sharded) kvstore, exactly
-where Azure Redis sits in production.
+joins, media changes, the A-second config freeze, the hangup — and is
+handled by **one** stateless function whose state lives where Azure
+Redis sits in production.  Scale-out only changes who schedules it:
 
-Scaling model: calls shard over worker threads by call id (per-call
-event order is preserved; different calls proceed concurrently), and
-every worker's simulated store round-trips overlap — so admission
-throughput scales with workers the way Fig 10's controller scales with
-Redis writer threads.  With one worker the engine is fully
-deterministic and produces exactly the day-replay statistics, which is
-what lets :class:`~repro.simulation.ServiceSimulator` substitute it for
-the in-process replay path.
+* :func:`serve_rows` — the window kernel.  It owns the *call side* of a
+  partition: the :class:`WorkerState` call table and counters, and every
+  call-state write.
+* the *port* — the kernel's only view of the *ledger side*: slot/fleet
+  ledger, selector and its statistics, the migrator's live-call
+  registry, outcome counts, settle latencies.  :class:`LocalPort` calls
+  them in-process; ``repro.service.mp``'s pipe port sends one message
+  per scheduled row to a parent that does.
+* :class:`ServingEngine` — everything that is not scheduling: wiring,
+  the call→worker map, window bucketing, the barrier between windows,
+  snapshots, and the report folded from per-worker fragments.
+* :class:`AdmissionEngine` — the thread executor: one worker serves each
+  window on the calling thread (fully deterministic — the oracle the
+  process executor and :class:`~repro.simulation.ServiceSimulator` are
+  pinned against); N workers run the kernel once per window per call
+  partition on N threads, so their simulated store round-trips overlap
+  the way Fig 10's controller scales with Redis writer threads.
 """
 
 from __future__ import annotations
 
 import itertools
-import queue
 import threading
 import time
-import warnings
 import zlib
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import (Any, Callable, Dict, Iterable, List, Optional, Sequence,
+                    Tuple, Union)
 
 import numpy as np
 
-from repro.core.errors import SwitchboardDeprecationWarning, SwitchboardError
+from repro.core.errors import SwitchboardError
 from repro.core.types import MediaType
 from repro.core.units import DEFAULT_FREEZE_WINDOW_S
 from repro.allocation.plan import AllocationPlan
@@ -40,7 +46,7 @@ from repro.allocation.realtime import (
     SlotLedger,
 )
 from repro.autoscale.telemetry import ServiceSnapshot
-from repro.controller.columnar import ColumnarEventBatch
+from repro.controller.columnar import ColumnarEventBatch, batch_from_events
 from repro.controller.events import (
     EVENT_SORT_CODE,
     ControllerEvent,
@@ -50,9 +56,10 @@ from repro.kvstore.client import PipelinedStateClient
 from repro.kvstore.sharded import ShardedKVStore
 from repro.kvstore.store import InMemoryKVStore
 from repro.obs.events import Observability
-from repro.obs.histogram import LatencyHistogram
+from repro.obs.histogram import LatencyHistogram, percentiles_ms
 from repro.service.report import ServiceReport
 from repro.topology.builder import Topology
+from repro.workload.columnar import ColumnarTrace
 
 _START = EVENT_SORT_CODE[EventType.CALL_START]
 _JOIN = EVENT_SORT_CODE[EventType.PARTICIPANT_JOIN]
@@ -60,49 +67,326 @@ _MEDIA = EVENT_SORT_CODE[EventType.MEDIA_CHANGE]
 _FREEZE = EVENT_SORT_CODE[EventType.CONFIG_FREEZE]
 _END = EVENT_SORT_CODE[EventType.CALL_END]
 
-#: What a worker inbox carries: a materialized event, a (batch, row)
-#: reference resolved lazily on the worker thread, or the None sentinel.
-_InboxItem = Union[ControllerEvent, Tuple[ColumnarEventBatch, int]]
+#: What ``run`` accepts: one columnar batch, an iterable of batches
+#: (served incrementally, so peak memory stays one batch), or a
+#: time-sorted object event stream.
+EventSource = Union[ColumnarEventBatch, Iterable[ColumnarEventBatch],
+                    Iterable[ControllerEvent]]
 
 
-@dataclass
-class _CallState:
+# ----------------------------------------------------------------------
+# the call side: one worker's state
+# ----------------------------------------------------------------------
+class _Call:
     """Per-call serving state, owned by exactly one worker."""
 
-    initial_dc: str
-    settled: bool = False
-    ended: bool = False
-    # Columnar path only: the lazy view built at CALL_START, reused at
-    # the freeze so settle does not rebuild it.
-    view: Optional[object] = None
+    __slots__ = ("initial_dc", "settled", "ended")
+
+    def __init__(self, initial_dc: str):
+        self.initial_dc = initial_dc
+        self.settled = False
+        self.ended = False
 
 
-@dataclass
-class _WorkerState:
-    """One worker's private queue, call table, and counters.
+class WorkerState:
+    """One worker's private call table and cumulative counters.
 
-    Workers never share these, so the hot path takes no engine-wide
-    lock; totals merge after the run.
+    Workers never share these, so the kernel takes no engine-wide lock;
+    the report folds the per-worker :meth:`fragment`s after the run.
     """
 
-    inbox: "queue.Queue[Optional[_InboxItem]]" = field(
-        default_factory=queue.Queue)
-    calls: Dict[str, _CallState] = field(default_factory=dict)
-    processed: int = 0
-    dropped: int = 0
-    joins: int = 0
-    media_changes: int = 0
-    generated: int = 0
-    admitted: int = 0
-    migrated: int = 0
-    overflowed: int = 0
-    unplanned: int = 0
-    early_ended: int = 0
-    ended: int = 0
+    COUNTERS = ("processed", "dropped", "joins", "media_changes",
+                "generated", "early_ended", "ended")
+    __slots__ = COUNTERS + ("calls", "admission_ms", "closest_dc")
+
+    def __init__(self, topology: Topology):
+        self.calls: Dict[str, _Call] = {}
+        self.admission_ms: List[float] = []
+        #: §5.4 (a): a call starts at the DC closest to its first joiner.
+        self.closest_dc = topology.closest_dc
+        for name in self.COUNTERS:
+            setattr(self, name, 0)
+
+    def counts(self) -> Dict[str, int]:
+        return {name: getattr(self, name) for name in self.COUNTERS}
+
+    def fragment(self) -> Dict[str, Any]:
+        """What this worker contributes to the run's report."""
+        return {
+            "counters": self.counts(),
+            "unsettled": sum(1 for call in self.calls.values()
+                             if not call.settled),
+            "admission_ms": self.admission_ms,
+        }
 
 
-class AdmissionEngine:
-    """Serves a controller event stream against the sharded kvstore."""
+# ----------------------------------------------------------------------
+# the window kernel
+# ----------------------------------------------------------------------
+def serve_rows(worker: WorkerState, trace: ColumnarTrace,
+               rows: Iterable[int], call_idx: Sequence[int],
+               type_code: Sequence[int], country_code: Sequence[int],
+               media_code: Sequence[int], client: PipelinedStateClient,
+               port) -> None:
+    """Serve one worker's rows of one window, in row order.
+
+    ``rows`` are batch row numbers and the four columns their values as
+    plain Python scalars (see :func:`partition_columns` — per-row numpy
+    scalar indexing costs more than the dispatch itself at stream
+    scale).  No event or call object is built here.
+
+    Port contract — the ledger side, and the only thing that differs
+    between executors:
+
+    * ``port.settle(row, call_index, call_id, initial_dc, ended)`` →
+      ``(final_dc, migrated)`` reconciles a freeze against the plan;
+      ``ended`` says the call already hung up, so its reservation is to
+      be released in the same step.
+    * ``port.join(row, call_id)`` / ``port.release(row, call_id)`` hear
+      served joins and the ends of settled calls; each is ``None`` when
+      nothing on the ledger side consumes them (no fleet ledger, no
+      migrator) and is then never called.
+    * ``port.skip(row)`` accounts for a row the ledger side might be
+      waiting on that turned out to need nothing: a dropped freeze
+      always; a dropped join, or a dropped / early end, only when the
+      matching hook is set.
+
+    So every freeze row — plus every join and end row when hooks are set
+    — makes exactly one port call, which is what lets the process
+    executor's parent apply them in global row order.
+
+    Joins are the bulk of the stream and only ever *write* to the call's
+    spread hash, which nothing in serving reads — so each call's joins
+    are buffered and ride one pipelined trip, flushed no later than the
+    call's freeze/end (before its close could delete the key) and at the
+    end of the window.  Final store state and op counts equal per-event
+    writes because spread increments commute.
+    """
+    calls = worker.calls
+    closest_dc = worker.closest_dc
+    record_admission = worker.admission_ms.append
+    ids = trace.call_ids()
+    country_of = trace.countries.value
+    record_joins = client.record_joins
+    settle, skip = port.settle, port.skip
+    join, release = port.join, port.release
+    clock = time.perf_counter
+    pending: Dict[str, List[str]] = {}
+    for row, call_index, code, country, media in zip(
+            rows, call_idx, type_code, country_code, media_code):
+        call_id = ids[call_index]
+        if code == _JOIN:
+            if country < 0:
+                worker.dropped += 1
+                if join is not None:
+                    skip(row)
+                continue
+            pending.setdefault(call_id, []).append(country_of(country))
+            worker.joins += 1
+            if join is not None:
+                # Post-freeze joins grow the call's server reservation
+                # (a no-op before the call is settled/placed).
+                join(row, call_id)
+            worker.processed += 1
+            continue
+        if code == _FREEZE or code == _END:
+            joined = pending.pop(call_id, None)
+            if joined is not None:
+                record_joins(call_id, joined)
+        if code == _START:
+            if country < 0:
+                worker.dropped += 1
+                continue
+            t0 = clock()
+            first_country = country_of(country)
+            initial = closest_dc(first_country)
+            calls[call_id] = _Call(initial)
+            client.open_call(call_id, initial, first_country)
+            worker.generated += 1
+            record_admission((clock() - t0) * 1e3)
+        elif code == _MEDIA:
+            if media < 0:
+                worker.dropped += 1
+                continue
+            client.record_media(call_id, MediaType.from_code(media))
+            worker.media_changes += 1
+        elif code == _FREEZE:
+            call = calls.get(call_id)
+            if call is None or call.settled:
+                worker.dropped += 1
+                skip(row)
+                continue
+            final_dc, migrated = settle(row, call_index, call_id,
+                                        call.initial_dc, call.ended)
+            call.settled = True
+            if migrated:
+                client.migrate_call(call_id, final_dc)
+            if call.ended:
+                # Hung up before its freeze point; it was settled against
+                # the plan anyway (the slot was reserved for it), and its
+                # state can be released now.
+                client.close_call(call_id)
+                del calls[call_id]
+        elif code == _END:
+            call = calls.get(call_id)
+            if call is None:
+                worker.dropped += 1
+                if release is not None:
+                    skip(row)
+                continue
+            worker.ended += 1
+            if call.settled:
+                client.close_call(call_id)
+                del calls[call_id]
+                if release is not None:
+                    release(row, call_id)
+            else:
+                call.ended = True
+                worker.early_ended += 1
+                if release is not None:
+                    skip(row)
+        else:
+            raise SwitchboardError(f"unknown event code {code}")
+        worker.processed += 1
+    for call_id, joined in pending.items():
+        record_joins(call_id, joined)
+
+
+def partition_columns(batch, lo: int, hi: int,
+                      shard_of_call: Optional[np.ndarray], worker: int
+                      ) -> Tuple[Iterable[int], List[int], List[int],
+                                 List[int], List[int]]:
+    """One worker's share of window ``[lo, hi)`` as :func:`serve_rows`
+    input: row numbers plus the four columns, ``tolist()``-ed up front.
+
+    ``shard_of_call`` is ``None`` for a single worker — the whole window,
+    no mask.  ``batch`` is anything with the event arrays (a
+    :class:`ColumnarEventBatch` or a worker's shared-memory view).
+    """
+    if shard_of_call is None:
+        rows: Iterable[int] = range(lo, hi)
+        pick: Any = slice(lo, hi)
+    else:
+        pick = np.flatnonzero(
+            shard_of_call[batch.call_idx[lo:hi]] == worker) + lo
+        rows = pick.tolist()
+    return (rows, batch.call_idx[pick].tolist(),
+            batch.type_code[pick].tolist(),
+            batch.country_code[pick].tolist(),
+            batch.media_code[pick].tolist())
+
+
+# ----------------------------------------------------------------------
+# the ledger side, in-process
+# ----------------------------------------------------------------------
+class LocalPort:
+    """The kernel's port when the ledger side is in this process.
+
+    Settles through the selector against the shared ledger, counts the
+    outcome where it is decided, and forwards joins/ends to whichever of
+    ``ledger.note_join`` / ``ledger.release`` / the migrator's
+    ``registry.on_end`` exist (plain slot ledgers have neither hook).
+    The thread executor holds one per worker, so counts need no lock;
+    the process executor's parent feeds one the workers' messages.
+    ``trace`` is the batch being served, set at batch open.
+    """
+
+    def __init__(self, selector: RealTimeSelector, ledger: SlotLedger,
+                 migrator, settle_latency: LatencyHistogram):
+        self.trace: Optional[ColumnarTrace] = None
+        self.admitted = self.migrated = self.overflowed = self.unplanned = 0
+        self._settle = selector.settle
+        self._record_settle = settle_latency.record
+        note_join = getattr(ledger, "note_join", None)
+        enders: List[Callable[[str], Any]] = []
+        if getattr(ledger, "release", None) is not None:
+            enders.append(ledger.release)
+        if migrator is not None:
+            # The registry's settle feed is wired through the selector
+            # at bind time; here it hears every call end.
+            enders.append(migrator.registry.on_end)
+        self.join = (None if note_join is None
+                     else lambda row, call_id: note_join(call_id))
+        self.release = None if not enders else self._release
+        self._enders = enders
+
+    def _release(self, row: int, call_id: str) -> None:
+        for end in self._enders:
+            end(call_id)
+
+    def skip(self, row: int) -> None:
+        pass
+
+    def settle(self, row: int, call_index: int, call_id: str,
+               initial_dc: str, ended: bool) -> Tuple[str, bool]:
+        t0 = time.perf_counter()
+        outcome = self._settle(self.trace.call(call_index), initial_dc)
+        if outcome.migrated:
+            self.migrated += 1
+        elif outcome.overflowed:
+            self.overflowed += 1
+        else:
+            self.admitted += 1
+        if not outcome.planned:
+            self.unplanned += 1
+        self._record_settle((time.perf_counter() - t0) * 1e3)
+        if ended and self.release is not None:
+            # An early-ended call closes at its freeze: release its
+            # reservation now, before the next scheduled row.
+            self.release(row, call_id)
+        return outcome.final_dc, outcome.migrated
+
+
+# ----------------------------------------------------------------------
+# store-state dumps (the byte-identical parity surface)
+# ----------------------------------------------------------------------
+def _shards_of(store) -> List[InMemoryKVStore]:
+    if isinstance(store, ShardedKVStore):
+        return [store.shard(shard_id) for shard_id in store.shard_ids]
+    return [store]
+
+
+def dump_store_state(store) -> Dict[str, Any]:
+    """A canonical ``key -> value`` dump of a kvstore, shards merged.
+
+    Hash values are copied so the dump is a stable snapshot.  Keys are
+    disjoint across shards by construction, so the merge is a plain
+    union.
+    """
+    return {key: dict(value) if isinstance(value, dict) else value
+            for shard in _shards_of(store)
+            for key, value in shard._data.items()}
+
+
+def store_latency_samples(store) -> List[float]:
+    return [sample for shard in _shards_of(store)
+            for sample in shard.latency_samples_ms()]
+
+
+# ----------------------------------------------------------------------
+# the shared engine
+# ----------------------------------------------------------------------
+class ServingEngine:
+    """Everything about serving a stream that is not scheduling.
+
+    Subclasses are executors: they decide *where* :func:`serve_rows`
+    runs for each window, through five hooks, and nothing else:
+
+    * ``_start()`` — bring up the workers and ``self._ports`` for a run;
+    * ``_open_batch(batch, shard_of_call)`` — a new batch is about to be
+      served window by window;
+    * ``_serve_window(batch, lo, hi)`` — serve rows ``[lo, hi)`` on every
+      worker; returns, once all are quiescent, each worker's cumulative
+      counters;
+    * ``_finish()`` — collect every worker's report fragment;
+    * ``_stop(failed)`` — release what ``_start`` acquired.
+
+    Build through :meth:`repro.service.runtime.ServiceRuntime.from_config`.
+    """
+
+    executor: str
+    #: Built when no ``store`` is passed.
+    _default_store: Callable[[], Union[ShardedKVStore, InMemoryKVStore]]
 
     def __init__(self, topology: Topology, plan: AllocationPlan,
                  store: Optional[Union[ShardedKVStore,
@@ -116,36 +400,18 @@ class AdmissionEngine:
                  rescaler=None,
                  rescale_interval_s: Optional[float] = None,
                  migrator=None,
-                 migrate_interval_s: Optional[float] = None,
-                 _via_runtime: bool = False):
-        if not _via_runtime:
-            wired = [name for name, value in (
-                ("ledger", ledger), ("defragmenter", defragmenter),
-                ("defrag_interval_s", defrag_interval_s),
-                ("rescaler", rescaler),
-                ("rescale_interval_s", rescale_interval_s),
-                ("migrator", migrator),
-                ("migrate_interval_s", migrate_interval_s),
-            ) if value is not None]
-            if wired:
-                # Bare construction (store/n_workers/freeze window) stays
-                # supported — the engine is the building block — but the
-                # cross-subsystem wiring now belongs to ServiceRuntime.
-                warnings.warn(
-                    f"passing {', '.join(wired)} directly to "
-                    "AdmissionEngine is deprecated; build the service "
-                    "plane with repro.service.ServiceRuntime.from_config",
-                    SwitchboardDeprecationWarning, stacklevel=2)
+                 migrate_interval_s: Optional[float] = None):
         if n_workers < 1:
             raise SwitchboardError("need at least one admission worker")
-        if defrag_interval_s is not None and defrag_interval_s <= 0:
-            raise SwitchboardError("defrag_interval_s must be positive")
-        if rescale_interval_s is not None and rescale_interval_s <= 0:
-            raise SwitchboardError("rescale_interval_s must be positive")
-        if migrate_interval_s is not None and migrate_interval_s <= 0:
-            raise SwitchboardError("migrate_interval_s must be positive")
+        for name, interval in (("defrag_interval_s", defrag_interval_s),
+                               ("rescale_interval_s", rescale_interval_s),
+                               ("migrate_interval_s", migrate_interval_s)):
+            if interval is not None and interval <= 0:
+                raise SwitchboardError(f"{name} must be positive")
         self.topology = topology
-        self.store = store if store is not None else ShardedKVStore()
+        self.store = store if store is not None else self._default_store()
+        #: Shard count of the store(s) holding per-call state.
+        self._n_shards = getattr(self.store, "n_shards", 1)
         self.n_workers = n_workers
         self.obs = obs
         # An injected ledger (e.g. a repro.packing fleet ledger) replaces
@@ -155,25 +421,20 @@ class AdmissionEngine:
         self.planned_cells = self.ledger.load_plan(plan)
         self.selector = RealTimeSelector(topology, plan, freeze_window_s,
                                          ledger=self.ledger)
-        self.client = PipelinedStateClient(self.store)
         self.defragmenter = defragmenter
         self.defrag_interval_s = defrag_interval_s
         self.defrag_rounds = 0
         # The autoscaler shares the defragmenter's safe point: serving
         # pauses at window boundaries (workers quiescent), so plan
-        # mutations never race the admission path.  With both present
-        # the window grid is the finer of the two intervals; each
-        # consumer still acts on every boundary it observes.
+        # mutations never race the admission path.  With several
+        # consumers the window grid is the finest of their intervals;
+        # each still acts on every boundary it observes.
         self.rescaler = rescaler
         if rescaler is not None and rescale_interval_s is None:
             config = getattr(rescaler, "config", None)
             rescale_interval_s = getattr(config, "interval_s", None)
         self.rescale_interval_s = (rescale_interval_s
                                    if rescaler is not None else None)
-        # The live migrator (repro.migrate.MigrationExecutor) runs on
-        # the same window barrier, after the rescaler — drain orders a
-        # rescale just issued execute in the same window, and this order
-        # is identical on the process executor.
         self.migrator = migrator
         if migrator is not None and migrate_interval_s is None:
             migrate_interval_s = getattr(migrator, "interval_s", None)
@@ -193,475 +454,191 @@ class AdmissionEngine:
             migrator.bind(self)
         self.admission_latency = LatencyHistogram()
         self.settle_latency = LatencyHistogram()
-        # Fleet-aware ledgers grow/release per-call server reservations;
-        # plain slot ledgers have neither hook.
-        self._note_join = getattr(self.ledger, "note_join", None)
-        self._release_call = getattr(self.ledger, "release", None)
-        # The migrator's live-call registry hears every call end (its
-        # settle feed is wired through the selector at bind time).
-        self._note_end = (migrator.registry.on_end
-                          if migrator is not None else None)
+        #: Ledger-side ports of the current run (their outcome counts sum
+        #: to the run's) and each worker's counters as of the last window.
+        self._ports: List[LocalPort] = []
+        self._counts: List[Dict[str, int]] = []
+
+    def _local_port(self) -> LocalPort:
+        return LocalPort(self.selector, self.ledger, self.migrator,
+                         self.settle_latency)
+
+    def _stop(self, failed: bool) -> None:
+        """Release whatever ``_start`` acquired (runs on every path)."""
 
     # ------------------------------------------------------------------
-    # event handlers (run on worker threads)
-    # ------------------------------------------------------------------
-    def _handle(self, worker: _WorkerState, event: ControllerEvent) -> None:
-        kind = event.event_type
-        if kind is EventType.CALL_START:
-            if event.call is None or event.country is None:
-                worker.dropped += 1
-                return
-            t0 = time.perf_counter()
-            initial = self.selector.initial_dc(event.call)
-            worker.calls[event.call_id] = _CallState(initial_dc=initial)
-            self.client.open_call(event.call_id, initial, event.country)
-            worker.generated += 1
-            self.admission_latency.record((time.perf_counter() - t0) * 1e3)
-        elif kind is EventType.PARTICIPANT_JOIN:
-            if event.country is None:
-                worker.dropped += 1
-                return
-            self.client.record_join(event.call_id, event.country)
-            worker.joins += 1
-            if self._note_join is not None:
-                # Post-freeze joins grow the call's server reservation
-                # (no-op before the call is settled/placed).
-                self._note_join(event.call_id)
-        elif kind is EventType.MEDIA_CHANGE:
-            if event.media is None:
-                worker.dropped += 1
-                return
-            self.client.record_media(event.call_id, event.media)
-            worker.media_changes += 1
-        elif kind is EventType.CONFIG_FREEZE:
-            state = worker.calls.get(event.call_id)
-            if state is None or event.call is None or state.settled:
-                worker.dropped += 1
-                return
-            t0 = time.perf_counter()
-            outcome = self.selector.settle(event.call, state.initial_dc)
-            state.settled = True
-            if outcome.migrated:
-                worker.migrated += 1
-                self.client.migrate_call(event.call_id, outcome.final_dc)
-            elif outcome.overflowed:
-                worker.overflowed += 1
-            else:
-                worker.admitted += 1
-            if not outcome.planned:
-                worker.unplanned += 1
-            self.settle_latency.record((time.perf_counter() - t0) * 1e3)
-            if state.ended:
-                # The call hung up before its freeze point; it was settled
-                # against the plan anyway (the slot was reserved for it),
-                # and its state can be released now.
-                self._close(worker, event.call_id)
-        elif kind is EventType.CALL_END:
-            state = worker.calls.get(event.call_id)
-            if state is None:
-                worker.dropped += 1
-                return
-            worker.ended += 1
-            if state.settled:
-                self._close(worker, event.call_id)
-            else:
-                state.ended = True
-                worker.early_ended += 1
-        else:
-            raise SwitchboardError(f"unknown event type {event.event_type}")
-        worker.processed += 1
+    def run(self, events: EventSource) -> ServiceReport:
+        """Serve the whole stream; returns the run's report.
 
-    def _close(self, worker: _WorkerState, call_id: str) -> None:
-        self.client.close_call(call_id)
-        if self._release_call is not None:
-            self._release_call(call_id)
-        if self._note_end is not None:
-            self._note_end(call_id)
-        del worker.calls[call_id]
-
-    def _handle_row(self, worker: _WorkerState, batch: ColumnarEventBatch,
-                    i: int) -> None:
-        """The columnar twin of :meth:`_handle`: one event, read straight
-        from the batch arrays (sharded-worker entry point)."""
-        trace = batch.trace
-        call_index = int(batch.call_idx[i])
-        self._dispatch_row(worker, trace, call_index,
-                           trace.call_id(call_index),
-                           int(batch.type_code[i]),
-                           int(batch.country_code[i]),
-                           int(batch.media_code[i]))
-
-    def _dispatch_row(self, worker: _WorkerState, trace, call_index: int,
-                      call_id: str, code: int, country_code: int,
-                      media_code: int) -> None:
-        """One columnar event, all inputs already plain Python scalars.
-
-        Only CALL_START and CONFIG_FREEZE build a (lazy) call view — the
-        selector needs one; joins, media changes and hangups touch no
-        event or call objects at all.
+        Calls shard to workers by call id, so per-call event order is
+        preserved while different calls proceed concurrently.  An object
+        event stream is encoded once at the boundary
+        (:func:`~repro.controller.columnar.batch_from_events`) and
+        served like any other batch.
         """
-        if code == _START:
-            if country_code < 0:
-                worker.dropped += 1
-                return
-            t0 = time.perf_counter()
-            view = trace.call(call_index)
-            initial = self.selector.initial_dc(view)
-            worker.calls[call_id] = _CallState(initial_dc=initial, view=view)
-            self.client.open_call(call_id, initial,
-                                  trace.countries.value(country_code))
-            worker.generated += 1
-            self.admission_latency.record((time.perf_counter() - t0) * 1e3)
-        elif code == _JOIN:
-            if country_code < 0:
-                worker.dropped += 1
-                return
-            self.client.record_join(call_id,
-                                    trace.countries.value(country_code))
-            worker.joins += 1
-            if self._note_join is not None:
-                self._note_join(call_id)
-        elif code == _MEDIA:
-            if media_code < 0:
-                worker.dropped += 1
-                return
-            self.client.record_media(call_id, MediaType.from_code(media_code))
-            worker.media_changes += 1
-        elif code == _FREEZE:
-            state = worker.calls.get(call_id)
-            if state is None or state.settled:
-                worker.dropped += 1
-                return
-            t0 = time.perf_counter()
-            view = state.view if state.view is not None \
-                else trace.call(call_index)
-            outcome = self.selector.settle(view, state.initial_dc)
-            state.settled = True
-            if outcome.migrated:
-                worker.migrated += 1
-                self.client.migrate_call(call_id, outcome.final_dc)
-            elif outcome.overflowed:
-                worker.overflowed += 1
-            else:
-                worker.admitted += 1
-            if not outcome.planned:
-                worker.unplanned += 1
-            self.settle_latency.record((time.perf_counter() - t0) * 1e3)
-            if state.ended:
-                self._close(worker, call_id)
-        elif code == _END:
-            state = worker.calls.get(call_id)
-            if state is None:
-                worker.dropped += 1
-                return
-            worker.ended += 1
-            if state.settled:
-                self._close(worker, call_id)
-            else:
-                state.ended = True
-                worker.early_ended += 1
-        else:
-            raise SwitchboardError(f"unknown event code {code}")
-        worker.processed += 1
-
-    # ------------------------------------------------------------------
-    def run(self, events: Union[Iterable[ControllerEvent],
-                                ColumnarEventBatch,
-                                Iterable[ColumnarEventBatch]]) -> ServiceReport:
-        """Ingest the whole stream; returns the run's report.
-
-        Accepts the object stream (a time-sorted iterable of
-        :class:`ControllerEvent`), one
-        :class:`~repro.controller.columnar.ColumnarEventBatch`, or an
-        iterable of batches (e.g.
-        :meth:`~repro.service.loadgen.StreamingLoad.batches` — served
-        incrementally, so peak memory stays one batch).  The engine
-        shards events to workers by call id, preserving per-call order
-        on the worker's FIFO inbox; with one worker, columnar input is
-        served on the calling thread with no queue or event objects.
-        """
-        windows, known_total = self._window_source(events)
-        workers = [_WorkerState() for _ in range(self.n_workers)]
-
+        batches, undeliverable = self._batch_source(events)
         if self.obs is not None:
-            fields = {"n_workers": self.n_workers}
-            if known_total is not None:
-                fields["n_events"] = known_total
-            self.obs.record("service.run", label="admission", **fields)
-
-        n_events = 0
-        start = time.perf_counter()
-        for window in windows:
-            n_events += len(window)
-            self._serve_window(workers, window)
-            if self.defragmenter is not None:
-                # Defrag runs *between* event windows — never while
-                # workers are mutating the fleet — plus one tidy-up
-                # round after the final window.
-                round_result = self.defragmenter.run_round()
-                self.defrag_rounds += 1
-                if round_result.executed_moves:
-                    self.selector.stats.record_defrag(
-                        round_result.executed_moves)
-            if self.rescaler is not None:
-                # Same safe point: workers are quiescent, so the
-                # autoscaler may mutate the plan through the ledger.
-                self.rescaler.on_window(self._snapshot(workers, window))
-            if self.migrator is not None:
-                # After the rescaler: drain orders it just issued (and
-                # any due DC failures) execute at this same barrier.
-                self.migrator.on_window(self._snapshot(workers, window))
-        wall = time.perf_counter() - start
+            self.obs.record("service.run", label="admission",
+                            n_workers=self.n_workers, executor=self.executor)
+        n_events = undeliverable
+        anchor: Optional[float] = None
+        failed = True
+        try:
+            self._start()
+            start = time.perf_counter()
+            for batch in batches:
+                if len(batch) == 0:
+                    continue
+                n_events += len(batch)
+                for port in self._ports:
+                    port.trace = batch.trace
+                self._open_batch(batch, self._shard_of_call(batch.trace))
+                ranges, anchor = self._window_ranges(batch, anchor)
+                for lo, hi in ranges:
+                    self._counts = self._serve_window(batch, lo, hi)
+                    self._barrier(float(batch.t_s[hi - 1]))
+            wall = time.perf_counter() - start
+            fragments = self._finish()
+            failed = False
+        finally:
+            self._stop(failed)
         if n_events == 0:
             raise SwitchboardError("no events to serve")
 
-        report = self._report(workers, n_events, wall)
+        report = self._report(fragments, n_events, undeliverable, wall)
         if self.obs is not None:
             self.obs.record("service.done", label="admission",
                             events_per_s=report.events_per_s,
                             accounting_exact=report.accounting_exact)
         return report
 
+    def store_state(self) -> Dict[str, Any]:
+        """Canonical end-of-run store state (executor-independent)."""
+        return dump_store_state(self.store)
+
     # ------------------------------------------------------------------
     @staticmethod
-    def _snapshot(workers: List[_WorkerState], window) -> ServiceSnapshot:
-        """Cumulative accounting at the just-served window's boundary."""
-        if isinstance(window, ColumnarEventBatch):
-            t_s = float(window.t_s[-1])
-        else:
-            t_s = float(window[-1].t_s)
-        return ServiceSnapshot(
-            t_s=t_s,
-            generated=sum(w.generated for w in workers),
-            admitted=sum(w.admitted for w in workers),
-            migrated=sum(w.migrated for w in workers),
-            overflowed=sum(w.overflowed for w in workers),
-            unplanned=sum(w.unplanned for w in workers),
-            events_processed=sum(w.processed for w in workers),
-        )
-
-    # ------------------------------------------------------------------
-    def _window_source(self, events) -> Tuple[Iterator, Optional[int]]:
-        """Normalize any accepted input into an iterator of defrag
-        windows (each a ``List[ControllerEvent]`` or a
-        ``ColumnarEventBatch``), plus the total event count when it is
-        knowable without draining a stream."""
+    def _batch_source(events: EventSource
+                      ) -> Tuple[Iterable[ColumnarEventBatch], int]:
+        """Normalize any accepted input into an iterable of batches, plus
+        the count of object events that could not be encoded."""
         if isinstance(events, ColumnarEventBatch):
-            return self._split_windows(iter([events])), len(events)
+            return [events], 0
         iterator = iter(events)
-        try:
-            first = next(iterator)
-        except StopIteration:
-            return iter(()), 0
+        first = next(iterator, None)
+        if first is None:
+            return [], 0
         rest = itertools.chain([first], iterator)
         if isinstance(first, ColumnarEventBatch):
-            return self._split_windows(rest), None
-        stream = list(rest)
-        return iter(self._batches(stream)), len(stream)
+            return rest, 0
+        batch, undeliverable = batch_from_events(rest)
+        return [batch], undeliverable
 
-    def _split_windows(self, batches: Iterator[ColumnarEventBatch]
-                       ) -> Iterator[ColumnarEventBatch]:
-        """Split columnar batches into defrag windows, lazily.
+    def _shard_of_call(self, trace: ColumnarTrace) -> Optional[np.ndarray]:
+        """Call index → owning worker; ``None`` for a single worker."""
+        if self.n_workers == 1:
+            return None
+        # Stable shard (zlib.crc32, not the randomized builtin hash) so a
+        # given trace always lands on the same workers.
+        return np.array(
+            [zlib.crc32(call_id.encode("utf-8")) % self.n_workers
+             for call_id in trace.call_ids()], dtype=np.int64)
 
-        Same windowing as :meth:`_batches`: fixed intervals anchored at
-        the stream's first timestamp, empty windows merged forward — but
-        computed as one vectorized bucketing per batch.
-        """
-        interval = self._window_interval_s
-        anchor: Optional[float] = None
-        for batch in batches:
-            if len(batch) == 0:
-                continue
-            if interval is None:
-                yield batch
-                continue
-            if anchor is None:
-                anchor = float(batch.t_s[0])
-            window = np.floor_divide(batch.t_s - anchor,
-                                     interval).astype(np.int64)
-            cuts = np.flatnonzero(np.diff(window)) + 1
-            last = 0
-            for cut in itertools.chain(cuts.tolist(), [len(batch)]):
-                cut = int(cut)
-                if cut > last:
-                    yield batch.slice(last, cut)
-                last = cut
-
-    def _batches(self, stream: List[ControllerEvent]
-                 ) -> List[List[ControllerEvent]]:
-        """Split the time-sorted stream into defrag windows.
-
-        Without a defragmenter or rescaler (or an interval) the whole
-        stream is one batch and serving behaves exactly as before.
-        """
+    def _window_ranges(self, batch: ColumnarEventBatch,
+                       anchor: Optional[float]
+                       ) -> Tuple[List[Tuple[int, int]], Optional[float]]:
+        """Bucket a batch's rows into barrier windows: fixed intervals
+        anchored at the stream's first timestamp, empty windows merged
+        forward.  Without a barrier consumer the batch is one window."""
         interval = self._window_interval_s
         if interval is None:
-            return [stream]
-        batches: List[List[ControllerEvent]] = []
-        window_end = stream[0].t_s + interval
-        current: List[ControllerEvent] = []
-        for event in stream:
-            if event.t_s >= window_end and current:
-                batches.append(current)
-                current = []
-                while event.t_s >= window_end:
-                    window_end += interval
-            current.append(event)
-        if current:
-            batches.append(current)
-        return batches
+            return [(0, len(batch))], anchor
+        if anchor is None:
+            anchor = float(batch.t_s[0])
+        window = np.floor_divide(batch.t_s - anchor,
+                                 interval).astype(np.int64)
+        cuts = np.flatnonzero(np.diff(window)) + 1
+        bounds = [0] + cuts.tolist() + [len(batch)]
+        return list(zip(bounds[:-1], bounds[1:])), anchor
 
-    def _serve_window(self, workers: List[_WorkerState], window) -> None:
-        if isinstance(window, ColumnarEventBatch):
-            if self.n_workers == 1:
-                # Hot path: no threads, no queue, no event objects — and
-                # the arrays converted to plain Python scalars up front
-                # (per-row numpy scalar indexing costs more than the
-                # dispatch itself at stream scale).  Joins are the bulk
-                # of the stream and only ever *write* to the call's
-                # spread hash, which nothing in the serving loop reads —
-                # so each call's joins are buffered and ride one
-                # pipelined trip, flushed no later than the call's
-                # freeze/end (before its close could delete the key).
-                # Per-op results and final store state are identical to
-                # per-event writes because spread increments commute.
-                worker = workers[0]
-                trace = window.trace
-                ids = trace.call_ids()
-                countries = trace.countries
-                dispatch = self._dispatch_row
-                note_join = self._note_join
-                record_joins = self.client.record_joins
-                pending: Dict[str, List[str]] = {}
-                for call_index, code, country_code, media_code in zip(
-                        window.call_idx.tolist(), window.type_code.tolist(),
-                        window.country_code.tolist(),
-                        window.media_code.tolist()):
-                    if code == _JOIN:
-                        if country_code < 0:
-                            worker.dropped += 1
-                            continue
-                        call_id = ids[call_index]
-                        pending.setdefault(call_id, []).append(
-                            countries.value(country_code))
-                        worker.joins += 1
-                        if note_join is not None:
-                            note_join(call_id)
-                        worker.processed += 1
-                        continue
-                    if code == _FREEZE or code == _END:
-                        joined = pending.pop(ids[call_index], None)
-                        if joined is not None:
-                            record_joins(ids[call_index], joined)
-                    dispatch(worker, trace, call_index, ids[call_index],
-                             code, country_code, media_code)
-                for call_id, joined in pending.items():
-                    record_joins(call_id, joined)
-                return
-            self._shard_columnar(workers, window)
-        else:
-            self._shard_events(workers, window)
-        self._drain(workers)
+    def _barrier(self, t_s: float) -> None:
+        """The safe point between windows: workers are quiescent, so the
+        fleet and the plan may be mutated through the ledger."""
+        if self.defragmenter is not None:
+            round_result = self.defragmenter.run_round()
+            self.defrag_rounds += 1
+            if round_result.executed_moves:
+                self.selector.stats.record_defrag(
+                    round_result.executed_moves)
+        if self.rescaler is not None:
+            self.rescaler.on_window(self._snapshot(t_s))
+        if self.migrator is not None:
+            # After the rescaler: drain orders it just issued (and any
+            # due DC failures) execute at this same barrier.
+            self.migrator.on_window(self._snapshot(t_s))
 
-    def _shard_events(self, workers: List[_WorkerState],
-                      batch: List[ControllerEvent]) -> None:
-        for event in batch:
-            # Stable shard (zlib.crc32, not the randomized builtin hash)
-            # so a given trace always lands on the same workers.
-            index = zlib.crc32(event.call_id.encode("utf-8")) % self.n_workers
-            workers[index].inbox.put(event)
-
-    def _shard_columnar(self, workers: List[_WorkerState],
-                        batch: ColumnarEventBatch) -> None:
-        trace = batch.trace
-        # One crc32 per *call*, then a vectorized gather per event; the
-        # (batch, row) pairs are materialized into events lazily on the
-        # worker threads, overlapping object construction with serving.
-        shard_of_call = np.array(
-            [zlib.crc32(trace.call_id(i).encode("utf-8")) % self.n_workers
-             for i in range(trace.n_calls)], dtype=np.int64)
-        targets = shard_of_call[batch.call_idx]
-        for i, target in enumerate(targets.tolist()):
-            workers[target].inbox.put((batch, i))
-
-    def _drain(self, workers: List[_WorkerState]) -> None:
-        """Run every worker's inbox to completion on its own thread."""
-        for worker in workers:
-            worker.inbox.put(None)  # sentinel
-
-        errors: List[BaseException] = []
-        error_lock = threading.Lock()
-
-        def drain(worker: _WorkerState) -> None:
-            while True:
-                item = worker.inbox.get()
-                if item is None:
-                    return
-                try:
-                    if type(item) is tuple:
-                        self._handle_row(worker, item[0], item[1])
-                    else:
-                        self._handle(worker, item)
-                except BaseException as exc:  # surface, don't swallow
-                    with error_lock:
-                        errors.append(exc)
-                    return
-
-        threads = [threading.Thread(target=drain, args=(worker,), daemon=True)
-                   for worker in workers]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        if errors:
-            raise SwitchboardError(
-                f"admission worker failed: {errors[0]!r}") from errors[0]
+    def _snapshot(self, t_s: float) -> ServiceSnapshot:
+        """Cumulative accounting at the just-served window's boundary."""
+        return ServiceSnapshot(
+            t_s=t_s,
+            generated=sum(c["generated"] for c in self._counts),
+            admitted=sum(p.admitted for p in self._ports),
+            migrated=sum(p.migrated for p in self._ports),
+            overflowed=sum(p.overflowed for p in self._ports),
+            unplanned=sum(p.unplanned for p in self._ports),
+            events_processed=sum(c["processed"] for c in self._counts),
+        )
 
     # ------------------------------------------------------------------
-    def _report(self, workers: List[_WorkerState], n_events: int,
-                wall_s: float) -> ServiceReport:
-        processed = sum(w.processed for w in workers)
-        unsettled = sum(
-            1 for w in workers
-            for state in w.calls.values() if not state.settled
-        )
+    def _report(self, fragments: List[Dict[str, Any]], n_events: int,
+                undeliverable: int, wall_s: float) -> ServiceReport:
+        """Fold the workers' fragments and the ledger side into one
+        report.  Fragments from worker processes also carry their private
+        store's ``kv_op_count`` / ``kv_samples_ms``."""
+        counters = [f["counters"] for f in fragments]
+
+        def total(name: str) -> int:
+            return sum(c[name] for c in counters)
+
+        processed = total("processed")
+        kv_samples = store_latency_samples(self.store)
+        for fragment in fragments:
+            self.admission_latency.record_many(fragment["admission_ms"])
+            kv_samples.extend(fragment.get("kv_samples_ms", ()))
+
+        def metrics(source, method: str) -> Dict[str, object]:
+            """An optional subsystem's metrics block ({} when absent)."""
+            read = getattr(source, method, None)
+            return read() if read is not None else {}
+
         stats = self.selector.stats
-        packing: Dict[str, object] = {}
-        metrics_fn = getattr(self.ledger, "fleet_metrics", None)
-        if metrics_fn is not None:
-            packing = metrics_fn()
-        autoscale: Dict[str, object] = {}
-        autoscale_fn = getattr(self.rescaler, "autoscale_metrics", None)
-        if autoscale_fn is not None:
-            autoscale = autoscale_fn()
-        migration: Dict[str, object] = {}
-        migration_latency: Dict[str, object] = {}
-        migration_fn = getattr(self.migrator, "migration_metrics", None)
-        if migration_fn is not None:
-            migration = migration_fn()
-            migration_latency = self.migrator.latency.percentiles()
+        packing = metrics(self.ledger, "fleet_metrics")
+        autoscale = metrics(self.rescaler, "autoscale_metrics")
+        migration = metrics(self.migrator, "migration_metrics")
         return ServiceReport(
             n_workers=self.n_workers,
-            n_shards=getattr(self.store, "n_shards", 1),
+            n_shards=self._n_shards,
+            executor=self.executor,
             events_total=n_events,
             events_processed=processed,
-            dropped_events=sum(w.dropped for w in workers),
-            joins=sum(w.joins for w in workers),
-            media_changes=sum(w.media_changes for w in workers),
-            generated_calls=sum(w.generated for w in workers),
-            admitted_calls=sum(w.admitted for w in workers),
-            migrated_calls=sum(w.migrated for w in workers),
-            overflowed_calls=sum(w.overflowed for w in workers),
-            unplanned_calls=sum(w.unplanned for w in workers),
-            early_ended_calls=sum(w.early_ended for w in workers),
-            ended_calls=sum(w.ended for w in workers),
-            unsettled_calls=unsettled,
+            dropped_events=total("dropped") + undeliverable,
+            joins=total("joins"),
+            media_changes=total("media_changes"),
+            generated_calls=total("generated"),
+            admitted_calls=sum(p.admitted for p in self._ports),
+            migrated_calls=sum(p.migrated for p in self._ports),
+            overflowed_calls=sum(p.overflowed for p in self._ports),
+            unplanned_calls=sum(p.unplanned for p in self._ports),
+            early_ended_calls=total("early_ended"),
+            ended_calls=total("ended"),
+            unsettled_calls=sum(f["unsettled"] for f in fragments),
             wall_time_s=wall_s,
             events_per_s=processed / wall_s if wall_s > 0 else 0.0,
             admission_latency_ms=self.admission_latency.percentiles(),
             settle_latency_ms=self.settle_latency.percentiles(),
-            kv_latency_ms=self.store.latency_percentiles_ms(),
-            kv_op_count=self.store.op_count,
+            kv_latency_ms=percentiles_ms(kv_samples),
+            kv_op_count=(self.store.op_count
+                         + sum(f.get("kv_op_count", 0) for f in fragments)),
             migration_rate=stats.migration_rate,
             mean_acl_ms=stats.mean_acl_ms,
             defrag_migrated_calls=stats.defrag_migrations,
@@ -674,6 +651,65 @@ class AdmissionEngine:
                 migration.get("live_migrated_calls", 0)),
             disrupted_calls=int(migration.get("disrupted_calls", 0)),
             migration_batches=int(migration.get("batches", 0)),
-            migration_latency_ms=migration_latency,
+            migration_latency_ms=(self.migrator.latency.percentiles()
+                                  if migration else {}),
             migration=migration,
         )
+
+
+# ----------------------------------------------------------------------
+# the thread executor
+# ----------------------------------------------------------------------
+class AdmissionEngine(ServingEngine):
+    """Serves the stream in this process, one thread per worker.
+
+    All call state and ledgers live in one (sharded) kvstore.  With one
+    worker every window is served on the calling thread, so a run is
+    fully deterministic.
+    """
+
+    executor = "thread"
+    _default_store = ShardedKVStore
+
+    def _start(self) -> None:
+        self._client = PipelinedStateClient(self.store)
+        self._workers = [WorkerState(self.topology)
+                         for _ in range(self.n_workers)]
+        self._ports = [self._local_port() for _ in range(self.n_workers)]
+
+    def _open_batch(self, batch: ColumnarEventBatch,
+                    shard_of_call: Optional[np.ndarray]) -> None:
+        self._shard = shard_of_call
+
+    def _serve_window(self, batch: ColumnarEventBatch, lo: int, hi: int
+                      ) -> List[Dict[str, int]]:
+        def serve(w: int) -> None:
+            serve_rows(self._workers[w], batch.trace,
+                       *partition_columns(batch, lo, hi, self._shard, w),
+                       self._client, self._ports[w])
+
+        if self.n_workers == 1:
+            serve(0)
+        else:
+            errors: List[BaseException] = []
+
+            def guarded(w: int) -> None:
+                try:
+                    serve(w)
+                except BaseException as exc:  # surface, don't swallow
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=guarded, args=(w,),
+                                        daemon=True)
+                       for w in range(self.n_workers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            if errors:
+                raise SwitchboardError(
+                    f"admission worker failed: {errors[0]!r}") from errors[0]
+        return [worker.counts() for worker in self._workers]
+
+    def _finish(self) -> List[Dict[str, Any]]:
+        return [worker.fragment() for worker in self._workers]

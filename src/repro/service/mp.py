@@ -1,10 +1,10 @@
-"""True multi-core admission: process-level shard workers over shared memory.
+"""The process executor: shard workers as OS processes over shared memory.
 
-The thread engine (:class:`~repro.service.engine.AdmissionEngine`)
-shards calls over worker *threads*: simulated kvstore round-trips
-overlap, but every instruction still serializes on the GIL, so adding
-workers cannot add real events/s past one core.  This module moves the
-same serving plane across OS processes:
+The thread executor (:class:`~repro.service.engine.AdmissionEngine`)
+overlaps simulated kvstore round-trips, but every instruction still
+serializes on the GIL, so adding workers cannot add real events/s past
+one core.  This module schedules the *same* window kernel
+(:func:`~repro.service.engine.serve_rows`) across OS processes:
 
 * **Shared-memory wire format** — each
   :class:`~repro.controller.columnar.ColumnarEventBatch` is promoted to
@@ -13,29 +13,24 @@ same serving plane across OS processes:
   attach zero-copy numpy views.  No event or call object is ever
   pickled — only the tiny string-table/override metadata rides the
   control pipe.
-* **Call-granularity partitions** — calls shard to workers by
-  ``crc32(call_id) % n_workers`` (the thread engine's rule), and each
-  worker serves its rows of every window with a private kvstore and the
-  same per-call pipelined write batching as the single-worker fast
-  path.
-* **A parent-owned ledger actor** — every outcome-affecting shared
-  structure (slot/fleet ledger, selector stats, defragmenter,
-  autoscaler, settle latencies) lives in the parent.  Workers send
-  ledger-touching rows (freezes; joins/ends when a fleet ledger needs
-  them) over the control pipe; the parent applies them in **global row
-  order** by walking a precomputed schedule of which worker owns each
-  such row.  A freeze is a blocking round-trip (the worker needs the
-  outcome to write migrations); joins/releases are fire-and-forget.
-  This makes ledger state, selector statistics, and the accounting
-  partition byte-identical to the single-process oracle.
-* **Barriers** — windows end with a ``done`` barrier from every worker
-  (all quiescent), after which the parent runs the defragmenter and/or
-  autoscaler exactly where the thread engine does, then opens the next
-  window.
-* **Merge** — per-worker report fragments (counters, latency samples,
-  kv op counts, final store state) fold into one
-  :class:`~repro.service.report.ServiceReport` that still satisfies
-  admitted + migrated + overflowed == generated.
+* **Call side in the workers** — each worker process runs the kernel
+  over its call partition of every window against a private kvstore
+  built from a :class:`StoreSpec`.
+* **Ledger side in the parent** — every outcome-affecting shared
+  structure (slot/fleet ledger, selector stats, migrator registry,
+  defragmenter, autoscaler, settle latencies) stays in the parent
+  behind one :class:`~repro.service.engine.LocalPort`.  The workers'
+  kernel talks to it through a :class:`PipePort`: exactly one message
+  per scheduled row, which the parent applies in **global row order**
+  by walking a precomputed schedule of which worker owns each such row.
+  A freeze is a blocking round-trip (the worker needs the outcome to
+  write migrations); joins/releases/skips are fire-and-forget.  This
+  makes ledger state, selector statistics, and the accounting partition
+  byte-identical to the single-process oracle.
+* **Barriers and merge** — a window ends with a ``done`` message from
+  every worker (all quiescent), and the run with a ``result`` fragment
+  from each (counters, latency samples, kv op count, final store
+  state); the barrier sequence and the report are the shared base's.
 
 Construction belongs to
 :meth:`repro.service.runtime.ServiceRuntime.from_config`, which selects
@@ -44,43 +39,32 @@ this engine when ``ServiceConfig.executor == "process"``.
 
 from __future__ import annotations
 
-import itertools
 import multiprocessing
-import time
 import traceback
-import zlib
 from dataclasses import dataclass
 from multiprocessing import resource_tracker, shared_memory
-from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.errors import SwitchboardError
-from repro.core.types import MediaType
-from repro.core.units import DEFAULT_FREEZE_WINDOW_S
-from repro.allocation.plan import AllocationPlan
-from repro.allocation.realtime import (
-    KVSlotLedger,
-    RealTimeSelector,
-    SlotLedger,
-)
-from repro.autoscale.telemetry import ServiceSnapshot
 from repro.controller.columnar import ColumnarEventBatch
-from repro.controller.events import EVENT_SORT_CODE, EventType
 from repro.kvstore.client import PipelinedStateClient
 from repro.kvstore.sharded import ShardedKVStore
-from repro.kvstore.store import InMemoryKVStore, LatencyProfile
-from repro.obs.events import Observability
-from repro.obs.histogram import LatencyHistogram, percentiles_ms
-from repro.service.report import ServiceReport
+from repro.kvstore.store import InMemoryKVStore
+from repro.service.engine import (
+    _END,
+    _FREEZE,
+    _JOIN,
+    ServingEngine,
+    WorkerState,
+    dump_store_state,
+    partition_columns,
+    serve_rows,
+    store_latency_samples,
+)
 from repro.topology.builder import Topology
 from repro.workload.columnar import ColumnarTrace, StringTable
-
-_START = EVENT_SORT_CODE[EventType.CALL_START]
-_JOIN = EVENT_SORT_CODE[EventType.PARTICIPANT_JOIN]
-_MEDIA = EVENT_SORT_CODE[EventType.MEDIA_CHANGE]
-_FREEZE = EVENT_SORT_CODE[EventType.CONFIG_FREEZE]
-_END = EVENT_SORT_CODE[EventType.CALL_END]
 
 #: Cap on per-worker latency samples shipped back at drain; merging is
 #: for percentile reporting, not accounting, so a bounded sample is fine.
@@ -100,7 +84,6 @@ _TRACE_ARRAYS: Tuple[Tuple[str, Any], ...] = (
     ("media_code", np.int8), ("part_index", np.int32),
 )
 
-
 # ----------------------------------------------------------------------
 # worker store recipe (picklable; built inside the worker process)
 # ----------------------------------------------------------------------
@@ -111,11 +94,9 @@ class StoreSpec:
     Workers cannot share a live store object across processes, so they
     receive this recipe instead and construct their own — the same
     shape the thread engine would have used (sharded ring, optional
-    simulated latency).  ``memory`` builds a single
-    :class:`InMemoryKVStore` instead of a ring.
+    simulated latency).
     """
 
-    kind: str = "sharded"
     n_shards: int = 4
     latency_median_ms: Optional[float] = None
     latency_seed: int = 99
@@ -123,45 +104,18 @@ class StoreSpec:
 
     @classmethod
     def from_service_config(cls, svc) -> "StoreSpec":
-        return cls(kind="sharded", n_shards=svc.n_shards,
+        return cls(n_shards=svc.n_shards,
                    latency_median_ms=svc.kv_latency_median_ms,
                    latency_seed=svc.kv_latency_seed,
                    ring_replicas=svc.ring_replicas)
 
-    def build(self) -> Union[ShardedKVStore, InMemoryKVStore]:
-        if self.kind == "memory":
-            profile = (LatencyProfile(median_ms=self.latency_median_ms,
-                                      seed=self.latency_seed)
-                       if self.latency_median_ms is not None else None)
-            return InMemoryKVStore(profile)
+    def build(self) -> ShardedKVStore:
         if self.latency_median_ms is not None:
             return ShardedKVStore.with_latency(
                 n_shards=self.n_shards, median_ms=self.latency_median_ms,
                 seed=self.latency_seed, ring_replicas=self.ring_replicas)
         return ShardedKVStore(n_shards=self.n_shards,
                               ring_replicas=self.ring_replicas)
-
-
-# ----------------------------------------------------------------------
-# store-state dumps (the byte-identical parity surface)
-# ----------------------------------------------------------------------
-def dump_store_state(store) -> Dict[str, Any]:
-    """A canonical ``key -> value`` dump of a kvstore, shards merged.
-
-    Hash values are copied so the dump is a stable snapshot.  Keys are
-    disjoint across shards by construction, so the merge is a plain
-    union.
-    """
-    def _copy(value):
-        return dict(value) if isinstance(value, dict) else value
-
-    if isinstance(store, ShardedKVStore):
-        merged: Dict[str, Any] = {}
-        for shard_id in store.shard_ids:
-            for key, value in store.shard(shard_id)._data.items():
-                merged[key] = _copy(value)
-        return merged
-    return {key: _copy(value) for key, value in store._data.items()}
 
 
 def merge_store_states(dumps: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
@@ -186,27 +140,21 @@ def merge_store_states(dumps: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
     return merged
 
 
-def _store_latency_samples(store) -> List[float]:
-    if isinstance(store, ShardedKVStore):
-        samples: List[float] = []
-        for shard_id in store.shard_ids:
-            samples.extend(store.shard(shard_id).latency_samples_ms())
-        return samples
-    return store.latency_samples_ms()
-
-
 # ----------------------------------------------------------------------
 # shared-memory segment layout
 # ----------------------------------------------------------------------
-def _pack_segment(batch: ColumnarEventBatch, shard_of_call: np.ndarray
+def _pack_segment(batch: ColumnarEventBatch,
+                  shard_of_call: Optional[np.ndarray]
                   ) -> Tuple[shared_memory.SharedMemory, Dict[str, Any]]:
-    """Promote one batch (events + trace + shard map) to a single
-    shared-memory segment; returns the segment and its pickled-side
-    metadata (segment name, per-array offsets, string tables)."""
+    """Promote one batch (events + trace + shard map, when there is more
+    than one worker) to a single shared-memory segment; returns the
+    segment and its pickled-side metadata (segment name, per-array
+    offsets, string tables)."""
     trace = batch.trace
-    arrays: Dict[str, np.ndarray] = {
-        "shard_of_call": np.ascontiguousarray(shard_of_call, dtype=np.int64),
-    }
+    arrays: Dict[str, np.ndarray] = {}
+    if shard_of_call is not None:
+        arrays["shard_of_call"] = np.ascontiguousarray(shard_of_call,
+                                                       dtype=np.int64)
     for name, dtype in _BATCH_ARRAYS:
         arrays[f"batch.{name}"] = np.ascontiguousarray(
             getattr(batch, name), dtype=dtype)
@@ -272,34 +220,25 @@ class _AttachedBatch:
             return np.frombuffer(self.shm.buf, dtype=np.dtype(dtype),
                                  count=count, offset=start)
 
-        self.shard_of_call = view("shard_of_call")
+        self.shard_of_call = (view("shard_of_call")
+                              if "shard_of_call" in layout else None)
         self.trace = ColumnarTrace(
-            start_s=view("trace.start_s"),
-            duration_s=view("trace.duration_s"),
-            call_uid=view("trace.call_uid"),
-            part_offsets=view("trace.part_offsets"),
-            join_offset_s=view("trace.join_offset_s"),
-            country_code=view("trace.country_code"),
-            media_code=view("trace.media_code"),
-            part_index=view("trace.part_index"),
+            **{name: view(f"trace.{name}") for name, _ in _TRACE_ARRAYS},
             countries=StringTable(meta["countries"]),
             slots=meta["slots"],
             call_id_overrides=meta["call_id_overrides"],
             part_id_overrides=meta["part_id_overrides"],
         )
-        self.t_s = view("batch.t_s")
-        self.call_idx = view("batch.call_idx")
-        self.type_code = view("batch.type_code")
-        self.country_code = view("batch.country_code")
-        self.media_code = view("batch.media_code")
+        for name, _ in _BATCH_ARRAYS:
+            setattr(self, name, view(f"batch.{name}"))
 
     def close(self) -> None:
         """Drop the numpy views, then unmap.  Calls never straddle
         batches, so nothing serving-side can reference these arrays
         after the batch's last window."""
-        self.trace = None
-        self.t_s = self.call_idx = self.type_code = None
-        self.country_code = self.media_code = self.shard_of_call = None
+        self.trace = self.shard_of_call = None
+        for name, _ in _BATCH_ARRAYS:
+            setattr(self, name, None)
         try:
             self.shm.close()
         except BufferError:
@@ -308,39 +247,52 @@ class _AttachedBatch:
             pass
 
 
+
+
 # ----------------------------------------------------------------------
 # worker process
 # ----------------------------------------------------------------------
-class _WorkerCall:
-    """Per-call serving state, private to one worker process."""
+class PipePort:
+    """The kernel's port in a worker process: the ledger side is the
+    parent, one control-pipe message per scheduled row away.
 
-    __slots__ = ("initial_dc", "settled", "ended")
+    ``fleet`` says whether the parent consumes joins and ends (a fleet
+    ledger or a migrator is bound) and so schedules those rows too;
+    without it only freezes are scheduled.
+    """
 
-    def __init__(self, initial_dc: str):
-        self.initial_dc = initial_dc
-        self.settled = False
-        self.ended = False
+    def __init__(self, conn, fleet: bool):
+        self._conn = conn
+        self._send = conn.send
+        self.join = self._join if fleet else None
+        self.release = self._release if fleet else None
 
+    def _join(self, row: int, call_id: str) -> None:
+        self._send(("join", row, call_id))
 
-class _Counters:
-    """One worker's cumulative counters (the fragment it reports)."""
+    def _release(self, row: int, call_id: str) -> None:
+        self._send(("release", row, call_id))
 
-    FIELDS = ("processed", "dropped", "joins", "media_changes",
-              "generated", "early_ended", "ended")
-    __slots__ = FIELDS
+    def skip(self, row: int) -> None:
+        self._send(("skip", row))
 
-    def __init__(self):
-        for name in self.FIELDS:
-            setattr(self, name, 0)
-
-    def as_dict(self) -> Dict[str, int]:
-        return {name: getattr(self, name) for name in self.FIELDS}
+    def settle(self, row: int, call_index: int, call_id: str,
+               initial_dc: str, ended: bool) -> Tuple[str, bool]:
+        # Blocking round-trip: the parent runs the selector against the
+        # shared ledger (releasing an already-ended call's reservation in
+        # the same step) and replies with the outcome to write.
+        self._send(("settle", row, call_index, initial_dc, ended))
+        reply = self._conn.recv()
+        if reply[0] != "outcome":
+            raise SwitchboardError(
+                f"expected settle outcome, got {reply[0]!r}")
+        return reply[1], reply[2]
 
 
 def _worker_main(worker_index: int, topology: Topology,
                  store_spec: StoreSpec, fleet: bool, conn) -> None:
-    """Worker-process entry point: serve my call partition of every
-    window, routing ledger-touching rows through the parent actor.
+    """Worker-process entry point: run the kernel over my call partition
+    of every window, the parent on the other end of the port.
 
     Protocol (worker side):
 
@@ -351,117 +303,13 @@ def _worker_main(worker_index: int, topology: Topology,
       with ``("done", counters)``;
     * recv ``("finish",)`` — reply ``("result", fragment)`` and exit.
     """
-    calls: Dict[str, _WorkerCall] = {}
-    counters = _Counters()
-    admission_ms: List[float] = []
     current: Optional[_AttachedBatch] = None
     try:
+        state = WorkerState(topology)
         store = store_spec.build()
         client = PipelinedStateClient(store)
-        record_joins = client.record_joins
+        port = PipePort(conn, fleet)
         conn.send(("ready", worker_index))
-
-        def serve(batch: _AttachedBatch, lo: int, hi: int) -> None:
-            trace = batch.trace
-            ids = trace.call_ids()
-            countries = trace.countries
-            owners = batch.shard_of_call[batch.call_idx[lo:hi]]
-            rows = np.flatnonzero(owners == worker_index) + lo
-            # Same per-call join batching as the thread engine's
-            # single-worker fast path: each call's joins ride one
-            # pipelined trip, flushed no later than its freeze/end.
-            pending: Dict[str, List[str]] = {}
-            for row, call_index, code, country_code, media_code in zip(
-                    rows.tolist(),
-                    batch.call_idx[rows].tolist(),
-                    batch.type_code[rows].tolist(),
-                    batch.country_code[rows].tolist(),
-                    batch.media_code[rows].tolist()):
-                if code == _JOIN:
-                    if country_code < 0:
-                        counters.dropped += 1
-                        if fleet:
-                            conn.send(("skip", row))
-                        continue
-                    call_id = ids[call_index]
-                    pending.setdefault(call_id, []).append(
-                        countries.value(country_code))
-                    counters.joins += 1
-                    if fleet:
-                        conn.send(("join", row, call_id))
-                    counters.processed += 1
-                    continue
-                call_id = ids[call_index]
-                if code == _FREEZE or code == _END:
-                    joined = pending.pop(call_id, None)
-                    if joined is not None:
-                        record_joins(call_id, joined)
-                if code == _START:
-                    if country_code < 0:
-                        counters.dropped += 1
-                        continue
-                    t0 = time.perf_counter()
-                    country = countries.value(country_code)
-                    initial = topology.closest_dc(country)
-                    calls[call_id] = _WorkerCall(initial)
-                    client.open_call(call_id, initial, country)
-                    counters.generated += 1
-                    admission_ms.append((time.perf_counter() - t0) * 1e3)
-                elif code == _MEDIA:
-                    if media_code < 0:
-                        counters.dropped += 1
-                        continue
-                    client.record_media(call_id, MediaType.from_code(media_code))
-                    counters.media_changes += 1
-                elif code == _FREEZE:
-                    state = calls.get(call_id)
-                    if state is None or state.settled:
-                        counters.dropped += 1
-                        conn.send(("skip", row))
-                        continue
-                    # Blocking settle round-trip: the parent runs the
-                    # selector against the shared ledger and replies
-                    # with the outcome this worker must write.
-                    conn.send(("settle", row, call_index,
-                               state.initial_dc, state.ended))
-                    reply = conn.recv()
-                    if reply[0] != "outcome":
-                        raise SwitchboardError(
-                            f"expected settle outcome, got {reply[0]!r}")
-                    final_dc, migrated = reply[1], reply[2]
-                    state.settled = True
-                    if migrated:
-                        client.migrate_call(call_id, final_dc)
-                    if state.ended:
-                        # Hung up pre-freeze; settled against the plan
-                        # anyway, state released now (parent releases
-                        # the reservation off the settle message).
-                        client.close_call(call_id)
-                        del calls[call_id]
-                elif code == _END:
-                    state = calls.get(call_id)
-                    if state is None:
-                        counters.dropped += 1
-                        if fleet:
-                            conn.send(("skip", row))
-                        continue
-                    counters.ended += 1
-                    if state.settled:
-                        client.close_call(call_id)
-                        del calls[call_id]
-                        if fleet:
-                            conn.send(("release", row, call_id))
-                    else:
-                        state.ended = True
-                        counters.early_ended += 1
-                        if fleet:
-                            conn.send(("skip", row))
-                else:
-                    raise SwitchboardError(f"unknown event code {code}")
-                counters.processed += 1
-            for call_id, joined in pending.items():
-                record_joins(call_id, joined)
-
         while True:
             msg = conn.recv()
             kind = msg[0]
@@ -470,19 +318,20 @@ def _worker_main(worker_index: int, topology: Topology,
                     current.close()
                 current = _AttachedBatch(msg[1])
             elif kind == "serve":
-                serve(current, msg[1], msg[2])
-                conn.send(("done", counters.as_dict()))
+                serve_rows(state, current.trace,
+                           *partition_columns(current, msg[1], msg[2],
+                                              current.shard_of_call,
+                                              worker_index),
+                           client, port)
+                conn.send(("done", state.counts()))
             elif kind == "finish":
-                fragment = {
-                    "counters": counters.as_dict(),
-                    "unsettled": sum(1 for state in calls.values()
-                                     if not state.settled),
-                    "admission_ms": admission_ms[:_MAX_SHIPPED_SAMPLES],
-                    "kv_op_count": store.op_count,
-                    "kv_samples_ms":
-                        _store_latency_samples(store)[:_MAX_SHIPPED_SAMPLES],
-                    "state": dump_store_state(store),
-                }
+                fragment = state.fragment()
+                fragment["admission_ms"] = \
+                    fragment["admission_ms"][:_MAX_SHIPPED_SAMPLES]
+                fragment["kv_op_count"] = store.op_count
+                fragment["kv_samples_ms"] = \
+                    store_latency_samples(store)[:_MAX_SHIPPED_SAMPLES]
+                fragment["state"] = dump_store_state(store)
                 conn.send(("result", fragment))
                 if current is not None:
                     current.close()
@@ -501,353 +350,67 @@ def _worker_main(worker_index: int, topology: Topology,
 # ----------------------------------------------------------------------
 # parent engine
 # ----------------------------------------------------------------------
-class MultiprocessAdmissionEngine:
-    """The process-executor twin of :class:`AdmissionEngine`.
+class MultiprocessAdmissionEngine(ServingEngine):
+    """Serves the stream across worker processes.
 
-    Same construction surface (plus ``worker_store_spec``), same
-    :class:`ServiceReport`, byte-identical accounting and store state —
-    pinned against the thread oracle in ``tests/test_mpservice.py``.
-    ``store`` here is the **parent-side** store: it holds the slot
-    ledger (and any injected fleet ledger's keys) and folds into the
-    merged op count and state dump; per-call state lives in the
-    workers' private stores built from ``worker_store_spec``.
-
-    Prefer building through
-    :meth:`repro.service.runtime.ServiceRuntime.from_config`.
+    Same construction surface as the thread executor (plus
+    ``worker_store_spec``), same report, byte-identical accounting and
+    store state — pinned against the thread oracle in
+    ``tests/test_mpservice.py``.  ``store`` here is the **parent-side**
+    store: it holds the slot ledger (and any injected fleet ledger's
+    keys) and folds into the merged op count and state dump; per-call
+    state lives in the workers' private stores built from
+    ``worker_store_spec``.
     """
 
-    def __init__(self, topology: Topology, plan: AllocationPlan,
-                 store: Optional[Union[ShardedKVStore,
-                                       InMemoryKVStore]] = None,
-                 n_workers: int = 1,
-                 freeze_window_s: float = DEFAULT_FREEZE_WINDOW_S,
-                 obs: Optional[Observability] = None,
-                 ledger: Optional[SlotLedger] = None,
-                 defragmenter=None,
-                 defrag_interval_s: Optional[float] = None,
-                 rescaler=None,
-                 rescale_interval_s: Optional[float] = None,
-                 migrator=None,
-                 migrate_interval_s: Optional[float] = None,
-                 worker_store_spec: Optional[StoreSpec] = None):
-        if n_workers < 1:
-            raise SwitchboardError("need at least one admission worker")
-        if defrag_interval_s is not None and defrag_interval_s <= 0:
-            raise SwitchboardError("defrag_interval_s must be positive")
-        if rescale_interval_s is not None and rescale_interval_s <= 0:
-            raise SwitchboardError("rescale_interval_s must be positive")
-        if migrate_interval_s is not None and migrate_interval_s <= 0:
-            raise SwitchboardError("migrate_interval_s must be positive")
-        self.topology = topology
-        # The parent ledger store deliberately simulates no latency:
-        # settles serialize through the parent actor, and their cost
-        # must not scale with the workers they coordinate.  Ops are
-        # still counted, so op-count parity with the oracle holds.
-        self.store = store if store is not None else InMemoryKVStore()
-        self.n_workers = n_workers
-        self.freeze_window_s = freeze_window_s
-        self.obs = obs
-        self.worker_store_spec = (worker_store_spec
-                                  if worker_store_spec is not None
-                                  else StoreSpec())
-        self.ledger = ledger if ledger is not None else KVSlotLedger(self.store)
-        self.planned_cells = self.ledger.load_plan(plan)
-        self.selector = RealTimeSelector(topology, plan, freeze_window_s,
-                                         ledger=self.ledger)
-        self.defragmenter = defragmenter
-        self.defrag_interval_s = defrag_interval_s
-        self.defrag_rounds = 0
-        self.rescaler = rescaler
-        if rescaler is not None and rescale_interval_s is None:
-            config = getattr(rescaler, "config", None)
-            rescale_interval_s = getattr(config, "interval_s", None)
-        self.rescale_interval_s = (rescale_interval_s
-                                   if rescaler is not None else None)
-        # Same window-barrier ordering as the thread engine: defrag,
-        # then rescaler, then migrator — drain orders a rescale just
-        # issued execute in the same window, identically on both
-        # executors.
-        self.migrator = migrator
-        if migrator is not None and migrate_interval_s is None:
-            migrate_interval_s = getattr(migrator, "interval_s", None)
-        self.migrate_interval_s = (migrate_interval_s
-                                   if migrator is not None else None)
-        intervals = [i for i in (
-            defrag_interval_s if defragmenter is not None else None,
-            self.rescale_interval_s,
-            self.migrate_interval_s,
-        ) if i is not None]
-        self._window_interval_s = min(intervals) if intervals else None
-        if rescaler is not None:
-            bind = getattr(rescaler, "bind", None)
-            if bind is not None:
-                bind(self)
-        if migrator is not None:
-            migrator.bind(self)
-        self.admission_latency = LatencyHistogram()
-        self.settle_latency = LatencyHistogram()
-        self._note_join = getattr(self.ledger, "note_join", None)
-        self._release_call = getattr(self.ledger, "release", None)
-        # The migrator's registry hears every call end; its settle feed
-        # is wired through the selector at bind time.  Its presence
-        # forces the fleet schedule (joins/ends routed to the parent)
-        # even over a plain slot ledger, so the registry stays exact.
-        self._note_end = (migrator.registry.on_end
-                          if migrator is not None else None)
-        self._fleet = (self._note_join is not None
-                       or self._release_call is not None
-                       or migrator is not None)
-        # Outcome counters (the parent settles, so the parent counts).
-        self._admitted = 0
-        self._migrated = 0
-        self._overflowed = 0
-        self._unplanned = 0
+    executor = "process"
+    # The parent ledger store deliberately simulates no latency: settles
+    # serialize through the parent actor, and their cost must not scale
+    # with the workers they coordinate.  Ops are still counted, so
+    # op-count parity with the oracle holds.
+    _default_store = InMemoryKVStore
+
+    def __init__(self, *args, worker_store_spec: StoreSpec = StoreSpec(),
+                 **kwargs):
+        super().__init__(*args, **kwargs)
+        self.worker_store_spec = worker_store_spec
+        self._n_shards = worker_store_spec.n_shards
         self._procs: List[Any] = []
         self._conns: List[Any] = []
         self._segments: List[shared_memory.SharedMemory] = []
-        self._kv_samples: List[float] = []
-        self._merged_state: Optional[Dict[str, Any]] = None
+        self._worker_states: Optional[List[Dict[str, Any]]] = None
+
+    def store_state(self) -> Dict[str, Any]:
+        """Worker stores + parent ledger store, merged — the
+        byte-identical parity surface against the thread executor's."""
+        if self._worker_states is None:
+            raise SwitchboardError("store_state() requires a completed "
+                                   "run()")
+        return merge_store_states(
+            self._worker_states + [dump_store_state(self.store)])
 
     # ------------------------------------------------------------------
-    def merged_store_state(self) -> Dict[str, Any]:
-        """The canonical end-of-run store state (worker stores + parent
-        ledger store, merged) — the byte-identical parity surface
-        against ``dump_store_state(oracle.store)``."""
-        if self._merged_state is None:
-            raise SwitchboardError("merged_store_state() requires a "
-                                   "completed run()")
-        return self._merged_state
-
+    # executor hooks
     # ------------------------------------------------------------------
-    def run(self, events: Union[ColumnarEventBatch,
-                                Iterable[ColumnarEventBatch]]) -> ServiceReport:
-        """Serve the stream across worker processes; returns the merged
-        report.  Accepts one columnar batch or an iterable of batches;
-        object event streams need the thread executor."""
-        batches = self._batch_source(events)
-        if self.obs is not None:
-            self.obs.record("service.run", label="admission",
-                            n_workers=self.n_workers, executor="process")
-        self._start_workers()
-        worker_counters: List[Dict[str, int]] = [
-            _Counters().as_dict() for _ in range(self.n_workers)]
-        n_events = 0
-        anchor: Optional[float] = None
-        failed = True
-        try:
-            start = time.perf_counter()
-            for batch in batches:
-                if len(batch) == 0:
-                    continue
-                served, anchor = self._serve_batch(batch, anchor,
-                                                   worker_counters)
-                n_events += served
-            wall = time.perf_counter() - start
-            results = self._drain_workers()
-            failed = False
-        finally:
-            self._shutdown(force=failed)
-            # Segments are unlinked only after every worker has exited:
-            # a worker's attach registers with the resource tracker, and
-            # unlinking while registrations are still in flight races
-            # the tracker into leak warnings at interpreter shutdown.
-            self._release_segments()
-        if n_events == 0:
-            raise SwitchboardError("no events to serve")
-
-        report = self._report(results, worker_counters, n_events, wall)
-        if self.obs is not None:
-            self.obs.record("service.done", label="admission",
-                            events_per_s=report.events_per_s,
-                            accounting_exact=report.accounting_exact)
-        return report
-
-    # ------------------------------------------------------------------
-    def _batch_source(self, events):
-        if isinstance(events, ColumnarEventBatch):
-            return [events]
-        iterator = iter(events)
-        try:
-            first = next(iterator)
-        except StopIteration:
-            raise SwitchboardError("no events to serve")
-        if not isinstance(first, ColumnarEventBatch):
-            raise SwitchboardError(
-                "the process executor serves columnar input only (a "
-                "ColumnarEventBatch or an iterable of batches); object "
-                "event streams need executor='thread'")
-        return itertools.chain([first], iterator)
-
-    def _shard_of_call(self, trace: ColumnarTrace) -> np.ndarray:
-        return np.array(
-            [zlib.crc32(trace.call_id(i).encode("utf-8")) % self.n_workers
-             for i in range(trace.n_calls)], dtype=np.int64)
-
-    def _window_ranges(self, batch: ColumnarEventBatch,
-                       anchor: Optional[float]
-                       ) -> Tuple[List[Tuple[int, int]], Optional[float]]:
-        """Same fixed-interval bucketing as the thread engine's
-        ``_split_windows``, anchored at the stream's first timestamp."""
-        interval = self._window_interval_s
-        if interval is None:
-            return [(0, len(batch))], anchor
-        if anchor is None:
-            anchor = float(batch.t_s[0])
-        window = np.floor_divide(batch.t_s - anchor,
-                                 interval).astype(np.int64)
-        cuts = np.flatnonzero(np.diff(window)) + 1
-        ranges: List[Tuple[int, int]] = []
-        last = 0
-        for cut in itertools.chain(cuts.tolist(), [len(batch)]):
-            cut = int(cut)
-            if cut > last:
-                ranges.append((last, cut))
-            last = cut
-        return ranges, anchor
-
-    # ------------------------------------------------------------------
-    def _serve_batch(self, batch: ColumnarEventBatch,
-                     anchor: Optional[float],
-                     worker_counters: List[Dict[str, int]]
-                     ) -> Tuple[int, Optional[float]]:
-        shard_of_call = self._shard_of_call(batch.trace)
-        shm, meta = _pack_segment(batch, shard_of_call)
-        self._segments.append(shm)
-        for conn in self._conns:
-            conn.send(("batch", meta))
-        # The parent's schedule: exactly the rows whose serving
-        # touches shared state, in global row order, each tagged
-        # with the worker that owns it.  Freezes always; joins and
-        # ends only when a fleet ledger consumes them.
-        if self._fleet:
-            mask = ((batch.type_code == _JOIN)
-                    | (batch.type_code == _FREEZE)
-                    | (batch.type_code == _END))
-        else:
-            mask = batch.type_code == _FREEZE
-        sched = np.flatnonzero(mask)
-        sched_rows = sched.tolist()
-        sched_owner = shard_of_call[batch.call_idx[sched]].tolist()
-        ptr = 0
-
-        ranges, anchor = self._window_ranges(batch, anchor)
-        served = 0
-        for lo, hi in ranges:
-            served += hi - lo
-            for conn in self._conns:
-                conn.send(("serve", lo, hi))
-            while ptr < len(sched_rows) and sched_rows[ptr] < hi:
-                owner = sched_owner[ptr]
-                self._apply(batch.trace, sched_rows[ptr],
-                            self._recv(owner), owner)
-                ptr += 1
-            # Window barrier: every worker reports done (and is now
-            # quiescent, blocked on the next control message).
-            for w in range(self.n_workers):
-                msg = self._recv(w)
-                if msg[0] != "done":
-                    raise SwitchboardError(
-                        f"worker {w}: expected window barrier, got "
-                        f"{msg[0]!r}")
-                worker_counters[w] = msg[1]
-            if self.defragmenter is not None:
-                round_result = self.defragmenter.run_round()
-                self.defrag_rounds += 1
-                if round_result.executed_moves:
-                    self.selector.stats.record_defrag(
-                        round_result.executed_moves)
-            if self.rescaler is not None:
-                self.rescaler.on_window(self._snapshot(
-                    float(batch.t_s[hi - 1]), worker_counters))
-            if self.migrator is not None:
-                # After the rescaler, same as the thread engine: drain
-                # orders it just issued (and any due DC failures)
-                # execute at this same barrier.
-                self.migrator.on_window(self._snapshot(
-                    float(batch.t_s[hi - 1]), worker_counters))
-        return served, anchor
-
-    def _release_segments(self) -> None:
-        for shm in self._segments:
-            shm.close()
-            try:
-                shm.unlink()
-            except FileNotFoundError:
-                pass
-        self._segments = []
-
-    def _apply(self, trace: ColumnarTrace, row: int, msg, owner: int) -> None:
-        """One scheduled row, applied to the shared ledger in-order."""
-        kind = msg[0]
-        if msg[1] != row:
-            raise SwitchboardError(
-                f"worker {owner} answered row {msg[1]} at scheduled row "
-                f"{row}: partition/schedule mismatch")
-        if kind == "settle":
-            _, _, call_index, initial_dc, call_ended = msg
-            t0 = time.perf_counter()
-            outcome = self.selector.settle(trace.call(call_index), initial_dc)
-            if outcome.migrated:
-                self._migrated += 1
-            elif outcome.overflowed:
-                self._overflowed += 1
-            else:
-                self._admitted += 1
-            if not outcome.planned:
-                self._unplanned += 1
-            self.settle_latency.record((time.perf_counter() - t0) * 1e3)
-            self._conns[owner].send(("outcome", outcome.final_dc,
-                                     outcome.migrated, outcome.planned,
-                                     outcome.overflowed))
-            if call_ended:
-                # Early-ended call closing at its freeze: release its
-                # reservation *now*, before the next scheduled row, the
-                # way the oracle's _close does.
-                if self._release_call is not None:
-                    self._release_call(trace.call_id(call_index))
-                if self._note_end is not None:
-                    self._note_end(trace.call_id(call_index))
-        elif kind == "join":
-            if self._note_join is not None:
-                self._note_join(msg[2])
-        elif kind == "release":
-            if self._release_call is not None:
-                self._release_call(msg[2])
-            if self._note_end is not None:
-                self._note_end(msg[2])
-        elif kind == "skip":
-            pass
-        else:
-            raise SwitchboardError(f"unknown worker message {kind!r}")
-
-    def _snapshot(self, t_s: float,
-                  worker_counters: List[Dict[str, int]]) -> ServiceSnapshot:
-        return ServiceSnapshot(
-            t_s=t_s,
-            generated=sum(c["generated"] for c in worker_counters),
-            admitted=self._admitted,
-            migrated=self._migrated,
-            overflowed=self._overflowed,
-            unplanned=self._unplanned,
-            events_processed=sum(c["processed"] for c in worker_counters),
-        )
-
-    # ------------------------------------------------------------------
-    # worker lifecycle
-    # ------------------------------------------------------------------
-    def _start_workers(self) -> None:
+    def _start(self) -> None:
+        port = self._local_port()
+        self._ports = [port]
+        # A migrator forces the fleet schedule even over a plain slot
+        # ledger (its registry hears every end through port.release).
+        fleet = port.join is not None or port.release is not None
+        self._scheduled_codes = (_JOIN, _FREEZE, _END) if fleet \
+            else (_FREEZE,)
         # fork inherits the imported world for free; spawn works too but
         # pays re-import, so it is only the fallback (non-POSIX hosts).
         methods = multiprocessing.get_all_start_methods()
         ctx = multiprocessing.get_context(
             "fork" if "fork" in methods else "spawn")
-        self._procs, self._conns = [], []
         for w in range(self.n_workers):
             parent_conn, child_conn = ctx.Pipe(duplex=True)
             proc = ctx.Process(
                 target=_worker_main,
-                args=(w, self.topology, self.worker_store_spec,
-                      self._fleet, child_conn),
+                args=(w, self.topology, self.worker_store_spec, fleet,
+                      child_conn),
                 name=f"admission-worker-{w}", daemon=True)
             proc.start()
             child_conn.close()
@@ -855,43 +418,70 @@ class MultiprocessAdmissionEngine:
             self._conns.append(parent_conn)
         # Ready barrier: spawn/import cost stays out of the serve timer.
         for w in range(self.n_workers):
-            msg = self._recv(w)
-            if msg[0] != "ready":
-                raise SwitchboardError(
-                    f"worker {w}: expected ready, got {msg[0]!r}")
+            self._expect(w, "ready")
 
-    def _recv(self, w: int):
-        conn, proc = self._conns[w], self._procs[w]
-        while not conn.poll(0.05):
-            if not proc.is_alive():
-                raise SwitchboardError(
-                    f"admission worker {w} crashed "
-                    f"(exitcode {proc.exitcode}); aborting the run")
-        try:
-            msg = conn.recv()
-        except EOFError:
+    def _open_batch(self, batch: ColumnarEventBatch,
+                    shard_of_call: Optional[np.ndarray]) -> None:
+        shm, meta = _pack_segment(batch, shard_of_call)
+        self._segments.append(shm)
+        self._broadcast(("batch", meta))
+        # The parent's schedule: exactly the rows whose serving touches
+        # the ledger side, in global row order, each tagged with the
+        # worker that owns it.
+        sched = np.flatnonzero(np.isin(batch.type_code,
+                                       self._scheduled_codes))
+        self._sched_rows = sched.tolist()
+        self._sched_owner = (
+            shard_of_call[batch.call_idx[sched]].tolist()
+            if shard_of_call is not None else [0] * len(sched))
+        self._sched_next = 0
+
+    def _serve_window(self, batch: ColumnarEventBatch, lo: int, hi: int
+                      ) -> List[Dict[str, int]]:
+        self._broadcast(("serve", lo, hi))
+        rows, owners = self._sched_rows, self._sched_owner
+        ptr = self._sched_next
+        while ptr < len(rows) and rows[ptr] < hi:
+            self._apply(batch.trace, rows[ptr], owners[ptr])
+            ptr += 1
+        self._sched_next = ptr
+        # Window barrier: every worker reports done (and is now
+        # quiescent, blocked on the next control message).
+        return [self._expect(w, "done")[1] for w in range(self.n_workers)]
+
+    def _apply(self, trace: ColumnarTrace, row: int, owner: int) -> None:
+        """One scheduled row's message, applied to the ledger side."""
+        msg = self._recv(owner)
+        kind = msg[0]
+        if msg[1] != row:
             raise SwitchboardError(
-                f"admission worker {w} closed its pipe mid-run")
-        if msg[0] == "error":
-            raise SwitchboardError(
-                f"admission worker {w} failed:\n{msg[1]}")
-        return msg
+                f"worker {owner} answered row {msg[1]} at scheduled row "
+                f"{row}: partition/schedule mismatch")
+        port = self._ports[0]
+        if kind == "settle":
+            _, _, call_index, initial_dc, ended = msg
+            self._send(owner, ("outcome",) + port.settle(
+                row, call_index, trace.call_id(call_index), initial_dc,
+                ended))
+        elif kind in ("join", "release"):
+            # The fleet schedule carries both kinds even when only one
+            # has a consumer (a migrator over a plain slot ledger).
+            hook = getattr(port, kind)
+            if hook is not None:
+                hook(row, msg[2])
+        elif kind != "skip":
+            raise SwitchboardError(f"unknown worker message {kind!r}")
 
-    def _drain_workers(self) -> List[Dict[str, Any]]:
-        for conn in self._conns:
-            conn.send(("finish",))
-        results: List[Dict[str, Any]] = []
-        for w in range(self.n_workers):
-            msg = self._recv(w)
-            if msg[0] != "result":
-                raise SwitchboardError(
-                    f"worker {w}: expected result, got {msg[0]!r}")
-            results.append(msg[1])
-        return results
+    def _finish(self) -> List[Dict[str, Any]]:
+        self._broadcast(("finish",))
+        fragments = [self._expect(w, "result")[1]
+                     for w in range(self.n_workers)]
+        self._worker_states = [f.pop("state") for f in fragments]
+        return fragments
 
-    def _shutdown(self, force: bool) -> None:
+    def _stop(self, failed: bool) -> None:
         for proc in self._procs:
-            if force and proc.is_alive():
+            if failed and proc.is_alive():
                 proc.terminate()
         for proc in self._procs:
             proc.join(timeout=10.0)
@@ -901,71 +491,53 @@ class MultiprocessAdmissionEngine:
             except OSError:
                 pass
         self._procs, self._conns = [], []
+        # Segments are unlinked only after every worker has exited: a
+        # worker's attach registers with the resource tracker, and
+        # unlinking while registrations are still in flight races the
+        # tracker into leak warnings at interpreter shutdown.
+        for shm in self._segments:
+            shm.close()
+            try:
+                shm.unlink()
+            except FileNotFoundError:
+                pass
+        self._segments = []
 
     # ------------------------------------------------------------------
-    def _report(self, results: List[Dict[str, Any]],
-                worker_counters: List[Dict[str, int]],
-                n_events: int, wall_s: float) -> ServiceReport:
-        counters = [r["counters"] for r in results]
-        processed = sum(c["processed"] for c in counters)
-        for r in results:
-            self.admission_latency.record_many(r["admission_ms"])
-            self._kv_samples.extend(r["kv_samples_ms"])
-        self._kv_samples.extend(_store_latency_samples(self.store))
-        self._merged_state = merge_store_states(
-            [r["state"] for r in results] + [dump_store_state(self.store)])
-        stats = self.selector.stats
-        packing: Dict[str, object] = {}
-        metrics_fn = getattr(self.ledger, "fleet_metrics", None)
-        if metrics_fn is not None:
-            packing = metrics_fn()
-        autoscale: Dict[str, object] = {}
-        autoscale_fn = getattr(self.rescaler, "autoscale_metrics", None)
-        if autoscale_fn is not None:
-            autoscale = autoscale_fn()
-        migration: Dict[str, object] = {}
-        migration_latency: Dict[str, object] = {}
-        migration_fn = getattr(self.migrator, "migration_metrics", None)
-        if migration_fn is not None:
-            migration = migration_fn()
-            migration_latency = self.migrator.latency.percentiles()
-        return ServiceReport(
-            n_workers=self.n_workers,
-            n_shards=(self.worker_store_spec.n_shards
-                      if self.worker_store_spec.kind == "sharded" else 1),
-            executor="process",
-            events_total=n_events,
-            events_processed=processed,
-            dropped_events=sum(c["dropped"] for c in counters),
-            joins=sum(c["joins"] for c in counters),
-            media_changes=sum(c["media_changes"] for c in counters),
-            generated_calls=sum(c["generated"] for c in counters),
-            admitted_calls=self._admitted,
-            migrated_calls=self._migrated,
-            overflowed_calls=self._overflowed,
-            unplanned_calls=self._unplanned,
-            early_ended_calls=sum(c["early_ended"] for c in counters),
-            ended_calls=sum(c["ended"] for c in counters),
-            unsettled_calls=sum(r["unsettled"] for r in results),
-            wall_time_s=wall_s,
-            events_per_s=processed / wall_s if wall_s > 0 else 0.0,
-            admission_latency_ms=self.admission_latency.percentiles(),
-            settle_latency_ms=self.settle_latency.percentiles(),
-            kv_latency_ms=percentiles_ms(self._kv_samples),
-            kv_op_count=(sum(r["kv_op_count"] for r in results)
-                         + self.store.op_count),
-            migration_rate=stats.migration_rate,
-            mean_acl_ms=stats.mean_acl_ms,
-            defrag_migrated_calls=stats.defrag_migrations,
-            defrag_rounds=self.defrag_rounds,
-            frag_slots_lost=int(packing.get("frag_slots_lost", 0)),
-            packing=packing,
-            rescale_events=int(autoscale.get("rescale_events", 0)),
-            autoscale=autoscale,
-            live_migrated_calls=int(
-                migration.get("live_migrated_calls", 0)),
-            disrupted_calls=int(migration.get("disrupted_calls", 0)),
-            migration_batches=int(migration.get("batches", 0)),
-            migration_latency_ms=migration_latency,
-            migration=migration,
-        )
+    def _crashed(self, w: int) -> SwitchboardError:
+        return SwitchboardError(
+            f"admission worker {w} crashed "
+            f"(exitcode {self._procs[w].exitcode}); aborting the run")
+
+    def _send(self, w: int, msg) -> None:
+        try:
+            self._conns[w].send(msg)
+        except OSError:
+            # The worker's end of the pipe is gone: it died.
+            raise self._crashed(w)
+
+    def _broadcast(self, msg) -> None:
+        for w in range(self.n_workers):
+            self._send(w, msg)
+
+    def _recv(self, w: int):
+        conn, proc = self._conns[w], self._procs[w]
+        while not conn.poll(0.05):
+            if not proc.is_alive():
+                raise self._crashed(w)
+        try:
+            msg = conn.recv()
+        except (EOFError, OSError):
+            proc.join(timeout=1.0)  # reap it so the exit code shows
+            raise self._crashed(w)
+        if msg[0] == "error":
+            raise SwitchboardError(
+                f"admission worker {w} failed:\n{msg[1]}")
+        return msg
+
+    def _expect(self, w: int, kind: str):
+        msg = self._recv(w)
+        if msg[0] != kind:
+            raise SwitchboardError(
+                f"worker {w}: expected {kind}, got {msg[0]!r}")
+        return msg

@@ -11,6 +11,7 @@ enforces — a dropped or unsettled call is a serving bug, not noise.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
@@ -199,48 +200,12 @@ class ServiceReport:
         ``schema_version`` always comes first; see
         :data:`REPORT_SCHEMA_VERSION` for the change history.
         """
-        payload = {
-            "n_workers": self.n_workers,
-            "n_shards": self.n_shards,
-            "executor": self.executor,
-            "events_total": self.events_total,
-            "events_processed": self.events_processed,
-            "dropped_events": self.dropped_events,
-            "joins": self.joins,
-            "media_changes": self.media_changes,
-            "generated_calls": self.generated_calls,
-            "admitted_calls": self.admitted_calls,
-            "migrated_calls": self.migrated_calls,
-            "overflowed_calls": self.overflowed_calls,
-            "unplanned_calls": self.unplanned_calls,
-            "early_ended_calls": self.early_ended_calls,
-            "ended_calls": self.ended_calls,
-            "unsettled_calls": self.unsettled_calls,
-            "wall_time_s": self.wall_time_s,
-            "events_per_s": self.events_per_s,
-            "admission_latency_ms": self.admission_latency_ms,
-            "settle_latency_ms": self.settle_latency_ms,
-            "kv_latency_ms": self.kv_latency_ms,
-            "kv_op_count": self.kv_op_count,
+        payload = dataclasses.asdict(self)
+        payload["accounting_exact"] = self.accounting_exact
+        if self.settled_calls == 0:
             # None, not 0.0, when nothing settled: a 0.0 migration rate
             # over zero calls would read as a perfect day.
-            "migration_rate": (self.migration_rate
-                               if self.settled_calls > 0 else None),
-            "mean_acl_ms": (self.mean_acl_ms
-                            if self.settled_calls > 0 else None),
-            "accounting_exact": self.accounting_exact,
-            "defrag_migrated_calls": self.defrag_migrated_calls,
-            "defrag_rounds": self.defrag_rounds,
-            "frag_slots_lost": self.frag_slots_lost,
-            "packing": self.packing,
-            "rescale_events": self.rescale_events,
-            "autoscale": self.autoscale,
-            "live_migrated_calls": self.live_migrated_calls,
-            "disrupted_calls": self.disrupted_calls,
-            "migration_batches": self.migration_batches,
-            "migration_latency_ms": self.migration_latency_ms,
-            "migration": self.migration,
-        }
+            payload["migration_rate"] = payload["mean_acl_ms"] = None
 
         def stable(value):
             if isinstance(value, dict):

@@ -1,10 +1,7 @@
 """One way to stand up the service plane: :class:`ServiceRuntime`.
 
-The engine/ledger/defragmenter/autoscaler wiring used to be
-hand-assembled at every call site (``simulation.py``, the experiments,
-the examples, the benches) — five keyword arguments threaded through
-four layers.  ``ServiceRuntime.from_config`` is now the single
-supported construction path:
+``ServiceRuntime.from_config`` is the single supported construction
+path for the engine/ledger/defragmenter/autoscaler/migrator wiring:
 
 >>> from repro.config import ServiceConfig
 >>> from repro.service import ServiceRuntime
@@ -13,20 +10,15 @@ supported construction path:
 ...                                                    n_workers=4))
 >>> report = runtime.run(load)
 
-``ServiceConfig.executor`` selects the execution model — ``"thread"``
-(the in-process :class:`~repro.service.engine.AdmissionEngine`, the
+``ServiceConfig.executor`` selects who schedules the one window kernel
+(:func:`~repro.service.engine.serve_rows`) — ``"thread"`` (the
+in-process :class:`~repro.service.engine.AdmissionEngine`, the
 deterministic oracle) or ``"process"``
 (:class:`~repro.service.mp.MultiprocessAdmissionEngine`, one OS process
 per worker over shared-memory columnar segments).  Everything else
 (sharding, simulated kv latency, worker count) comes from the same
-config either way, so the two paths are interchangeable and produce
-identical accounting.
-
-Passing the wiring keywords (``ledger``, ``defragmenter``,
-``rescaler``, their intervals) straight to ``AdmissionEngine(...)``
-still works but emits a
-:class:`~repro.core.errors.SwitchboardDeprecationWarning` — escalated
-to an error in the test suite, matching the planner-config precedent.
+config either way, and both executors accept the same inputs, so the
+two are interchangeable and produce identical accounting.
 """
 
 from __future__ import annotations
@@ -73,9 +65,9 @@ class ServiceRuntime:
     that inspect selector statistics or store state.
     """
 
-    def __init__(self, engine, executor: str):
+    def __init__(self, engine):
         self.engine = engine
-        self.executor = executor
+        self.executor = engine.executor
         self._report: Optional[ServiceReport] = None
 
     # ------------------------------------------------------------------
@@ -107,27 +99,23 @@ class ServiceRuntime:
         stores are built from the config's sharding/latency knobs.
         """
         svc = _resolve_service_config(config)
+        wiring = dict(
+            n_workers=svc.n_workers, freeze_window_s=freeze_window_s,
+            obs=obs, ledger=ledger, defragmenter=defragmenter,
+            defrag_interval_s=defrag_interval_s, rescaler=rescaler,
+            rescale_interval_s=rescale_interval_s, migrator=migrator,
+            migrate_interval_s=migrate_interval_s)
+        spec = StoreSpec.from_service_config(svc)
         if svc.executor == "process":
             engine = MultiprocessAdmissionEngine(
-                topology, plan, store=store, n_workers=svc.n_workers,
-                freeze_window_s=freeze_window_s, obs=obs, ledger=ledger,
-                defragmenter=defragmenter,
-                defrag_interval_s=defrag_interval_s,
-                rescaler=rescaler, rescale_interval_s=rescale_interval_s,
-                migrator=migrator, migrate_interval_s=migrate_interval_s,
-                worker_store_spec=StoreSpec.from_service_config(svc))
+                topology, plan, store=store, worker_store_spec=spec,
+                **wiring)
         else:
-            if store is None:
-                store = StoreSpec.from_service_config(svc).build()
             engine = AdmissionEngine(
-                topology, plan, store=store, n_workers=svc.n_workers,
-                freeze_window_s=freeze_window_s, obs=obs, ledger=ledger,
-                defragmenter=defragmenter,
-                defrag_interval_s=defrag_interval_s,
-                rescaler=rescaler, rescale_interval_s=rescale_interval_s,
-                migrator=migrator, migrate_interval_s=migrate_interval_s,
-                _via_runtime=True)
-        return cls(engine, svc.executor)
+                topology, plan,
+                store=store if store is not None else spec.build(),
+                **wiring)
+        return cls(engine)
 
     # ------------------------------------------------------------------
     def run(self, load) -> ServiceReport:
@@ -136,8 +124,7 @@ class ServiceRuntime:
         Accepts a :class:`~repro.service.loadgen.GeneratedLoad` or
         :class:`~repro.service.loadgen.StreamingLoad`, a
         :class:`~repro.controller.columnar.ColumnarEventBatch`, an
-        iterable of batches, or (thread executor only) an object event
-        stream.
+        iterable of batches, or an object event stream.
         """
         if isinstance(load, GeneratedLoad):
             payload = load.batch if load.batch is not None else load.events
@@ -162,21 +149,12 @@ class ServiceRuntime:
         return self.engine.selector
 
     @property
-    def ledger(self) -> SlotLedger:
-        return self.engine.ledger
-
-    @property
     def store(self):
         return self.engine.store
 
     def store_state(self) -> Dict[str, Any]:
-        """Canonical end-of-run store state, executor-independent: the
-        thread engine dumps its store; the process engine merges the
-        worker stores with the parent ledger store."""
-        from repro.service.mp import dump_store_state
-        if isinstance(self.engine, MultiprocessAdmissionEngine):
-            return self.engine.merged_store_state()
-        return dump_store_state(self.engine.store)
+        """Canonical end-of-run store state, executor-independent."""
+        return self.engine.store_state()
 
     def __repr__(self) -> str:
         return (f"ServiceRuntime(executor={self.executor!r}, "

@@ -36,7 +36,7 @@ from repro.core.units import DEFAULT_SLOT_S
 from repro.allocation.realtime import RealTimeSelector, SelectorStats
 from repro.autoscale import Autoscaler
 from repro.config import PlannerConfig, ServiceConfig
-from repro.controller.events import event_stream
+from repro.controller.columnar import build_event_batch
 from repro.service.runtime import ServiceRuntime
 from repro.forecasting.forecaster import CallCountForecaster
 from repro.metrics.capacity import capacity_diff
@@ -46,6 +46,7 @@ from repro.records.database import CallRecordsDatabase
 from repro.switchboard import Switchboard
 from repro.topology.builder import Topology
 from repro.workload.arrivals import Demand, DemandModel
+from repro.workload.columnar import ColumnarTrace
 from repro.workload.trace import CallTrace, TraceGenerator
 
 _SLOTS_PER_DAY = int(86400.0 / DEFAULT_SLOT_S)
@@ -209,7 +210,6 @@ class ServiceSimulator:
         """
         if not trace.calls:
             return SelectorStats(), 0
-        svc = self.service_config
         rescaler = None
         if self.planner_config.autoscale is not None and forecast is not None:
             rescaler = Autoscaler(
@@ -218,19 +218,11 @@ class ServiceSimulator:
                 capacity=self.capacity, obs=self.controller.obs,
                 with_backup=self.with_backup)
         runtime = ServiceRuntime.from_config(
-            self.topology, plan, svc,
+            self.topology, plan, self.service_config,
             freeze_window_s=self.freeze_window_s, obs=self.controller.obs,
             rescaler=rescaler)
-        if svc.executor == "process":
-            # The process engine serves columnar input only: promote the
-            # day's trace to one shared-memory-ready batch.
-            from repro.controller.columnar import build_event_batch
-            from repro.workload.columnar import ColumnarTrace
-            events = build_event_batch(ColumnarTrace.from_trace(trace),
-                                       self.freeze_window_s)
-        else:
-            events = event_stream(trace, self.freeze_window_s)
-        report = runtime.run(events)
+        report = runtime.run(build_event_batch(
+            ColumnarTrace.from_trace(trace), self.freeze_window_s))
         report.require_exact_accounting()
         return runtime.selector.stats, report.rescale_events
 

@@ -12,8 +12,7 @@ Two entry points:
   capacity provisioning -> daily allocation plan -> real-time MP selector.
 
 Both are configured by one frozen :class:`~repro.config.PlannerConfig`
-(``Switchboard(topology, config=...)``); the historical per-knob keywords
-still work as deprecated shims.  Every LP solve runs under a
+(``Switchboard(topology, config=...)``).  Every LP solve runs under a
 :class:`~repro.resilience.supervisor.SolveSupervisor` (timeouts, retries,
 fault handling) and provisioning walks the degradation ladder of
 :mod:`repro.resilience.ladder`, so ``provision()`` and ``run()`` return a
@@ -24,11 +23,10 @@ the returned plans.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.errors import SwitchboardDeprecationWarning, SwitchboardError
+from repro.core.errors import SwitchboardError
 from repro.core.types import CallConfig
 from repro.core.units import DEFAULT_FREEZE_WINDOW_S
 from repro.allocation.offline import AllocationOptimizer, AllocationOutcome
@@ -57,70 +55,19 @@ from repro.topology.builder import Topology
 from repro.workload.arrivals import Demand
 from repro.workload.media import MediaLoadModel
 
-#: Sentinel distinguishing "caller did not pass this deprecated keyword"
-#: from any real value (None is meaningful for several of them).
-_UNSET = object()
-
-
-def _fold_deprecated_kwargs(config: Optional[PlannerConfig],
-                            default: PlannerConfig,
-                            owner: str,
-                            **kwargs: object) -> PlannerConfig:
-    """Merge legacy per-knob keywords into a PlannerConfig, warning once.
-
-    ``kwargs`` values are the raw keyword arguments, ``_UNSET`` meaning
-    "not passed".  Passing any of them alongside an explicit ``config``
-    is an error — silently letting one override the other would make the
-    effective configuration depend on argument order.
-    """
-    passed = {name: value for name, value in kwargs.items()
-              if value is not _UNSET}
-    if not passed:
-        return config if config is not None else default
-    if config is not None:
-        raise SwitchboardError(
-            f"{owner}: pass either config= or the legacy keywords "
-            f"({', '.join(sorted(passed))}), not both"
-        )
-    warnings.warn(
-        f"{owner}({', '.join(sorted(passed))}=...) is deprecated; "
-        f"pass config=PlannerConfig(...) instead",
-        SwitchboardDeprecationWarning,
-        stacklevel=3,
-    )
-    return default.but(**passed)
-
-
 class Switchboard(ProvisioningStrategy):
     """Peak-aware joint provisioning + latency-optimal allocation.
 
     Configure with ``Switchboard(topology, config=PlannerConfig(...))``.
-    The per-knob keywords (``latency_threshold_ms``, ``backup_method``,
-    ...) are deprecated shims that build the equivalent config and emit a
-    :class:`~repro.core.errors.SwitchboardDeprecationWarning`.
     """
 
     name = "switchboard"
 
     def __init__(self, topology: Topology,
                  load_model: Optional[MediaLoadModel] = None,
-                 config: Optional[PlannerConfig] = None,
-                 latency_threshold_ms=_UNSET,
-                 max_link_scenarios=_UNSET,
-                 backup_method=_UNSET,
-                 background=_UNSET,
-                 dc_core_limits=_UNSET,
-                 workers=_UNSET):
+                 config: Optional[PlannerConfig] = None):
         super().__init__(topology, load_model)
-        self.config = _fold_deprecated_kwargs(
-            config, PlannerConfig(), "Switchboard",
-            latency_threshold_ms=latency_threshold_ms,
-            max_link_scenarios=max_link_scenarios,
-            backup_method=backup_method,
-            background=background,
-            dc_core_limits=dc_core_limits,
-            workers=workers,
-        )
+        self.config = config if config is not None else PlannerConfig()
         #: The controller's complete attempt/retry/fallback event trail.
         self.obs = Observability()
         self._supervisor = SolveSupervisor(self.config, self.obs)
@@ -329,14 +276,12 @@ class SwitchboardPipeline:
     ``config`` carries every provisioning/resilience knob to the inner
     :class:`Switchboard`; the default keeps the pipeline's historical
     behaviour (``max_link_scenarios=0`` — DC-failure scenarios only).
-    The ``max_link_scenarios`` keyword is a deprecated shim.
     """
 
     def __init__(self, topology: Topology,
                  top_config_fraction: float = 0.01,
                  season_length: int = 48,
                  load_model: Optional[MediaLoadModel] = None,
-                 max_link_scenarios=_UNSET,
                  use_estimated_latency: bool = True,
                  config: Optional[PlannerConfig] = None):
         self.topology = topology
@@ -344,11 +289,8 @@ class SwitchboardPipeline:
         self.season_length = season_length
         self.load_model = load_model if load_model is not None else MediaLoadModel()
         self.use_estimated_latency = use_estimated_latency
-        self.config = _fold_deprecated_kwargs(
-            config, PlannerConfig(max_link_scenarios=0),
-            "SwitchboardPipeline",
-            max_link_scenarios=max_link_scenarios,
-        )
+        self.config = (config if config is not None
+                       else PlannerConfig(max_link_scenarios=0))
 
     @property
     def max_link_scenarios(self) -> Optional[int]:

@@ -28,7 +28,11 @@ from repro.controller.events import (
 from repro.controller.replay import ReplayEngine
 from repro.controller.service import ControllerService
 from repro.kvstore import InMemoryKVStore
-from repro.service import AdmissionEngine, LoadGenerator
+from repro.service import (
+    AdmissionEngine,
+    LoadGenerator,
+    MultiprocessAdmissionEngine,
+)
 from repro.switchboard import Switchboard
 from repro.workload.columnar import ColumnarTrace, concat_traces
 from repro.workload.trace import CallTrace, TraceGenerator
@@ -283,31 +287,47 @@ class TestAccountingParity:
                 report.joins, report.media_changes, report.dropped_events,
                 report.events_processed)
 
-    def run_path(self, topology, plan, events, n_workers=1):
-        engine = AdmissionEngine(topology, plan, store=InMemoryKVStore(),
-                                 n_workers=n_workers)
+    ENGINES = {"thread": AdmissionEngine,
+               "process": MultiprocessAdmissionEngine}
+
+    def run_path(self, topology, plan, events, n_workers=1,
+                 executor="thread"):
+        engine = self.ENGINES[executor](topology, plan,
+                                        store=InMemoryKVStore(),
+                                        n_workers=n_workers)
         return engine.run(events)
 
     def test_object_vs_columnar_single_worker(self, topology, plan, load):
-        obj = self.run_path(topology, plan, load.events)
-        col = self.run_path(topology, plan, load.batch)
-        assert self.accounting(obj) == self.accounting(col)
+        for executor in self.ENGINES:
+            obj = self.run_path(topology, plan, load.events,
+                                executor=executor)
+            col = self.run_path(topology, plan, load.batch,
+                                executor=executor)
+            assert self.accounting(obj) == self.accounting(col), executor
 
     def test_object_vs_columnar_sharded(self, topology, plan, load):
-        obj = self.run_path(topology, plan, load.events, n_workers=4)
-        col = self.run_path(topology, plan, load.batch, n_workers=4)
-        assert self.accounting(obj) == self.accounting(col)
+        for executor in self.ENGINES:
+            obj = self.run_path(topology, plan, load.events, n_workers=4,
+                                executor=executor)
+            col = self.run_path(topology, plan, load.batch, n_workers=4,
+                                executor=executor)
+            assert self.accounting(obj) == self.accounting(col), executor
 
     def test_store_state_parity(self, topology, plan, load):
-        """The columnar fast path batches join writes; the final store
-        contents and per-op counts must still match the object path."""
-        s_obj, s_col = InMemoryKVStore(), InMemoryKVStore()
-        AdmissionEngine(topology, plan, store=s_obj, n_workers=1).run(
-            load.events)
-        AdmissionEngine(topology, plan, store=s_col, n_workers=1).run(
-            load.batch)
-        assert s_obj._data == s_col._data
-        assert s_obj.op_count == s_col.op_count
+        """The kernel batches each call's join writes per window, at
+        every worker count; the final store contents and per-op counts
+        must still match per-event writes.  The oracle serves one row
+        per batch, so every buffered join is flushed on its own."""
+        oracle = InMemoryKVStore()
+        AdmissionEngine(topology, plan, store=oracle).run(
+            load.batch.slice(i, i + 1) for i in range(len(load.batch)))
+        for events, n_workers in ((load.events, 1), (load.batch, 1),
+                                  (load.batch, 2), (load.batch, 4)):
+            store = InMemoryKVStore()
+            AdmissionEngine(topology, plan, store=store,
+                            n_workers=n_workers).run(events)
+            assert store._data == oracle._data, n_workers
+            assert store.op_count == oracle.op_count, n_workers
 
     def test_streaming_batches_accounting(self, topology, plan, generator,
                                           load):

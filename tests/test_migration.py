@@ -4,8 +4,8 @@ Covers the fault-plan recovery extensions, the live-call registry, the
 backup-placement planner, the drain executor (activation, heal, move
 budget, disruption, deferred autoscale drains), ``relocate_call``
 semantics on both fleet-ledger backends, ledger invariants under
-concurrent migration + admission, the report-schema pin, the deprecated
-offline §6.4 path, and thread/process parity of the DC-loss drill.
+concurrent migration + admission, the report-schema pin, the live
+§6.4 path, and thread/process parity of the DC-loss drill.
 """
 
 import pickle
@@ -17,10 +17,7 @@ import pytest
 
 from repro.allocation.plan import AllocationPlan
 from repro.config import MigrationConfig
-from repro.core.errors import (
-    SwitchboardDeprecationWarning,
-    SwitchboardError,
-)
+from repro.core.errors import SwitchboardError
 from repro.core.types import CallConfig, MediaType, make_slots
 from repro.experiments import fig_migration, migration
 from repro.experiments.common import build_scenario
@@ -540,18 +537,10 @@ class TestReportSchema:
 
 
 class TestDeprecatedOfflinePath:
-    def test_run_direct_warns(self):
-        scn = build_scenario("small", seed=5)
-        with pytest.warns(SwitchboardDeprecationWarning,
-                          match="ServiceRuntime.from_config"):
-            result = migration.run_direct(scn)
-        assert result["live_path"] is False
-        assert migration.run_replay is migration.run_direct
-
     def test_live_run_does_not_warn(self):
         scn = build_scenario("small", seed=5)
         with warnings.catch_warnings():
-            warnings.simplefilter("error", SwitchboardDeprecationWarning)
+            warnings.simplefilter("error", DeprecationWarning)
             result = migration.run(scn)
         assert result["live_path"] is True
 

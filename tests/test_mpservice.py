@@ -7,22 +7,24 @@ state whether the day is served in-process or sharded over 2 or 4
 worker processes — including with a packing fleet ledger defragmenting
 between windows and with a closed-loop autoscaler rescaling mid-day
 across a worker barrier.  Also covers the ServiceRuntime construction
-API itself: executor selection, the object-stream rejection on the
-process path, the deprecation shim on direct engine wiring, and the
-versioned report schema.
+API itself: executor selection, object streams on the process path, and
+the versioned report schema.
 """
 
 import json
+import multiprocessing
+import os
 import warnings
 
 import pytest
 
-from repro.core.errors import SwitchboardDeprecationWarning, SwitchboardError
+from repro.core.errors import SwitchboardError
 from repro.autoscale import Autoscaler
 from repro.config import AutoscaleConfig, PackingConfig, PlannerConfig, \
     ServiceConfig
 from repro.controller.columnar import build_event_batch
 from repro.core.types import make_slots
+from repro.kvstore import InMemoryKVStore
 from repro.packing import build_packing
 from repro.packing.workload import generate_packing_load
 from repro.service import (
@@ -220,23 +222,76 @@ class TestServiceRuntimeAPI:
         with pytest.raises(SwitchboardError, match="no report yet"):
             runtime.report()
 
-    def test_process_executor_rejects_object_streams(self, topology, plan,
-                                                     load):
+    def test_process_executor_serves_object_streams(self, topology, plan,
+                                                    load):
+        """Object streams enter both executors through the same adapter:
+        same report and store state as the columnar batch."""
+        oracle, oracle_state = _serve(topology, plan, load, "process", 2)
         runtime = ServiceRuntime.from_config(
-            topology, plan, ServiceConfig(executor="process"))
-        with pytest.raises(SwitchboardError, match="columnar"):
-            runtime.engine.run(iter(load.events))
-
-    def test_direct_wiring_kwargs_deprecated(self, topology, plan):
-        with pytest.warns(SwitchboardDeprecationWarning,
-                          match="ServiceRuntime.from_config"):
-            AdmissionEngine(topology, plan, rescale_interval_s=60.0)
+            topology, plan, ServiceConfig(n_shards=4, n_workers=2,
+                                          executor="process"))
+        report = runtime.run(iter(load.events))
+        assert_parity(oracle, report)
+        assert runtime.store_state() == oracle_state
 
     def test_runtime_path_does_not_warn(self, topology, plan):
         with warnings.catch_warnings():
-            warnings.simplefilter("error", SwitchboardDeprecationWarning)
+            warnings.simplefilter("error", DeprecationWarning)
             ServiceRuntime.from_config(topology, plan,
                                        rescale_interval_s=60.0)
+
+
+class TestWorkerDeath:
+    """A worker process dying must fail the run cleanly: one
+    SwitchboardError, no orphaned sibling, no leaked shared memory."""
+
+    @staticmethod
+    def _live_workers():
+        return [p for p in multiprocessing.active_children()
+                if p.name.startswith("admission-worker")]
+
+    def test_worker_killed_mid_run(self, topology, plan, load):
+        segments = []
+
+        class KillAtFirstBarrier:
+            def bind(self, engine):
+                self.engine = engine
+
+            def on_window(self, snapshot):
+                segments.extend(shm.name for shm in self.engine._segments)
+                victim = self.engine._procs[0]
+                victim.kill()
+                victim.join()
+
+        runtime = ServiceRuntime.from_config(
+            topology, plan, ServiceConfig(executor="process", n_workers=2),
+            rescaler=KillAtFirstBarrier(), rescale_interval_s=600.0)
+        with pytest.raises(SwitchboardError, match="crashed"):
+            runtime.run(load)
+        assert segments, "the barrier must have fired mid-run"
+        assert not self._live_workers()
+        for name in segments:
+            assert not os.path.exists(f"/dev/shm/{name.lstrip('/')}")
+
+    def test_worker_exits_during_ready_barrier(self, topology, plan, load):
+        first = multiprocessing.get_context("fork").Value("i", 1)
+
+        class OneWorkerDiesAtStartup:
+            n_shards = 1
+
+            def build(self):
+                with first.get_lock():
+                    mine, first.value = first.value, 0
+                if mine:
+                    os._exit(7)
+                return InMemoryKVStore()
+
+        engine = MultiprocessAdmissionEngine(
+            topology, plan, n_workers=2,
+            worker_store_spec=OneWorkerDiesAtStartup())
+        with pytest.raises(SwitchboardError, match="crashed"):
+            engine.run(load.batch)
+        assert not self._live_workers()
 
 
 class TestReportSchema:

@@ -1,10 +1,10 @@
-"""The unified PlannerConfig API and the deprecated keyword shims."""
+"""The unified PlannerConfig API and its read-through attribute views."""
 
 import numpy as np
 import pytest
 
 from repro.config import DEFAULT_LADDER, PlannerConfig
-from repro.core.errors import SwitchboardDeprecationWarning, SwitchboardError
+from repro.core.errors import SwitchboardError
 from repro.core.types import CallConfig, MediaType, make_slots
 from repro.switchboard import Switchboard, SwitchboardPipeline
 from repro.topology.builder import Topology
@@ -81,39 +81,6 @@ class TestPlannerConfig:
 
 
 class TestDeprecatedShims:
-    def test_legacy_keywords_warn(self, small_world):
-        topo, _ = small_world
-        with pytest.warns(SwitchboardDeprecationWarning):
-            Switchboard(topo, max_link_scenarios=0)
-
-    def test_legacy_and_config_together_rejected(self, small_world):
-        topo, _ = small_world
-        with pytest.raises(SwitchboardError):
-            Switchboard(topo, config=PlannerConfig(), max_link_scenarios=0)
-
-    def test_legacy_keywords_build_equivalent_config(self, small_world):
-        topo, _ = small_world
-        with pytest.warns(SwitchboardDeprecationWarning):
-            legacy = Switchboard(topo, max_link_scenarios=0,
-                                 backup_method="incremental",
-                                 latency_threshold_ms=150.0)
-        assert legacy.config == PlannerConfig(
-            max_link_scenarios=0, backup_method="incremental",
-            latency_threshold_ms=150.0,
-        )
-
-    def test_legacy_and_config_yield_identical_plans(self, small_world):
-        topo, demand = small_world
-        with pytest.warns(SwitchboardDeprecationWarning):
-            legacy = Switchboard(topo, max_link_scenarios=0)
-        modern = Switchboard(topo, config=PlannerConfig(max_link_scenarios=0))
-        plan_legacy = legacy.provision(demand, with_backup=True)
-        plan_modern = modern.provision(demand, with_backup=True)
-        assert plan_legacy.cores == pytest.approx(plan_modern.cores)
-        assert plan_legacy.link_gbps == pytest.approx(plan_modern.link_gbps)
-        assert plan_legacy.method == plan_modern.method == "joint"
-        assert plan_legacy.degradation_level == 0
-
     def test_attribute_shims_read_through_to_config(self, small_world):
         topo, _ = small_world
         sb = Switchboard(topo, config=PlannerConfig(
@@ -124,12 +91,6 @@ class TestDeprecatedShims:
         assert sb.workers == 2
         assert sb.background is None
         assert sb.dc_core_limits is None
-
-    def test_pipeline_legacy_keyword_warns(self, small_world):
-        topo, _ = small_world
-        with pytest.warns(SwitchboardDeprecationWarning):
-            pipeline = SwitchboardPipeline(topo, max_link_scenarios=2)
-        assert pipeline.config.max_link_scenarios == 2
 
     def test_pipeline_default_keeps_historical_scenario_cap(self, small_world):
         topo, _ = small_world

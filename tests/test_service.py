@@ -3,7 +3,13 @@
 import pytest
 
 from repro.core.errors import SwitchboardError
-from repro.core.types import CallConfig, MediaType, make_slots
+from repro.core.types import (
+    Call,
+    CallConfig,
+    MediaType,
+    Participant,
+    make_slots,
+)
 from repro.allocation.plan import AllocationPlan
 from repro.allocation.realtime import (
     KVSlotLedger,
@@ -11,10 +17,19 @@ from repro.allocation.realtime import (
     RealTimeSelector,
 )
 from repro.config import PlannerConfig
-from repro.controller.events import ControllerEvent, EventType, event_stream
+from repro.controller.events import (
+    EVENT_SORT_CODE,
+    ControllerEvent,
+    EventType,
+    event_stream,
+)
 from repro.kvstore import InMemoryKVStore, ShardedKVStore
+from repro.kvstore.client import PipelinedStateClient
 from repro.service import AdmissionEngine, LoadGenerator, ServiceReport
+from repro.service.engine import WorkerState, serve_rows
 from repro.switchboard import Switchboard
+from repro.workload.columnar import ColumnarTrace
+from repro.workload.trace import CallTrace
 
 
 @pytest.fixture(scope="module")
@@ -166,6 +181,106 @@ class TestAdmissionEngine:
         assert report.admission_latency_ms["count"] > 0
         assert report.kv_latency_ms["p50"] >= 0.05
         assert report.kv_op_count > 0
+
+
+class RecordingPort:
+    """A fake ledger side: records every port call the kernel makes."""
+
+    def __init__(self, hooks: bool):
+        self.calls = []
+        self.join = self._join if hooks else None
+        self.release = self._release if hooks else None
+
+    def _join(self, row, call_id):
+        self.calls.append(("join", row, call_id))
+
+    def _release(self, row, call_id):
+        self.calls.append(("release", row, call_id))
+
+    def skip(self, row):
+        self.calls.append(("skip", row))
+
+    def settle(self, row, call_index, call_id, initial_dc, ended):
+        self.calls.append(("settle", row, call_index, call_id, initial_dc,
+                           ended))
+        # Call "a" migrates at its freeze; everything else stays put.
+        return ("dc-virginia", True) if call_id == "a" else (initial_dc,
+                                                             False)
+
+
+class TestWindowKernel:
+    """serve_rows against a recording port: the one place the "one port
+    call per scheduled row" contract is pinned."""
+
+    START, JOIN, MEDIA, FREEZE, END = (
+        EVENT_SORT_CODE[kind] for kind in (
+            EventType.CALL_START, EventType.PARTICIPANT_JOIN,
+            EventType.MEDIA_CHANGE, EventType.CONFIG_FREEZE,
+            EventType.CALL_END))
+
+    def _serve(self, topology, hooks):
+        def call(call_id, country):
+            return Call(call_id=call_id, start_s=0.0, duration_s=900.0,
+                        participants=[Participant(
+                            f"{call_id}-p0", country, 0.0, MediaType.AUDIO)])
+
+        # a: served normally, joined again after its freeze;
+        # b: hangs up before its freeze;  c: never starts (malformed).
+        trace = ColumnarTrace.from_trace(CallTrace(
+            [call("a", "JP"), call("b", "DE"), call("c", "US")], []))
+        jp, de = trace.countries.code("JP"), trace.countries.code("DE")
+        a, b, c = 0, 1, 2
+        stream = [
+            (a, self.START, jp, -1),    # 0
+            (b, self.START, de, -1),    # 1
+            (a, self.JOIN, de, -1),     # 2
+            (c, self.JOIN, -1, -1),     # 3  join without a country
+            (b, self.END, -1, -1),      # 4  early end
+            (a, self.FREEZE, -1, -1),   # 5
+            (b, self.FREEZE, -1, -1),   # 6  settles an ended call
+            (c, self.FREEZE, -1, -1),   # 7  freeze of an unknown call
+            (a, self.JOIN, jp, -1),     # 8  post-freeze join
+            (a, self.MEDIA, -1, -1),    # 9  media change without media
+            (a, self.END, -1, -1),      # 10
+            (c, self.END, -1, -1),      # 11 end of an unknown call
+            (c, self.START, -1, -1),    # 12 start without a country
+        ]
+        worker = WorkerState(topology)
+        store = InMemoryKVStore()
+        port = RecordingPort(hooks)
+        serve_rows(worker, trace, range(len(stream)), *zip(*stream),
+                   PipelinedStateClient(store), port)
+        return worker, store, port
+
+    def test_every_scheduled_row_makes_exactly_one_port_call(self, topology):
+        worker, store, port = self._serve(topology, hooks=True)
+        assert port.calls == [
+            ("join", 2, "a"),
+            ("skip", 3),
+            ("skip", 4),
+            ("settle", 5, 0, "a", "dc-tokyo", False),
+            ("settle", 6, 1, "b", "dc-frankfurt", True),
+            ("skip", 7),
+            ("join", 8, "a"),
+            ("release", 10, "a"),
+            ("skip", 11),
+        ]
+        assert worker.counts() == dict(
+            processed=8, dropped=5, joins=2, media_changes=0, generated=2,
+            early_ended=1, ended=2)
+        assert worker.fragment()["unsettled"] == 0
+        # Both calls closed: only the (zeroed) per-DC load counters stay.
+        assert store._data == {"dcload:dc-tokyo": 0, "dcload:dc-virginia": 0,
+                               "dcload:dc-frankfurt": 0}
+
+    def test_without_hooks_only_freezes_reach_the_port(self, topology):
+        worker, _, port = self._serve(topology, hooks=False)
+        assert port.calls == [
+            ("settle", 5, 0, "a", "dc-tokyo", False),
+            ("settle", 6, 1, "b", "dc-frankfurt", True),
+            ("skip", 7),
+        ]
+        assert worker.counts()["dropped"] == 5
 
 
 class TestKVSlotLedger:
