@@ -21,8 +21,8 @@ a :class:`SlotLedger` (the remaining-slot tallies) and a thread-safe
 * :class:`LocalSlotLedger` — a locked in-process dict, the fast path the
   day-replay simulation uses;
 * :class:`KVSlotLedger` — slot hashes in a (possibly sharded) kvstore
-  with atomic debit/undo, what the production controller keeps in Redis
-  and the online admission service uses.
+  with an atomic take-if-positive debit, what the production controller
+  keeps in Redis and the online admission service uses.
 
 Because ledger debits are atomic and stats updates are locked, one
 selector instance can serve calls from many worker threads concurrently.
@@ -131,6 +131,23 @@ class SlotLedger(ABC):
         debit and the selector's preference walk moves on.
         """
 
+    def snapshot_and_debit(self, slot_index: int, config: CallConfig,
+                           dc_id: str, call_id: Optional[str] = None
+                           ) -> Tuple[Optional[Dict[str, int]], bool]:
+        """A settle's first step, fused: the cell's counts *before* any
+        debit (``None`` when unplanned), and whether one slot at
+        ``dc_id`` was taken.
+
+        The default is the two calls it stands for; a ledger whose cell
+        sits behind a network (:class:`KVSlotLedger`) overrides it to
+        pay one round-trip for both.
+        """
+        cell = self.snapshot(slot_index, config)
+        took = (cell is not None and cell.get(dc_id, 0) > 0
+                and self.try_debit(slot_index, config, dc_id,
+                                   call_id=call_id))
+        return cell, took
+
     def credit(self, slot_index: int, config: CallConfig,
                dc_id: str) -> None:
         """Return one previously debited slot (undo).  Base ledgers
@@ -214,10 +231,13 @@ class KVSlotLedger(SlotLedger):
     """Ledger in a kvstore: ``slots:{t}:{config}`` hashes, atomic debits.
 
     This is exactly the state the paper's controller keeps in Azure
-    Redis.  A debit is ``HINCRBY -1``; a result below zero means the
-    slot was already gone, so the debit is undone with ``HINCRBY +1`` —
-    the compare-and-take idiom that stays correct under concurrent
-    debitors (no slot is ever lost or double-granted).
+    Redis.  A debit is one ``htake`` — the store decrements the DC's
+    field iff it is positive, atomically (a Redis Lua script) — so it
+    costs one round-trip whether it lands or not, a cell never reads
+    negative, a refused debit writes nothing, and concurrent debitors
+    never lose or double-grant a slot.  A settle's snapshot and its
+    first debit travel together as one same-key pipeline
+    (:meth:`snapshot_and_debit`).
 
     A ``_planned`` sentinel field marks every cell the plan knew about,
     so cells that integerize to zero slots still read as *planned but
@@ -245,21 +265,28 @@ class KVSlotLedger(SlotLedger):
         pipe.execute()
         return len(cells)
 
-    def snapshot(self, slot_index: int, config: CallConfig
-                 ) -> Optional[Dict[str, int]]:
-        table = self._store.hgetall(self._key(slot_index, config))
+    @classmethod
+    def _cell(cls, table: Dict[str, int]) -> Optional[Dict[str, int]]:
         if not table:
             return None
         return {dc: count for dc, count in table.items()
-                if dc != self._SENTINEL}
+                if dc != cls._SENTINEL}
+
+    def snapshot(self, slot_index: int, config: CallConfig
+                 ) -> Optional[Dict[str, int]]:
+        return self._cell(self._store.hgetall(self._key(slot_index, config)))
 
     def try_debit(self, slot_index: int, config: CallConfig, dc_id: str,
                   call_id: Optional[str] = None) -> bool:
+        return self._store.htake(self._key(slot_index, config), dc_id)
+
+    def snapshot_and_debit(self, slot_index: int, config: CallConfig,
+                           dc_id: str, call_id: Optional[str] = None
+                           ) -> Tuple[Optional[Dict[str, int]], bool]:
         key = self._key(slot_index, config)
-        if self._store.hincrby(key, dc_id, -1) >= 0:
-            return True
-        self._store.hincrby(key, dc_id, 1)
-        return False
+        table, took = (self._store.pipeline()
+                       .hgetall(key).htake(key, dc_id).execute())
+        return self._cell(table), took
 
     def credit(self, slot_index: int, config: CallConfig,
                dc_id: str) -> None:
@@ -319,7 +346,11 @@ class RealTimeSelector:
         config = call.config(self.freeze_window_s)
         slot_index = self.plan.slot_index_of(call.start_s)
         down = self.down_dcs if self.down_dcs else ()
-        cell = self.ledger.snapshot(slot_index, config)
+        if initial_dc in down:
+            cell, took = self.ledger.snapshot(slot_index, config), False
+        else:
+            cell, took = self.ledger.snapshot_and_debit(
+                slot_index, config, initial_dc, call_id=call.call_id)
         if cell is None:
             # Unanticipated config: closest DC to the majority (§5.4 b).
             dc = self.topology.closest_dc(config.majority_country)
@@ -327,9 +358,7 @@ class RealTimeSelector:
                 dc = self._failover_dc(config, down, dc)
             return dc, False, False
 
-        if (initial_dc not in down and cell.get(initial_dc, 0) > 0
-                and self.ledger.try_debit(slot_index, config, initial_dc,
-                                          call_id=call.call_id)):
+        if took:
             return initial_dc, True, False
 
         # Prefer the lowest-ACL DC among those with slots remaining; under

@@ -1,16 +1,27 @@
-"""Typed client facade over the kvstore for controller state.
+"""Typed client facades over the kvstore for controller state.
 
-Defines the key schema the controller uses, so that the raw store never
-leaks stringly-typed keys into the controller logic:
+Define the key schema the controller uses, so that the raw store never
+leaks stringly-typed keys into the controller logic (``<x>`` is a
+placeholder, braces are literal):
 
-* ``call:{id}``            — hash: assigned DC, media, spread so far;
-* ``slots:{t}:{config}``   — hash: remaining plan slots per DC;
-* ``dcload:{dc}``          — counter: live calls per DC.
+* ``call:<id>``            — hash: assigned DC (``dc``), escalated media
+  (``media``);
+* ``call:<id>:spread``     — hash: participants so far per country;
+* ``slots:<t>:<config>``   — hash: remaining plan slots per DC;
+* ``dcload:<dc>``          — counter: live calls per DC.
+
+:class:`ControllerStateClient` is the per-op, read-before-write client
+Fig 10 replays.  :class:`PipelinedStateClient`, the serving core's,
+writes the same schema with the call id as a Redis-cluster hash tag —
+``call:{<id>}`` and ``call:{<id>}:spread`` — so both of a call's keys
+live on one shard and a lifecycle pipeline touches at most two (the
+call's and ``dcload:<dc>``'s).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterable, Optional, Union
+from typing import (TYPE_CHECKING, Any, Dict, Iterable, List, Optional,
+                    Tuple, Union)
 
 from repro.core.types import CallConfig, MediaType
 from repro.kvstore.store import InMemoryKVStore
@@ -38,13 +49,6 @@ class ControllerStateClient:
 
     def record_join(self, call_id: str, country: str) -> None:
         self._store.hincrby(f"call:{call_id}:spread", country, 1)
-
-    def record_joins(self, call_id: str, countries: Iterable[str]) -> None:
-        """Record several joins of one call (same result as calling
-        :meth:`record_join` once per country, in order)."""
-        key = f"call:{call_id}:spread"
-        for country in countries:
-            self._store.hincrby(key, country, 1)
 
     def record_media(self, call_id: str, media: MediaType) -> None:
         current = self._store.hget(f"call:{call_id}", "media")
@@ -99,46 +103,62 @@ class ControllerStateClient:
         return self._store.get(f"dcload:{dc_id}") or 0
 
 
-class PipelinedStateClient(ControllerStateClient):
-    """Same key schema, but multi-write steps ride one pipelined batch.
+#: One queued store write: ``(op name, args)``, as a pipeline carries it.
+Write = Tuple[str, Tuple[Any, ...]]
+
+
+class PipelinedStateClient:
+    """The serving core's client: write-only, one round-trip per step.
 
     The per-op :class:`ControllerStateClient` pays one network trip per
-    write — faithful to the paper's per-write latency measurements, and
-    what Fig 10 replays.  The online admission engine instead batches
-    each lifecycle step (open/migrate/close) into a single pipeline, so
-    a call start costs ~one round-trip per shard touched rather than
-    four serialized trips.
+    op and reads a call's DC and media back before changing them —
+    faithful to the paper's per-write latency measurements, and what
+    Fig 10 replays.  The online admission service cannot afford that:
+    each call has exactly one owner (its worker), which already holds
+    the call's current DC and media, so this client never reads.  Its
+    methods *build* writes; the owner buffers a call's join and media
+    writes and sends them with the call's next lifecycle write through
+    :meth:`flush`, one pipelined trip however many writes ride it.
     """
 
-    def open_call(self, call_id: str, dc_id: str, first_country: str) -> None:
-        (self._store.pipeline()
-         .hset(f"call:{call_id}", "dc", dc_id)
-         .hset(f"call:{call_id}", "media", MediaType.AUDIO.value)
-         .hincrby(f"call:{call_id}:spread", first_country, 1)
-         .incr(f"dcload:{dc_id}")
-         .execute())
+    def __init__(self, store: KVStore):
+        self._store = store
 
-    def record_joins(self, call_id: str, countries: Iterable[str]) -> None:
-        pipe = self._store.pipeline()
-        key = f"call:{call_id}:spread"
-        for country in countries:
-            pipe.hincrby(key, country, 1)
+    @staticmethod
+    def _key(call_id: str) -> str:
+        return f"call:{{{call_id}}}"
+
+    def open_call(self, call_id: str, dc_id: str, first_country: str) -> None:
+        key = self._key(call_id)
+        self.flush([
+            ("hset", (key, "dc", dc_id)),
+            ("hset", (key, "media", MediaType.AUDIO.value)),
+            ("hincrby", (f"{key}:spread", first_country, 1)),
+            ("incr", (f"dcload:{dc_id}", 1)),
+        ])
+
+    def join_write(self, call_id: str, country: str) -> Write:
+        return "hincrby", (f"{self._key(call_id)}:spread", country, 1)
+
+    def media_write(self, call_id: str, media: MediaType) -> Write:
+        """``media`` is the call's media after escalation (the owner
+        escalates; the store is only told the result)."""
+        return "hset", (self._key(call_id), "media", media.value)
+
+    def migrate_writes(self, call_id: str, old_dc: str,
+                       new_dc: str) -> List[Write]:
+        return [("hset", (self._key(call_id), "dc", new_dc)),
+                ("incr", (f"dcload:{old_dc}", -1)),
+                ("incr", (f"dcload:{new_dc}", 1))]
+
+    def close_writes(self, call_id: str, dc_id: str) -> List[Write]:
+        key = self._key(call_id)
+        return [("incr", (f"dcload:{dc_id}", -1)),
+                ("delete", (key,)),
+                ("delete", (f"{key}:spread",))]
+
+    def flush(self, writes: Iterable[Write]) -> None:
+        """Send ``writes`` as one pipelined trip (none when empty)."""
+        pipe = self._store.pipeline().extend(writes)
         if len(pipe):
             pipe.execute()
-
-    def migrate_call(self, call_id: str, new_dc: str) -> None:
-        old_dc = self._store.hget(f"call:{call_id}", "dc")
-        pipe = self._store.pipeline().hset(f"call:{call_id}", "dc", new_dc)
-        if old_dc is not None:
-            pipe.decr(f"dcload:{old_dc}")
-        pipe.incr(f"dcload:{new_dc}")
-        pipe.execute()
-
-    def close_call(self, call_id: str) -> None:
-        dc_id = self._store.hget(f"call:{call_id}", "dc")
-        pipe = self._store.pipeline()
-        if dc_id is not None:
-            pipe.decr(f"dcload:{dc_id}")
-        pipe.delete(f"call:{call_id}")
-        pipe.delete(f"call:{call_id}:spread")
-        pipe.execute()

@@ -173,6 +173,9 @@ class ShardedKVStore:
     def hincrby(self, key: str, field: str, amount: int = 1) -> int:
         return self._store_for(key).hincrby(key, field, amount)
 
+    def htake(self, key: str, field: str) -> bool:
+        return self._store_for(key).htake(key, field)
+
     # ------------------------------------------------------------------
     # pipelined batches
     # ------------------------------------------------------------------
@@ -256,6 +259,11 @@ class ShardedKVStore:
     @property
     def op_count(self) -> int:
         return sum(shard.op_count for shard in self._shards.values())
+
+    @property
+    def trip_count(self) -> int:
+        """Round-trips summed over shards (one per shard batch)."""
+        return sum(shard.trip_count for shard in self._shards.values())
 
     def shard_sizes(self) -> Dict[str, int]:
         return {shard_id: len(shard)

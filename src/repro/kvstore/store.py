@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -118,6 +118,16 @@ class Pipeline:
     def hincrby(self, key: str, field: str, amount: int = 1) -> "Pipeline":
         return self._queue("hincrby", key, field, amount)
 
+    def htake(self, key: str, field: str) -> "Pipeline":
+        return self._queue("htake", key, field)
+
+    def extend(self, ops: Iterable[Tuple[str, Tuple[Any, ...]]]
+               ) -> "Pipeline":
+        """Queue already-built ``(op, args)`` pairs — a client's buffered
+        writes — behind whatever is queued."""
+        self._ops.extend(ops)
+        return self
+
     def __len__(self) -> int:
         return len(self._ops)
 
@@ -135,6 +145,7 @@ class InMemoryKVStore:
         self._lock = threading.Lock()
         self._latency = latency
         self._op_count = 0
+        self._trip_count = 0
         self._op_latencies_ms: List[float] = []
         # Bound methods resolved once: op dispatch sits on the serving hot
         # path, where a per-op getattr on a formatted name is measurable.
@@ -163,11 +174,13 @@ class InMemoryKVStore:
             with self._lock:
                 result = self._appliers[op](*args)
                 self._op_count += 1
+                self._trip_count += 1
             return result
         latency = self._simulate_network()
         with self._lock:
             result = self._appliers[op](*args)
             self._op_count += 1
+            self._trip_count += 1
             if len(self._op_latencies_ms) < 1_000_000:
                 self._op_latencies_ms.append(latency)
         return result
@@ -211,12 +224,21 @@ class InMemoryKVStore:
     def hincrby(self, key: str, field: str, amount: int = 1) -> int:
         return self._one("hincrby", key, field, amount)
 
+    def htake(self, key: str, field: str) -> bool:
+        """Decrement ``field`` iff it is > 0; True when one was taken.
+
+        The compare-and-take a Redis Lua script does server-side: one
+        trip, atomic, never negative, and a miss writes nothing — a
+        missing key or field is neither created nor zeroed.
+        """
+        return self._one("htake", key, field)
+
     # ------------------------------------------------------------------
     # pipelined batches
     # ------------------------------------------------------------------
     #: Ops a batch may carry, mapped to the lock-held appliers below.
     _BATCH_OPS = ("set", "get", "delete", "incr", "hset", "hget",
-                  "hgetall", "hincrby")
+                  "hgetall", "hincrby", "htake")
 
     def execute_batch(self, ops: Sequence[Tuple[str, Tuple[Any, ...]]]
                       ) -> List[Any]:
@@ -240,6 +262,7 @@ class InMemoryKVStore:
                     raise KVStoreError(f"unsupported batch op {name!r}")
                 results.append(applier(*args))
             self._op_count += len(ops)
+            self._trip_count += 1
             if (latency is not None
                     and len(self._op_latencies_ms) < 1_000_000):
                 self._op_latencies_ms.append(latency)
@@ -302,6 +325,21 @@ class InMemoryKVStore:
         table[field] = current
         return current
 
+    def _apply_htake(self, key: str, field: str) -> bool:
+        table = self._data.get(key)
+        if table is None:
+            return False
+        if not isinstance(table, dict):
+            raise KVStoreError(f"HTAKE on non-hash key {key!r}")
+        current = table.get(field, 0)
+        if not isinstance(current, int):
+            raise KVStoreError(
+                f"HTAKE on non-integer field {key!r}.{field!r}")
+        if current <= 0:
+            return False
+        table[field] = current - 1
+        return True
+
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
@@ -309,6 +347,13 @@ class InMemoryKVStore:
     def op_count(self) -> int:
         with self._lock:
             return self._op_count
+
+    @property
+    def trip_count(self) -> int:
+        """Store round-trips served: one per single op, one per batch —
+        exact and independent of the simulated latency."""
+        with self._lock:
+            return self._trip_count
 
     @property
     def simulates_latency(self) -> bool:

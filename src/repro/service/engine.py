@@ -52,7 +52,7 @@ from repro.controller.events import (
     ControllerEvent,
     EventType,
 )
-from repro.kvstore.client import PipelinedStateClient
+from repro.kvstore.client import PipelinedStateClient, Write
 from repro.kvstore.sharded import ShardedKVStore
 from repro.kvstore.store import InMemoryKVStore
 from repro.obs.events import Observability
@@ -78,12 +78,18 @@ EventSource = Union[ColumnarEventBatch, Iterable[ColumnarEventBatch],
 # the call side: one worker's state
 # ----------------------------------------------------------------------
 class _Call:
-    """Per-call serving state, owned by exactly one worker."""
+    """Per-call serving state, owned by exactly one worker.
 
-    __slots__ = ("initial_dc", "settled", "ended")
+    ``dc`` and ``media`` are the authoritative copies of what the store's
+    ``call:{<id>}`` hash holds: the owner is the only writer of that
+    hash, so it never has to read it back.
+    """
 
-    def __init__(self, initial_dc: str):
-        self.initial_dc = initial_dc
+    __slots__ = ("dc", "media", "settled", "ended")
+
+    def __init__(self, dc: str):
+        self.dc = dc
+        self.media = MediaType.AUDIO
         self.settled = False
         self.ended = False
 
@@ -155,23 +161,32 @@ def serve_rows(worker: WorkerState, trace: ColumnarTrace,
     — makes exactly one port call, which is what lets the process
     executor's parent apply them in global row order.
 
-    Joins are the bulk of the stream and only ever *write* to the call's
-    spread hash, which nothing in serving reads — so each call's joins
-    are buffered and ride one pipelined trip, flushed no later than the
-    call's freeze/end (before its close could delete the key) and at the
-    end of the window.  Final store state and op counts equal per-event
-    writes because spread increments commute.
+    The call side is write-only: a call's current DC and media live in
+    its :class:`_Call`, so nothing here reads the store.  Join and media
+    writes (the bulk of the stream) are buffered per call and ride the
+    call's next lifecycle write — the migrate and/or close at its freeze,
+    the close at its end — or, at a freeze with neither, one trip of
+    their own; whatever is still buffered when the window ends leaves as
+    a single pipeline.  So START, FREEZE and END each cost at most one
+    call-side round-trip and JOIN/MEDIA none.  Final store state and op
+    counts equal per-event writes: spread increments commute, and the
+    ``media`` field is only ever overwritten with a later escalation.
+
+    A JOIN or MEDIA row for a call with no live entry (participants who
+    join after the hangup, or a call whose start was dropped) is counted
+    as before but writes nothing — its keys are gone, and a write would
+    recreate them with nobody left to delete them.
     """
     calls = worker.calls
     closest_dc = worker.closest_dc
     record_admission = worker.admission_ms.append
     ids = trace.call_ids()
     country_of = trace.countries.value
-    record_joins = client.record_joins
+    flush = client.flush
     settle, skip = port.settle, port.skip
     join, release = port.join, port.release
     clock = time.perf_counter
-    pending: Dict[str, List[str]] = {}
+    pending: Dict[str, List[Write]] = {}
     for row, call_index, code, country, media in zip(
             rows, call_idx, type_code, country_code, media_code):
         call_id = ids[call_index]
@@ -181,19 +196,15 @@ def serve_rows(worker: WorkerState, trace: ColumnarTrace,
                 if join is not None:
                     skip(row)
                 continue
-            pending.setdefault(call_id, []).append(country_of(country))
+            if call_id in calls:
+                pending.setdefault(call_id, []).append(
+                    client.join_write(call_id, country_of(country)))
             worker.joins += 1
             if join is not None:
                 # Post-freeze joins grow the call's server reservation
                 # (a no-op before the call is settled/placed).
                 join(row, call_id)
-            worker.processed += 1
-            continue
-        if code == _FREEZE or code == _END:
-            joined = pending.pop(call_id, None)
-            if joined is not None:
-                record_joins(call_id, joined)
-        if code == _START:
+        elif code == _START:
             if country < 0:
                 worker.dropped += 1
                 continue
@@ -208,7 +219,11 @@ def serve_rows(worker: WorkerState, trace: ColumnarTrace,
             if media < 0:
                 worker.dropped += 1
                 continue
-            client.record_media(call_id, MediaType.from_code(media))
+            call = calls.get(call_id)
+            if call is not None:
+                call.media = call.media.escalate(MediaType.from_code(media))
+                pending.setdefault(call_id, []).append(
+                    client.media_write(call_id, call.media))
             worker.media_changes += 1
         elif code == _FREEZE:
             call = calls.get(call_id)
@@ -217,16 +232,19 @@ def serve_rows(worker: WorkerState, trace: ColumnarTrace,
                 skip(row)
                 continue
             final_dc, migrated = settle(row, call_index, call_id,
-                                        call.initial_dc, call.ended)
+                                        call.dc, call.ended)
             call.settled = True
+            writes = pending.pop(call_id, [])
             if migrated:
-                client.migrate_call(call_id, final_dc)
+                writes += client.migrate_writes(call_id, call.dc, final_dc)
+                call.dc = final_dc
             if call.ended:
                 # Hung up before its freeze point; it was settled against
                 # the plan anyway (the slot was reserved for it), and its
                 # state can be released now.
-                client.close_call(call_id)
+                writes += client.close_writes(call_id, call.dc)
                 del calls[call_id]
+            flush(writes)
         elif code == _END:
             call = calls.get(call_id)
             if call is None:
@@ -236,7 +254,8 @@ def serve_rows(worker: WorkerState, trace: ColumnarTrace,
                 continue
             worker.ended += 1
             if call.settled:
-                client.close_call(call_id)
+                flush(pending.pop(call_id, [])
+                      + client.close_writes(call_id, call.dc))
                 del calls[call_id]
                 if release is not None:
                     release(row, call_id)
@@ -248,8 +267,7 @@ def serve_rows(worker: WorkerState, trace: ColumnarTrace,
         else:
             raise SwitchboardError(f"unknown event code {code}")
         worker.processed += 1
-    for call_id, joined in pending.items():
-        record_joins(call_id, joined)
+    flush([write for writes in pending.values() for write in writes])
 
 
 def partition_columns(batch, lo: int, hi: int,

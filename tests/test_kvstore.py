@@ -82,15 +82,37 @@ class TestHashes:
         assert store.hincrby("h", "n") == 1
         assert store.hincrby("h", "n", -3) == -2
 
+    def test_htake_decrements_only_while_positive(self):
+        store = InMemoryKVStore()
+        store.hset("h", "n", 2)
+        assert store.htake("h", "n") is True
+        assert store.htake("h", "n") is True
+        assert store.htake("h", "n") is False
+        assert store.hgetall("h") == {"n": 0}
+
+    def test_htake_miss_writes_nothing(self):
+        """A refused take creates neither the key nor the field."""
+        store = InMemoryKVStore()
+        assert store.htake("missing", "n") is False
+        assert len(store) == 0
+        store.hset("h", "other", 1)
+        assert store.htake("h", "n") is False
+        assert store.hgetall("h") == {"other": 1}
+
     def test_hash_type_errors(self):
         store = InMemoryKVStore()
         store.set("s", "scalar")
+        store.hset("h", "text", "v")
         with pytest.raises(KVStoreError):
             store.hset("s", "f", 1)
         with pytest.raises(KVStoreError):
             store.hget("s", "f")
         with pytest.raises(KVStoreError):
             store.hincrby("s", "f")
+        with pytest.raises(KVStoreError):
+            store.htake("s", "f")
+        with pytest.raises(KVStoreError):
+            store.htake("h", "text")
 
 
 class TestLatencyProfile:
@@ -159,18 +181,33 @@ class TestControllerStateClient:
         assert client.observed_config("nope") is None
 
     def test_pipelined_client_matches_plain_client(self):
-        """The pipelined client batches its writes but must leave the
-        store in exactly the state the sequential client does."""
+        """The write-only pipelined client, told the DC and media its
+        owner holds, must leave the store in the state the
+        read-before-write client does (modulo the call-id hash tag) —
+        in one trip per lifecycle step."""
         plain_store, piped_store = InMemoryKVStore(), InMemoryKVStore()
-        for client in (ControllerStateClient(plain_store),
-                       PipelinedStateClient(piped_store)):
-            client.open_call("c1", "dc-a", "US")
-            client.record_join("c1", "CA")
-            client.record_media("c1", MediaType.VIDEO)
-            client.migrate_call("c1", "dc-b")
-            client.open_call("c2", "dc-a", "US")
-            client.close_call("c2")
-        assert plain_store._data == piped_store._data
+        plain = ControllerStateClient(plain_store)
+        plain.open_call("c1", "dc-a", "US")
+        plain.record_join("c1", "CA")
+        plain.record_media("c1", MediaType.VIDEO)
+        plain.migrate_call("c1", "dc-b")
+        plain.open_call("c2", "dc-a", "US")
+        plain.close_call("c2")
+
+        piped = PipelinedStateClient(piped_store)
+        piped.open_call("c1", "dc-a", "US")
+        piped.flush([piped.join_write("c1", "CA"),
+                     piped.media_write("c1", MediaType.VIDEO)]
+                    + piped.migrate_writes("c1", "dc-a", "dc-b"))
+        piped.open_call("c2", "dc-a", "US")
+        piped.flush(piped.close_writes("c2", "dc-a"))
+        piped.flush([])  # nothing buffered: no trip
+        assert piped_store.trip_count == 4
+
+        assert set(piped_store._data) >= {"call:{c1}", "call:{c1}:spread"}
+        untagged = {key.replace("{", "").replace("}", ""): value
+                    for key, value in piped_store._data.items()}
+        assert untagged == plain_store._data
 
     def test_pipelined_client_batches_round_trips(self):
         store = InMemoryKVStore(LatencyProfile(median_ms=0.1, floor_ms=0.05,
@@ -282,14 +319,19 @@ class TestBatchedOps:
         sequential, batched = InMemoryKVStore(), InMemoryKVStore()
         expected = [sequential.set("k", 1), sequential.incr("n", 2),
                     sequential.hincrby("h", "f", 3), sequential.get("k"),
+                    sequential.htake("h", "f"), sequential.htake("h", "g"),
                     sequential.hgetall("h")]
         got = batched.execute_batch([
             ("set", ("k", 1)), ("incr", ("n", 2)),
             ("hincrby", ("h", "f", 3)), ("get", ("k",)),
+            ("htake", ("h", "f")), ("htake", ("h", "g")),
             ("hgetall", ("h",)),
         ])
         assert got == expected
         assert batched._data == sequential._data
+        # Seven single ops are seven trips; the batch is one.
+        assert (sequential.trip_count, batched.trip_count) == (7, 1)
+        assert sequential.op_count == batched.op_count == 7
 
     def test_batch_pays_one_round_trip(self):
         store = InMemoryKVStore(LatencyProfile(median_ms=0.1, floor_ms=0.05,

@@ -22,9 +22,12 @@ from repro.core.errors import SwitchboardError
 from repro.autoscale import Autoscaler
 from repro.config import AutoscaleConfig, PackingConfig, PlannerConfig, \
     ServiceConfig
+from repro.allocation.realtime import KVSlotLedger, RealTimeSelector
 from repro.controller.columnar import build_event_batch
-from repro.core.types import make_slots
+from repro.controller.events import EventType, event_stream
+from repro.core.types import Call, MediaType, Participant, make_slots
 from repro.kvstore import InMemoryKVStore
+from repro.kvstore.client import ControllerStateClient
 from repro.packing import build_packing
 from repro.packing.workload import generate_packing_load
 from repro.service import (
@@ -39,7 +42,7 @@ from repro.workload.arrivals import DemandModel
 from repro.workload.columnar import ColumnarTrace
 from repro.workload.configs import generate_population
 from repro.workload.diurnal import DiurnalModel
-from repro.workload.trace import TraceGenerator
+from repro.workload.trace import CallTrace, TraceGenerator
 
 FREEZE_S = 300.0
 
@@ -106,6 +109,101 @@ class TestExecutorParity:
                                kv_latency_median_ms=0.05)
         assert_parity(oracle, report)
         assert state == oracle_state
+
+
+class TestCallStateStore:
+    """What the serving core leaves in the store, at every executor."""
+
+    ARMS = (("thread", 1), ("thread", 2), ("process", 2))
+
+    @staticmethod
+    def _punctual(load):
+        """The load's calls whose every participant joins before the
+        hangup: no JOIN/MEDIA row after the call's END."""
+        return CallTrace(
+            [call for call in load.trace.calls
+             if all(p.join_offset_s < call.duration_s
+                    for p in call.participants)], [])
+
+    @staticmethod
+    def _per_op_replay(topology, plan, trace):
+        """The same stream through the read-before-write per-op client
+        (what Fig 10 replays): the independent oracle of the store state
+        the write-only pipelined kernel must leave."""
+        store = InMemoryKVStore()
+        client = ControllerStateClient(store)
+        ledger = KVSlotLedger(store)
+        ledger.load_plan(plan)
+        selector = RealTimeSelector(topology, plan, FREEZE_S, ledger=ledger)
+        settled, ended = set(), set()
+        for event in event_stream(trace, FREEZE_S):
+            call_id, kind = event.call_id, event.event_type
+            if kind is EventType.CALL_START:
+                client.open_call(call_id, topology.closest_dc(event.country),
+                                 event.country)
+            elif kind is EventType.PARTICIPANT_JOIN:
+                client.record_join(call_id, event.country)
+            elif kind is EventType.MEDIA_CHANGE:
+                client.record_media(call_id, event.media)
+            elif kind is EventType.CONFIG_FREEZE:
+                outcome = selector.settle(event.call,
+                                          client.call_dc(call_id))
+                if outcome.migrated:
+                    client.migrate_call(call_id, outcome.final_dc)
+                settled.add(call_id)
+                if call_id in ended:
+                    client.close_call(call_id)
+            elif call_id in settled:
+                client.close_call(call_id)
+            else:
+                ended.add(call_id)
+        return store._data
+
+    def test_matches_per_op_replay(self, topology, plan, load):
+        """Without late events, the final store state (call keys modulo
+        their hash tags, slot hashes, ``dcload`` counters) equals the
+        per-op client's at every executor."""
+        trace = self._punctual(load)
+        assert 0 < len(trace.calls) < len(load.trace.calls)
+        oracle = self._per_op_replay(topology, plan, trace)
+        assert any(key.startswith("dcload:") for key in oracle)
+        batch = build_event_batch(ColumnarTrace.from_trace(trace), FREEZE_S)
+        for executor, n_workers in self.ARMS:
+            _, state = _serve(topology, plan, batch, executor, n_workers)
+            untagged = {key.replace("{", "").replace("}", ""): value
+                        for key, value in state.items()}
+            assert untagged == oracle, (executor, n_workers)
+
+    def test_late_joins_and_media_leave_no_call_state(self, topology, plan):
+        """Participants who join (and escalate media) after the hangup —
+        before or after the freeze — are counted but must not recreate
+        the ``call:*`` keys the close deleted."""
+        def person(i, offset_s, media=MediaType.AUDIO):
+            return Participant(f"p{i}", "US", offset_s, media)
+
+        trace = CallTrace([
+            # Ends at 400 s (after its freeze); stragglers at 500/600 s.
+            Call(call_id="late-after-end", start_s=0.0, duration_s=400.0,
+                 participants=[person(0, 0.0), person(1, 10.0),
+                               person(2, 500.0),
+                               person(3, 600.0, MediaType.VIDEO)]),
+            # Ends at 100 s, closed at its 300 s freeze; one straggler
+            # before the freeze (still live: written, then deleted), one
+            # after it.
+            Call(call_id="late-after-freeze", start_s=5.0, duration_s=100.0,
+                 participants=[person(4, 0.0),
+                               person(5, 200.0, MediaType.VIDEO),
+                               person(6, 350.0, MediaType.SCREEN_SHARE)]),
+        ], [])
+        batch = build_event_batch(ColumnarTrace.from_trace(trace), FREEZE_S)
+        for executor, n_workers in self.ARMS:
+            report, state = _serve(topology, plan, batch, executor,
+                                   n_workers)
+            leaked = [key for key in state if key.startswith("call:")]
+            assert leaked == [], (executor, n_workers)
+            assert (report.joins, report.media_changes,
+                    report.dropped_events) == (5, 3, 0)
+            assert report.events_processed == report.events_total
 
 
 class TestFleetLedgerParity:

@@ -25,8 +25,14 @@ from repro.controller.events import (
 )
 from repro.kvstore import InMemoryKVStore, ShardedKVStore
 from repro.kvstore.client import PipelinedStateClient
+from repro.obs.histogram import LatencyHistogram
 from repro.service import AdmissionEngine, LoadGenerator, ServiceReport
-from repro.service.engine import WorkerState, serve_rows
+from repro.service.engine import (
+    LocalPort,
+    WorkerState,
+    dump_store_state,
+    serve_rows,
+)
 from repro.switchboard import Switchboard
 from repro.workload.columnar import ColumnarTrace
 from repro.workload.trace import CallTrace
@@ -218,16 +224,20 @@ class TestWindowKernel:
             EventType.MEDIA_CHANGE, EventType.CONFIG_FREEZE,
             EventType.CALL_END))
 
-    def _serve(self, topology, hooks):
+    @staticmethod
+    def _trace():
         def call(call_id, country):
             return Call(call_id=call_id, start_s=0.0, duration_s=900.0,
                         participants=[Participant(
                             f"{call_id}-p0", country, 0.0, MediaType.AUDIO)])
 
+        return ColumnarTrace.from_trace(CallTrace(
+            [call("a", "JP"), call("b", "DE"), call("c", "US")], []))
+
+    def _serve(self, topology, hooks):
         # a: served normally, joined again after its freeze;
         # b: hangs up before its freeze;  c: never starts (malformed).
-        trace = ColumnarTrace.from_trace(CallTrace(
-            [call("a", "JP"), call("b", "DE"), call("c", "US")], []))
+        trace = self._trace()
         jp, de = trace.countries.code("JP"), trace.countries.code("DE")
         a, b, c = 0, 1, 2
         stream = [
@@ -282,6 +292,77 @@ class TestWindowKernel:
         ]
         assert worker.counts()["dropped"] == 5
 
+    def test_round_trip_budget_per_lifecycle_step(self, topology):
+        """Exact store round-trips per row, call state and slot ledger on
+        one one-shard store: START 1, JOIN/MEDIA 0, FREEZE 1 ledger (+1
+        per preference-walk debit) + at most 1 call-side, END 1, and at
+        most 1 for everything a window leaves buffered."""
+        trace = self._trace()
+        jp, de = trace.countries.code("JP"), trace.countries.code("DE")
+        video = MediaType.VIDEO.code
+        a, b, c = 0, 1, 2
+        windows = [[  # (row, round-trips it may cost)
+            ((a, self.START, jp, -1), 1),
+            ((b, self.START, de, -1), 1),
+            ((a, self.JOIN, de, -1), 0),
+            ((b, self.JOIN, jp, -1), 0),
+            ((a, self.MEDIA, -1, video), 0),
+        ], [
+            ((b, self.END, -1, -1), 0),     # early end: nothing to write
+            ((a, self.JOIN, jp, -1), 0),
+            # Plan has a's slot in Virginia only: fused snapshot+debit of
+            # Tokyo misses, one walk debit lands, the join rides the
+            # migrate.
+            ((a, self.FREEZE, -1, -1), 3),
+            # b takes its slot at Frankfurt in the fused trip; it already
+            # hung up, so its close is the call-side trip.
+            ((b, self.FREEZE, -1, -1), 2),
+            ((c, self.FREEZE, -1, -1), 0),  # unknown call
+            ((a, self.JOIN, jp, -1), 0),
+            ((a, self.END, -1, -1), 1),     # join + close, one pipeline
+            ((a, self.JOIN, de, -1), 0),    # after the hangup: no write
+            ((a, self.MEDIA, -1, video), 0),
+        ]]
+        tails = [1, 0]  # window 1 leaves two calls' writes: one pipeline
+
+        def config(country):
+            return CallConfig.build({country: 1}, MediaType.AUDIO)
+
+        plan = AllocationPlan(
+            slots=make_slots(3600.0, 1800.0),
+            shares={(0, config("JP")): {"dc-virginia": 1.0},
+                    (0, config("DE")): {"dc-frankfurt": 1.0}})
+        store = InMemoryKVStore()
+        ledger = KVSlotLedger(store)
+        ledger.load_plan(plan)
+        port = LocalPort(RealTimeSelector(topology, plan, ledger=ledger),
+                         ledger, None, LatencyHistogram())
+        port.trace = trace
+        worker = WorkerState(topology)
+        client = PipelinedStateClient(store)
+        for window, tail in zip(windows, tails):
+            marks = []
+
+            def rows():
+                # The kernel pulls a row number just before serving that
+                # row, and once more before its end-of-window flush.
+                for row in range(len(window)):
+                    marks.append(store.trip_count)
+                    yield row
+                marks.append(store.trip_count)
+
+            serve_rows(worker, trace, rows(),
+                       *zip(*(row for row, _ in window)), client, port)
+            assert [after - before
+                    for before, after in zip(marks, marks[1:])] == \
+                [cost for _, cost in window]
+            assert store.trip_count - marks[-1] == tail
+        assert (port.migrated, port.admitted, port.overflowed) == (1, 1, 0)
+        assert worker.counts() == dict(
+            processed=13, dropped=1, joins=5, media_changes=2, generated=2,
+            early_ended=1, ended=2)
+        assert not [key for key in store._data if key.startswith("call:")]
+
 
 class TestKVSlotLedger:
     CONFIG = CallConfig.build({"JP": 2}, MediaType.AUDIO)
@@ -304,12 +385,19 @@ class TestKVSlotLedger:
         other = CallConfig.build({"DE": 2}, MediaType.AUDIO)
         assert kv.snapshot(0, other) is None
         assert local.snapshot(0, other) is None
-        # ...and debit sequences produce identical decisions.
+        # ...and debit sequences produce identical decisions, through
+        # the plain debit and through the fused settle call alike.
         for ledger in (local, kv):
             assert ledger.try_debit(0, self.CONFIG, "dc-a")
-            assert ledger.try_debit(0, self.CONFIG, "dc-a")
+            assert ledger.snapshot_and_debit(0, self.CONFIG, "dc-a") == \
+                ({"dc-a": 1, "dc-b": 1}, True)
             assert not ledger.try_debit(0, self.CONFIG, "dc-a")
-            assert ledger.try_debit(0, self.CONFIG, "dc-b")
+            assert ledger.snapshot_and_debit(0, self.CONFIG, "dc-a") == \
+                ({"dc-a": 0, "dc-b": 1}, False)
+            assert ledger.snapshot_and_debit(0, self.CONFIG, "dc-b") == \
+                ({"dc-a": 0, "dc-b": 1}, True)
+            assert ledger.snapshot_and_debit(0, other, "dc-a") == \
+                (None, False)
         assert kv.snapshot(0, self.CONFIG) == local.snapshot(0, self.CONFIG)
 
     def test_zero_slot_cell_reads_planned_not_unplanned(self):
@@ -322,13 +410,24 @@ class TestKVSlotLedger:
         assert all(count <= 0 for count in snapshot.values())
 
     def test_failed_debit_is_undone(self):
-        kv = KVSlotLedger(ShardedKVStore(n_shards=2))
+        """A refused debit — exhausted DC, DC the cell never had, cell
+        the plan never had — leaves the store byte-identical (nothing
+        created, nothing negative) and costs one trip."""
+        store = ShardedKVStore(n_shards=2)
+        kv = KVSlotLedger(store)
         kv.load_plan(self._plan())
-        assert not kv.try_debit(0, self.CONFIG, "dc-missing")
-        # The failed debit must not leave a negative balance behind
-        # that would block a later legitimate credit.
-        snapshot = kv.snapshot(0, self.CONFIG)
-        assert snapshot["dc-missing"] == 0
+        assert kv.try_debit(0, self.CONFIG, "dc-b")  # dc-b: 1 -> 0
+        state, trips = dump_store_state(store), store.trip_count
+        other = CallConfig.build({"DE": 2}, MediaType.AUDIO)
+        for config, dc in ((self.CONFIG, "dc-b"),
+                           (self.CONFIG, "dc-missing"),
+                           (self.EMPTY_CONFIG, "dc-a"),
+                           (other, "dc-a")):
+            assert not kv.try_debit(0, config, dc)
+            assert not kv.snapshot_and_debit(0, config, dc)[1]
+        assert dump_store_state(store) == state
+        assert store.trip_count == trips + 8
+        assert min(kv.snapshot(0, self.CONFIG).values()) == 0
 
     def test_concurrent_debits_never_oversubscribe(self):
         import threading
@@ -339,21 +438,34 @@ class TestKVSlotLedger:
         )
         kv = KVSlotLedger(ShardedKVStore(n_shards=4))
         kv.load_plan(plan)
-        wins = []
+        wins, seen = [], []
         lock = threading.Lock()
 
-        def contend():
-            mine = sum(kv.try_debit(0, self.CONFIG, "dc-a")
-                       for _ in range(20))
+        def contend(fused):
+            # Half the debitors take through the fused settle call, whose
+            # snapshot also shows what a concurrent reader would see.
+            mine, low = 0, 0
+            for _ in range(20):
+                if fused:
+                    cell, took = kv.snapshot_and_debit(0, self.CONFIG,
+                                                       "dc-a")
+                    low = min(low, cell["dc-a"])
+                else:
+                    took = kv.try_debit(0, self.CONFIG, "dc-a")
+                mine += took
             with lock:
                 wins.append(mine)
+                seen.append(low)
 
-        threads = [threading.Thread(target=contend) for _ in range(8)]
+        threads = [threading.Thread(target=contend, args=(i % 2 == 0,))
+                   for i in range(8)]
         for thread in threads:
             thread.start()
         for thread in threads:
-            thread.join()
+            thread.join(timeout=30.0)
+        assert not any(thread.is_alive() for thread in threads)
         assert sum(wins) == 50  # 160 attempts, exactly 50 slots granted
+        assert min(seen) == 0   # no reader ever saw the cell negative
         assert kv.snapshot(0, self.CONFIG)["dc-a"] == 0
 
 

@@ -191,8 +191,27 @@ class TestPipelines:
         assert samples <= 4
         assert store.op_count == 40
 
+    def test_trip_count_is_one_per_shard_batch(self):
+        """``trip_count`` sums the shards': a pipeline costs one trip per
+        shard it touches, a single-key op exactly one."""
+        store = ShardedKVStore(n_shards=4)
+        keys = [f"key-{i}" for i in range(40)]
+        pipe = store.pipeline()
+        for key in keys:
+            pipe.set(key, 1)
+        pipe.execute()
+        assert store.trip_count == len({store.shard_of(k) for k in keys})
+        before = store.trip_count
+        # Hash-tagged keys share a shard: one trip however many ops.
+        (store.pipeline().hset("call:{c9}", "dc", "dc-a")
+         .hincrby("call:{c9}:spread", "US", 1).execute())
+        assert store.htake("call:{c9}:spread", "US") is True
+        assert store.trip_count == before + 2
+
     def test_empty_pipeline(self):
-        assert ShardedKVStore(n_shards=2).pipeline().execute() == []
+        store = ShardedKVStore(n_shards=2)
+        assert store.pipeline().execute() == []
+        assert store.trip_count == 0
 
     def test_sharded_latency_percentiles(self):
         store = ShardedKVStore.with_latency(n_shards=2, median_ms=0.1,
