@@ -6,16 +6,16 @@ Shows the two adoption-oriented layers:
 1. define *your* world (countries, DCs, prices) as a JSON-able document
    and load it with ``topology_from_dict`` — here, a small European
    operator with three DCs;
-2. provision with Switchboard, then realize the plan as actual MP server
-   pools (``MPServerFleet``), host the busiest slot's calls, and drill a
-   server failure.
+2. provision with Switchboard, then realize the plan as actual MP
+   servers (``repro.packing``) and host the busiest plan cell's calls on
+   them through the fleet ledger.
 
 Run:  python examples/custom_world.py
 """
 
 from repro import PlannerConfig, Switchboard, generate_population
 from repro.core import make_slots
-from repro.mpservers import MPServerFleet
+from repro.packing import build_packing
 from repro.topology import topology_from_dict
 from repro.workload import DemandModel
 
@@ -60,28 +60,25 @@ def main() -> None:
           f"{capacity.total_wan_gbps(topology):.2f} Gbps inter-country WAN "
           "(survives any single DC/link failure)")
 
-    # Realize the plan as MP server pools and host the busiest cell.
-    fleet = MPServerFleet(capacity)
-    print(f"Server fleet: {fleet.total_servers} MP servers "
-          f"({fleet.total_cores():.0f} raw cores)")
+    # Realize the plan as MP servers and host the busiest cell: each
+    # debit takes a plan slot *and* reserves a specific server.
+    ledger, _ = build_packing(capacity)
+    print("Server fleet: " + ", ".join(
+        f"{fleet.dc_id} {fleet.n_servers}" for fleet in ledger.fleets())
+        + " MP servers")
 
     plan = controller.allocate(demand, capacity).plan
+    ledger.load_plan(plan)
     (slot, config), cell = max(plan.shares.items(),
                                key=lambda item: max(item[1].values()))
     dc_id, count = max(cell.items(), key=lambda kv: kv[1])
-    for i in range(int(count)):
-        fleet.host_call(f"call-{i}", dc_id, config)
-    pool = fleet.pool(dc_id)
-    print(f"\nHosted {pool.call_count} calls of {config} at {dc_id}: "
-          f"pool utilization {pool.used_cores / pool.total_cores:.0%}, "
-          f"spread {pool.utilization_spread():.2f}")
-
-    # Drill: kill the busiest server; calls respread within the pool.
-    victim = max(pool.servers, key=lambda s: s.used_cores)
-    stranded = pool.fail_server(victim.server_id)
-    print(f"Failed {victim.server_id}: {len(stranded)} calls stranded "
-          f"(0 means the pool absorbed the failure); "
-          f"{len(pool.servers)} servers remain")
+    hosted = sum(ledger.try_debit(slot, config, dc_id, call_id=f"call-{i}")
+                 for i in range(int(count)))
+    metrics = ledger.fleet_metrics()
+    print(f"\nHosted {hosted}/{int(count)} calls of {config} at {dc_id}: "
+          f"{metrics['servers_open_now']} of {metrics['n_servers']} servers "
+          f"open, {metrics['frag_slots_lost']} call slots lost to "
+          f"fragmentation")
 
 
 if __name__ == "__main__":

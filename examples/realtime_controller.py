@@ -1,19 +1,20 @@
 #!/usr/bin/env python3
 """Real-time MP assignment: the §5.4 selector driving live calls.
 
-Provisions capacity and a daily allocation plan, then replays a day of
+Provisions capacity and a daily allocation plan, then serves a day of
 call events (first joins, later joins, media changes, config freezes,
-call ends) through the multi-threaded controller backed by the
-Redis-like state store — measuring migrations (§6.4) and controller
-throughput (Fig 10).
+call ends) through the online admission service — 8 worker threads over
+the Redis-like sharded state store — measuring migrations (§6.4) and
+controller throughput (Fig 10).
 
 Run:  python examples/realtime_controller.py
 """
 
 from repro import PlannerConfig, Switchboard, Topology, generate_population
-from repro.controller import ControllerService, ReplayEngine, event_stream
+from repro.config import ServiceConfig
+from repro.controller import build_event_batch
 from repro.core import make_slots
-from repro.kvstore import InMemoryKVStore, LatencyProfile
+from repro.service import ServiceRuntime
 from repro.workload import DemandModel, TraceGenerator
 
 
@@ -25,8 +26,8 @@ def main() -> None:
     sampled = DemandModel(
         topology.world, population, calls_per_slot_at_peak=80.0
     ).sample(make_slots(86400.0), seed=14)
-    trace = TraceGenerator(seed=15).generate(sampled)
-    events = event_stream(trace)
+    trace = TraceGenerator(seed=15).generate_columnar(sampled)
+    events = build_event_batch(trace)
     print(f"Trace: {len(trace)} calls -> {len(events)} controller events")
 
     # Provision + daily plan, using the freeze-time view of configs (the
@@ -45,21 +46,24 @@ def main() -> None:
     )
     plan = controller.allocate(demand, cushioned).plan
 
-    # Replay through the controller with simulated Redis write latency.
-    store = InMemoryKVStore(LatencyProfile(median_ms=1.0))
-    service = ControllerService(topology, plan, store)
-    result = ReplayEngine(service).replay(events, n_threads=8)
+    # Serve through the controller with simulated Redis trip latency.
+    runtime = ServiceRuntime.from_config(
+        topology, plan,
+        ServiceConfig(executor="thread", n_workers=8,
+                      kv_latency_median_ms=1.0))
+    report = runtime.run(events)
+    report.require_exact_accounting()
 
-    lo, median, hi = store.latency_stats_ms()
-    print(f"\nReplay with 8 writer threads:")
-    print(f"  throughput: {result.events_per_s:.0f} events/s "
-          f"(wall {result.wall_time_s:.1f}s)")
-    print(f"  store writes: {store.op_count} ops, latency "
+    lo, median, hi = runtime.store.latency_stats_ms()
+    print(f"\nServed with 8 worker threads:")
+    print(f"  throughput: {report.events_per_s:.0f} events/s "
+          f"(wall {report.wall_time_s:.1f}s)")
+    print(f"  store writes: {report.kv_op_count} ops, trip latency "
           f"{lo:.2f}/{median:.2f}/{hi:.2f} ms (min/median/max)")
-    print(f"  calls started: {service.stats.calls_started}, "
-          f"ended: {service.stats.calls_ended}")
-    print(f"  migrations: {service.stats.migrations} "
-          f"({service.migration_rate:.2%} of calls; paper: 1.53%)")
+    print(f"  calls started: {report.generated_calls}, "
+          f"ended: {report.ended_calls}")
+    print(f"  migrations: {report.migrated_calls} "
+          f"({report.migration_rate:.2%} of calls; paper: 1.53%)")
 
 
 if __name__ == "__main__":

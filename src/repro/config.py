@@ -118,7 +118,8 @@ class ServiceConfig:
     * ``n_shards`` — kvstore shards behind the consistent-hash ring.
     * ``n_workers`` — admission worker threads (calls shard over them by
       call id; per-call event order is preserved).  With one worker the
-      engine is fully deterministic and matches the day-replay path.
+      engine is fully deterministic and matches
+      ``RealTimeSelector.process_trace`` over the same calls.
     * ``kv_latency_median_ms`` — median simulated per-trip store latency
       (``None`` disables latency simulation; the paper measures
       0.3–4.2 ms per write, §6.6).

@@ -1,4 +1,4 @@
-"""Real-time controller runtime: events, service, trace replay (§6.6)."""
+"""Controller event streams: object events and the columnar batch (§6.6)."""
 
 from repro.controller.columnar import (
     ColumnarEventBatch,
@@ -14,18 +14,12 @@ from repro.controller.events import (
     events_of_call,
     peak_event_rate,
 )
-from repro.controller.replay import ReplayEngine, ReplayResult
-from repro.controller.service import ControllerService, ServiceStats
 
 __all__ = [
     "EVENT_SORT_CODE",
     "ColumnarEventBatch",
     "ControllerEvent",
-    "ControllerService",
     "EventType",
-    "ReplayEngine",
-    "ReplayResult",
-    "ServiceStats",
     "build_event_batch",
     "event_stream",
     "events_of_call",

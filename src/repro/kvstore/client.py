@@ -7,21 +7,24 @@ placeholder, braces are literal):
 * ``call:<id>``            — hash: assigned DC (``dc``), escalated media
   (``media``);
 * ``call:<id>:spread``     — hash: participants so far per country;
-* ``slots:<t>:<config>``   — hash: remaining plan slots per DC;
+* ``slots:<t>:<config>``   — hash: remaining plan slots per DC (owned
+  by :class:`~repro.allocation.realtime.KVSlotLedger`, not by these
+  clients);
 * ``dcload:<dc>``          — counter: live calls per DC.
 
-:class:`ControllerStateClient` is the per-op, read-before-write client
-Fig 10 replays.  :class:`PipelinedStateClient`, the serving core's,
-writes the same schema with the call id as a Redis-cluster hash tag —
-``call:{<id>}`` and ``call:{<id>}:spread`` — so both of a call's keys
-live on one shard and a lifecycle pipeline touches at most two (the
-call's and ``dcload:<dc>``'s).
+:class:`ControllerStateClient` is the per-op, read-before-write
+reference the serving core's store state is pinned against.
+:class:`PipelinedStateClient`, the serving core's, writes the same
+schema with the call id as a Redis-cluster hash tag — ``call:{<id>}``
+and ``call:{<id>}:spread`` — so both of a call's keys live on one shard
+and a lifecycle pipeline touches at most two (the call's and
+``dcload:<dc>``'s).
 """
 
 from __future__ import annotations
 
-from typing import (TYPE_CHECKING, Any, Dict, Iterable, List, Optional,
-                    Tuple, Union)
+from typing import (TYPE_CHECKING, Any, Iterable, List, Optional, Tuple,
+                    Union)
 
 from repro.core.types import CallConfig, MediaType
 from repro.kvstore.store import InMemoryKVStore
@@ -84,20 +87,6 @@ class ControllerStateClient:
         media = MediaType(media_raw) if media_raw else MediaType.AUDIO
         return CallConfig.build(spread, media)
 
-    # -- plan slot accounting (§5.4 b) -----------------------------------
-    def init_slots(self, slot_index: int, config: CallConfig,
-                   per_dc: Dict[str, int]) -> None:
-        key = f"slots:{slot_index}:{config}"
-        for dc_id, count in per_dc.items():
-            self._store.hset(key, dc_id, count)
-
-    def debit_slot(self, slot_index: int, config: CallConfig, dc_id: str) -> int:
-        """Debit one plan slot; returns the remaining count (may go < 0)."""
-        return self._store.hincrby(f"slots:{slot_index}:{config}", dc_id, -1)
-
-    def remaining_slots(self, slot_index: int, config: CallConfig) -> Dict[str, int]:
-        return self._store.hgetall(f"slots:{slot_index}:{config}")
-
     # -- load ------------------------------------------------------------
     def dc_load(self, dc_id: str) -> int:
         return self._store.get(f"dcload:{dc_id}") or 0
@@ -111,14 +100,13 @@ class PipelinedStateClient:
     """The serving core's client: write-only, one round-trip per step.
 
     The per-op :class:`ControllerStateClient` pays one network trip per
-    op and reads a call's DC and media back before changing them —
-    faithful to the paper's per-write latency measurements, and what
-    Fig 10 replays.  The online admission service cannot afford that:
-    each call has exactly one owner (its worker), which already holds
-    the call's current DC and media, so this client never reads.  Its
-    methods *build* writes; the owner buffers a call's join and media
-    writes and sends them with the call's next lifecycle write through
-    :meth:`flush`, one pipelined trip however many writes ride it.
+    op and reads a call's DC and media back before changing them.  The
+    online admission service cannot afford that: each call has exactly
+    one owner (its worker), which already holds the call's current DC
+    and media, so this client never reads.  Its methods *build* writes;
+    the owner buffers a call's join and media writes and sends them with
+    the call's next lifecycle write through :meth:`flush`, one pipelined
+    trip however many writes ride it.
     """
 
     def __init__(self, store: KVStore):

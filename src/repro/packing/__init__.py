@@ -12,14 +12,21 @@ capacity between event batches.
 from typing import Optional, Tuple
 
 from repro.config import PackingConfig
+from repro.core.units import (
+    MICROCORES_PER_CORE,
+    from_microcores,
+    to_microcores,
+)
 from repro.obs.events import Observability
 from repro.packing.defrag import Defragmenter, DefragMove, DefragRound
 from repro.packing.ledger import (
+    DEFAULT_SERVER_CORES,
     FleetLedgerBase,
     FleetStats,
     KVFleetLedger,
     LocalFleetLedger,
     build_fleet_ledger,
+    servers_for_cores,
 )
 from repro.packing.policy import (
     BestFit,
@@ -74,6 +81,7 @@ def build_packing(capacity, config: Optional[PackingConfig] = None,
 
 __all__ = [
     "BestFit",
+    "DEFAULT_SERVER_CORES",
     "Defragmenter",
     "DefragMove",
     "DefragRound",
@@ -82,11 +90,15 @@ __all__ = [
     "FleetStats",
     "KVFleetLedger",
     "LocalFleetLedger",
+    "MICROCORES_PER_CORE",
     "POLICIES",
     "PackingConfig",
     "PackingPolicy",
     "PredictivePack",
     "build_fleet_ledger",
     "build_packing",
+    "from_microcores",
     "make_policy",
+    "servers_for_cores",
+    "to_microcores",
 ]

@@ -22,8 +22,11 @@ Two backends, mirroring the slot-ledger split:
   debitors.  A process-local mirror (updated under the commit lock)
   keeps candidate scoring a pure numpy pass.
 
-All capacity amounts are integer microcores, shared with
-:mod:`repro.mpservers.server`, so allocate/release round-trips are exact.
+All capacity amounts are integer microcores
+(:func:`repro.core.units.to_microcores`), so allocate/release round-trips
+are exact.  The ledger also answers the provisioning-to-hardware
+question: how many servers realize a DC's planned cores
+(:func:`servers_for_cores`).
 
 Post-freeze growth: the engine reports late joins via
 :meth:`FleetLedgerBase.note_join`.  A call that outgrows its reservation
@@ -43,17 +46,38 @@ import numpy as np
 
 from repro.core.errors import CapacityError
 from repro.core.types import CallConfig, MediaType
+from repro.core.units import from_microcores, to_microcores
 from repro.allocation.plan import AllocationPlan
 from repro.allocation.realtime import (
     KVSlotLedger,
     LocalSlotLedger,
     SlotLedger,
 )
-from repro.mpservers.pool import DEFAULT_SERVER_CORES, servers_for_cores
-from repro.mpservers.server import from_microcores, to_microcores
 from repro.obs.events import Observability
 from repro.obs.histogram import LatencyHistogram
 from repro.packing.policy import PackingPolicy
+
+#: Cores per MP server: a mid-size VM/host dedicated to media processing.
+DEFAULT_SERVER_CORES = 16.0
+
+
+def servers_for_cores(cores: float, server_cores: float = DEFAULT_SERVER_CORES,
+                      utilization_target: float = 0.9) -> int:
+    """Servers needed to realize ``cores`` of planned capacity.
+
+    Computed in integer microcores: a demand that is an exact multiple of
+    the usable server size never rounds up to an extra server just
+    because of float representation (e.g. ``0.1 * 3`` vs ``0.3``).
+    """
+    if cores < 0 or server_cores <= 0:
+        raise CapacityError("cores must be >= 0 and server size positive")
+    if cores == 0:
+        return 0
+    need_mc = to_microcores(cores)
+    usable_mc = to_microcores(server_cores * utilization_target)
+    if usable_mc <= 0:
+        raise CapacityError("server size too small to be usable")
+    return -(-need_mc // usable_mc)  # integer ceiling division
 
 
 @dataclass

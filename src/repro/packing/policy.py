@@ -11,7 +11,7 @@ A policy answers two questions for every incoming call:
   hot path runs this per call, so no Python-level loop over servers).
 
 All capacity amounts are integer microcores
-(:mod:`repro.mpservers.server` conventions), so scoring and the ledgers'
+(:func:`repro.core.units.to_microcores`), so scoring and the ledgers'
 compare-and-take debits agree exactly.
 """
 
@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.core.errors import CapacityError
 from repro.core.types import CallConfig
-from repro.mpservers.server import to_microcores
+from repro.core.units import to_microcores
 from repro.prediction.peak import PeakParticipantPredictor
 from repro.workload.media import MediaLoadModel
 

@@ -207,10 +207,12 @@ def _inject_worker_faults(scenario: FailureScenario) -> None:
 def _solve_scenario_in_worker(scenario: FailureScenario) -> ScenarioResult:
     placement, demand, background, dc_core_limits = _WORKER_CONTEXT["args"]
     _inject_worker_faults(scenario)
-    return ScenarioLP(
+    result = ScenarioLP(
         placement, demand, scenario,
         background=background, dc_core_limits=dc_core_limits,
     ).solve()
+    result.worker_pid = os.getpid()
+    return result
 
 
 def _race_scenario_in_worker(scenario: FailureScenario):
@@ -236,6 +238,7 @@ def _race_scenario_in_worker(scenario: FailureScenario):
     result, trail = run_race(
         arms, portfolio.gap, label=_scenario_label(scenario)
     )
+    result.worker_pid = os.getpid()
     updates = {}
     if cache is not None:
         shipped = _WORKER_CONTEXT["shipped_seeds"]

@@ -9,8 +9,9 @@ simulator turns those cadences into a loop you can actually run:
 2. every ``reprovision_every`` days, capacity is re-provisioned from
    forecasts of the top call configs (with the tail cushion);
 3. every day, the allocation LP emits a plan for the next day inside the
-   current capacity, and the day's realized calls replay through the
-   real-time selector;
+   current capacity, and the day's realized calls are served by the
+   online admission service (``repro.service``: event stream → sharded
+   kvstore → the real-time selector core);
 4. the day's outcomes (migrations, overflow, ACL) are recorded and the
    day's calls are ingested back into the records database.
 
@@ -33,9 +34,9 @@ from typing import List, Optional, Tuple
 from repro.core.errors import SwitchboardError
 from repro.core.types import make_slots
 from repro.core.units import DEFAULT_SLOT_S
-from repro.allocation.realtime import RealTimeSelector, SelectorStats
+from repro.allocation.realtime import SelectorStats
 from repro.autoscale import Autoscaler
-from repro.config import PlannerConfig, ServiceConfig
+from repro.config import PlannerConfig
 from repro.controller.columnar import build_event_batch
 from repro.service.runtime import ServiceRuntime
 from repro.forecasting.forecaster import CallCountForecaster
@@ -76,8 +77,8 @@ class DayReport:
     recovered_fault: Optional[str] = None
     #: How far provisioning/allocation degraded this day (0 = full LP).
     degradation_level: int = 0
-    #: Closed-loop autoscaler rescale events this day (service path with
-    #: ``planner_config.autoscale`` set; 0 otherwise).
+    #: Closed-loop autoscaler rescale events this day (0 unless
+    #: ``planner_config.autoscale`` is set).
     rescales: int = 0
     #: Observability events recorded *this day* — per-day scoped via
     #: checkpoints, so multi-day runs don't silently attribute one day's
@@ -131,8 +132,7 @@ class ServiceSimulator:
                  season_length: int = _SLOTS_PER_DAY,
                  freeze_window_s: float = 300.0,
                  seed: int = 97,
-                 planner_config: Optional[PlannerConfig] = None,
-                 use_service: bool = False):
+                 planner_config: Optional[PlannerConfig] = None):
         """``planner_config`` configures the inner :class:`Switchboard`
         (defaults to DC-failure scenarios only, the simulator's
         historical setting).  Its ``fault_plan`` doubles as the drill
@@ -141,12 +141,11 @@ class ServiceSimulator:
         rebuilt for the failure scenario and the day is tagged in its
         :class:`DayReport`.
 
-        ``use_service=True`` replays each operational day through the
-        real online admission engine (event stream → sharded kvstore →
-        stateless selector core) instead of the in-process trace replay.
-        Service knobs come from ``planner_config.service``; with the
-        default single worker the engine is deterministic and the per-day
-        statistics are identical to the replay path on a fixed seed."""
+        Every operational day is served by the online admission engine;
+        its knobs come from ``planner_config.service``.  With the default
+        single worker the engine is deterministic and the per-day
+        statistics equal ``RealTimeSelector.process_trace`` over the
+        day's calls on a fixed seed."""
         if bootstrap_days < 1:
             raise SwitchboardError("need at least one bootstrap day")
         if reprovision_every < 1:
@@ -164,10 +163,6 @@ class ServiceSimulator:
         self.db = CallRecordsDatabase()
         self.planner_config = (planner_config if planner_config is not None
                                else PlannerConfig(max_link_scenarios=0))
-        self.use_service = use_service
-        self.service_config = (self.planner_config.service
-                               if self.planner_config.service is not None
-                               else ServiceConfig())
         self.controller = Switchboard(topology, config=self.planner_config)
         self.capacity: Optional[CapacityPlan] = None
 
@@ -193,32 +188,31 @@ class ServiceSimulator:
             obs=capacity.obs,
         )
 
-    def _replay_through_service(self, plan, trace: CallTrace,
-                                forecast: Optional[Demand] = None
-                                ) -> Tuple[SelectorStats, int]:
-        """One day served by the real admission engine (not the replay).
+    def _serve_day(self, plan, trace: CallTrace, forecast: Demand
+                   ) -> Tuple[SelectorStats, int]:
+        """One day served by the admission engine.
 
         The engine keeps its ledgers and call state in a fresh sharded
         kvstore per day — the same way the production controller starts
         each plan day against Redis — and the day's statistics come from
-        the identical selector core the replay path uses.
+        its selector core.
 
-        With ``planner_config.autoscale`` set (and a forecast for the
-        day), the engine carries a closed-loop
-        :class:`~repro.autoscale.Autoscaler` that re-provisions the plan
-        mid-day; returns ``(stats, rescale_events)``.
+        With ``planner_config.autoscale`` set, the engine carries a
+        closed-loop :class:`~repro.autoscale.Autoscaler` that
+        re-provisions the plan mid-day; returns
+        ``(stats, rescale_events)``.
         """
         if not trace.calls:
             return SelectorStats(), 0
         rescaler = None
-        if self.planner_config.autoscale is not None and forecast is not None:
+        if self.planner_config.autoscale is not None:
             rescaler = Autoscaler(
                 self.controller, forecast, plan,
                 config=self.planner_config.autoscale,
                 capacity=self.capacity, obs=self.controller.obs,
                 with_backup=self.with_backup)
         runtime = ServiceRuntime.from_config(
-            self.topology, plan, self.service_config,
+            self.topology, plan, self.planner_config,
             freeze_window_s=self.freeze_window_s, obs=self.controller.obs,
             rescaler=rescaler)
         report = runtime.run(build_event_batch(
@@ -335,15 +329,7 @@ class ServiceSimulator:
                 outcome = self.controller.allocate(forecast, self.capacity)
                 allocation_level = outcome.degradation_level
                 plan = outcome.plan
-            if self.use_service:
-                stats, rescales = self._replay_through_service(
-                    plan, trace, forecast)
-            else:
-                rescales = 0
-                selector = RealTimeSelector(self.topology, plan,
-                                            self.freeze_window_s)
-                selector.process_trace(trace.calls)
-                stats = selector.stats
+            stats, rescales = self._serve_day(plan, trace, forecast)
 
             report.days.append(DayReport(
                 day=day,

@@ -98,13 +98,14 @@ class TestWorkloadDistributions:
 
 class TestSelectorConcurrencySafety:
     def test_service_slot_debits_are_consistent_across_threads(self, topology):
-        """Replaying the same N identical calls over 4 threads must debit
-        exactly N slots (no double-debit, no lost update)."""
+        """Serving the same N identical calls over 4 worker threads must
+        debit exactly N slots (no double-debit, no lost update) and feed
+        the selector's statistics once per call."""
         from repro.core.types import Call, CallConfig, Participant, make_slots
         from repro.allocation.plan import AllocationPlan
+        from repro.config import ServiceConfig
         from repro.controller.events import event_stream
-        from repro.controller.replay import ReplayEngine
-        from repro.controller.service import ControllerService
+        from repro.service import ServiceRuntime
         from repro.workload.trace import CallTrace
 
         config = CallConfig.build({"JP": 2}, MediaType.AUDIO)
@@ -120,14 +121,14 @@ class TestSelectorConcurrencySafety:
             ])
             for i in range(n_calls)
         ]
-        service = ControllerService(topology, plan, InMemoryKVStore())
-        ReplayEngine(service).replay(
-            event_stream(CallTrace(calls, make_slots(3600.0))), n_threads=4
-        )
-        snapshot = service.selector.ledger.snapshot(0, config)
+        runtime = ServiceRuntime.from_config(
+            topology, plan, ServiceConfig(executor="thread", n_workers=4))
+        runtime.run(event_stream(CallTrace(calls, make_slots(3600.0))))
+        snapshot = runtime.selector.ledger.snapshot(0, config)
         assert snapshot is not None
         assert snapshot["dc-tokyo"] == 0  # exactly n_calls debits
-        assert service.selector.stats.overflow == 0
+        assert runtime.selector.stats.calls == n_calls
+        assert runtime.selector.stats.overflow == 0
 
     def test_selector_stats_survive_multithreaded_hammering(self):
         """Regression: SelectorStats.record() is one atomic fold — a

@@ -1,9 +1,10 @@
-"""Tests for controller events, service, and the replay engine."""
+"""Tests for controller events and one call's lifecycle through the
+serving core over a server-level fleet ledger."""
 
 import pytest
 
-from repro.core.errors import SwitchboardError
 from repro.core.types import Call, CallConfig, MediaType, Participant, make_slots
+from repro.core.units import to_microcores
 from repro.allocation.plan import AllocationPlan
 from repro.controller.events import (
     EventType,
@@ -11,9 +12,9 @@ from repro.controller.events import (
     events_of_call,
     peak_event_rate,
 )
-from repro.controller.replay import ReplayEngine
-from repro.controller.service import ControllerService
-from repro.kvstore.store import InMemoryKVStore
+from repro.packing import LocalFleetLedger, make_policy
+from repro.service import ServiceRuntime
+from repro.workload.media import MediaLoadModel
 from repro.workload.trace import CallTrace
 
 
@@ -59,177 +60,67 @@ class TestEvents:
             peak_event_rate([])
 
 
-@pytest.fixture()
-def service(topology):
-    config = CallConfig.build({"JP": 2}, MediaType.VIDEO)
-    plan = AllocationPlan(
-        slots=make_slots(3600.0, 1800.0),
-        shares={(0, config): {"dc-tokyo": 5.0}},
-    )
-    return ControllerService(topology, plan, InMemoryKVStore())
-
-
-class TestControllerService:
-    def test_lifecycle_updates_stats_and_store(self, service):
-        call = _call()
-        for event in events_of_call(call):
-            service.handle(event)
-        stats = service.stats
-        assert stats.calls_started == 1
-        assert stats.calls_ended == 1
-        assert stats.joins == 2
-        assert stats.media_changes == 1
-        assert stats.events_processed == len(events_of_call(call))
-
-    def test_frozen_config_matches_plan_no_migration(self, service):
-        # Frozen config is (JP-2, video): the late IN joiner is excluded.
-        call = _call()
-        for event in events_of_call(call):
-            service.handle(event)
-        assert service.stats.migrations == 0
-        assert service.migration_rate == 0.0
-
-    def test_migration_when_plan_disagrees(self, topology):
-        config = CallConfig.build({"JP": 2}, MediaType.VIDEO)
-        plan = AllocationPlan(
-            slots=make_slots(3600.0, 1800.0),
-            shares={(0, config): {"dc-seoul": 5.0}},
-        )
-        service = ControllerService(topology, plan, InMemoryKVStore())
-        for event in events_of_call(_call()):
-            service.handle(event)
-        assert service.stats.migrations == 1
-        assert service.migration_rate == 1.0
-
-    def test_migration_rate_requires_calls(self, service):
-        with pytest.raises(SwitchboardError):
-            service.migration_rate
-
-    def test_store_cleaned_up_after_end(self, service):
-        for event in events_of_call(_call()):
-            service.handle(event)
-        assert service.client.call_dc("c1") is None
-
-
-class TestReplayEngine:
-    def _events(self, n_calls=30):
-        calls = [_call(f"c{i}", float(i)) for i in range(n_calls)]
-        return event_stream(CallTrace(calls, make_slots(3600.0)))
-
-    def _service(self, topology):
-        config = CallConfig.build({"JP": 2}, MediaType.VIDEO)
-        plan = AllocationPlan(
-            slots=make_slots(3600.0, 1800.0),
-            shares={(0, config): {"dc-tokyo": 100.0}},
-        )
-        return ControllerService(topology, plan, InMemoryKVStore())
-
-    def test_all_events_processed_single_thread(self, topology):
-        events = self._events()
-        service = self._service(topology)
-        result = ReplayEngine(service).replay(events, n_threads=1)
-        assert result.n_events == len(events)
-        assert service.stats.events_processed == len(events)
-
-    def test_multithreaded_processes_everything(self, topology):
-        events = self._events()
-        service = self._service(topology)
-        result = ReplayEngine(service).replay(events, n_threads=4)
-        assert service.stats.events_processed == len(events)
-        assert service.stats.calls_started == 30
-        assert service.stats.calls_ended == 30
-
-    def test_throughput_positive(self, topology):
-        events = self._events(10)
-        result = ReplayEngine(self._service(topology)).replay(events, n_threads=2)
-        assert result.events_per_s > 0
-        assert result.throughput_vs_peak > 0
-
-    def test_invalid_args(self, topology):
-        service = self._service(topology)
-        with pytest.raises(SwitchboardError):
-            ReplayEngine(service).replay([], n_threads=1)
-        with pytest.raises(SwitchboardError):
-            ReplayEngine(service).replay(self._events(2), n_threads=0)
-
-    def test_explicit_peak_rate_used(self, topology):
-        events = self._events(10)
-        result = ReplayEngine(self._service(topology)).replay(
-            events, n_threads=1, peak_rate=100.0
-        )
-        assert result.peak_trace_rate == 100.0
-        assert result.throughput_vs_peak == pytest.approx(
-            result.events_per_s / 100.0
-        )
-
-
 class TestControllerWithFleet:
-    def _setup(self, topology):
-        from repro.mpservers import MPServerFleet
-        from repro.provisioning.planner import CapacityPlan
+    """One call through the engine over a ``LocalFleetLedger``: it lands
+    on a specific MP server at its freeze, moves with a migration, and
+    releases everything — server and store state — at its end."""
 
+    def _serve(self, topology, plan_dc, events):
         config = CallConfig.build({"JP": 2}, MediaType.VIDEO)
         plan = AllocationPlan(
             slots=make_slots(3600.0, 1800.0),
-            shares={(0, config): {"dc-tokyo": 100.0}},
+            shares={(0, config): {plan_dc: 5.0}},
         )
-        # Generous pools in the two DCs this test can touch.
-        capacity = CapacityPlan(
-            cores={"dc-tokyo": 64.0, "dc-seoul": 64.0}, link_gbps={}
-        )
-        fleet = MPServerFleet(capacity)
-        service = ControllerService(topology, plan, InMemoryKVStore(),
-                                    fleet=fleet)
-        return service, fleet
+        # Generous fleets in the two DCs this test can touch.
+        ledger = LocalFleetLedger({"dc-tokyo": 64.0, "dc-seoul": 64.0},
+                                  make_policy("first_fit"))
+        runtime = ServiceRuntime.from_config(topology, plan, ledger=ledger)
+        return runtime, ledger, runtime.run(events)
 
     def test_call_lands_on_server_and_releases(self, topology):
-        service, fleet = self._setup(topology)
-        call = _call()
-        for event in events_of_call(call):
-            service.handle(event)
-        # Everything released at call end.
-        assert fleet.dc_of("c1") is None
-        assert fleet.pool("dc-tokyo").call_count == 0
+        events = events_of_call(_call())
+        runtime, ledger, report = self._serve(topology, "dc-tokyo", events)
+        report.require_exact_accounting()
+        assert (report.generated_calls, report.ended_calls) == (1, 1)
+        assert (report.joins, report.media_changes) == (2, 1)
+        assert report.events_processed == len(events)
+        # Frozen config is (JP-2, video), the plan's: no migration.
+        assert report.migrated_calls == 0
+        assert report.migration_rate == 0.0
+        # Everything released at call end: the server ...
+        assert report.packing["placements"] == 1
+        assert report.packing["releases"] == 1
+        assert ledger.server_of("c1") is None
+        fleet = ledger.fleet("dc-tokyo")
+        assert fleet.call_count.sum() == 0
+        assert (fleet.free_mc == fleet.usable_mc).all()
+        # ... and the store: no per-call key, every DC's load back to 0.
+        state = runtime.store_state()
+        assert not [key for key in state if key.startswith("call:")]
+        assert all(value == 0 for key, value in state.items()
+                   if key.startswith("dcload:"))
 
     def test_usage_trued_up_at_freeze(self, topology):
-        service, fleet = self._setup(topology)
         call = _call()
         events = events_of_call(call)
-        # Process everything except CALL_END.
-        for event in events:
-            if event.event_type is EventType.CALL_END:
-                break
-            service.handle(event)
-        pool = fleet.pool("dc-tokyo")
-        assert pool.call_count == 1
-        # After the freeze, the server holds the frozen (JP-2, video)
-        # config's cores, not the single first joiner's.
-        from repro.workload.media import MediaLoadModel
-
+        freeze = next(i for i, e in enumerate(events)
+                      if e.event_type is EventType.CONFIG_FREEZE)
+        _, ledger, _ = self._serve(topology, "dc-tokyo",
+                                   events[:freeze + 1])
+        assert ledger.server_of("c1").startswith("dc-tokyo/")
+        assert ledger.fleet("dc-tokyo").call_count.sum() == 1
+        # The server holds the frozen (JP-2, video) config's cores — the
+        # IN joiner at 400 s is past the freeze and not yet served.
         frozen_cores = MediaLoadModel().call_cores(call.config(300.0))
-        assert pool.used_cores == pytest.approx(frozen_cores)
-        # Clean up.
-        service.handle(events[-1])
+        assert ledger.held_mc_of("c1") == to_microcores(frozen_cores)
 
     def test_fleet_migration_follows_plan(self, topology):
-        from repro.mpservers import MPServerFleet
-        from repro.provisioning.planner import CapacityPlan
-
-        config = CallConfig.build({"JP": 2}, MediaType.VIDEO)
-        plan = AllocationPlan(
-            slots=make_slots(3600.0, 1800.0),
-            shares={(0, config): {"dc-seoul": 5.0}},  # plan disagrees
-        )
-        fleet = MPServerFleet(CapacityPlan(
-            cores={"dc-tokyo": 64.0, "dc-seoul": 64.0}, link_gbps={}
-        ))
-        service = ControllerService(topology, plan, InMemoryKVStore(),
-                                    fleet=fleet)
-        events = events_of_call(_call())
-        for event in events:
-            if event.event_type is EventType.CALL_END:
-                break
-            service.handle(event)
-        assert fleet.dc_of("c1") == "dc-seoul"
-        assert fleet.pool("dc-tokyo").call_count == 0
-        assert fleet.pool("dc-seoul").call_count == 1
+        events = [e for e in events_of_call(_call())
+                  if e.event_type is not EventType.CALL_END]
+        # The plan disagrees with the closest DC (dc-tokyo).
+        _, ledger, report = self._serve(topology, "dc-seoul", events)
+        assert report.migrated_calls == 1
+        assert report.migration_rate == 1.0
+        assert ledger.server_of("c1").startswith("dc-seoul/")
+        assert ledger.fleet("dc-tokyo").call_count.sum() == 0
+        assert ledger.fleet("dc-seoul").call_count.sum() == 1

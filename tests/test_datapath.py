@@ -25,8 +25,6 @@ from repro.controller.events import (
     events_of_call,
     peak_event_rate,
 )
-from repro.controller.replay import ReplayEngine
-from repro.controller.service import ControllerService
 from repro.kvstore import InMemoryKVStore
 from repro.service import (
     AdmissionEngine,
@@ -335,12 +333,3 @@ class TestAccountingParity:
         stream_report = self.run_path(topology, plan, streaming.batches())
         obj = self.run_path(topology, plan, load.events)
         assert self.accounting(stream_report) == self.accounting(obj)
-
-    def test_replay_service_parity(self, topology, plan, load):
-        svc_obj = ControllerService(topology, plan, InMemoryKVStore())
-        obj = ReplayEngine(svc_obj).replay(load.events, n_threads=2)
-        svc_col = ControllerService(topology, plan, InMemoryKVStore())
-        col = ReplayEngine(svc_col).replay(load.batch, n_threads=2)
-        assert obj.n_events == col.n_events
-        assert obj.migration_rate == col.migration_rate
-        assert svc_obj.stats == svc_col.stats

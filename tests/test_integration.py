@@ -2,7 +2,7 @@
 
 These walk the system the way the paper's Fig 6 wires it: synthetic calls
 -> records database -> latency estimation -> forecasts -> provisioning ->
-daily allocation -> real-time selection -> controller replay, asserting
+daily allocation -> real-time selection -> the serving core, asserting
 global invariants at each hand-off.
 """
 
@@ -10,17 +10,15 @@ import pytest
 
 from repro.allocation.realtime import RealTimeSelector
 from repro.controller.events import event_stream
-from repro.controller.replay import ReplayEngine
-from repro.controller.service import ControllerService
 from repro.core.types import make_slots
-from repro.kvstore.store import InMemoryKVStore
 from repro.provisioning.demand import PlacementData
 from repro.provisioning.failures import FailureScenario
 from repro.provisioning.formulation import ScenarioLP
 from repro.provisioning.planner import CapacityPlan
 from repro.records.aggregation import demand_from_database, ingest_trace
 from repro.records.database import CallRecordsDatabase
-from repro.config import PlannerConfig
+from repro.config import PlannerConfig, ServiceConfig
+from repro.service import ServiceRuntime
 from repro.switchboard import Switchboard, SwitchboardPipeline
 from repro.workload.arrivals import DemandModel
 from repro.workload.configs import generate_population
@@ -96,13 +94,17 @@ class TestProvisionToRealtime:
     def test_controller_replay_matches_selector_counts(self, plan_and_trace):
         topology, trace, plan = plan_and_trace
         events = event_stream(trace)
-        service = ControllerService(topology, plan, InMemoryKVStore())
-        result = ReplayEngine(service).replay(events, n_threads=4)
-        assert service.stats.calls_started == len(trace)
-        assert service.stats.calls_ended == len(trace)
-        assert result.n_events == len(events)
+        runtime = ServiceRuntime.from_config(
+            topology, plan, ServiceConfig(executor="thread", n_workers=4))
+        report = runtime.run(events)
+        report.require_exact_accounting()
+        assert report.generated_calls == len(trace)
+        assert report.ended_calls == len(trace)
+        assert report.events_processed == len(events)
         # All per-call state was cleaned up.
-        assert service.client.dc_load("dc-tokyo") == 0
+        loads = {key: value for key, value in runtime.store_state().items()
+                 if key.startswith("dcload:")}
+        assert loads and not any(loads.values())
 
 
 class TestFailureCoverage:

@@ -168,14 +168,6 @@ class TestControllerStateClient:
         assert client.dc_load("dc-a") == 0
         assert client.dc_load("dc-b") == 1
 
-    def test_slot_accounting(self):
-        client = ControllerStateClient(InMemoryKVStore())
-        config = CallConfig.build({"US": 2}, MediaType.AUDIO)
-        client.init_slots(3, config, {"dc-a": 2, "dc-b": 1})
-        assert client.debit_slot(3, config, "dc-a") == 1
-        assert client.debit_slot(3, config, "dc-a") == 0
-        assert client.remaining_slots(3, config) == {"dc-a": 0, "dc-b": 1}
-
     def test_observed_config_unknown_call(self):
         client = ControllerStateClient(InMemoryKVStore())
         assert client.observed_config("nope") is None

@@ -19,6 +19,7 @@ from repro.allocation.plan import AllocationPlan
 from repro.config import MigrationConfig
 from repro.core.errors import SwitchboardError
 from repro.core.types import CallConfig, MediaType, make_slots
+from repro.core.units import to_microcores
 from repro.experiments import fig_migration, migration
 from repro.experiments.common import build_scenario
 from repro.kvstore import ShardedKVStore
@@ -28,7 +29,6 @@ from repro.migrate import (
     MigrationExecutor,
     MigrationPlanner,
 )
-from repro.mpservers.server import to_microcores
 from repro.packing import KVFleetLedger, LocalFleetLedger, make_policy
 from repro.resilience.faults import FaultPlan, FaultSpec
 from repro.service.report import REPORT_SCHEMA_VERSION, ServiceReport

@@ -11,18 +11,21 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.core.errors import CapacityError
 from repro.core.types import CallConfig, MediaType, make_slots
+from repro.core.units import to_microcores
 from repro.allocation.plan import AllocationPlan
 from repro.config import PackingConfig, PlannerConfig
 from repro.kvstore import ShardedKVStore
-from repro.mpservers.server import to_microcores
 from repro.packing import (
     Defragmenter,
     KVFleetLedger,
     LocalFleetLedger,
     build_packing,
     make_policy,
+    servers_for_cores,
 )
 from repro.packing.workload import generate_packing_load, media_mix
 from repro.prediction import peak_predictor_or_default
@@ -159,6 +162,120 @@ class TestFleetLedger:
         # total free = 0.9 + 14.4 = 15.3 -> 15 slots; per-server
         # 0 + 14 = 14 slots -> 1 stranded.
         assert ledger.fragmentation_slots_lost(to_microcores(1.0)) == 1
+
+
+class TestServersForCores:
+    def test_exact_and_rounding(self):
+        assert servers_for_cores(0.0) == 0
+        assert servers_for_cores(14.4, server_cores=16.0,
+                                 utilization_target=0.9) == 1
+        assert servers_for_cores(14.5, server_cores=16.0,
+                                 utilization_target=0.9) == 2
+
+    def test_invalid(self):
+        with pytest.raises(CapacityError):
+            servers_for_cores(-1.0)
+        with pytest.raises(CapacityError):
+            servers_for_cores(1.0, server_cores=0.0)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.floats(min_value=0.0, max_value=1e5))
+    def test_capacity_always_sufficient_property(self, cores):
+        n = servers_for_cores(cores)
+        assert n * 16.0 * 0.9 >= cores - 1e-6
+
+    def test_plan_capacity_actually_hostable(self, switchboard,
+                                             expected_demand):
+        """End to end: the provisioned cores, realized as servers, host
+        the plan's own busiest cell."""
+        capacity = switchboard.provision(expected_demand, with_backup=False)
+        plan = switchboard.allocate(expected_demand, capacity).plan
+        ledger, _ = build_packing(capacity)
+        ledger.load_plan(plan)
+        for dc_id, cores in capacity.cores.items():
+            assert ledger.fleet(dc_id).n_servers == servers_for_cores(cores)
+        (t, config), cell = max(plan.shares.items(),
+                                key=lambda item: max(item[1].values()))
+        dc_id, count = max(cell.items(), key=lambda kv: kv[1])
+        for i in range(int(count)):
+            assert ledger.try_debit(t, config, dc_id, call_id=f"c{i}")
+        assert ledger.fleet(dc_id).call_count.sum() == int(count)
+
+
+class TestCapacityArithmetic:
+    """Place/release round-trips never leak or mint capacity.
+
+    The accounting is integer microcores under the hood, so these hold
+    exactly — not merely within a float tolerance.  A call of ``n``
+    participants costs ``n * per_participant`` cores, so arbitrary float
+    sizes reach the ledger through the load model.
+    """
+
+    @staticmethod
+    def _ledger(per_participant, dc_cores, server_cores, max_participants):
+        model = MediaLoadModel(
+            cl_cores={media: per_participant for media in MediaType})
+        ledger = LocalFleetLedger(
+            {"dc-a": dc_cores}, make_policy("first_fit", load_model=model),
+            server_cores=server_cores, utilization_target=1.0)
+        configs = {n: CallConfig.build({"US": n}, MediaType.AUDIO)
+                   for n in range(1, max_participants + 1)}
+        ledger.load_plan(AllocationPlan(
+            slots=make_slots(3600.0, 1800.0),
+            shares={(0, config): {"dc-a": 5000.0}
+                    for config in configs.values()}))
+        return ledger, configs
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(min_value=0.01, max_value=1.0),
+           st.lists(st.tuples(st.booleans(),
+                              st.integers(min_value=1, max_value=8)),
+                    max_size=60),
+           st.integers(min_value=1, max_value=4))
+    def test_interleaved_round_trips_stay_consistent(self, per_participant,
+                                                     ops, n_servers):
+        """Committed capacity always equals the quantized sum of live
+        calls, no server goes negative, and releasing everything
+        restores exactly zero."""
+        ledger, configs = self._ledger(per_participant, 16.0 * n_servers,
+                                       16.0, 8)
+        fleet = ledger.fleet("dc-a")
+        total_mc = fleet.n_servers * fleet.usable_mc
+        live = {}
+        for i, (release_one, n) in enumerate(ops):
+            if release_one and live:
+                ledger.release(live.popitem()[0])
+            elif ledger.try_debit(0, configs[n], "dc-a", call_id=f"c{i}"):
+                live[f"c{i}"] = n
+            held = sum(to_microcores(per_participant * n)
+                       for n in live.values())
+            assert total_mc - int(fleet.free_mc.sum()) == held
+            assert (fleet.free_mc >= 0).all()
+        for call_id in live:
+            ledger.release(call_id)
+        assert (fleet.free_mc == fleet.usable_mc).all()
+        assert fleet.call_count.sum() == 0
+
+    def test_float_sliver_cannot_accumulate(self):
+        """The classic drift case: repeatedly placing/releasing 3 x 0.1
+        cores (whose float product is 0.30000000000000004) leaves
+        exactly zero."""
+        ledger, configs = self._ledger(0.1, 1.0, 1.0, 3)
+        fleet = ledger.fleet("dc-a")
+        assert fleet.n_servers == 1
+        for _ in range(1000):
+            assert ledger.try_debit(0, configs[3], "dc-a", call_id="a")
+            ledger.release("a")
+        assert fleet.free_mc[0] == fleet.usable_mc
+        # An exact-multiple fill still fits after all that churn.
+        for call_id, n in (("b", 3), ("c", 3), ("d", 3), ("e", 1)):
+            assert ledger.try_debit(0, configs[n], "dc-a", call_id=call_id)
+        assert fleet.free_mc[0] == 0
+
+    def test_exact_multiple_needs_no_extra_server(self):
+        # 0.1 * 3 > 0.3 in floats; integer microcores keep this at 1.
+        assert servers_for_cores(0.1 * 3, server_cores=0.3,
+                                 utilization_target=1.0) == 1
 
 
 class TestConcurrentDebits:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.allocation.realtime import RealTimeSelector
 from repro.core.errors import SwitchboardError
 from repro.simulation import ServiceSimulator, SimulationReport
 from repro.topology import Topology
@@ -77,11 +78,20 @@ class TestServiceSimulator:
             SimulationReport().overall_migration_rate
 
 
+class _ProcessTraceReference(ServiceSimulator):
+    """The per-day oracle: the selector replays the trace in process."""
+
+    def _serve_day(self, plan, trace, forecast):
+        selector = RealTimeSelector(self.topology, plan, self.freeze_window_s)
+        selector.process_trace(trace.calls)
+        return selector.stats, 0
+
+
 class TestServiceBackedSimulation:
     def test_service_path_matches_replay_path_per_day(self, topology):
-        """use_service=True swaps the in-process replay for the full
-        admission engine (sharded KV state, event stream); on one worker
-        it must reproduce the replay path's per-day stats exactly."""
+        """Every operational day goes through the full admission engine
+        (sharded KV state, event stream); on one worker it must
+        reproduce ``process_trace``'s per-day stats exactly."""
         from repro.config import PlannerConfig, ServiceConfig
 
         population = generate_population(topology.world, n_configs=30, seed=3)
@@ -91,9 +101,9 @@ class TestServiceBackedSimulation:
                                service=ServiceConfig(n_shards=4))
         kwargs = dict(bootstrap_days=3, reprovision_every=2, seed=5,
                       planner_config=config)
-        replayed = ServiceSimulator(topology, model, **kwargs).run(n_days=5)
-        served = ServiceSimulator(topology, model, use_service=True,
-                                  **kwargs).run(n_days=5)
+        replayed = _ProcessTraceReference(topology, model,
+                                          **kwargs).run(n_days=5)
+        served = ServiceSimulator(topology, model, **kwargs).run(n_days=5)
 
         assert len(served.days) == len(replayed.days)
         for expected, got in zip(replayed.days, served.days):

@@ -292,16 +292,17 @@ class TestSolveStats:
         assert zero.total_seconds == 0.0
 
 
-@pytest.mark.skipif(os.cpu_count() == 1, reason="needs >1 CPU to be meaningful")
 def test_parallel_sweep_not_pathologically_slow():
-    """On multi-core boxes the pool must not serialize the sweep."""
-    import time
-
+    """The pool must not serialize the sweep: scenarios are solved in
+    several worker processes, none in the parent, and the merged plan is
+    the sequential one.  (Asserted on where the work ran, not on wall
+    time, so the verdict does not depend on the box.)"""
     planner = CapacityPlanner(_PLACEMENT, _demand(_BASE_COUNTS))
-    start = time.perf_counter()
-    planner.plan_with_backup(method="max", workers=4)
-    parallel_s = time.perf_counter() - start
-    start = time.perf_counter()
-    planner.plan_with_backup(method="max")
-    sequential_s = time.perf_counter() - start
-    assert parallel_s < sequential_s * 3.0
+    parallel = planner.plan_with_backup(method="max", workers=4)
+    sequential = planner.plan_with_backup(method="max")
+    pids = {r.worker_pid for r in parallel.scenario_results}
+    assert len(pids) > 1 and None not in pids and os.getpid() not in pids
+    assert {r.worker_pid for r in sequential.scenario_results} == {None}
+    assert parallel.cores == pytest.approx(sequential.cores, abs=1e-6)
+    assert parallel.link_gbps == pytest.approx(sequential.link_gbps,
+                                               abs=1e-6)
