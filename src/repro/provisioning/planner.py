@@ -121,6 +121,13 @@ class CapacityPlan:
                 return result
         raise SolverError("plan has no F_0 scenario result")
 
+    def _solve_records(self) -> List[SolveStats]:
+        """One :class:`SolveStats` per solve: a ``joint`` plan hangs its
+        single solve's record on every scenario result, so records are
+        counted by identity, not once per result."""
+        return list({id(result.stats): result.stats
+                     for result in self.scenario_results}.values())
+
     def aggregate_stats(self) -> SolveStats:
         """Merged :class:`SolveStats` over every scenario solve.
 
@@ -131,9 +138,7 @@ class CapacityPlan:
         scenario was won by the same arm; use :meth:`arm_stats` for the
         per-arm breakdown.
         """
-        return SolveStats.combine(
-            result.stats for result in self.scenario_results
-        )
+        return SolveStats.combine(self._solve_records())
 
     def arm_stats(self) -> Dict[str, SolveStats]:
         """Per-arm aggregate :class:`SolveStats`, keyed by arm name.
@@ -143,9 +148,8 @@ class CapacityPlan:
         ``"dedup"`` with ``n_solves == 0``.
         """
         grouped: Dict[str, List[SolveStats]] = {}
-        for result in self.scenario_results:
-            grouped.setdefault(result.stats.arm or "exact",
-                               []).append(result.stats)
+        for stats in self._solve_records():
+            grouped.setdefault(stats.arm or "exact", []).append(stats)
         return {
             arm: SolveStats.combine(stats) for arm, stats in grouped.items()
         }

@@ -9,16 +9,14 @@ inflation *cushion* for the uncovered tail (§5.2).
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.core.errors import RecordError
-from repro.core.types import CallConfig
+from repro.core.types import CallConfig, make_slots
 from repro.records.database import CallRecordsDatabase
-from repro.records.record import CallLegRecord, CallRecord
 from repro.topology.builder import Topology
-from repro.records.latency_est import fabricate_leg_latency
 from repro.workload.arrivals import Demand
 from repro.workload.columnar import ColumnarTrace
 from repro.workload.trace import CallTrace
@@ -40,73 +38,68 @@ def ingest_trace(db: CallRecordsDatabase,
     when the records feed plans the real-time selector will reconcile
     against, so the plan's config keys match what the selector sees.
 
-    Columnar traces take a vectorized path: config resolution and
-    first-joiner DC lookup happen once per unique column value instead
-    of once per call (identical records either way).
+    The whole trace is appended as one chunk of columns: an object
+    :class:`CallTrace` is columnarized first (its ``series_id`` carried
+    along).  Each leg's latency is the ground-truth path latency times a
+    lognormal jitter, drawn for all legs at once in call-major,
+    ``config.spread`` order — the same stream, bit for bit, as one
+    :func:`~repro.records.latency_est.fabricate_leg_latency` call per leg.
     """
+    if latency_jitter_frac < 0:
+        raise RecordError("jitter fraction must be non-negative")
     if isinstance(trace, ColumnarTrace):
-        _ingest_columnar(db, trace, topology, dc_of_call, seed,
-                         latency_jitter_frac, freeze_after_s)
-        return
-    if dc_of_call is None:
-        dc_of_call = lambda call: topology.closest_dc(call.first_joiner.country)
-    rng = np.random.default_rng(seed)
-    for call in trace:
-        config = call.config(freeze_after_s)
-        dc_id = dc_of_call(call)
-        _ingest_call(db, topology, rng, latency_jitter_frac,
-                     call.call_id, config, dc_id,
-                     call.start_s, call.duration_s, call.series_id)
-
-
-def _ingest_columnar(db: CallRecordsDatabase, trace: ColumnarTrace,
-                     topology: Topology, dc_of_call, seed: int,
-                     latency_jitter_frac: float,
-                     freeze_after_s: Optional[float]) -> None:
-    """The struct-of-arrays ingest: same records, batch-resolved inputs."""
-    config_list, config_codes = trace.config_table(freeze_after_s)
-    if dc_of_call is None:
-        # closest_dc is a pure country -> DC map: resolve once per
-        # distinct first-joiner country code, then gather.
-        first_codes = trace.country_code[trace.first_positions()]
-        dc_by_code = {int(code): topology.closest_dc(trace.countries.value(int(code)))
-                      for code in np.unique(first_codes)}
-        dcs = [dc_by_code[int(code)] for code in first_codes]
+        columnar = trace
+        series_ids = [None] * trace.n_calls
     else:
-        dcs = [dc_of_call(trace.call(i)) for i in range(trace.n_calls)]
-    rng = np.random.default_rng(seed)
-    for i in range(trace.n_calls):
-        _ingest_call(db, topology, rng, latency_jitter_frac,
-                     trace.call_id(i), config_list[int(config_codes[i])],
-                     dcs[i],
-                     float(trace.start_s[i]), float(trace.duration_s[i]), None)
+        columnar = ColumnarTrace.from_trace(trace)
+        series_ids = [call.series_id for call in trace]
+    configs, config_code = columnar.config_table(freeze_after_s)
+    countries = columnar.countries.values
 
+    if dc_of_call is None:
+        # closest_dc is a pure country -> DC map: a table with one entry
+        # per country, coded by the first joiner's country.
+        dcs = [topology.closest_dc(country) for country in countries]
+        dc_code = columnar.first_country_codes()
+    else:
+        hosts: dict = {}
+        dc_code = np.array([hosts.setdefault(dc_of_call(call), len(hosts))
+                            for call in trace], dtype=np.int64)
+        dcs = list(hosts)
 
-def _ingest_call(db: CallRecordsDatabase, topology: Topology, rng,
-                 latency_jitter_frac: float, call_id: str, config: CallConfig,
-                 dc_id: str, start_s: float, duration_s: float,
-                 series_id: Optional[str]) -> None:
-    record = CallRecord(
-        call_id=call_id,
-        config=config,
-        dc_id=dc_id,
-        start_s=start_s,
-        duration_s=duration_s,
-        series_id=series_id,
+    # Per-config leg layout: one country code per participant in
+    # config.spread order, config k at layout[layout_start[k]:...].
+    country_code = {country: code for code, country in enumerate(countries)}
+    layout = np.array([country_code[country] for config in configs
+                       for country in config.participants()], dtype=np.int64)
+    legs_per_config = np.array([c.participant_count for c in configs],
+                               dtype=np.int64)
+    layout_start = np.cumsum(legs_per_config) - legs_per_config
+    legs_per_call = legs_per_config[config_code]
+    call_start = np.cumsum(legs_per_call) - legs_per_call
+    n_legs = int(legs_per_call.sum())
+    leg_country = layout[np.repeat(layout_start[config_code] - call_start,
+                                   legs_per_call) + np.arange(n_legs)]
+
+    # Dense (dc code, country) key per leg -> the keys that occur, coded
+    # in key order, and the ground-truth latency of each.
+    leg_key = np.repeat(dc_code, legs_per_call) * len(countries) + leg_country
+    used = np.flatnonzero(np.bincount(leg_key, minlength=len(dcs) * len(countries)))
+    pairs = [(dcs[key // len(countries)], countries[key % len(countries)])
+             for key in used.tolist()]
+    truth_ms = np.array([topology.latency.latency_ms(dc_id, country)
+                         for dc_id, country in pairs], dtype=np.float64)
+    leg_pair_code = np.searchsorted(used, leg_key)
+    jitter = np.random.default_rng(seed).lognormal(
+        mean=0.0, sigma=latency_jitter_frac, size=n_legs)
+
+    db.append(
+        call_ids=columnar.call_ids(), series_ids=series_ids,
+        start_s=columnar.start_s, duration_s=columnar.duration_s,
+        configs=configs, config_code=config_code, dcs=dcs, dc_code=dc_code,
+        pairs=pairs, leg_pair_code=leg_pair_code,
+        leg_latency_ms=truth_ms[leg_pair_code] * jitter,
     )
-    legs: List[CallLegRecord] = []
-    for country, count in config.spread:
-        for _ in range(count):
-            legs.append(CallLegRecord(
-                call_id=call_id,
-                participant_country=country,
-                dc_id=dc_id,
-                latency_ms=fabricate_leg_latency(
-                    topology.latency, dc_id, country, rng, latency_jitter_frac
-                ),
-                start_s=start_s,
-            ))
-    db.ingest(record, legs)
 
 
 def demand_from_database(db: CallRecordsDatabase,
@@ -121,8 +114,7 @@ def demand_from_database(db: CallRecordsDatabase,
     chosen = list(configs) if configs is not None else db.configs()
     if not chosen:
         raise RecordError("no configs to aggregate")
-    series = db.all_timeseries(chosen)
-    counts = np.stack([series[config] for config in chosen], axis=1)
+    counts = db.timeseries_matrix(chosen)
     if n_buckets is not None:
         if n_buckets < 1:
             raise RecordError("n_buckets must be >= 1")
@@ -131,8 +123,6 @@ def demand_from_database(db: CallRecordsDatabase,
             counts = np.vstack([counts, pad])
         else:
             counts = counts[:n_buckets]
-        from repro.core.types import make_slots
-
         slots = make_slots(n_buckets * db.bucket_s, db.bucket_s)
     else:
         slots = db.slots()

@@ -12,7 +12,6 @@ exercised synthetically.
 
 from __future__ import annotations
 
-import statistics
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -37,14 +36,14 @@ def estimate_latency_matrix(db: CallRecordsDatabase,
     if min_samples < 1:
         raise RecordError("min_samples must be >= 1")
     reference = fallback if fallback is not None else topology.latency
+    medians = db.leg_latency_medians(min_samples)
     matrix: Dict[Tuple[str, str], float] = {}
     for dc_id in topology.fleet.ids:
         for country in topology.world.codes:
-            samples = db.leg_latency_samples(dc_id, country)
-            if len(samples) >= min_samples:
-                matrix[(dc_id, country)] = float(statistics.median(samples))
-            else:
-                matrix[(dc_id, country)] = reference.latency_ms(dc_id, country)
+            median = medians.get((dc_id, country))
+            matrix[(dc_id, country)] = (
+                median if median is not None
+                else reference.latency_ms(dc_id, country))
     return MatrixLatencyModel(matrix)
 
 

@@ -45,6 +45,8 @@ class CallRecord:
     series_id: Optional[str] = None
 
     def __post_init__(self) -> None:
+        if self.start_s < 0:
+            raise RecordError(f"negative start time on call {self.call_id}")
         if self.duration_s < 0:
             raise RecordError(f"negative duration on call {self.call_id}")
 

@@ -11,8 +11,8 @@ service-smoke CI job and ``bench_service`` assert.
 Generation itself runs on the columnar data plane
 (:class:`~repro.workload.columnar.ColumnarTrace` →
 :class:`~repro.controller.columnar.ColumnarEventBatch`); the object
-``trace``/``events`` fields of :class:`GeneratedLoad` are materialized
-views for callers that want them.  :meth:`LoadGenerator.stream` is the
+``trace``/``events`` of :class:`GeneratedLoad` are views materialized
+only when a caller asks for them.  :meth:`LoadGenerator.stream` is the
 bounded-memory variant: it never holds more than one chunk of slots in
 memory, regenerating chunks deterministically from the seed.
 """
@@ -20,6 +20,7 @@ memory, regenerating chunks deterministically from the seed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterator, List, Optional
 
 import numpy as np
@@ -45,30 +46,38 @@ from repro.workload.trace import DEFAULT_CHUNK_SLOTS, CallTrace, TraceGenerator
 
 @dataclass
 class GeneratedLoad:
-    """One generated serving workload: calls, their events, and demand."""
+    """One generated serving workload: calls, their events, and demand.
 
-    trace: CallTrace
-    events: List[ControllerEvent]
+    Held as columns; ``trace`` and ``events`` are object views built (and
+    cached) on first access, for callers at the object edge — serving a
+    load never touches them.
+    """
+
+    columnar: ColumnarTrace
+    batch: ColumnarEventBatch
     #: Freeze-time demand of exactly the kept calls — what the plan the
     #: engine serves against should be built from.
     demand: Demand
     freeze_window_s: float
-    #: The same trace/stream in struct-of-arrays form.  ``trace`` and
-    #: ``events`` above are object views of these columns.
-    columnar: Optional[ColumnarTrace] = None
-    batch: Optional[ColumnarEventBatch] = None
+
+    @cached_property
+    def trace(self) -> CallTrace:
+        return self.columnar.to_trace()
+
+    @cached_property
+    def events(self) -> List[ControllerEvent]:
+        return self.batch.to_events()
 
     @property
     def n_calls(self) -> int:
-        return len(self.trace)
+        return self.columnar.n_calls
 
     @property
     def n_events(self) -> int:
-        return len(self.events)
+        return len(self.batch)
 
     def peak_event_rate(self, window_s: float = 60.0) -> float:
-        source = self.batch if self.batch is not None else self.events
-        return peak_event_rate(source, window_s)
+        return peak_event_rate(self.batch, window_s)
 
 
 @dataclass
@@ -152,12 +161,10 @@ class LoadGenerator:
             0, self._kept_calls(trace, self.freeze_window_s, target_events))
         batch = build_event_batch(subset, self.freeze_window_s)
         return GeneratedLoad(
-            trace=subset.to_trace(),
-            events=batch.to_events(),
-            demand=subset.to_demand(freeze_after_s=self.freeze_window_s),
-            freeze_window_s=self.freeze_window_s,
             columnar=subset,
             batch=batch,
+            demand=subset.to_demand(freeze_after_s=self.freeze_window_s),
+            freeze_window_s=self.freeze_window_s,
         )
 
     # ------------------------------------------------------------------

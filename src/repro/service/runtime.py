@@ -127,7 +127,7 @@ class ServiceRuntime:
         iterable of batches, or an object event stream.
         """
         if isinstance(load, GeneratedLoad):
-            payload = load.batch if load.batch is not None else load.events
+            payload = load.batch
         elif isinstance(load, StreamingLoad):
             payload = load.batches()
         else:

@@ -377,26 +377,38 @@ class ColumnarTrace:
         upair, ucount = np.unique(pair, return_counts=True)
         ucall = upair // n_countries
         uctry = (upair % n_countries).astype(np.int32)
-        lo = np.searchsorted(ucall, np.arange(self.n_calls))
-        hi = np.searchsorted(ucall, np.arange(self.n_calls), side="right")
+        bounds = np.searchsorted(ucall, np.arange(self.n_calls + 1))
+
+        # One token per (country, count), one row per call in country-code
+        # order (0 = no such position): equal rows <=> equal spreads.
+        token = uctry.astype(np.int64) * (int(ucount.max()) + 1) + ucount
+        rows = np.zeros((self.n_calls, int(np.diff(bounds).max())),
+                        dtype=np.int64)
+        rows[ucall, np.arange(upair.shape[0]) - bounds[ucall]] = token
+        # Refine a per-call key one position at a time: after column p two
+        # calls share a key iff they agree on media and tokens 0..p.
+        # Re-ranking each step keeps the key below n_calls (no overflow).
+        call_key = call_media.astype(np.int64)
+        base = int(token.max()) + 1
+        for p in range(rows.shape[1]):
+            call_key = np.unique(call_key * base + rows[:, p],
+                                 return_inverse=True)[1]
+        _, first, inverse = np.unique(call_key, return_index=True,
+                                      return_inverse=True)
+        # np.unique numbers keys in sorted order; renumber by first
+        # appearance (call order).
+        order = np.argsort(first)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.shape[0])
+        codes = rank[inverse]
 
         configs: List[CallConfig] = []
-        interned: Dict[Tuple[bytes, bytes, int], int] = {}
-        codes = np.empty(self.n_calls, dtype=np.int64)
-        for i in range(self.n_calls):
-            s, e = lo[i], hi[i]
-            ckey = (uctry[s:e].tobytes(), ucount[s:e].tobytes(),
-                    int(call_media[i]))
-            idx = interned.get(ckey)
-            if idx is None:
-                spread = {self.countries.value(int(c)): int(k)
-                          for c, k in zip(uctry[s:e], ucount[s:e])}
-                config = CallConfig.build(
-                    spread, MediaType.from_code(int(call_media[i])))
-                idx = len(configs)
-                interned[ckey] = idx
-                configs.append(config)
-            codes[i] = idx
+        for i in first[order].tolist():
+            s, e = bounds[i], bounds[i + 1]
+            spread = {self.countries.value(int(c)): int(k)
+                      for c, k in zip(uctry[s:e], ucount[s:e])}
+            configs.append(CallConfig.build(
+                spread, MediaType.from_code(int(call_media[i]))))
         result = (configs, codes)
         self._config_cache[key] = result
         return result

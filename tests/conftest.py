@@ -8,6 +8,7 @@ mutates must be built inside the test.
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.core.types import make_slots
 from repro.provisioning.demand import PlacementData
@@ -20,6 +21,10 @@ from repro.workload.configs import generate_population
 from repro.workload.diurnal import DiurnalModel
 from repro.workload.media import MediaLoadModel
 from repro.workload.trace import TraceGenerator
+
+# `pytest --hypothesis-profile=ci` (the CI test job): the same examples on
+# every run, so a red build is a reproducible one.
+settings.register_profile("ci", derandomize=True)
 
 
 @pytest.fixture(scope="session")

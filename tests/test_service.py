@@ -86,6 +86,30 @@ class TestLoadGenerator:
         times = [e.t_s for e in load.events]
         assert times == sorted(times)
 
+    def test_object_views_are_lazy(self, topology, plan):
+        """Generating and serving a load reads its columns only; the
+        object views appear on first access and are then cached."""
+        from repro.config import ServiceConfig
+        from repro.service import ServiceRuntime
+
+        fresh = LoadGenerator(topology, n_configs=40,
+                              calls_per_slot_at_peak=40.0,
+                              seed=7).generate(target_events=2500)
+        report = ServiceRuntime.from_config(
+            topology, plan, ServiceConfig()).run(fresh)
+        report.require_exact_accounting()
+        assert fresh.n_calls == report.generated_calls
+        assert fresh.n_events == report.events_total
+        assert fresh.peak_event_rate() > 0
+        assert "trace" not in vars(fresh) and "events" not in vars(fresh)
+
+        assert fresh.trace is fresh.trace and fresh.events is fresh.events
+        assert isinstance(fresh.trace, CallTrace)
+        assert fresh.trace.calls == fresh.columnar.to_trace().calls
+        assert [(e.t_s, e.event_type, e.call_id) for e in fresh.events] == \
+            [(e.t_s, e.event_type, e.call_id)
+             for e in event_stream(fresh.trace, fresh.freeze_window_s)]
+
     def test_invalid_parameters(self, topology):
         gen = LoadGenerator(topology, n_configs=10,
                             calls_per_slot_at_peak=10.0)

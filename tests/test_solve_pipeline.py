@@ -272,6 +272,31 @@ class TestSolveStats:
         plan = planner.plan_with_backup(max_link_scenarios=0, method="joint")
         assert all(r.stats.n_rows > 0 for r in plan.scenario_results)
 
+    def test_joint_plan_counts_its_one_solve_once(self):
+        planner = CapacityPlanner(_PLACEMENT, _demand(_BASE_COUNTS))
+        plan = planner.plan_with_backup(max_link_scenarios=0, method="joint")
+        assert len(plan.scenario_results) > 1
+        solve = plan.scenario_results[0].stats
+        for stats in (plan.aggregate_stats(),
+                      plan.arm_stats()[solve.arm or "exact"]):
+            assert stats.n_solves == 1
+            assert stats.solver_seconds == solve.solver_seconds
+            assert stats.assembly_seconds == solve.assembly_seconds
+            assert stats.nnz == solve.nnz
+        assert len(plan.arm_stats()) == 1
+
+    def test_max_plan_still_sums_every_scenario(self):
+        planner = CapacityPlanner(_PLACEMENT, _demand(_BASE_COUNTS))
+        plan = planner.plan_with_backup(max_link_scenarios=0, method="max")
+        results = plan.scenario_results
+        aggregate = plan.aggregate_stats()
+        assert aggregate.n_solves == sum(r.stats.n_solves for r in results)
+        assert aggregate.nnz == sum(r.stats.nnz for r in results)
+        assert aggregate.solver_seconds == pytest.approx(
+            sum(r.stats.solver_seconds for r in results))
+        assert sum(s.n_solves for s in plan.arm_stats().values()) == \
+            aggregate.n_solves
+
     def test_parallel_results_carry_stats(self):
         planner = CapacityPlanner(_PLACEMENT, _demand(_BASE_COUNTS))
         plan = planner.plan_with_backup(method="max", workers=2)
