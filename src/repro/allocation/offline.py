@@ -17,13 +17,14 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
 from repro.core.types import CallConfig
 from repro.allocation.plan import AllocationPlan
 from repro.provisioning.demand import PlacementData
+from repro.provisioning.formulation import assemble_serving_blocks
 from repro.provisioning.lp import LinearProgram, SolveStats
 from repro.provisioning.planner import CapacityPlan
 from repro.workload.arrivals import Demand
@@ -76,121 +77,37 @@ class AllocationOptimizer:
         self.capacity = capacity
 
     def allocate(self, demand: Demand) -> AllocationOutcome:
-        """Assemble (batched, slot axis vectorized) and solve the LP."""
+        """Assemble (the shared serving-block assembler, one block) and
+        solve the LP."""
         t_build = time.perf_counter()
         lp = LinearProgram()
-        counts = demand.counts
-        n_slots = demand.n_slots
+        topology = self.placement.topology
+        options = [self.placement.options(config) for config in demand.configs]
+        objective = []
+        for config, config_options in zip(demand.configs, options):
+            guess_dc = topology.closest_dc(config.majority_country)
+            objective.append([
+                option.acl_ms - (_GUESS_ALIGNMENT_BONUS_MS
+                                 if option.dc_id == guess_dc else 0.0)
+                for option in config_options
+            ])
 
-        # Pass 1 — which (slot, DC) / (slot, link) capacity rows exist.
-        active = counts > 0
-        active_slots: List[np.ndarray] = []
-        dc_mask: Dict[str, np.ndarray] = {}
-        link_mask: Dict[str, np.ndarray] = {}
-        options_by_config = {}
-        for j, config in enumerate(demand.configs):
-            slots_j = np.nonzero(active[:, j])[0]
-            active_slots.append(slots_j)
-            options = self.placement.options(config)
-            options_by_config[config] = options
-            if slots_j.size == 0:
-                continue
-            for option in options:
-                if option.dc_id not in dc_mask:
-                    dc_mask[option.dc_id] = np.zeros(n_slots, dtype=bool)
-                dc_mask[option.dc_id][slots_j] = True
-                for link_id in option.link_gbps:
-                    if link_id not in link_mask:
-                        link_mask[link_id] = np.zeros(n_slots, dtype=bool)
-                    link_mask[link_id][slots_j] = True
-
-        # Capacity rows carry an expensive overflow slack each, so the LP
-        # always solves and reports how far demand outran the plan.
-        compute_row: Dict[str, np.ndarray] = {}
-        for dc_id in sorted(dc_mask):
-            slots = np.nonzero(dc_mask[dc_id])[0]
-            cap = self.capacity.cores.get(dc_id, 0.0)
-            start = lp.less_equal.new_rows(np.full(slots.size, cap))
-            rows = np.arange(start, start + slots.size)
-            over_start = lp.variables.add_batch(
-                [("over_cp", int(t), dc_id) for t in slots],
+        def capacity_row(kind, resource, slots):
+            # Each capacity row carries its own expensive overflow slack,
+            # so the LP always solves and reports how far demand outran
+            # the plan.
+            if kind == "CP":
+                cap, slack = self.capacity.cores.get(resource, 0.0), "over_cp"
+            else:
+                cap, slack = self.capacity.link_gbps.get(resource, 0.0), "over_np"
+            start = lp.variables.add_batch(
+                [(slack, int(t), resource) for t in slots],
                 objective=_OVERFLOW_PENALTY,
             )
-            lp.less_equal.add_terms(
-                rows, np.arange(over_start, over_start + slots.size), -1.0
-            )
-            row_of = np.full(n_slots, -1, dtype=np.int64)
-            row_of[slots] = rows
-            compute_row[dc_id] = row_of
+            return np.full(slots.size, cap), np.arange(start, start + slots.size)
 
-        network_row: Dict[str, np.ndarray] = {}
-        for link_id in sorted(link_mask):
-            slots = np.nonzero(link_mask[link_id])[0]
-            cap = self.capacity.link_gbps.get(link_id, 0.0)
-            start = lp.less_equal.new_rows(np.full(slots.size, cap))
-            rows = np.arange(start, start + slots.size)
-            over_start = lp.variables.add_batch(
-                [("over_np", int(t), link_id) for t in slots],
-                objective=_OVERFLOW_PENALTY,
-            )
-            lp.less_equal.add_terms(
-                rows, np.arange(over_start, over_start + slots.size), -1.0
-            )
-            row_of = np.full(n_slots, -1, dtype=np.int64)
-            row_of[slots] = rows
-            network_row[link_id] = row_of
-
-        # Pass 2 — S variables, one contiguous block (option-major ×
-        # active slots) and four batched appends per config.
-        for j, config in enumerate(demand.configs):
-            slots_j = active_slots[j]
-            if slots_j.size == 0:
-                continue
-            n_active = slots_j.size
-            slot_list = slots_j.tolist()
-            options = options_by_config[config]
-            eq_start = lp.equal.new_rows(counts[slots_j, j])
-            eq_rows = np.arange(eq_start, eq_start + n_active)
-            guess_dc = self.placement.topology.closest_dc(
-                config.majority_country
-            )
-
-            keys = [
-                ("S", t, j, option.dc_id)
-                for option in options for t in slot_list
-            ]
-            objective = np.repeat(
-                [option.acl_ms - (_GUESS_ALIGNMENT_BONUS_MS
-                                  if option.dc_id == guess_dc else 0.0)
-                 for option in options],
-                n_active,
-            )
-            col_start = lp.variables.add_batch(keys, objective=objective)
-            cols = np.arange(
-                col_start, col_start + len(options) * n_active
-            ).reshape(len(options), n_active)
-
-            lp.equal.add_terms(np.tile(eq_rows, len(options)), cols.ravel(), 1.0)
-            lp.less_equal.add_terms(
-                np.concatenate([
-                    compute_row[option.dc_id][slots_j] for option in options
-                ]),
-                cols.ravel(),
-                np.repeat([option.cores_per_call for option in options],
-                          n_active),
-            )
-            link_rows, link_cols, link_vals = [], [], []
-            for k, option in enumerate(options):
-                for link_id, gbps in option.link_gbps.items():
-                    link_rows.append(network_row[link_id][slots_j])
-                    link_cols.append(cols[k])
-                    link_vals.append(gbps)
-            if link_rows:
-                lp.less_equal.add_terms(
-                    np.concatenate(link_rows),
-                    np.concatenate(link_cols),
-                    np.repeat(link_vals, n_active),
-                )
+        assemble_serving_blocks(lp, demand.counts, [(None, options, objective)],
+                                capacity_row)
 
         assembly_seconds = time.perf_counter() - t_build
         solution = lp.solve(description="daily allocation LP",

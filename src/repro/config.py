@@ -21,8 +21,9 @@ injection), and travels as a single immutable value:
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Mapping, Optional, Tuple
 
 from repro.core.errors import SwitchboardError
 from repro.core.units import DEFAULT_LATENCY_THRESHOLD_MS
@@ -34,10 +35,7 @@ if TYPE_CHECKING:
     from repro.resilience.faults import FaultPlan
 
 #: Methods plan_with_backup understands, i.e. valid non-terminal rungs.
-#: ``decomposed`` is the master/subproblem bound-exchange split of the
-#: joint formulation (serving LP + per-scenario backup subproblems with a
-#: provable gap report).
-BACKUP_METHODS = ("joint", "incremental", "max", "decomposed")
+BACKUP_METHODS = ("joint", "incremental", "max")
 
 #: The full degradation ladder, most faithful first.  ``locality`` is the
 #: LP-free terminal rung that can always produce *a* plan.
@@ -45,12 +43,30 @@ DEFAULT_LADDER: Tuple[str, ...] = ("joint", "max", "incremental", "locality")
 
 
 #: Arms the solver portfolio can race, in the canonical cheap-first order.
-PORTFOLIO_ARMS = ("locality", "lagrangean", "exact")
+PORTFOLIO_ARMS = ("locality", "exact")
+
+
+def checked_core_limits(limits: Optional[Mapping[str, float]],
+                        error: type = SwitchboardError) -> Dict[str, float]:
+    """``limits`` as a plain dict, refusing any cap that is negative or
+    not finite (raised as ``error``).
+
+    Such a cap is no capacity at all: an LP would read it as "DC unusable"
+    or as an infeasible scenario depending on how the cap meets its base,
+    and the degradation ladder would hide either behind a fallback rung.
+    The configuration and the provisioning LP both reject it up front.
+    """
+    caps = dict(limits) if limits else {}
+    for dc_id, cap in caps.items():
+        if not math.isfinite(cap) or cap < 0:
+            raise error(f"dc_core_limits[{dc_id!r}] = {cap!r}: a core cap "
+                        f"must be finite and >= 0")
+    return caps
 
 
 @dataclass(frozen=True)
 class PortfolioConfig:
-    """Knobs of the decomposed/warm-started/raced planner.
+    """Knobs of the warm-started, raced scenario sweep.
 
     * ``arms`` — race lineup for each empty-base scenario solve, run in
       the given order (cheapest bound first).  A plan is accepted the
@@ -69,10 +85,6 @@ class PortfolioConfig:
     * ``dedupe`` — collapse structurally identical failure scenarios
       (same surviving-option sets) before the sweep and fan results back
       out.
-    * ``decomposition_gap`` — target relative gap of the
-      ``backup_method="decomposed"`` bound-exchange loop.
-    * ``decomposition_max_iterations`` — refinement-iteration cap of that
-      loop (it reports its achieved gap either way).
     """
 
     arms: Tuple[str, ...] = PORTFOLIO_ARMS
@@ -80,8 +92,6 @@ class PortfolioConfig:
     warm_start: bool = True
     max_pricing_rounds: int = 2
     dedupe: bool = True
-    decomposition_gap: float = 0.05
-    decomposition_max_iterations: int = 4
 
     def __post_init__(self):
         if not self.arms:
@@ -96,11 +106,6 @@ class PortfolioConfig:
             raise SwitchboardError("portfolio gap must be >= 0")
         if self.max_pricing_rounds < 1:
             raise SwitchboardError("max_pricing_rounds must be >= 1")
-        if self.decomposition_gap < 0:
-            raise SwitchboardError("decomposition_gap must be >= 0")
-        if self.decomposition_max_iterations < 1:
-            raise SwitchboardError(
-                "decomposition_max_iterations must be >= 1")
 
     def but(self, **overrides: Any) -> "PortfolioConfig":
         """A copy with the given fields replaced (frozen-friendly)."""
@@ -384,9 +389,8 @@ class PlannerConfig:
     service: Optional[ServiceConfig] = None
     packing: Optional[PackingConfig] = None
     autoscale: Optional[AutoscaleConfig] = None
-    #: Decomposition / warm-start / arm-racing knobs
-    #: (:class:`PortfolioConfig`); ``None`` keeps every scenario on the
-    #: historical cold exact-LP path.
+    #: Warm-start / arm-racing / dedup knobs (:class:`PortfolioConfig`);
+    #: ``None`` keeps every scenario on the historical cold exact-LP path.
     portfolio: Optional[PortfolioConfig] = None
 
     def __post_init__(self):
@@ -414,6 +418,7 @@ class PlannerConfig:
             raise SwitchboardError("pool_restarts must be >= 0")
         if self.workers is not None and self.workers < 1:
             raise SwitchboardError("workers must be a positive integer")
+        checked_core_limits(self.dc_core_limits)
 
     def but(self, **overrides: Any) -> "PlannerConfig":
         """A copy with the given fields replaced (frozen-friendly)."""

@@ -2,7 +2,6 @@
 
 from repro.provisioning.background import BackgroundTraffic, diurnal_background
 from repro.provisioning.backup_lp import solve_backup_lp, total_backup
-from repro.provisioning.decomposition import DecompositionReport, plan_decomposed
 from repro.provisioning.demand import PlacementData, PlacementOption
 from repro.provisioning.failures import (
     NO_FAILURE,
@@ -36,7 +35,6 @@ __all__ = [
     "CapacityPlan",
     "CapacityPlanner",
     "ConstraintSet",
-    "DecompositionReport",
     "FailureScenario",
     "LPInstance",
     "LPSolution",
@@ -54,7 +52,6 @@ __all__ = [
     "diurnal_background",
     "enumerate_compound_scenarios",
     "enumerate_scenarios",
-    "plan_decomposed",
     "run_race",
     "scenario_lower_bound",
     "scenario_structure_signature",

@@ -22,6 +22,15 @@ The *peak-awareness* of §4.1 is native to this formulation: ``CP_x`` and
 by pushing peak-hour calls to DCs that are off-peak, while off-peak hours
 ride under capacity that peak hours already paid for.
 
+**One serving-block assembler.**  The ``S_tcx`` block — activity masks,
+capacity rows, option-major ``S`` columns with their completeness /
+compute / network terms — is written once, in
+:func:`assemble_serving_blocks`.  :class:`ScenarioLP` calls it with one
+block; the joint LP (:mod:`repro.provisioning.joint`) with one block per
+scenario over shared ``CP``/``NP`` columns; the daily allocation LP
+(:mod:`repro.allocation.offline`) with one block and an overflow slack
+per capacity row.
+
 **Incremental (base-capacity) mode** implements the joint serving+backup
 repurposing of §4.2: when ``base_cores``/``base_links`` are given, the
 capacity variables price only what a scenario needs **in excess of** what
@@ -48,15 +57,20 @@ tolerance the way max-normalization would.
 
 from __future__ import annotations
 
+import copy
+import functools
 import time
+from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple
+from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Mapping,
+                    Optional, Sequence, Tuple)
 
 import numpy as np
 
+from repro.config import checked_core_limits
 from repro.core.errors import InfeasibleError, SolverError
 from repro.core.types import CallConfig
-from repro.provisioning.demand import PlacementData
+from repro.provisioning.demand import PlacementData, PlacementOption
 from repro.provisioning.failures import NO_FAILURE, FailureScenario
 from repro.provisioning.lp import (
     LinearProgram,
@@ -139,8 +153,9 @@ class ScenarioResult:
 
     ``cores``/``link_gbps`` are the *total* capacity this scenario needs
     (base + excess); ``excess_cores``/``excess_links`` are what it needed
-    beyond the base it was given.  ``stats`` records the LP's size and
-    where its wall-clock time went.
+    beyond the base it was given.  ``cost`` is Eq 3 priced at ``cores`` /
+    ``link_gbps`` (no secondary objective terms).  ``stats`` records the
+    LP's size and where its wall-clock time went.
     """
 
     scenario: FailureScenario
@@ -176,6 +191,124 @@ class ScenarioResult:
         return weighted / total
 
 
+#: One serving block of :func:`assemble_serving_blocks`: its ``S`` key tag
+#: (``None`` for ``("S", t, j, dc)``, an int ``f`` for
+#: ``("S", f, t, j, dc)``), the placement options of each config (indexed
+#: like the demand's configs) and the ``S`` objective of each option.
+ServingBlock = Tuple[Optional[int], Sequence[Sequence[PlacementOption]],
+                     Sequence[Sequence[float]]]
+
+#: ``capacity_row(kind, resource, slots) -> (rhs, coupling)``: the
+#: right-hand sides of one resource's capacity rows (one per slot) and the
+#: column(s) entering them with coefficient -1.  ``kind`` is ``"CP"`` for
+#: a DC and ``"NP"`` for a link; ``coupling`` is one shared column index
+#: or one column per row.
+CapacityRow = Callable[[str, str, np.ndarray], Tuple[np.ndarray, Any]]
+
+
+def assemble_serving_blocks(lp: LinearProgram, counts: np.ndarray,
+                            blocks: Sequence[ServingBlock],
+                            capacity_row: CapacityRow) -> None:
+    """Add the ``S_tcx`` block(s) of §5.3's LP family to ``lp``.
+
+    The provisioning LP (one block), the joint serving+backup LP (one
+    block per scenario over shared ``CP``/``NP`` columns) and the daily
+    allocation LP (one block, an overflow slack per capacity row) all
+    share this block.  A capacity row exists for every (DC, slot) and
+    (link, slot) that some config with demand in that slot can load in
+    that block; ``capacity_row`` supplies its RHS and coupling column.
+    Each (config, option) then gets one contiguous run of ``S`` columns
+    across the config's active slots, appended to the completeness
+    (Eq 9), compute (Eq 5) and network (Eq 6) rows as whole arrays.
+
+    Numbering is a contract — an equivalent but re-numbered degenerate LP
+    can send HiGHS to a different optimal vertex: compute rows in sorted
+    (block, DC) order, then network rows in sorted (block, link) order;
+    ``S`` columns in (block, config, option, slot) order after every
+    column ``lp`` already holds or ``capacity_row`` adds.
+    """
+    n_slots, n_configs = counts.shape
+    active_slots = [np.nonzero(counts[:, j] > 0)[0] for j in range(n_configs)]
+
+    # Pass 1 — which capacity rows exist: per block, a slot mask per DC
+    # and per link.
+    new_mask = functools.partial(np.zeros, n_slots, dtype=bool)
+    masks = [(defaultdict(new_mask), defaultdict(new_mask)) for _ in blocks]
+    for (_, options, _), (dc_mask, link_mask) in zip(blocks, masks):
+        for j, slots_j in enumerate(active_slots):
+            if slots_j.size == 0:
+                continue
+            for option in options[j]:
+                dc_mask[option.dc_id][slots_j] = True
+                for link_id in option.link_gbps:
+                    link_mask[link_id][slots_j] = True
+
+    # One run of rows per (block, resource); rows[b] maps each DC and each
+    # link to its slot -> row array (-1 where the slot has no row).
+    rows = [({}, {}) for _ in blocks]
+    for family, kind in enumerate(("CP", "NP")):
+        for b, block_masks in enumerate(masks):
+            for resource in sorted(block_masks[family]):
+                slots = np.nonzero(block_masks[family][resource])[0]
+                rhs, coupling = capacity_row(kind, resource, slots)
+                start = lp.less_equal.new_rows(rhs)
+                resource_rows = np.arange(start, start + slots.size)
+                lp.less_equal.add_terms(resource_rows, coupling, -1.0)
+                row_of = np.full(n_slots, -1, dtype=np.int64)
+                row_of[slots] = resource_rows
+                rows[b][family][resource] = row_of
+
+    # Pass 2 — per (block, config): one contiguous S block (option-major
+    # × active slots) and four batched appends.
+    for (tag, options, objective), block_rows in zip(blocks, rows):
+        compute_row, network_row = block_rows
+        for j, slots_j in enumerate(active_slots):
+            n_active = slots_j.size
+            if n_active == 0:
+                continue
+            slot_list = slots_j.tolist()
+            config_options = options[j]
+            n_options = len(config_options)
+            eq_start = lp.equal.new_rows(counts[slots_j, j])
+            eq_rows = np.arange(eq_start, eq_start + n_active)
+
+            if tag is None:
+                keys = [("S", t, j, option.dc_id)
+                        for option in config_options for t in slot_list]
+            else:
+                keys = [("S", tag, t, j, option.dc_id)
+                        for option in config_options for t in slot_list]
+            col_start = lp.variables.add_batch(
+                keys, objective=np.repeat(objective[j], n_active)
+            )
+            cols = np.arange(
+                col_start, col_start + n_options * n_active
+            ).reshape(n_options, n_active)
+
+            lp.equal.add_terms(np.tile(eq_rows, n_options), cols.ravel(), 1.0)
+            lp.less_equal.add_terms(
+                np.concatenate([
+                    compute_row[option.dc_id][slots_j]
+                    for option in config_options
+                ]),
+                cols.ravel(),
+                np.repeat([option.cores_per_call for option in config_options],
+                          n_active),
+            )
+            link_rows, link_cols, link_vals = [], [], []
+            for k, option in enumerate(config_options):
+                for link_id, gbps in option.link_gbps.items():
+                    link_rows.append(network_row[link_id][slots_j])
+                    link_cols.append(cols[k])
+                    link_vals.append(gbps)
+            if link_rows:
+                lp.less_equal.add_terms(
+                    np.concatenate(link_rows),
+                    np.concatenate(link_cols),
+                    np.repeat(link_vals, n_active),
+                )
+
+
 class ScenarioLP:
     """Builds and solves the provisioning LP for one failure scenario."""
 
@@ -198,7 +331,8 @@ class ScenarioLP:
         ``dc_core_limits`` caps how many cores a DC can provision at all —
         clouds do run out of regional capacity (the paper's refs [1-3]);
         a binding cap pushes calls to other DCs, and an impossible demand
-        raises :class:`~repro.core.errors.InfeasibleError`.
+        raises :class:`~repro.core.errors.InfeasibleError`.  A negative or
+        non-finite cap raises :class:`~repro.core.errors.SolverError`.
         """
         self.placement = placement
         self.demand = demand
@@ -207,11 +341,16 @@ class ScenarioLP:
         self.base_links = dict(base_links) if base_links else {}
         self.latency_weight = latency_weight
         self.background = background
-        self.dc_core_limits = dict(dc_core_limits) if dc_core_limits else {}
+        self.dc_core_limits = checked_core_limits(dc_core_limits, SolverError)
+        #: ``(S key tag, scenario)`` per serving block: one untagged block
+        #: here; the joint LP
+        #: (:class:`~repro.provisioning.joint.JointProvisioningLP`) puts one
+        #: block per scenario, tagged with its index, over the same
+        #: capacity columns.
+        self.blocks: List[Tuple[Optional[int], FailureScenario]] = [
+            (None, scenario)
+        ]
         self._prepared: Optional[Tuple["ScenarioLP", LPInstance, float]] = None
-
-    def _survivor_options(self, config: CallConfig):
-        return self.placement.options_under_scenario(config, self.scenario)
 
     def _normalized(self, divisor: float) -> "ScenarioLP":
         """A copy of this problem with every absolute quantity ÷ divisor.
@@ -221,55 +360,49 @@ class ScenarioLP:
         HiGHS's absolute tolerances handle well.  Division (rather than
         multiplying by ``1/divisor``) stays finite for subnormal scales.
         """
-        return ScenarioLP(
-            self.placement,
-            Demand(self.demand.slots, self.demand.configs,
-                   self.demand.counts / divisor),
-            self.scenario,
-            base_cores={k: v / divisor for k, v in self.base_cores.items()},
-            base_links={k: v / divisor for k, v in self.base_links.items()},
-            latency_weight=self.latency_weight,
-            background=(
-                self.background.divided_by(divisor)
-                if self.background is not None else None
-            ),
-            dc_core_limits={
-                k: v / divisor for k, v in self.dc_core_limits.items()
-            },
-        )
+        problem = copy.copy(self)
+        problem.demand = Demand(self.demand.slots, self.demand.configs,
+                                self.demand.counts / divisor)
+        problem.base_cores = {k: v / divisor for k, v in self.base_cores.items()}
+        problem.base_links = {k: v / divisor for k, v in self.base_links.items()}
+        if self.background is not None:
+            problem.background = self.background.divided_by(divisor)
+        problem.dc_core_limits = {
+            k: v / divisor for k, v in self.dc_core_limits.items()
+        }
+        problem._prepared = None
+        return problem
 
     def build(self) -> LinearProgram:
-        """Assemble the LP with numpy-batched appends.
-
-        The slot axis is vectorized: each (config, option) contributes
-        one contiguous block of ``S`` variables across its active slots,
-        appended to the completeness / compute / network rows as whole
-        arrays rather than per-slot Python triplets.
-        """
+        """Assemble the LP: ``CP``/``NP`` columns, the serving block(s)
+        (:func:`assemble_serving_blocks`), then the background-peak rows."""
         lp = LinearProgram()
         topology = self.placement.topology
-        demand = self.demand
-        counts = demand.counts
-        n_slots = demand.n_slots
+        blocks: List[ServingBlock] = []
+        used_dcs: set = set()
+        used_links: set = set()
+        for tag, scenario in self.blocks:
+            options = [
+                self.placement.options_under_scenario(config, scenario)
+                for config in self.demand.configs
+            ]
+            for config_options in options:
+                for option in config_options:
+                    used_dcs.add(option.dc_id)
+                    used_links.update(option.link_gbps)
+            objective = [
+                [self.latency_weight * option.acl_ms for option in config_options]
+                for config_options in options
+            ]
+            blocks.append((tag, options, objective))
 
-        # Capacity variables only for DCs/links that can actually be used.
-        used_dcs = set()
-        used_links = set()
-        options_by_config = {}
-        for config in demand.configs:
-            options = self._survivor_options(config)
-            options_by_config[config] = options
-            for option in options:
-                used_dcs.add(option.dc_id)
-                used_links.update(option.link_gbps)
-
-        # Excess-capacity variables: what this scenario must buy on top of
-        # the base.  With an empty base these are the plain CP/NP of Eq 3.
+        # Capacity variables only for DCs/links that can actually be used:
+        # what this problem must buy on top of the base.  With an empty
+        # base these are the plain CP/NP of Eq 3.
         for dc_id in sorted(used_dcs):
             upper = None
             if dc_id in self.dc_core_limits:
-                # The CP variable is the *excess* over the base; the cap
-                # applies to base + excess.
+                # The cap applies to base + excess.
                 upper = max(
                     0.0,
                     self.dc_core_limits[dc_id] - self.base_cores.get(dc_id, 0.0),
@@ -279,106 +412,16 @@ class ScenarioLP:
         for link_id in sorted(used_links):
             lp.variables.add(("NP", link_id), objective=topology.wan_cost(link_id))
 
-        # Pass 1 — which (slot, DC) and (slot, link) capacity rows exist:
-        # a row is needed for every slot where some config with demand has
-        # an option touching that DC/link.
-        active = counts > 0  # (n_slots, n_configs)
-        dc_mask: Dict[str, np.ndarray] = {
-            dc_id: np.zeros(n_slots, dtype=bool) for dc_id in used_dcs
-        }
-        link_mask: Dict[str, np.ndarray] = {
-            link_id: np.zeros(n_slots, dtype=bool) for link_id in used_links
-        }
-        active_slots: List[np.ndarray] = []
-        for j, config in enumerate(demand.configs):
-            slots_j = np.nonzero(active[:, j])[0]
-            active_slots.append(slots_j)
-            if slots_j.size == 0:
-                continue
-            for option in options_by_config[config]:
-                dc_mask[option.dc_id][slots_j] = True
-                for link_id in option.link_gbps:
-                    link_mask[link_id][slots_j] = True
-
-        # Create the capacity rows in one block per DC/link.  compute_row
-        # and network_row map slot index -> row id (-1 where unused).
-        compute_row: Dict[str, np.ndarray] = {}
-        for dc_id in sorted(used_dcs):
-            slots = np.nonzero(dc_mask[dc_id])[0]
-            if slots.size == 0:
-                continue
-            base = self.base_cores.get(dc_id, 0.0)
-            start = lp.less_equal.new_rows(np.full(slots.size, base))
-            rows = np.arange(start, start + slots.size)
-            lp.less_equal.add_terms(rows, lp.variables[("CP", dc_id)], -1.0)
-            row_of = np.full(n_slots, -1, dtype=np.int64)
-            row_of[slots] = rows
-            compute_row[dc_id] = row_of
-
-        network_row: Dict[str, np.ndarray] = {}
-        for link_id in sorted(used_links):
-            slots = np.nonzero(link_mask[link_id])[0]
-            if slots.size == 0:
-                continue
-            rhs = np.full(slots.size, self.base_links.get(link_id, 0.0))
+        def capacity_row(kind, resource, slots):
+            if kind == "CP":
+                base = self.base_cores.get(resource, 0.0)
+                return np.full(slots.size, base), lp.variables[("CP", resource)]
+            rhs = np.full(slots.size, self.base_links.get(resource, 0.0))
             if self.background is not None:
-                rhs -= self.background.series(link_id)[slots]
-            start = lp.less_equal.new_rows(rhs)
-            rows = np.arange(start, start + slots.size)
-            lp.less_equal.add_terms(rows, lp.variables[("NP", link_id)], -1.0)
-            row_of = np.full(n_slots, -1, dtype=np.int64)
-            row_of[slots] = rows
-            network_row[link_id] = row_of
+                rhs -= self.background.series(resource)[slots]
+            return rhs, lp.variables[("NP", resource)]
 
-        # Pass 2 — S variables and their terms.  Each config contributes
-        # one contiguous variable block (option-major × active slots) and
-        # exactly four batched appends: completeness, compute, and one
-        # concatenated network append, so per-triplet Python overhead is
-        # gone from the hot path.
-        for j, config in enumerate(demand.configs):
-            slots_j = active_slots[j]
-            if slots_j.size == 0:
-                continue
-            n_active = slots_j.size
-            slot_list = slots_j.tolist()
-            options = options_by_config[config]
-            eq_start = lp.equal.new_rows(counts[slots_j, j])
-            eq_rows = np.arange(eq_start, eq_start + n_active)
-
-            keys = [
-                ("S", t, j, option.dc_id)
-                for option in options for t in slot_list
-            ]
-            objective = np.repeat(
-                [self.latency_weight * option.acl_ms for option in options],
-                n_active,
-            )
-            col_start = lp.variables.add_batch(keys, objective=objective)
-            cols = np.arange(
-                col_start, col_start + len(options) * n_active
-            ).reshape(len(options), n_active)
-
-            lp.equal.add_terms(np.tile(eq_rows, len(options)), cols.ravel(), 1.0)
-            lp.less_equal.add_terms(
-                np.concatenate([
-                    compute_row[option.dc_id][slots_j] for option in options
-                ]),
-                cols.ravel(),
-                np.repeat([option.cores_per_call for option in options],
-                          n_active),
-            )
-            link_rows, link_cols, link_vals = [], [], []
-            for k, option in enumerate(options):
-                for link_id, gbps in option.link_gbps.items():
-                    link_rows.append(network_row[link_id][slots_j])
-                    link_cols.append(cols[k])
-                    link_vals.append(gbps)
-            if link_rows:
-                lp.less_equal.add_terms(
-                    np.concatenate(link_rows),
-                    np.concatenate(link_cols),
-                    np.repeat(link_vals, n_active),
-                )
+        assemble_serving_blocks(lp, self.demand.counts, blocks, capacity_row)
 
         if self.background is not None:
             # NP must cover the background's own peak even in slots where
@@ -492,7 +535,19 @@ class ScenarioLP:
         support is written back for the next solve.  Warm or cold, the
         returned result is an exact optimum of the full LP.
         """
-        description = f"provisioning[{self.scenario.name}]"
+        return self.solve_blocks(warm_cache, max_pricing_rounds)[0]
+
+    def solve_blocks(self, warm_cache: Optional[WarmStartCache] = None,
+                     max_pricing_rounds: int = 2,
+                     description: Optional[str] = None
+                     ) -> List[ScenarioResult]:
+        """:meth:`solve`, returning one result per serving block.
+
+        The results share the capacities, their Eq 3 cost and the solve's
+        :class:`SolveStats` record; each carries its own block's shares.
+        """
+        if description is None:
+            description = f"provisioning[{self.scenario.name}]"
         try:
             problem, instance, scale = self.prepared()
             solution = None
@@ -513,19 +568,29 @@ class ScenarioLP:
                                dual_ineq=solution.dual_ineq,
                                dual_eq=solution.dual_eq)
         except InfeasibleError as exc:
-            diagnosis = diagnose_infeasibility(
-                self.placement, self.demand, self.scenario,
-                self.dc_core_limits,
-            )
+            diagnosis = self._diagnose()
             raise InfeasibleError(
                 f"{exc} [family: {diagnosis.get('family')}, "
-                f"scenario: {self.scenario.name}]",
+                f"scenario: {diagnosis.get('scenario')}]",
                 diagnosis=diagnosis,
             ) from None
         return self._extract(solution, problem.demand, scale)
 
+    def _diagnose(self) -> Dict[str, object]:
+        """The first block whose cheap diagnosis is conclusive, else an
+        ``"unknown"`` verdict naming every block's scenario."""
+        scenarios = [scenario for _, scenario in self.blocks]
+        for scenario in scenarios:
+            diagnosis = diagnose_infeasibility(
+                self.placement, self.demand, scenario, self.dc_core_limits,
+            )
+            if diagnosis.get("family") != "unknown" or len(scenarios) == 1:
+                return diagnosis
+        return {"family": "unknown",
+                "scenario": [scenario.name for scenario in scenarios]}
+
     def _extract(self, solution: LPSolution, solved_demand: Demand,
-                 scale: float = 1.0) -> ScenarioResult:
+                 scale: float = 1.0) -> List[ScenarioResult]:
         """Map a (possibly normalized) solution back to original units.
 
         ``solved_demand`` is the demand matrix the LP actually saw;
@@ -536,7 +601,7 @@ class ScenarioLP:
         """
         excess_cores: Dict[str, float] = {}
         excess_links: Dict[str, float] = {}
-        shares: Dict[Tuple[int, CallConfig], Dict[str, float]] = {}
+        shares: Dict[Optional[int], Dict] = {tag: {} for tag, _ in self.blocks}
         configs = self.demand.configs
         solved_counts = solved_demand.counts
         for key, value in solution.values.items():
@@ -546,9 +611,12 @@ class ScenarioLP:
             elif kind == "NP":
                 excess_links[key[1]] = value * scale
             elif kind == "S":
-                _, t, j, dc_id = key
+                t, j, dc_id = key[-3:]
                 if value > 0.0 and value >= 1e-9 * solved_counts[t, j]:
-                    shares.setdefault((t, configs[j]), {})[dc_id] = value * scale
+                    tag = key[1] if len(key) == 5 else None
+                    shares[tag].setdefault(
+                        (t, configs[j]), {}
+                    )[dc_id] = value * scale
 
         cores = dict(self.base_cores)
         for dc_id, extra in excess_cores.items():
@@ -562,13 +630,16 @@ class ScenarioLP:
             sum(topology.dc_cost(dc) * v for dc, v in cores.items())
             + sum(topology.wan_cost(l) * v for l, v in link_gbps.items())
         )
-        return ScenarioResult(
-            scenario=self.scenario,
-            cores=cores,
-            link_gbps=link_gbps,
-            excess_cores=excess_cores,
-            excess_links=excess_links,
-            shares=shares,
-            cost=cost,
-            stats=solution.stats,
-        )
+        return [
+            ScenarioResult(
+                scenario=scenario,
+                cores=cores,
+                link_gbps=link_gbps,
+                excess_cores=excess_cores,
+                excess_links=excess_links,
+                shares=shares[tag],
+                cost=cost,
+                stats=solution.stats,
+            )
+            for tag, scenario in self.blocks
+        ]

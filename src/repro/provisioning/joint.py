@@ -9,27 +9,21 @@ as in-LP constraints).  It is the reference the ablation benchmark
 compares the incremental planner against, and is practical for moderate
 instance sizes (the variable count multiplies by the scenario count).
 
-Assembly shares the batched-append scaffolding of
-:mod:`repro.provisioning.lp` (one block of ``S`` variables per scenario ×
-config × option across active slots), and the demand matrix is
-conditioned to a solver-friendly magnitude before the solve exactly as in
-:class:`~repro.provisioning.formulation.ScenarioLP` — see that module's
-docstring for the numerical-conditioning rationale.
+It is the per-scenario LP with more serving blocks: a
+:class:`~repro.provisioning.formulation.ScenarioLP` holding one block per
+scenario (``S`` keys tagged with the scenario's index) over one set of
+``CP``/``NP`` columns, so assembly, numerical conditioning, infeasibility
+diagnosis and extraction are that class's — see that module's docstring.
 """
 
 from __future__ import annotations
 
-import time
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Mapping, Optional
 
-import numpy as np
-
-from repro.core.errors import InfeasibleError, SolverError
-from repro.core.types import CallConfig
+from repro.core.errors import SolverError
 from repro.provisioning.demand import PlacementData
 from repro.provisioning.failures import FailureScenario
-from repro.provisioning.formulation import ScenarioResult, diagnose_infeasibility
-from repro.provisioning.lp import LinearProgram, conditioning_scale
+from repro.provisioning.formulation import ScenarioLP
 from repro.provisioning.planner import CapacityPlan
 from repro.workload.arrivals import Demand
 
@@ -53,225 +47,28 @@ class JointProvisioningLP:
                  scenarios: List[FailureScenario],
                  latency_weight: float = 1e-6,
                  background: Optional["BackgroundTraffic"] = None,
-                 dc_core_limits: Optional[dict] = None):
+                 dc_core_limits: Optional[Mapping[str, float]] = None):
         if not scenarios:
             raise SolverError("need at least one scenario")
         if latency_weight < 0:
             raise SolverError("latency weight must be non-negative")
-        self.placement = placement
-        self.demand = demand
-        self.scenarios = scenarios
-        self.latency_weight = latency_weight
-        self.background = background
-        self.dc_core_limits = dict(dc_core_limits) if dc_core_limits else {}
+        self.scenarios = list(scenarios)
+        self.problem = ScenarioLP(
+            placement, demand, self.scenarios[0],
+            latency_weight=latency_weight, background=background,
+            dc_core_limits=dc_core_limits,
+        )
+        self.problem.blocks = list(enumerate(self.scenarios))
 
     def solve(self) -> CapacityPlan:
-        t0 = time.perf_counter()
-        # Condition the inputs (demand and every absolute quantity sharing
-        # its constraint rows) by a common divisor; rescale the solution
-        # after.  See conditioning_scale for why geometric-mean + division.
-        raw_counts = self.demand.counts
-        groups = [raw_counts, list(self.dc_core_limits.values())]
-        if self.background is not None:
-            groups.extend(
-                self.background.series(link_id)
-                for link_id in self.background.links()
-            )
-        scale = conditioning_scale(*groups)
-        if scale != 1.0:
-            demand = Demand(self.demand.slots, self.demand.configs,
-                            raw_counts / scale)
-            background = (
-                self.background.divided_by(scale)
-                if self.background is not None else None
-            )
-            core_limits = {k: v / scale for k, v in self.dc_core_limits.items()}
-        else:
-            demand = self.demand
-            background = self.background
-            core_limits = self.dc_core_limits
-
-        lp = LinearProgram()
-        topology = self.placement.topology
-        counts = demand.counts
-        n_slots = demand.n_slots
-
-        # Survivor options per (scenario, config).
-        options_by: Dict[Tuple[int, CallConfig], list] = {}
-        used_dcs, used_links = set(), set()
-        for f, scenario in enumerate(self.scenarios):
-            for config in demand.configs:
-                options = self.placement.options_under_scenario(config, scenario)
-                options_by[(f, config)] = options
-                for option in options:
-                    used_dcs.add(option.dc_id)
-                    used_links.update(option.link_gbps)
-
-        for dc_id in sorted(used_dcs):
-            lp.variables.add(("CP", dc_id), objective=topology.dc_cost(dc_id),
-                             upper=core_limits.get(dc_id))
-        for link_id in sorted(used_links):
-            lp.variables.add(("NP", link_id), objective=topology.wan_cost(link_id))
-
-        # Pass 1 — which (scenario, slot, DC/link) capacity rows exist.
-        active = counts > 0
-        active_slots = [np.nonzero(active[:, j])[0]
-                        for j in range(demand.n_configs)]
-        dc_mask: Dict[Tuple[int, str], np.ndarray] = {}
-        link_mask: Dict[Tuple[int, str], np.ndarray] = {}
-        for f in range(len(self.scenarios)):
-            for j, config in enumerate(demand.configs):
-                slots_j = active_slots[j]
-                if slots_j.size == 0:
-                    continue
-                for option in options_by[(f, config)]:
-                    dc_key = (f, option.dc_id)
-                    if dc_key not in dc_mask:
-                        dc_mask[dc_key] = np.zeros(n_slots, dtype=bool)
-                    dc_mask[dc_key][slots_j] = True
-                    for link_id in option.link_gbps:
-                        link_key = (f, link_id)
-                        if link_key not in link_mask:
-                            link_mask[link_key] = np.zeros(n_slots, dtype=bool)
-                        link_mask[link_key][slots_j] = True
-
-        compute_row: Dict[Tuple[int, str], np.ndarray] = {}
-        for (f, dc_id), mask in sorted(dc_mask.items()):
-            slots = np.nonzero(mask)[0]
-            start = lp.less_equal.new_rows(np.zeros(slots.size))
-            rows = np.arange(start, start + slots.size)
-            lp.less_equal.add_terms(rows, lp.variables[("CP", dc_id)], -1.0)
-            row_of = np.full(n_slots, -1, dtype=np.int64)
-            row_of[slots] = rows
-            compute_row[(f, dc_id)] = row_of
-
-        network_row: Dict[Tuple[int, str], np.ndarray] = {}
-        for (f, link_id), mask in sorted(link_mask.items()):
-            slots = np.nonzero(mask)[0]
-            rhs = np.zeros(slots.size)
-            if background is not None:
-                rhs -= background.series(link_id)[slots]
-            start = lp.less_equal.new_rows(rhs)
-            rows = np.arange(start, start + slots.size)
-            lp.less_equal.add_terms(rows, lp.variables[("NP", link_id)], -1.0)
-            row_of = np.full(n_slots, -1, dtype=np.int64)
-            row_of[slots] = rows
-            network_row[(f, link_id)] = row_of
-
-        # Pass 2 — S variables, one contiguous block (option-major ×
-        # active slots) and four batched appends per (scenario, config).
-        for f in range(len(self.scenarios)):
-            for j, config in enumerate(demand.configs):
-                slots_j = active_slots[j]
-                if slots_j.size == 0:
-                    continue
-                n_active = slots_j.size
-                slot_list = slots_j.tolist()
-                options = options_by[(f, config)]
-                eq_start = lp.equal.new_rows(counts[slots_j, j])
-                eq_rows = np.arange(eq_start, eq_start + n_active)
-
-                keys = [
-                    ("S", f, t, j, option.dc_id)
-                    for option in options for t in slot_list
-                ]
-                objective = np.repeat(
-                    [self.latency_weight * option.acl_ms
-                     for option in options],
-                    n_active,
-                )
-                col_start = lp.variables.add_batch(keys, objective=objective)
-                cols = np.arange(
-                    col_start, col_start + len(options) * n_active
-                ).reshape(len(options), n_active)
-
-                lp.equal.add_terms(
-                    np.tile(eq_rows, len(options)), cols.ravel(), 1.0
-                )
-                lp.less_equal.add_terms(
-                    np.concatenate([
-                        compute_row[(f, option.dc_id)][slots_j]
-                        for option in options
-                    ]),
-                    cols.ravel(),
-                    np.repeat([option.cores_per_call for option in options],
-                              n_active),
-                )
-                link_rows, link_cols, link_vals = [], [], []
-                for k, option in enumerate(options):
-                    for link_id, gbps in option.link_gbps.items():
-                        link_rows.append(network_row[(f, link_id)][slots_j])
-                        link_cols.append(cols[k])
-                        link_vals.append(gbps)
-                if link_rows:
-                    lp.less_equal.add_terms(
-                        np.concatenate(link_rows),
-                        np.concatenate(link_cols),
-                        np.repeat(link_vals, n_active),
-                    )
-
-        if background is not None:
-            # NP covers the background's own peak even where conferencing
-            # places nothing.
-            for link_id in sorted(used_links):
-                peak = background.peak(link_id)
-                if peak > 0:
-                    row = lp.less_equal.new_row(-peak)
-                    lp.less_equal.add_term(row, lp.variables[("NP", link_id)], -1.0)
-
-        assembly_seconds = time.perf_counter() - t0
-        try:
-            solution = lp.solve(description="joint provisioning LP",
-                                assembly_seconds=assembly_seconds)
-        except InfeasibleError as exc:
-            # Find the scenario that breaks: the first whose own cheap
-            # diagnosis is conclusive, else report the whole set.
-            diagnosis = None
-            for scenario in self.scenarios:
-                candidate = diagnose_infeasibility(
-                    self.placement, self.demand, scenario,
-                    self.dc_core_limits,
-                )
-                if candidate.get("family") != "unknown":
-                    diagnosis = candidate
-                    break
-            if diagnosis is None:
-                diagnosis = {"family": "unknown",
-                             "scenario": [s.name for s in self.scenarios]}
-            raise InfeasibleError(
-                f"{exc} [family: {diagnosis.get('family')}, "
-                f"scenario: {diagnosis.get('scenario')}]",
-                diagnosis=diagnosis,
-            ) from None
-
-        cores: Dict[str, float] = {}
-        link_gbps: Dict[str, float] = {}
-        shares_by_f: Dict[int, Dict[Tuple[int, CallConfig], Dict[str, float]]] = {
-            f: {} for f in range(len(self.scenarios))
-        }
-        configs = demand.configs
-        for key, value in solution.values.items():
-            if key[0] == "CP":
-                cores[key[1]] = value * scale
-            elif key[0] == "NP":
-                link_gbps[key[1]] = value * scale
-            elif key[0] == "S":
-                _, f, t, j, dc_id = key
-                if value > 0.0 and value >= 1e-9 * counts[t, j]:
-                    shares_by_f[f].setdefault(
-                        (t, configs[j]), {}
-                    )[dc_id] = value * scale
-
-        results = []
-        for f, scenario in enumerate(self.scenarios):
-            results.append(ScenarioResult(
-                scenario=scenario,
-                cores=cores,
-                link_gbps=link_gbps,
-                excess_cores={},
-                excess_links={},
-                shares=shares_by_f[f],
-                cost=float(solution.objective) * scale,
-                stats=solution.stats,
-            ))
-        return CapacityPlan(cores=cores, link_gbps=link_gbps, scenario_results=results)
+        """The joint plan: one result per scenario, each sharing the plan's
+        capacities, their Eq 3 cost and the single solve's stats."""
+        results = self.problem.solve_blocks(
+            description="joint provisioning LP"
+        )
+        # The base is empty, so the plan is exactly what the LP bought:
+        # the excess maps hold the solver's values bit for bit (a -0.0
+        # stays -0.0, and so does every allocation LP built on the plan).
+        return CapacityPlan(cores=results[0].excess_cores,
+                            link_gbps=results[0].excess_links,
+                            scenario_results=results)

@@ -96,7 +96,7 @@ class SolveStats:
     ``assembly_seconds`` covers formulation build plus COO→CSR conversion;
     ``solver_seconds`` is the HiGHS call itself.  ``arm`` attributes the
     record to the portfolio arm that produced it (``"exact"``, ``"warm"``,
-    ``"locality"``, ``"lagrangean"``, ``"dedup"``; ``None`` for plain
+    ``"locality"``, ``"dedup"``; ``None`` for plain
     unraced solves).  ``merge`` is how
     :class:`~repro.provisioning.planner.CapacityPlan` aggregates a whole
     scenario sweep: times, nnz, and solve counts *sum* (total work), while

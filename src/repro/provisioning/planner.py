@@ -51,7 +51,6 @@ from repro.workload.arrivals import Demand
 
 if TYPE_CHECKING:
     from repro.config import PortfolioConfig
-    from repro.provisioning.decomposition import DecompositionReport
     from repro.resilience.supervisor import SolveSupervisor
 
 
@@ -73,11 +72,6 @@ class CapacityPlan:
     method: Optional[str] = None
     degradation_level: int = 0
     obs: Optional[Observability] = field(default=None, repr=False, compare=False)
-    #: Certified (upper, lower, gap) bracket when the plan came from the
-    #: ``decomposed`` bound-exchange loop; ``None`` otherwise.
-    gap_report: Optional["DecompositionReport"] = field(
-        default=None, repr=False, compare=False
-    )
 
     @property
     def degraded(self) -> bool:
@@ -265,8 +259,8 @@ class CapacityPlanner:
     solves, no events, failures propagate immediately.
 
     ``portfolio`` (optional, a :class:`~repro.config.PortfolioConfig`)
-    turns on the decomposed/warm-started/raced planner: empty-base
-    scenario solves race heuristic bounds against the exact LP
+    turns on the warm-started, raced sweep: empty-base scenario solves
+    race the locality heuristic's certified bounds against the exact LP
     (first-valid-wins-under-gap), structurally identical scenarios are
     deduplicated before the sweep, and repeat solves of the same LP
     structure warm-start from ``warm_cache`` (one is created per planner
@@ -336,11 +330,6 @@ class CapacityPlanner:
         incremental sweep (sequential by design); the parallel plan is
         bitwise-deterministic and identical to the sequential one because
         results are merged in scenario order.
-
-        ``method="decomposed"`` runs the master/subproblem bound-exchange
-        loop (:mod:`repro.provisioning.decomposition`): incremental
-        master sweeps plus standalone subproblem solves that certify an
-        optimality bracket, attached to the plan as ``plan.gap_report``.
         """
         scenarios = enumerate_scenarios(
             self.placement.topology, max_link_scenarios=max_link_scenarios
@@ -362,18 +351,6 @@ class CapacityPlanner:
             return self.plan(scenarios=scenarios, background=background,
                              dc_core_limits=dc_core_limits,
                              combine="max", workers=workers)
-        if method == "decomposed":
-            from repro.provisioning.decomposition import plan_decomposed
-
-            portfolio = self.portfolio
-            return plan_decomposed(
-                self, scenarios,
-                background=background, dc_core_limits=dc_core_limits,
-                gap=(portfolio.decomposition_gap
-                     if portfolio is not None else 0.05),
-                max_iterations=(portfolio.decomposition_max_iterations
-                                if portfolio is not None else 4),
-            )
         raise SolverError(f"unknown provisioning method {method!r}")
 
     def plan(self, scenarios: List[FailureScenario], background=None,

@@ -12,15 +12,6 @@ bound is provably within the configured gap of the best lower bound:
   price the resulting peaks.  Lower bound: the busiest slot priced at
   cheapest-option rates — valid because total cost is at least any one
   slot's usage priced at the cheapest unit rates.
-* ``lagrangean`` — one dual step.  The capacity constraints are relaxed
-  with multipliers that split each capacity price over slots
-  proportionally to a reference usage profile (the locality assignment's,
-  with idle DCs/links priced uniformly).  The relaxed problem separates
-  per slot, giving the dual bound ``L(λ) = Σ_t Σ_j counts·min_o
-  price_o(t)``; the per-slot argmin assignment is simultaneously a
-  feasible plan (its real-cost peaks are the upper bound) that shaves
-  peaks by steering demand away from slots where a DC's multiplier is
-  high.
 * ``exact`` — the full :class:`~repro.provisioning.formulation.ScenarioLP`
   (optionally warm-started), upper bound = lower bound = optimum.
 
@@ -41,6 +32,7 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tupl
 
 import numpy as np
 
+from repro.config import PORTFOLIO_ARMS
 from repro.core.errors import InfeasibleError
 from repro.provisioning.demand import PlacementData, PlacementOption
 from repro.provisioning.failures import FailureScenario
@@ -50,9 +42,6 @@ from repro.workload.arrivals import Demand
 
 if TYPE_CHECKING:
     from repro.provisioning.background import BackgroundTraffic
-
-#: Arm order is race order: cheapest bound first, exact LP as the backstop.
-DEFAULT_ARMS: Tuple[str, ...] = ("locality", "lagrangean", "exact")
 
 #: Relative slack when testing UB <= (1+gap)·LB, so solver-tolerance noise
 #: on an exactly-tight bound doesn't flip a win into a loss.
@@ -88,8 +77,7 @@ def scenario_lower_bound(placement: PlacementData, demand: Demand,
 
     Any feasible plan's cost is at least any single slot's usage priced
     at each config's cheapest surviving unit rate, so the busiest slot so
-    priced bounds the optimum from below.  Also used by the decomposition
-    loop to pick which scenario to solve standalone next.
+    priced bounds the optimum from below.
     """
     counts = demand.counts
     if counts.size == 0:
@@ -209,74 +197,9 @@ def _locality_arm(placement: PlacementData, demand: Demand,
     return ArmOutcome("locality", result, upper, lower)
 
 
-def _lagrangean_arm(placement: PlacementData, demand: Demand,
-                    scenario: FailureScenario,
-                    background: Optional["BackgroundTraffic"],
-                    dc_core_limits: Optional[Dict[str, float]]) -> ArmOutcome:
-    started = time.perf_counter()
-    counts = demand.counts
-    n_slots = demand.n_slots
-    topology = placement.topology
-
-    # Reference usage: the locality static assignment's per-slot series.
-    core_series: Dict[str, np.ndarray] = {}
-    link_series: Dict[str, np.ndarray] = {}
-    options_of: Dict[int, List[PlacementOption]] = {}
-    for j, config in enumerate(demand.configs):
-        options = placement.options_under_scenario(config, scenario)
-        options_of[j] = options
-        best = min(options, key=lambda option: unit_cost(placement, option))
-        usage = counts[:, j]
-        series = core_series.setdefault(best.dc_id, np.zeros(n_slots))
-        series += usage * best.cores_per_call
-        for link_id, gbps in best.link_gbps.items():
-            link_series.setdefault(link_id, np.zeros(n_slots))
-            link_series[link_id] += usage * gbps
-
-    def multipliers(series: Optional[np.ndarray], price: float) -> np.ndarray:
-        """Split a capacity price over slots: Σ_t λ_t == price (≤ is all
-        validity needs), weighted by the reference usage, uniform when
-        idle."""
-        if series is None or float(series.sum()) <= 0.0:
-            return np.full(n_slots, price / n_slots)
-        return price * series / float(series.sum())
-
-    lam: Dict[str, np.ndarray] = {}
-    mu: Dict[str, np.ndarray] = {}
-    choice: Dict[int, np.ndarray] = {}
-    lower = 0.0
-    per_slot_lb = np.zeros(n_slots)
-    for j, config in enumerate(demand.configs):
-        options = options_of[j]
-        prices = np.zeros((len(options), n_slots))
-        for k, option in enumerate(options):
-            dc_id = option.dc_id
-            if dc_id not in lam:
-                lam[dc_id] = multipliers(
-                    core_series.get(dc_id), topology.dc_cost(dc_id)
-                )
-            prices[k] = option.cores_per_call * lam[dc_id]
-            for link_id, gbps in option.link_gbps.items():
-                if link_id not in mu:
-                    mu[link_id] = multipliers(
-                        link_series.get(link_id), topology.wan_cost(link_id)
-                    )
-                prices[k] += gbps * mu[link_id]
-        choice[j] = prices.argmin(axis=0)
-        per_slot_lb += counts[:, j] * prices.min(axis=0)
-    lower = float(per_slot_lb.sum())
-
-    result = _assignment_result(
-        placement, demand, scenario, choice, "lagrangean",
-        background, dc_core_limits, started,
-    )
-    upper = result.cost if result is not None else float("inf")
-    return ArmOutcome("lagrangean", result, upper, lower)
-
-
 def build_arms(placement: PlacementData, demand: Demand,
                scenario: FailureScenario,
-               arms: Sequence[str] = DEFAULT_ARMS,
+               arms: Sequence[str] = PORTFOLIO_ARMS,
                warm_cache: Optional[WarmStartCache] = None,
                max_pricing_rounds: int = 2,
                background: Optional["BackgroundTraffic"] = None,
@@ -314,12 +237,6 @@ def build_arms(placement: PlacementData, demand: Demand,
         outcome.lower_bound = max(outcome.lower_bound, dual_floor())
         return outcome
 
-    def lagrangean() -> ArmOutcome:
-        outcome = _lagrangean_arm(placement, demand, scenario, background,
-                                  caps)
-        outcome.lower_bound = max(outcome.lower_bound, dual_floor())
-        return outcome
-
     def exact() -> ArmOutcome:
         if warm_cache is not None:
             result = lp.solve(warm_cache=warm_cache,
@@ -331,8 +248,7 @@ def build_arms(placement: PlacementData, demand: Demand,
         return ArmOutcome("exact", result, result.cost, result.cost,
                           exact=True)
 
-    available = {"locality": locality, "lagrangean": lagrangean,
-                 "exact": exact}
+    available = {"locality": locality, "exact": exact}
     return [(name, available[name]) for name in arms]
 
 

@@ -130,6 +130,25 @@ class TestDcCoreLimits:
         with pytest.raises(InfeasibleError):
             ScenarioLP(placement, demand, dc_core_limits=caps).solve()
 
+    @pytest.mark.parametrize("cap", [-5.0, float("nan"), float("-inf")])
+    def test_unusable_caps_rejected_by_both_lps(self, fixture, cap):
+        """Both LPs refuse such a cap at construction, so neither can read
+        it as "DC unusable" nor as an infeasible scenario."""
+        from repro.core.errors import SolverError
+        from repro.provisioning.failures import enumerate_scenarios
+        from repro.provisioning.joint import JointProvisioningLP
+
+        topo, placement, demand = fixture
+        caps = {"dc-pune": cap}
+        with pytest.raises(SolverError, match="dc-pune"):
+            ScenarioLP(placement, demand, dc_core_limits=caps)
+        with pytest.raises(SolverError, match="dc-pune"):
+            JointProvisioningLP(
+                placement, demand,
+                enumerate_scenarios(topo, max_link_scenarios=0),
+                dc_core_limits=caps,
+            )
+
     def test_slack_caps_change_nothing(self, fixture):
         topo, placement, demand = fixture
         plain = ScenarioLP(placement, demand).solve()

@@ -65,6 +65,15 @@ class TestPlannerConfig:
         with pytest.raises(SwitchboardError):
             PlannerConfig(workers=0)
 
+    @pytest.mark.parametrize("cap", [-5.0, float("nan"), float("inf")])
+    def test_unusable_core_limit_rejected(self, cap):
+        """A negative or non-finite cap fails at construction, instead of
+        silently degrading the joint rung down the ladder."""
+        with pytest.raises(SwitchboardError, match="dc-pune"):
+            PlannerConfig(max_link_scenarios=0,
+                          dc_core_limits={"dc-pune": cap})
+        assert PlannerConfig(dc_core_limits={"dc-pune": 0.0})
+
     def test_provisioning_ladder_starts_at_backup_method(self):
         assert PlannerConfig().provisioning_ladder() == DEFAULT_LADDER
         assert PlannerConfig(backup_method="max").provisioning_ladder() == (

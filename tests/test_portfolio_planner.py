@@ -1,13 +1,12 @@
-"""Planner decomposition + solver portfolio: the PR-10 test suite.
+"""The solver portfolio: warm starts, dual floors, arm racing, dedup.
 
-Covers the four pillars of the decomposed planner:
+Covers the pillars of the raced scenario sweep:
 
 * warm starts — seeded re-solves match cold solves within LP tolerance
   across randomized day-pair demand perturbations (property test);
 * arm racing — first-valid-wins-under-gap semantics, loss/win events,
   exact fallback, infeasibility propagation;
-* structural dedup — identical down-sets solve once and fan back out;
-* decomposition — the bound-exchange loop certifies ``ub >= lb``.
+* structural dedup — identical down-sets solve once and fan back out.
 """
 
 import dataclasses
@@ -20,7 +19,6 @@ from repro.config import PortfolioConfig
 from repro.core.errors import InfeasibleError, SwitchboardError
 from repro.core.types import CallConfig, MediaType, make_slots
 from repro.obs import Observability
-from repro.provisioning.decomposition import DecompositionReport
 from repro.provisioning.demand import PlacementData
 from repro.provisioning.failures import (NO_FAILURE, FailureScenario,
                                          dedupe_scenarios,
@@ -262,8 +260,7 @@ def test_scenario_lower_bound_is_a_lower_bound():
 def test_heuristic_lineup_reports_honest_gap():
     """Exact-less lineups fall back to the best UB with its true gap."""
     demand = _demand([[60.0, 20.0, 8.0], [120.0, 45.0, 16.0]])
-    arms = build_arms(_PLACEMENT, demand, NO_FAILURE,
-                      arms=("locality", "lagrangean"))
+    arms = build_arms(_PLACEMENT, demand, NO_FAILURE, arms=("locality",))
     result, trail = run_race(arms, gap=0.0)
     exact = ScenarioLP(_PLACEMENT, demand).solve()
     assert result.bound_gap is not None
@@ -318,7 +315,7 @@ def test_race_crashing_heuristic_is_a_loss_not_a_failure():
     def crashing():
         raise RuntimeError("numerics blew up")
 
-    arms = [("lagrangean", crashing),
+    arms = [("locality", crashing),
             _arm("exact", upper=50.0, lower=50.0, exact=True)]
     result, trail = run_race(arms, gap=0.02)
     assert result.cost == 50.0
@@ -342,14 +339,14 @@ def test_race_propagates_infeasibility_and_exact_crashes():
 
 def test_race_exactless_fallback_flags_gap_exceeded():
     arms = [_arm("locality", upper=150.0, lower=100.0),
-            _arm("lagrangean", upper=130.0, lower=90.0)]
+            _arm("heuristic", upper=130.0, lower=90.0)]
     result, trail = run_race(arms, gap=0.02)
     assert result.cost == 130.0  # best upper bound of the lineup
     assert result.bound_gap == pytest.approx(0.3)
     kind, fields = trail[-1]
     assert kind == "portfolio.arm.win"
     assert fields["gap_exceeded"] is True
-    assert fields["arm"] == "lagrangean"
+    assert fields["arm"] == "heuristic"
 
 
 def test_supervisor_race_records_events():
@@ -409,45 +406,6 @@ def test_dedup_fans_results_back_out_in_input_order():
 
 
 # ---------------------------------------------------------------------------
-# Decomposition
-
-
-def test_decomposed_plan_carries_a_certified_bracket():
-    demand = _demand([[60.0, 20.0, 8.0], [120.0, 45.0, 16.0]])
-    portfolio = PortfolioConfig(decomposition_max_iterations=2)
-    planner = CapacityPlanner(_PLACEMENT, demand, portfolio=portfolio)
-    plan = planner.plan_with_backup(method="decomposed")
-
-    report = plan.gap_report
-    assert isinstance(report, DecompositionReport)
-    assert report.upper_bound >= report.lower_bound > 0
-    assert report.gap >= 0
-    assert report.history
-    assert report.subproblem_solves >= 1
-    payload = report.to_dict()
-    assert payload["upper_bound"] == report.upper_bound
-    assert payload["lower_bound"] == report.lower_bound
-
-    # The bracket is honest: the plan the sweep returned costs exactly
-    # the reported upper bound.
-    plan_cost = (
-        sum(_TOPOLOGY.dc_cost(dc) * v for dc, v in plan.cores.items())
-        + sum(_TOPOLOGY.wan_cost(l) * v for l, v in plan.link_gbps.items())
-    )
-    assert plan_cost == pytest.approx(report.upper_bound, rel=1e-6)
-
-
-def test_decomposition_report_gap_edge_cases():
-    zero = DecompositionReport(upper_bound=0.0, lower_bound=0.0,
-                               iterations=0, subproblem_solves=0, history=[])
-    assert zero.gap == 0.0
-    degenerate = dataclasses.replace(zero, upper_bound=5.0)
-    assert degenerate.gap == float("inf")
-    bracket = dataclasses.replace(zero, upper_bound=110.0, lower_bound=100.0)
-    assert bracket.gap == pytest.approx(0.1)
-
-
-# ---------------------------------------------------------------------------
 # Stats plumbing
 
 
@@ -485,10 +443,6 @@ def test_portfolio_config_validation():
         PortfolioConfig(gap=-0.1)
     with pytest.raises(SwitchboardError):
         PortfolioConfig(max_pricing_rounds=0)
-    with pytest.raises(SwitchboardError):
-        PortfolioConfig(decomposition_gap=-1.0)
-    with pytest.raises(SwitchboardError):
-        PortfolioConfig(decomposition_max_iterations=0)
 
 
 def test_portfolio_config_but_is_a_frozen_copy():

@@ -249,6 +249,24 @@ class TestJointLP:
             rel=1e-5,
         )
 
+    @pytest.mark.parametrize("latency_weight", [1e-6, 1e-3])
+    def test_joint_results_report_plan_cost_and_excess(
+            self, small_placement, small_demand, small_world, latency_weight):
+        """Every joint result prices Eq 3 at the plan's capacities — the
+        latency tie-break is not cost — and, on an empty base, its excess
+        is the whole capacity."""
+        scenarios = enumerate_scenarios(small_world, max_link_scenarios=0)
+        plan = JointProvisioningLP(
+            small_placement, small_demand, scenarios,
+            latency_weight=latency_weight,
+        ).solve()
+        assert len(plan.scenario_results) == len(scenarios) == 4
+        for result in plan.scenario_results:
+            assert result.cost == pytest.approx(plan.cost(small_world),
+                                                rel=1e-12)
+            assert result.excess_cores == result.cores == plan.cores
+            assert result.excess_links == result.link_gbps == plan.link_gbps
+
     def test_fig4_peak_aware_total(self, small_placement, small_demand,
                                    small_world):
         """The paper's Fig 4 shape: peak-aware backup total is far below
