@@ -75,6 +75,12 @@ class PlacementData:
         self.load_model = load_model if load_model is not None else MediaLoadModel()
         self.latency_threshold_ms = latency_threshold_ms
         self.configs = list(configs)
+        #: Every input the options derive from (the topology by identity):
+        #: equal fingerprints give equal options under every scenario.
+        self.fingerprint = (
+            topology, tuple(self.load_model.cl_cores.items()),
+            tuple(self.load_model.nl_mbps.items()), latency_threshold_ms,
+            restrict_regions, tuple(self.configs))
         self._options: Dict[CallConfig, List[PlacementOption]] = {}
         for config in self.configs:
             self._options[config] = self._build_options(config, restrict_regions)

@@ -1,0 +1,137 @@
+"""One binding to HiGHS for every LP the library solves.
+
+:func:`solve` loads an :class:`~repro.provisioning.lp.LPInstance` into
+scipy's bundled HiGHS (``scipy.optimize._highspy._core``, private API)
+with one ``passModel`` of its stacked CSC matrix, under the options
+``linprog(method="highs")`` sets: a cold solve returns ``linprog``'s
+vertex, objective and marginals without its input checks and wrapping.
+A basis kept from an earlier solve of the same matrix starts the dual
+simplex near the new optimum.  Without ``_core``, ``linprog`` solves cold.
+"""
+
+from __future__ import annotations
+
+import time
+from typing import TYPE_CHECKING, Any, Optional, Tuple
+
+import numpy as np
+from scipy.optimize import linprog
+
+from repro.core.errors import InfeasibleError, SolverError
+from repro.provisioning.lp import LPSolution, SolveStats
+
+if TYPE_CHECKING:
+    from repro.provisioning.lp import LPInstance
+
+try:
+    from scipy.optimize._highspy import _core
+except ImportError:  # pragma: no cover - depends on the scipy build
+    _core = None
+
+#: The ``_Highs`` methods :func:`solve` calls (a test pins that they exist).
+HIGHS_METHODS = ("setOptionValue", "passModel", "setBasis", "run",
+                 "getModelStatus", "modelStatusToString", "getInfo",
+                 "getSolution", "getBasis")
+
+#: What ``linprog(method="highs")`` sets; everything else stays default.
+_OPTIONS = (("presolve", "on"), ("output_flag", False),
+            ("log_to_console", False), ("highs_debug_level", 0),
+            ("simplex_strategy", 1))  # 1 = dual simplex
+
+#: ``linprog``'s feasibility check on a reported optimum (``10·√1e-9``).
+_TOLERANCE = 10 * np.sqrt(1e-9)
+
+
+def _status_code(model_status) -> int:
+    """``linprog``'s status for a HiGHS model status: 0 optimal, 1 limit,
+    2 infeasible, 3 unbounded, 4 anything else."""
+    statuses = _core.HighsModelStatus
+    return {statuses.kOptimal: 0, statuses.kTimeLimit: 1,
+            statuses.kIterationLimit: 1, statuses.kInfeasible: 2,
+            statuses.kModelError: 2, statuses.kUnbounded: 3,
+            }.get(model_status, 4)
+
+
+def _raise_for(status: int, message: str, description: str) -> None:
+    if status == 2:
+        raise InfeasibleError(f"{description}: infeasible")
+    if status != 0:
+        raise SolverError(f"{description}: solver status {status}: {message}")
+
+
+def _solution(instance: "LPInstance", x: np.ndarray, fun: float,
+              row_dual: Optional[np.ndarray], seconds: float) -> LPSolution:
+    n_ub, n_rows = instance.n_ub, instance.n_rows
+    has_duals = row_dual is not None
+    return LPSolution(
+        objective=float(fun),
+        values=dict(zip(instance.keys, x.tolist())),
+        stats=SolveStats(n_rows=n_rows, n_cols=instance.n_cols,
+                         nnz=instance.nnz, solver_seconds=seconds,
+                         assembly_seconds=instance.assembly_seconds),
+        dual_ineq=row_dual[:n_ub] if has_duals and n_ub else None,
+        dual_eq=row_dual[n_ub:] if has_duals and n_rows > n_ub else None)
+
+
+def _solve_linprog(instance: "LPInstance", description: str) -> LPSolution:
+    t0 = time.perf_counter()
+    result = linprog(c=instance.c, A_ub=instance.a_ub, b_ub=instance.b_ub,
+                     A_eq=instance.a_eq, b_eq=instance.b_eq,
+                     bounds=instance.bounds, method="highs")
+    seconds = time.perf_counter() - t0
+    _raise_for(result.status, result.message, description)
+    marginals = [result.ineqlin.marginals, result.eqlin.marginals]
+    row_dual = (np.concatenate(marginals)
+                if all(m is not None for m in marginals) else None)
+    return _solution(instance, result.x, result.fun, row_dual, seconds)
+
+
+def solve(instance: "LPInstance", basis: Any = None,
+          description: str = "LP") -> Tuple[LPSolution, Any]:
+    """Solve ``instance``, from ``basis`` when given (an earlier solve's,
+    same matrix); returns ``(solution, final basis)`` — the basis is
+    ``None`` on the ``linprog`` fallback.  Raises
+    :class:`InfeasibleError` / :class:`SolverError` where ``linprog``
+    reports status 2 / any other non-zero status."""
+    if _core is None:
+        return _solve_linprog(instance, description), None
+    matrix, n_ub = instance.matrix, instance.n_ub
+    row_lower = np.concatenate([np.full(n_ub, -np.inf), instance.b_eq])
+    row_upper = np.concatenate([instance.b_ub, instance.b_eq])
+    t0 = time.perf_counter()
+    highs = _core._Highs()
+    for name, value in _OPTIONS:
+        highs.setOptionValue(name, value)
+    lp = _core.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = instance.n_cols
+    lp.num_row_ = lp.a_matrix_.num_row_ = instance.n_rows
+    lp.a_matrix_.format_ = _core.MatrixFormat.kColwise
+    lp.a_matrix_.start_ = matrix.indptr
+    lp.a_matrix_.index_ = matrix.indices
+    lp.a_matrix_.value_ = matrix.data
+    lp.col_cost_, lp.col_lower_, lp.col_upper_ = (
+        instance.c, instance.lower, instance.upper)
+    lp.row_lower_, lp.row_upper_ = row_lower, row_upper
+    highs.passModel(lp)
+    if basis is not None:
+        highs.setBasis(basis)
+    highs.run()
+    model_status = highs.getModelStatus()
+    _raise_for(_status_code(model_status),
+               highs.modelStatusToString(model_status), description)
+    fun = highs.getInfo().objective_function_value
+    solution = highs.getSolution()
+    x = np.array(solution.col_value)
+    seconds = time.perf_counter() - t0
+    # linprog's post-check: an "optimal" point outside the constraints by
+    # more than its tolerance is reported as numerical trouble.
+    slack = row_upper - np.array(solution.row_value)
+    if (np.isnan(x).any() or np.isnan(fun)
+            or (slack[:n_ub] < -_TOLERANCE).any()
+            or (np.abs(slack[n_ub:]) > _TOLERANCE).any()
+            or (x < instance.lower - _TOLERANCE).any()
+            or (x > instance.upper + _TOLERANCE).any()):
+        _raise_for(4, "the solution does not satisfy the constraints "
+                   f"within {_TOLERANCE:.2e}", description)
+    return (_solution(instance, x, fun, np.array(solution.row_dual), seconds),
+            highs.getBasis())

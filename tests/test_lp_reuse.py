@@ -1,0 +1,202 @@
+"""Assemble once per signature, re-price by RHS, solve through one binding.
+
+* the signature pins every input that shapes rows, columns or objective
+  (a background peak row, ``latency_weight``, the serving blocks, the
+  placement by its inputs);
+* a cache hit re-prices the cached instance into exactly the bytes a
+  fresh build gives (property test over day pairs with base capacities,
+  core limits and background);
+* the HiGHS binding calls only ``_Highs`` methods that exist, and a
+  failing import falls back to ``linprog`` with identical results.
+"""
+
+import importlib
+import sys
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.core.types import CallConfig, MediaType, make_slots
+from repro.provisioning import highs
+from repro.provisioning.background import BackgroundTraffic
+from repro.provisioning.demand import PlacementData
+from repro.provisioning.failures import FailureScenario, enumerate_scenarios
+from repro.provisioning.formulation import ScenarioLP
+from repro.provisioning.lp import WarmStartCache
+from repro.topology.builder import Topology
+from repro.workload.arrivals import Demand
+from repro.workload.media import MediaLoadModel
+
+_TOPOLOGY = Topology.small()
+_CONFIGS = [
+    CallConfig.build({"JP": 2}, MediaType.AUDIO),
+    CallConfig.build({"HK": 3}, MediaType.VIDEO),
+    CallConfig.build({"IN": 1, "JP": 2}, MediaType.SCREEN_SHARE),
+]
+_PLACEMENT = PlacementData(_TOPOLOGY, _CONFIGS, MediaLoadModel())
+_N_SLOTS = 3
+_LINKS = ("dc-hongkong--dc-tokyo", "IN--dc-hongkong")
+_CAPPED = ("dc-tokyo", "dc-pune")
+
+
+def _demand(counts):
+    counts = np.asarray(counts, dtype=float)
+    return Demand(make_slots(counts.shape[0] * 1800.0, 1800.0), _CONFIGS,
+                  counts)
+
+
+_COUNTS = [[60.0, 20.0, 8.0], [120.0, 45.0, 16.0], [30.0, 10.0, 4.0]]
+
+
+# ---------------------------------------------------------------------------
+# Signature
+
+
+def test_background_peak_row_is_part_of_the_signature():
+    """A zero vs positive background peak on a used link adds a row; the
+    two problems must not share a cache entry."""
+    quiet = BackgroundTraffic({"IN--dc-hongkong": [0.0] * _N_SLOTS}, _N_SLOTS)
+    busy = BackgroundTraffic({"IN--dc-hongkong": [0.2, 0.4, 0.1]}, _N_SLOTS)
+    demand = _demand(_COUNTS)
+    lps = [ScenarioLP(_PLACEMENT, demand, background=b) for b in (quiet, busy)]
+    rows = [lp.prepared()[1].n_rows for lp in lps]
+    assert rows[1] == rows[0] + 1
+    assert lps[0].signature() != lps[1].signature()
+
+    cache = WarmStartCache()
+    ScenarioLP(_PLACEMENT, demand, background=quiet).solve(warm_cache=cache)
+    reused = ScenarioLP(_PLACEMENT, demand, background=busy).solve(
+        warm_cache=cache)
+    cold = ScenarioLP(_PLACEMENT, demand, background=busy).solve()
+    assert reused.stats.arm is None  # a miss: assembled, not re-priced
+    assert reused.cost == cold.cost
+
+
+def test_latency_weight_and_blocks_are_part_of_the_signature():
+    demand = _demand(_COUNTS)
+    plain = ScenarioLP(_PLACEMENT, demand)
+    assert plain.signature() == ScenarioLP(_PLACEMENT, demand).signature()
+    assert plain.signature() != ScenarioLP(
+        _PLACEMENT, demand, latency_weight=1e-6).signature()
+    joint = ScenarioLP(_PLACEMENT, demand)
+    joint.blocks = list(enumerate(enumerate_scenarios(_TOPOLOGY)[:2]))
+    assert joint.signature() != plain.signature()
+    failed = FailureScenario("F_dc:dc-tokyo", failed_dc="dc-tokyo")
+    assert ScenarioLP(_PLACEMENT, demand, failed).signature() \
+        != plain.signature()
+
+
+def test_rebuilt_placement_shares_the_signature():
+    """A placement rebuilt each day still hits; another load model or
+    topology object does not."""
+    demand = _demand(_COUNTS)
+    rebuilt = PlacementData(_TOPOLOGY, _CONFIGS, MediaLoadModel())
+    assert ScenarioLP(rebuilt, demand).signature() == \
+        ScenarioLP(_PLACEMENT, demand).signature()
+    heavier = MediaLoadModel(cl_cores={
+        media: 2.0 * cores
+        for media, cores in MediaLoadModel().cl_cores.items()})
+    for other in (PlacementData(_TOPOLOGY, _CONFIGS, heavier),
+                  PlacementData(Topology.small(), _CONFIGS, MediaLoadModel())):
+        assert ScenarioLP(other, demand).signature() != \
+            ScenarioLP(_PLACEMENT, demand).signature()
+
+
+# ---------------------------------------------------------------------------
+# RHS-only re-pricing
+
+
+def _day(draw):
+    counts = draw(st.lists(
+        st.lists(st.floats(1.0, 200.0), min_size=len(_CONFIGS),
+                 max_size=len(_CONFIGS)),
+        min_size=_N_SLOTS, max_size=_N_SLOTS))
+    base_cores = {"dc-hongkong": draw(st.floats(0.0, 500.0))}
+    base_links = {"HK--dc-hongkong": draw(st.floats(0.0, 2.0))}
+    caps = {dc_id: draw(st.floats(0.0, 1e5)) for dc_id in _CAPPED}
+    # Strictly positive series keep the positive-peak link set fixed.
+    background = BackgroundTraffic({
+        link_id: draw(st.lists(st.floats(0.01, 3.0), min_size=_N_SLOTS,
+                               max_size=_N_SLOTS))
+        for link_id in _LINKS}, _N_SLOTS)
+    return ScenarioLP(_PLACEMENT, _demand(counts), base_cores=base_cores,
+                      base_links=base_links, background=background,
+                      dc_core_limits=caps)
+
+
+@st.composite
+def _day_pairs(draw):
+    return _day(draw), _day(draw)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_day_pairs())
+def test_cache_hit_reprices_to_the_bytes_of_a_fresh_build(days):
+    day1, day2 = days
+    cache = WarmStartCache()
+    assert day1.signature() == day2.signature()
+    cache.put(day1.signature(), day1.prepared()[1])
+
+    _, hit, scale = day2.prepared(cache)
+    fresh_lp = ScenarioLP(day2.placement, day2.demand,
+                          base_cores=day2.base_cores,
+                          base_links=day2.base_links,
+                          background=day2.background,
+                          dc_core_limits=day2.dc_core_limits)
+    _, fresh, fresh_scale = fresh_lp.prepared()
+    assert cache.stats()["hits"] == 1
+    assert hit is not fresh and hit.matrix is day1.prepared()[1].matrix
+    assert scale == fresh_scale
+    assert hit.keys == fresh.keys
+    for name in ("c", "lower", "upper", "b_ub", "b_eq"):
+        mine, theirs = getattr(hit, name), getattr(fresh, name)
+        assert mine.dtype == theirs.dtype and mine.shape == theirs.shape
+        assert mine.tobytes() == theirs.tobytes(), name
+    assert hit.n_ub == fresh.n_ub
+    for part in ("indptr", "indices", "data"):
+        assert getattr(hit.matrix, part).tobytes() == \
+            getattr(fresh.matrix, part).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# The HiGHS binding
+
+
+#: scipy releases before ``_highspy`` always take the ``linprog`` path.
+needs_core = pytest.mark.skipif(highs._core is None,
+                                reason="this scipy has no _highspy._core")
+
+
+@needs_core
+def test_highs_binding_methods_exist():
+    for name in highs.HIGHS_METHODS:
+        assert callable(getattr(highs._core._Highs, name, None)), name
+
+
+@needs_core
+def test_failing_highs_import_falls_back_to_linprog(monkeypatch):
+    import scipy.optimize._highspy
+
+    lp = ScenarioLP(_PLACEMENT, _demand(_COUNTS),
+                    FailureScenario("F_dc:dc-tokyo", failed_dc="dc-tokyo"))
+    _, instance, _ = lp.prepared()
+    direct = instance.solve()
+    assert direct.basis is not None
+
+    monkeypatch.delattr(scipy.optimize._highspy, "_core")
+    monkeypatch.setitem(sys.modules, "scipy.optimize._highspy._core", None)
+    try:
+        importlib.reload(highs)
+        assert highs._core is None
+        fallback = instance.solve()
+    finally:
+        monkeypatch.undo()
+        importlib.reload(highs)
+    assert highs._core is not None
+    assert fallback.basis is None
+    assert fallback.objective == direct.objective
+    assert fallback.values == direct.values
+    assert np.array_equal(fallback.dual_ineq, direct.dual_ineq)
+    assert np.array_equal(fallback.dual_eq, direct.dual_eq)
+
