@@ -72,10 +72,12 @@ class Switchboard(ProvisioningStrategy):
         self.obs = Observability()
         self._supervisor = SolveSupervisor(self.config, self.obs)
         self._placement_cache: Dict[Tuple[CallConfig, ...], PlacementData] = {}
-        #: Warm-start seeds shared by every provision of this controller —
-        #: day-N solutions seed day-N+1 and the autoscaler's rolling
-        #: refreshes, keyed by LP structure.  Only populated when the
-        #: config carries a portfolio with ``warm_start=True``.
+        #: Scenario LPs, bases and duals shared by every provision of
+        #: this controller — day N's re-price day N+1 and the autoscaler's
+        #: rolling refreshes, keyed by LP signature.  Only populated when
+        #: the config carries a portfolio with ``warm_start=True``, and
+        #: only for the placement provisioned last (:meth:`_provision`).
+        self._warm_placement: Optional[PlacementData] = None
         self._warm_cache = (
             WarmStartCache()
             if self.config.portfolio is not None
@@ -132,9 +134,19 @@ class Switchboard(ProvisioningStrategy):
         degrades (``joint → max → incremental → locality``) and the
         result records ``method`` / ``degradation_level``.
         """
+        return self._provision(demand, self.config, with_backup)
+
+    def _provision(self, demand: Demand, config: PlannerConfig,
+                   with_backup: bool) -> CapacityPlan:
+        # Every LP signature starts with the placement: when the demand's
+        # placement changes, the warm cache's entries can no longer hit.
         placement = self.placement_for(demand.configs)
+        if placement is not self._warm_placement and \
+                self._warm_cache is not None:
+            self._warm_cache.clear()
+        self._warm_placement = placement
         return provision_with_ladder(
-            placement, demand, self.config,
+            placement, demand, config,
             with_backup=with_backup, supervisor=self._supervisor,
             warm_cache=self._warm_cache,
         )
@@ -150,15 +162,10 @@ class Switchboard(ProvisioningStrategy):
 
     def plan_with_backup(self, demand: Demand,
                          max_link_scenarios: Optional[int] = None) -> CapacityPlan:
+        config = self.config
         if max_link_scenarios is not None:
-            placement = self.placement_for(demand.configs)
-            return provision_with_ladder(
-                placement, demand,
-                self.config.but(max_link_scenarios=max_link_scenarios),
-                with_backup=True, supervisor=self._supervisor,
-                warm_cache=self._warm_cache,
-            )
-        return self.provision(demand, with_backup=True)
+            config = config.but(max_link_scenarios=max_link_scenarios)
+        return self._provision(demand, config, with_backup=True)
 
     # ------------------------------------------------------------------
     # allocation (§5.3 "Allocation plan" + §5.4)
