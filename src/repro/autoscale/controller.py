@@ -115,6 +115,10 @@ class Autoscaler:
         self.drains_deferred = 0
         self.max_degradation_level = 0
 
+        #: The controller's warm-cache counters at construction, so
+        #: :meth:`autoscale_metrics` reports this run's share of them.
+        warmstart = getattr(controller, "warmstart_stats", None)
+        self._warm_base = warmstart() if callable(warmstart) else None
         self._engine = None
         self._tail_mark = 0
         #: Piecewise-constant provisioned capacity: (t_start_s, cores).
@@ -306,12 +310,14 @@ class Autoscaler:
             "max_degradation_level": self.max_degradation_level,
             "decisions": [d.to_dict() for d in self.decisions],
         }
-        # The rolling-horizon refreshes re-solve the same LP structure
-        # every window; when the controller carries a warm-start cache,
-        # report its reuse so the telemetry shows the seeding at work.
-        warmstart = getattr(self.controller, "warmstart_stats", None)
-        if callable(warmstart):
-            stats = warmstart()
-            if stats is not None:
-                metrics["warmstart"] = stats
+        # The rolling-horizon refreshes re-solve one LP signature every
+        # window: report this run's lookups in the controller's warm
+        # cache, so the telemetry shows re-priced instances and kept
+        # bases at work.
+        if self._warm_base is not None:
+            stats = self.controller.warmstart_stats()
+            metrics["warmstart"] = {
+                name: value if name == "entries"
+                else value - self._warm_base[name]
+                for name, value in stats.items()}
         return metrics

@@ -66,7 +66,7 @@ def checked_core_limits(limits: Optional[Mapping[str, float]],
 
 @dataclass(frozen=True)
 class PortfolioConfig:
-    """Knobs of the warm-started, raced scenario sweep.
+    """Knobs of the raced scenario sweep.
 
     * ``arms`` — race lineup for each empty-base scenario solve, run in
       the given order (cheapest bound first).  A plan is accepted the
@@ -75,20 +75,18 @@ class PortfolioConfig:
       lineups ending in ``exact`` return plans within ``gap`` of the
       optimum on *every* scenario.
     * ``gap`` — the relative optimality gap the race accepts.
-    * ``warm_start`` — keep each scenario LP, its final basis and duals
-      under its signature, so a repeat solve with the same matrix (day N
-      → day N+1, the autoscaler's rolling refresh) re-prices the cached
-      instance instead of assembling it, bounds heuristic arms with the
-      cached duals, and re-solves from the cached basis (pooled sweeps
-      ship entries without the basis, so those re-solves start cold).
     * ``dedupe`` — collapse structurally identical failure scenarios
       (same surviving-option sets) before the sweep and fan results back
       out.
+
+    Warm starts are not a portfolio knob: every solve goes through the
+    warm cache the planner is handed (one per
+    :class:`~repro.switchboard.Switchboard`), whose duals also tighten
+    the race's lower bounds.
     """
 
     arms: Tuple[str, ...] = PORTFOLIO_ARMS
     gap: float = 0.02
-    warm_start: bool = True
     dedupe: bool = True
 
     def __post_init__(self):
@@ -385,8 +383,8 @@ class PlannerConfig:
     service: Optional[ServiceConfig] = None
     packing: Optional[PackingConfig] = None
     autoscale: Optional[AutoscaleConfig] = None
-    #: Warm-start / arm-racing / dedup knobs (:class:`PortfolioConfig`);
-    #: ``None`` keeps every scenario on the historical cold exact-LP path.
+    #: Arm-racing / dedup knobs (:class:`PortfolioConfig`); ``None``
+    #: solves every scenario with the exact LP.
     portfolio: Optional[PortfolioConfig] = None
 
     def __post_init__(self):

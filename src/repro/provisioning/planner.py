@@ -201,30 +201,28 @@ def _solve_scenario_in_worker(scenario: FailureScenario,
     """Pool task: solve one scenario, or race the arms for portfolio runs.
 
     Returns ``(result, trail, report)`` — the parent replays the win/loss
-    ``trail`` into its observability log and, when warm starts are on,
-    hands ``report`` to :meth:`WarmStartCache.absorb` (``None``
-    otherwise).  The task's cache starts from the parent's ``entry``.
+    ``trail`` into its observability log and hands ``report`` to
+    :meth:`WarmStartCache.absorb`.  The task's cache starts from the
+    parent's ``entry``.
     """
     placement, demand, background, dc_core_limits = _WORKER_CONTEXT["args"]
     _inject_worker_faults(scenario)
     portfolio = _WORKER_CONTEXT["portfolio"]
     lp = ScenarioLP(placement, demand, scenario, background=background,
                     dc_core_limits=dc_core_limits)
+    signature = lp.signature()
+    cache = WarmStartCache(entries=entry and {signature: entry})
     if portfolio is None:
-        result, trail, report = lp.solve(), [], None
+        result, trail = lp.solve(warm_cache=cache), []
     else:
-        signature = lp.signature()
-        cache = (WarmStartCache(entries=entry and {signature: entry})
-                 if portfolio.warm_start else None)
         arms = build_arms(placement, demand, scenario, arms=portfolio.arms,
                           warm_cache=cache, background=background,
                           dc_core_limits=dc_core_limits)
         result, trail = run_race(arms, portfolio.gap,
                                  label=_scenario_label(scenario))
-        report = None if cache is None else (
-            cache.shipped(signature) if cache.stores else None, cache.stats())
     result.worker_pid = os.getpid()
-    return result, trail, report
+    return result, trail, (cache.shipped(signature) if cache.stores
+                           else None, cache.stats())
 
 
 class CapacityPlanner:
@@ -237,16 +235,18 @@ class CapacityPlanner:
     Without a supervisor solves run directly, record no events, and
     failures propagate immediately.
 
+    ``warm_cache`` (optional, a
+    :class:`~repro.provisioning.lp.WarmStartCache`) carries every
+    scenario LP, its basis and duals across planners: a repeat solve of
+    the same LP signature re-prices the kept instance and re-solves from
+    its basis.  Its owner — a :class:`~repro.switchboard.Switchboard` —
+    keeps it across days and rolling refreshes.
+
     ``portfolio`` (optional, a :class:`~repro.config.PortfolioConfig`)
-    turns on the warm-started, raced sweep: empty-base scenario solves
-    race the locality heuristic's certified bounds against the exact LP
-    (first-valid-wins-under-gap), structurally identical scenarios are
-    deduplicated before the sweep, and repeat solves of the same LP
-    signature re-price the instance kept in ``warm_cache`` and re-solve
-    from its basis (one cache is created per planner when not given;
-    pass the :class:`~repro.provisioning.lp.WarmStartCache` of a
-    longer-lived owner — :class:`~repro.switchboard.Switchboard` — to
-    carry them across days and rolling refreshes).
+    turns on the raced sweep: empty-base scenario solves race the
+    locality heuristic, certified by the cache's duals, against the exact
+    LP (first-valid-wins-under-gap), and structurally identical scenarios
+    are deduplicated before the sweep.
     """
 
     def __init__(self, placement: PlacementData, demand: Demand,
@@ -257,9 +257,6 @@ class CapacityPlanner:
         self.demand = demand
         self.supervisor = supervisor
         self.portfolio = portfolio
-        if warm_cache is None and portfolio is not None and \
-                portfolio.warm_start:
-            warm_cache = WarmStartCache()
         self.warm_cache = warm_cache
 
     def _run(self, label: str, fn: Callable[[], ScenarioResult]):
@@ -267,15 +264,9 @@ class CapacityPlanner:
             return fn()
         return self.supervisor.run(label, fn)
 
-    @property
-    def _active_warm_cache(self) -> Optional[WarmStartCache]:
-        if self.portfolio is not None and self.portfolio.warm_start:
-            return self.warm_cache
-        return None
-
     def _exact_solve(self, lp: ScenarioLP) -> Callable[[], ScenarioResult]:
-        """The exact-LP thunk for one scenario, warm-started when on."""
-        return functools.partial(lp.solve, warm_cache=self._active_warm_cache)
+        """The exact-LP thunk for one scenario, through the warm cache."""
+        return functools.partial(lp.solve, warm_cache=self.warm_cache)
 
     def plan_without_backup(self, background=None,
                             dc_core_limits=None) -> CapacityPlan:
@@ -453,7 +444,7 @@ class CapacityPlanner:
                 continue
             arms = build_arms(self.placement, self.demand, scenario,
                               arms=portfolio.arms,
-                              warm_cache=self._active_warm_cache,
+                              warm_cache=self.warm_cache,
                               background=background,
                               dc_core_limits=dc_core_limits)
             if self.supervisor is None:
@@ -494,7 +485,7 @@ class CapacityPlanner:
         cfg = supervisor.config
         obs = supervisor.obs
         fault_plan = cfg.fault_plan
-        cache = self._active_warm_cache
+        cache = self.warm_cache
         signatures = [None if cache is None else ScenarioLP(
             self.placement, self.demand, scenario, background=background,
             dc_core_limits=dc_core_limits).signature() for scenario in ordered]
@@ -546,7 +537,7 @@ class CapacityPlanner:
                             )
                             for kind, fields in trail:
                                 obs.record(kind, **fields)
-                            if report is not None:
+                            if cache is not None:
                                 cache.absorb(signatures[i], *report)
                             obs.record("solve.success", label=label)
                             break

@@ -50,9 +50,9 @@ def provision_with_ladder(placement: PlacementData, demand: Demand,
 
     Without backup there is only one LP to run, so the walk is the
     two-rung ``serving → locality``.  With backup the walk is
-    :meth:`PlannerConfig.provisioning_ladder`.  ``config.portfolio``
-    (plus an optional caller-owned ``warm_cache``) arms the planner with
-    arm racing, scenario dedup, and warm-started re-solves.
+    :meth:`PlannerConfig.provisioning_ladder`.  ``config.portfolio`` arms
+    the planner with arm racing and scenario dedup; every scenario LP is
+    solved through the caller-owned ``warm_cache``, when one is given.
     """
     supervisor = supervisor or SolveSupervisor(config)
     obs = supervisor.obs

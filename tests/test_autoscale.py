@@ -446,6 +446,104 @@ class TestClosedLoop:
         assert override.config.interval_s == 600.0
 
 
+class _ColdController:
+    """A fresh :class:`Switchboard` per call: every LP the loop solves is
+    assembled and solved cold."""
+
+    def __init__(self, topology, config):
+        self.topology = topology
+        self.config = config
+
+    def provision(self, demand, with_backup=True):
+        return Switchboard(self.topology, config=self.config).provision(
+            demand, with_backup=with_backup)
+
+    def allocate(self, demand, capacity):
+        return Switchboard(self.topology, config=self.config).allocate(
+            demand, capacity)
+
+
+@pytest.fixture(scope="module")
+def surge_day(small_topology):
+    """A full small-topology day whose first half runs 1.8x the forecast
+    and whose second half runs 0.4x: the loop scales out, then in."""
+    population = generate_population(small_topology.world, n_configs=6,
+                                     seed=5)
+    model = DemandModel(small_topology.world, population, DiurnalModel(),
+                        calls_per_slot_at_peak=40.0)
+    base = model.expected(make_slots(86400.0, SLOT_S))
+    factor = np.where(np.arange(base.n_slots) < base.n_slots // 2, 1.8, 0.4)
+    actual = Demand(base.slots, base.configs, base.counts * factor[:, None])
+    return small_topology, base, _events(actual, seed=9)
+
+
+def _serve_loop(surge_day, controller):
+    """Plan the forecast, then serve the surge day with the loop bound."""
+    topo, base, events = surge_day
+    capacity = controller.provision(base, with_backup=False)
+    plan = controller.allocate(base, capacity).plan
+    rescaler = Autoscaler(controller, base, plan, config=AutoscaleConfig(),
+                          capacity=capacity)
+    report = ServiceRuntime.from_config(
+        topo, plan, freeze_window_s=FREEZE_S, rescaler=rescaler).run(events)
+    report.require_exact_accounting()
+    return rescaler, report
+
+
+@pytest.fixture(scope="module")
+def warm_loop(surge_day):
+    controller = Switchboard(surge_day[0],
+                             config=PlannerConfig(max_link_scenarios=0))
+    rescaler, report = _serve_loop(surge_day, controller)
+    return controller, rescaler, report
+
+
+class TestWarmCacheUnderTheLoop:
+    """The controller's one warm cache serves every refresh and rescale."""
+
+    def test_warm_loop_acts_as_a_cold_one(self, surge_day, warm_loop):
+        _, warm, warm_report = warm_loop
+        cold, cold_report = _serve_loop(surge_day, _ColdController(
+            surge_day[0], PlannerConfig(max_link_scenarios=0)))
+        metrics = warm.autoscale_metrics()
+        assert metrics.pop("warmstart")["hits"] > 0
+        assert "warmstart" not in cold.autoscale_metrics()
+        assert metrics == cold.autoscale_metrics()
+        assert metrics["scale_ups"] >= 1 and metrics["scale_downs"] >= 1
+
+        def calls(report):
+            return (report.generated_calls, report.admitted_calls,
+                    report.overflowed_calls, report.migrated_calls,
+                    report.rescale_events)
+
+        assert calls(warm_report) == calls(cold_report)
+
+    def test_rolling_refreshes_hit(self, warm_loop):
+        """Every full-horizon refresh after the first re-prices the
+        previous window's LP."""
+        _, rescaler, _ = warm_loop
+        metrics = rescaler.autoscale_metrics()
+        horizon = rescaler.config.provision_horizon_slots
+        assert metrics["warmstart"]["hits"] >= metrics["windows"] - horizon
+
+    def test_a_day_keeps_a_bounded_cache(self, surge_day, warm_loop):
+        controller, rescaler, _ = warm_loop
+        base = surge_day[1]
+        assert controller.warmstart_stats()["entries"] <= (
+            base.n_slots + rescaler.config.provision_horizon_slots)
+
+    def test_warmstart_block_counts_one_run(self, surge_day):
+        """A replay on the same controller reports its own lookups, not
+        the first run's: it misses nothing."""
+        controller = Switchboard(surge_day[0],
+                                 config=PlannerConfig(max_link_scenarios=0))
+        once = _serve_loop(surge_day, controller)[1].autoscale["warmstart"]
+        again = _serve_loop(surge_day, controller)[1].autoscale["warmstart"]
+        assert once["misses"] > 0 and again["misses"] == 0
+        assert again["hits"] == once["hits"] + once["misses"]
+        assert controller.warmstart_stats()["hits"] > again["hits"]
+
+
 class TestAutoscaleConfigValidation:
     def test_defaults_valid(self):
         config = AutoscaleConfig()
