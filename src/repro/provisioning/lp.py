@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import (Any, Dict, Hashable, Iterable, List, NamedTuple, Optional,
                     Sequence, Tuple, Union)
@@ -522,6 +523,17 @@ class WarmEntry(NamedTuple):
     dual_ineq: Optional[np.ndarray]
     dual_eq: Optional[np.ndarray]
 
+    @property
+    def nbytes(self) -> int:
+        """The memory the entry holds: the instance's and the dual point's
+        arrays, and 80 bytes per column key (a 4-tuple and its slot)."""
+        instance, matrix = self.instance, self.instance.matrix
+        arrays = (matrix.data, matrix.indices, matrix.indptr, instance.c,
+                  instance.lower, instance.upper, instance.b_ub,
+                  instance.b_eq, self.dual_ineq, self.dual_eq)
+        return (sum(a.nbytes for a in arrays if a is not None)
+                + 80 * len(instance.keys))
+
 
 class WarmStartCache:
     """Assembled LPs, their bases and duals, keyed by LP signature.
@@ -540,12 +552,18 @@ class WarmStartCache:
       (:meth:`LPInstance.dual_bound`), which the portfolio race uses to
       certify heuristic plans without touching the solver.
 
-    The cache is thread-safe, bounded (FIFO eviction), and counts
-    ``hits``/``misses`` (instance lookups), ``stores`` and ``dual_hits``
-    (a bound was available) so callers can report reuse.  A pooled sweep
-    ships each task its :meth:`shipped` entry and folds the task's cache
-    back in with :meth:`absorb`.
+    The cache is thread-safe, bounded by ``max_entries`` and by
+    :attr:`max_bytes` of :attr:`WarmEntry.nbytes` (least recently used
+    evicted first), and counts ``hits``/``misses`` (instance lookups),
+    ``stores`` and ``dual_hits`` (a bound was available) so callers can
+    report reuse.  A pooled sweep ships each task its :meth:`shipped`
+    entry and folds the task's cache back in with :meth:`absorb`.
     """
+
+    #: Room for a default-topology day's scenario sweep (plan-sweep's 23
+    #: entries take 14.5 MiB), while the one-off rescale LPs of a
+    #: long-lived autoscaled controller cannot pile up.
+    max_bytes = 16 * 2 ** 20
 
     def __init__(self, max_entries: int = 256,
                  entries: Optional[Dict[Hashable, WarmEntry]] = None):
@@ -553,7 +571,8 @@ class WarmStartCache:
             raise SolverError("WarmStartCache needs max_entries >= 1")
         self.max_entries = max_entries
         self._lock = threading.Lock()
-        self._entries: Dict[Hashable, WarmEntry] = dict(entries or {})
+        self._entries = OrderedDict(entries or {})
+        self._nbytes = sum(entry.nbytes for entry in self._entries.values())
         self.hits = 0
         self.misses = 0
         self.stores = 0
@@ -566,6 +585,7 @@ class WarmStartCache:
                 self.misses += 1
             else:
                 self.hits += 1
+                self._entries.move_to_end(signature)
             return entry
 
     def get_duals(self, signature: Hashable
@@ -582,23 +602,30 @@ class WarmStartCache:
                                  and entry.dual_eq is None):
                 return None
             self.dual_hits += 1
+            self._entries.move_to_end(signature)
             return entry.dual_ineq, entry.dual_eq
 
     def put(self, signature: Hashable, instance: LPInstance,
             basis: Any = None, dual_ineq: Optional[np.ndarray] = None,
             dual_eq: Optional[np.ndarray] = None) -> None:
+        entry = WarmEntry(instance, basis, dual_ineq, dual_eq)
         with self._lock:
-            if signature not in self._entries and \
-                    len(self._entries) >= self.max_entries:
-                self._entries.pop(next(iter(self._entries)))
-            self._entries[signature] = WarmEntry(instance, basis,
-                                                 dual_ineq, dual_eq)
+            if signature in self._entries:
+                self._nbytes -= self._entries.pop(signature).nbytes
+            # The newest entry stays even when it alone is over budget.
+            while self._entries and (
+                    len(self._entries) >= self.max_entries
+                    or self._nbytes + entry.nbytes > self.max_bytes):
+                self._nbytes -= self._entries.popitem(last=False)[1].nbytes
+            self._entries[signature] = entry
+            self._nbytes += entry.nbytes
             self.stores += 1
 
     def clear(self) -> None:
         """Drop every entry; the counters keep running."""
         with self._lock:
             self._entries.clear()
+            self._nbytes = 0
 
     def shipped(self, signature: Hashable) -> Optional[WarmEntry]:
         """The entry under ``signature`` for a pool task, uncounted and
