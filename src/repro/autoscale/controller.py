@@ -18,8 +18,8 @@ turns windows into scale decisions; and this controller applies them:
   deltas to slots starting after "now" means no settled debit can live
   in a touched cell in the first place.
 * **Rolling capacity refresh** (every window, decisions or not): re-run
-  ``provision()`` over just the next ``provision_horizon_slots`` slots
-  at the current scale.  Provisioned capacity therefore follows the
+  ``provision()`` over just the next :data:`PROVISION_HORIZON_SLOTS`
+  slots at the current scale.  Provisioned capacity therefore follows the
   demand curve instead of holding the daily peak around the clock —
   this, not the rescales, is where the capacity-hours win comes from.
 
@@ -30,7 +30,6 @@ degrades (and is tagged) instead of failing.
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -39,7 +38,6 @@ from repro.allocation.plan import AllocationPlan
 from repro.config import AutoscaleConfig
 from repro.core.errors import SwitchboardError
 from repro.core.types import CallConfig
-from repro.forecasting.holt_winters import fit_auto
 from repro.obs.events import Observability
 from repro.workload.arrivals import Demand
 
@@ -50,9 +48,10 @@ from repro.autoscale.telemetry import (
     TelemetryWindow,
 )
 
-#: Keep the predictive ratio estimate in a sane band — a cold forecast
-#: extrapolating from two points must not demand a 50x fleet.
-_RATIO_FLOOR = 0.05
+#: The rolling capacity window: each interval ``provision()`` re-runs
+#: over the next this-many slots at the current scale, so provisioned
+#: cores follow the demand curve instead of holding the daily peak.
+PROVISION_HORIZON_SLOTS = 4
 
 
 class Autoscaler:
@@ -148,12 +147,6 @@ class Autoscaler:
             return None
         if self._engine is not None:
             self._tail_mark = len(self._engine.settle_latency)
-
-        if self.config.predictive:
-            predicted = self._predicted_ratio(window.t_end_s)
-            if predicted is not None:
-                window = dataclasses.replace(window,
-                                             predicted_ratio=predicted)
         self.windows.append(window)
 
         decision = self.policy.decide(window)
@@ -162,20 +155,6 @@ class Autoscaler:
             self._rescale(window, decision)
         self._refresh_capacity(window.t_end_s)
         return decision
-
-    # ------------------------------------------------------------------
-    def _predicted_ratio(self, t_s: float) -> Optional[float]:
-        """Re-run the forecasting models on the observed-demand stream:
-        fit the per-slot observed/forecast ratio series and project it
-        ``forecast_lookahead_slots`` ahead."""
-        _, ratios = self.aggregator.completed_slot_ratios(t_s)
-        if len(ratios) < 2:
-            return None
-        season = min(self.config.season_length, len(ratios))
-        fit = fit_auto(np.asarray(ratios), season_length=season)
-        horizon = self.config.forecast_lookahead_slots
-        projected = float(np.mean(fit.forecast(horizon)))
-        return min(self.config.max_scale, max(_RATIO_FLOOR, projected))
 
     # ------------------------------------------------------------------
     def _future_slot_index(self, t_s: float) -> int:
@@ -266,13 +245,14 @@ class Autoscaler:
     # ------------------------------------------------------------------
     def _refresh_capacity(self, t_s: float) -> None:
         """Rolling short-horizon re-provision: size capacity for just
-        the next ``provision_horizon_slots`` slots at the current scale."""
+        the next :data:`PROVISION_HORIZON_SLOTS` slots at the current
+        scale."""
         starts = self.aggregator.slot_starts
         # The slot currently in progress, then the lookahead.
         k = max(0, int(np.searchsorted(starts, t_s, side="right")) - 1)
         if k >= len(starts):
             return
-        end = min(len(starts), k + self.config.provision_horizon_slots)
+        end = min(len(starts), k + PROVISION_HORIZON_SLOTS)
         horizon = Demand(self.forecast.slots[k:end], self.forecast.configs,
                          self.forecast.counts[k:end]
                          * self.policy.current_scale)

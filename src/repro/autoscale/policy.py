@@ -1,22 +1,24 @@
 """Scale decisions from telemetry windows.
 
 The policy is a small hysteresis controller over the demand-ratio
-estimate (predicted where the forecasting path has warmed up, cumulative
-observed otherwise):
+estimate — the cumulative observed/forecast ratio since the horizon
+start:
 
-* **Reactive scale-out** — overflow pressure above the configured
-  threshold forces an immediate scale-out, sized to the worse of the
-  estimate and the window's own instantaneous demand ratio.  Overflow
-  means real calls on best-effort capacity *now*; no deadband applies.
-* **Predictive scale-out** — the estimate (plus headroom) exceeding the
-  current scale by more than the deadband triggers a scale-out.
+* **Reactive scale-out** — overflow pressure above
+  :data:`OVERFLOW_PRESSURE_THRESHOLD` forces an immediate scale-out,
+  sized to the worse of the estimate and the window's own instantaneous
+  demand ratio.  Overflow means real calls on best-effort capacity
+  *now*; no deadband applies.
+* **Estimate scale-out** — the estimate (plus headroom) exceeding the
+  current scale by more than :data:`DEADBAND` triggers a scale-out.
 * **Scale-down** — requires the estimate to sit below the deadband for
   ``scale_down_patience`` consecutive windows before shrinking, so a
   single quiet window never thrashes the plan.
 
-Every committed decision starts a cooldown of ``cooldown_intervals``
+Every committed decision starts a cooldown of :data:`COOLDOWN_INTERVALS`
 windows during which the policy holds, bounding oscillation frequency
-by construction.
+by construction.  Targets are clamped to
+[:data:`MIN_SCALE`, :data:`MAX_SCALE`].
 """
 
 from __future__ import annotations
@@ -25,6 +27,22 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.config import AutoscaleConfig
+
+#: Reactive trigger: a window whose overflowed/generated fraction
+#: exceeds this scales out immediately.
+OVERFLOW_PRESSURE_THRESHOLD = 0.05
+
+#: Hysteresis: a target must leave ``current_scale * (1 ± DEADBAND)``
+#: before a rescale fires.
+DEADBAND = 0.15
+
+#: Windows the policy holds after any committed rescale.
+COOLDOWN_INTERVALS = 1
+
+#: Clamp on the scale factor: a cold estimate from a near-empty first
+#: window must neither zero the plan nor demand a runaway fleet.
+MIN_SCALE = 0.25
+MAX_SCALE = 8.0
 
 
 @dataclass(frozen=True)
@@ -53,21 +71,19 @@ class AutoscalePolicy:
         self._cooldown = 0
         self._down_streak = 0
 
-    def _clamp(self, scale: float) -> float:
-        return min(self.config.max_scale,
-                   max(self.config.min_scale, scale))
+    @staticmethod
+    def _clamp(scale: float) -> float:
+        return min(MAX_SCALE, max(MIN_SCALE, scale))
 
     def _commit(self, action: str, target: float,
                 reason: str) -> ScaleDecision:
         self.current_scale = target
-        self._cooldown = self.config.cooldown_intervals
+        self._cooldown = COOLDOWN_INTERVALS
         self._down_streak = 0
         return ScaleDecision(action, target, reason)
 
     def estimate(self, window) -> float:
         """Best available demand-ratio estimate for the road ahead."""
-        if window.predicted_ratio is not None:
-            return window.predicted_ratio
         if window.cumulative_ratio is not None:
             return window.cumulative_ratio
         return self.current_scale
@@ -82,7 +98,7 @@ class AutoscalePolicy:
                                  "cooldown after rescale")
 
         pressure = window.overflow_pressure
-        if pressure is not None and pressure > cfg.overflow_pressure_threshold:
+        if pressure is not None and pressure > OVERFLOW_PRESSURE_THRESHOLD:
             instantaneous = window.demand_ratio
             sizing = max(est, instantaneous) if instantaneous is not None \
                 else est
@@ -91,14 +107,14 @@ class AutoscalePolicy:
                 return self._commit(
                     "scale_out", target,
                     f"overflow pressure {pressure:.1%} > "
-                    f"{cfg.overflow_pressure_threshold:.1%}")
+                    f"{OVERFLOW_PRESSURE_THRESHOLD:.1%}")
 
         target = self._clamp(est * (1.0 + cfg.headroom))
-        if target > self.current_scale * (1.0 + cfg.deadband):
+        if target > self.current_scale * (1.0 + DEADBAND):
             return self._commit(
                 "scale_out", target,
                 f"demand-ratio estimate {est:.2f} above deadband")
-        if target < self.current_scale * (1.0 - cfg.deadband):
+        if target < self.current_scale * (1.0 - DEADBAND):
             self._down_streak += 1
             if self._down_streak >= cfg.scale_down_patience:
                 return self._commit(

@@ -11,10 +11,7 @@ admission engine's raw serving counters into the windowed signals the
   deltas (generated/admitted/migrated/overflowed), the base forecast
   prorated onto the same wall-clock span, cumulative demand ratios, the
   remaining forecast peak, and the window's settle-latency tail.
-* :class:`TelemetryAggregator` — folds snapshots into windows.  It also
-  accrues *observed* call starts onto the forecast's slot grid (by
-  overlap proration), which is the series the predictive path re-runs
-  the ``repro.forecasting`` models on.
+* :class:`TelemetryAggregator` — folds snapshots into windows.
 
 Ratios use the *base* (unscaled) forecast as the denominator throughout,
 so a demand ratio of 1.5 always means "actual demand runs at 1.5x what
@@ -25,8 +22,8 @@ Degenerate denominators yield ``None`` rather than a fake 0.0 or
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -69,9 +66,6 @@ class TelemetryWindow:
     remaining_forecast_peak: Optional[float] = None
     #: Settle-latency tail of this window's samples (``count`` included).
     settle_tail_ms: Optional[Dict[str, Optional[float]]] = None
-    #: Forecast-model estimate of the demand ratio ahead (set by the
-    #: autoscaler when the predictive path has enough observed slots).
-    predicted_ratio: Optional[float] = None
 
     @property
     def settled(self) -> int:
@@ -123,7 +117,6 @@ class TelemetryWindow:
             "cumulative_ratio": self.cumulative_ratio,
             "utilization": self.utilization,
             "remaining_forecast_peak": self.remaining_forecast_peak,
-            "predicted_ratio": self.predicted_ratio,
             "settle_tail_ms": (dict(self.settle_tail_ms)
                                if self.settle_tail_ms is not None else None),
         }
@@ -137,12 +130,7 @@ _CLOSE_FRACTION = 0.9
 
 @dataclass
 class TelemetryAggregator:
-    """Folds engine snapshots into :class:`TelemetryWindow` intervals.
-
-    Also accrues observed call starts onto the forecast slot grid
-    (uniform proration of each snapshot delta over its wall-clock span),
-    producing the per-slot observed series for the predictive path.
-    """
+    """Folds engine snapshots into :class:`TelemetryWindow` intervals."""
 
     slot_starts: np.ndarray
     slot_duration_s: float
@@ -153,7 +141,6 @@ class TelemetryAggregator:
     _window_start: Optional[float] = None
     _last: Optional[ServiceSnapshot] = None
     _cum_generated: int = 0
-    _observed_per_slot: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.slot_starts = np.asarray(self.slot_starts, dtype=float)
@@ -167,7 +154,6 @@ class TelemetryAggregator:
         if self.slot_duration_s <= 0 or self.interval_s <= 0:
             raise SwitchboardError(
                 "slot duration and interval must be positive")
-        self._observed_per_slot = np.zeros_like(self.forecast_per_slot)
         # The pending window's accumulators.
         self._agg = {"generated": 0, "admitted": 0, "migrated": 0,
                      "overflowed": 0, "unplanned": 0}
@@ -190,18 +176,6 @@ class TelemetryAggregator:
         overlap = np.clip(overlap, 0.0, None) / self.slot_duration_s
         return float((overlap * self.forecast_per_slot).sum())
 
-    def _accrue_observed(self, t0: float, t1: float, calls: int) -> None:
-        """Spread a snapshot delta's call starts uniformly over its span
-        and accrue them onto the slot grid."""
-        if calls <= 0 or t1 <= t0:
-            return
-        ends = self.slot_starts + self.slot_duration_s
-        overlap = (np.minimum(ends, t1) - np.maximum(self.slot_starts, t0))
-        overlap = np.clip(overlap, 0.0, None)
-        total = overlap.sum()
-        if total > 0:
-            self._observed_per_slot += calls * overlap / total
-
     def remaining_forecast_peak(self, t_s: float) -> Optional[float]:
         """Peak per-slot forecast among slots starting strictly after
         ``t_s``; ``None`` once the horizon is exhausted."""
@@ -209,20 +183,6 @@ class TelemetryAggregator:
         if len(future) == 0:
             return None
         return float(future.max())
-
-    def completed_slot_ratios(self, t_s: float
-                              ) -> Tuple[List[int], List[float]]:
-        """(slot indices, observed/forecast ratios) of every fully
-        elapsed slot with a positive forecast — the series the
-        predictive path feeds back into ``repro.forecasting``."""
-        ends = self.slot_starts + self.slot_duration_s
-        indices, ratios = [], []
-        for i in np.flatnonzero(ends <= t_s):
-            if self.forecast_per_slot[i] > 0:
-                indices.append(int(i))
-                ratios.append(float(self._observed_per_slot[i]
-                                    / self.forecast_per_slot[i]))
-        return indices, ratios
 
     # ------------------------------------------------------------------
     def add(self, snapshot: ServiceSnapshot,
@@ -237,10 +197,9 @@ class TelemetryAggregator:
             self._window_start = min(
                 snapshot.t_s,
                 max(self.horizon_start_s, snapshot.t_s - self.interval_s))
-            prev_t = self._window_start
-            prev = ServiceSnapshot(t_s=prev_t)
+            prev = ServiceSnapshot(t_s=self._window_start)
         else:
-            prev, prev_t = self._last, self._last.t_s
+            prev = self._last
         self._last = snapshot
 
         delta_generated = snapshot.generated - prev.generated
@@ -250,7 +209,6 @@ class TelemetryAggregator:
         self._agg["overflowed"] += snapshot.overflowed - prev.overflowed
         self._agg["unplanned"] += snapshot.unplanned - prev.unplanned
         self._cum_generated += delta_generated
-        self._accrue_observed(prev_t, snapshot.t_s, delta_generated)
 
         if (snapshot.t_s - self._window_start
                 < _CLOSE_FRACTION * self.interval_s):

@@ -5,8 +5,8 @@
 ``background``, ``dc_core_limits``, ``workers``) — sprawl that
 :class:`~repro.switchboard.SwitchboardPipeline` could not even pass
 through.  :class:`PlannerConfig` consolidates them, adds the resilience
-knobs (timeouts, retries, backoff, the degradation ladder, fault
-injection), and travels as a single immutable value:
+knobs (timeouts, retries, backoff, fault injection), and travels as a
+single immutable value:
 
 >>> from repro import PlannerConfig, Switchboard, Topology
 >>> config = PlannerConfig(backup_method="max", workers=4,
@@ -37,13 +37,24 @@ if TYPE_CHECKING:
 #: Methods plan_with_backup understands, i.e. valid non-terminal rungs.
 BACKUP_METHODS = ("joint", "incremental", "max")
 
-#: The full degradation ladder, most faithful first.  ``locality`` is the
-#: LP-free terminal rung that can always produce *a* plan.
+#: The degradation ladder, most faithful first.  ``locality`` is the
+#: LP-free terminal rung that can always produce *a* plan.  The order is
+#: a design decision, not a knob: provisioning enters it at
+#: ``backup_method`` and only ever walks down.
 DEFAULT_LADDER: Tuple[str, ...] = ("joint", "max", "incremental", "locality")
 
 
 #: Arms the solver portfolio can race, in the canonical cheap-first order.
 PORTFOLIO_ARMS = ("locality", "exact")
+
+
+def _require_finite(**values: Optional[float]) -> None:
+    """Refuse NaN and +-inf in a config float (``None`` means "off" and
+    passes).  NaN slips through every ``<``/``<=`` range check, so each
+    float field that needs a finite value goes through here first."""
+    for name, value in values.items():
+        if value is not None and not math.isfinite(value):
+            raise SwitchboardError(f"{name} must be finite, got {value!r}")
 
 
 def checked_core_limits(limits: Optional[Mapping[str, float]],
@@ -75,10 +86,9 @@ class PortfolioConfig:
       lineups ending in ``exact`` return plans within ``gap`` of the
       optimum on *every* scenario.
     * ``gap`` — the relative optimality gap the race accepts.
-    * ``dedupe`` — collapse structurally identical failure scenarios
-      (same surviving-option sets) before the sweep and fan results back
-      out.
 
+    Structurally identical failure scenarios (same surviving-option
+    sets) are always collapsed before the sweep and fanned back out.
     Warm starts are not a portfolio knob: every solve goes through the
     warm cache the planner is handed (one per
     :class:`~repro.switchboard.Switchboard`), whose duals also tighten
@@ -87,9 +97,9 @@ class PortfolioConfig:
 
     arms: Tuple[str, ...] = PORTFOLIO_ARMS
     gap: float = 0.02
-    dedupe: bool = True
 
     def __post_init__(self):
+        _require_finite(gap=self.gap)
         if not self.arms:
             raise SwitchboardError("portfolio arms cannot be empty")
         for arm in self.arms:
@@ -123,7 +133,6 @@ class ServiceConfig:
       (``None`` disables latency simulation; the paper measures
       0.3–4.2 ms per write, §6.6).
     * ``kv_latency_seed`` — seeds the per-shard latency streams.
-    * ``ring_replicas`` — virtual nodes per shard on the hash ring.
     * ``executor`` — how admission workers run: ``"thread"`` (the
       in-process engine; deterministic oracle at ``n_workers=1``) or
       ``"process"`` (``repro.service.mp``: one OS process per worker fed
@@ -136,10 +145,10 @@ class ServiceConfig:
     n_workers: int = 1
     kv_latency_median_ms: Optional[float] = None
     kv_latency_seed: int = 99
-    ring_replicas: int = 64
     executor: str = "thread"
 
     def __post_init__(self):
+        _require_finite(kv_latency_median_ms=self.kv_latency_median_ms)
         if self.n_shards < 1:
             raise SwitchboardError("n_shards must be >= 1")
         if self.n_workers < 1:
@@ -152,8 +161,6 @@ class ServiceConfig:
         if (self.kv_latency_median_ms is not None
                 and self.kv_latency_median_ms <= 0):
             raise SwitchboardError("kv_latency_median_ms must be positive")
-        if self.ring_replicas < 1:
-            raise SwitchboardError("ring_replicas must be >= 1")
 
     def but(self, **overrides: Any) -> "ServiceConfig":
         """A copy with the given fields replaced (frozen-friendly)."""
@@ -161,7 +168,7 @@ class ServiceConfig:
 
 
 #: Server-selection policies ``repro.packing`` registers.
-PACKING_POLICIES = ("first_fit", "best_fit", "predictive")
+PACKING_POLICIES = ("first_fit", "predictive")
 
 
 @dataclass(frozen=True)
@@ -169,53 +176,35 @@ class PackingConfig:
     """Knobs of intra-DC server-level call packing (``repro.packing``).
 
     * ``policy`` — server-selection/sizing policy: ``first_fit`` |
-      ``best_fit`` | ``predictive`` (Tetris-style predicted-peak sizing).
-    * ``server_cores`` / ``utilization_target`` — the MP server SKU the
-      per-DC core budgets are realized as.
-    * ``rebalance_on_overload`` — move a call that outgrew its server
-      (post-freeze joins) to one that fits, instead of running overloaded.
+      ``predictive`` (Tetris-style predicted-peak sizing, best-fit
+      selection).
+    * ``utilization_target`` — the fraction of each MP server
+      (:data:`~repro.packing.ledger.DEFAULT_SERVER_CORES`) placement may
+      commit; the rest absorbs post-freeze growth.
     * ``defrag_interval_s`` — run a defrag round between event batches of
       this width; ``None`` disables online defragmentation.
-    * ``defrag_max_moves`` — call-move budget per defrag round.
-    * ``defrag_fill_threshold`` — only servers emptier than this fill
-      fraction are evacuation donors.
-    * ``frag_ref_cores`` — reference call size for the
-      allocatable-slots-lost fragmentation metric.
-    * ``safety_margin`` — extra headroom the predictive policy adds on
-      top of the predicted peak (fraction).
+
+    A call that outgrows its server is always moved to one that fits;
+    the defrag round budget and donor threshold are the
+    :class:`~repro.packing.defrag.Defragmenter` defaults.
     """
 
     policy: str = "predictive"
-    server_cores: float = 16.0
     utilization_target: float = 0.9
-    rebalance_on_overload: bool = True
     defrag_interval_s: Optional[float] = 3600.0
-    defrag_max_moves: int = 8
-    defrag_fill_threshold: float = 0.5
-    frag_ref_cores: float = 1.0
-    safety_margin: float = 0.0
 
     def __post_init__(self):
+        _require_finite(defrag_interval_s=self.defrag_interval_s)
         if self.policy not in PACKING_POLICIES:
             raise SwitchboardError(
                 f"unknown packing policy {self.policy!r}; "
                 f"expected one of {PACKING_POLICIES}"
             )
-        if self.server_cores <= 0:
-            raise SwitchboardError("server_cores must be positive")
         if not 0 < self.utilization_target <= 1:
             raise SwitchboardError("utilization_target must be in (0, 1]")
         if (self.defrag_interval_s is not None
                 and self.defrag_interval_s <= 0):
             raise SwitchboardError("defrag_interval_s must be positive")
-        if self.defrag_max_moves < 0:
-            raise SwitchboardError("defrag_max_moves must be >= 0")
-        if not 0 < self.defrag_fill_threshold <= 1:
-            raise SwitchboardError("defrag_fill_threshold must be in (0, 1]")
-        if self.frag_ref_cores <= 0:
-            raise SwitchboardError("frag_ref_cores must be positive")
-        if self.safety_margin < 0:
-            raise SwitchboardError("safety_margin must be >= 0")
 
     def but(self, **overrides: Any) -> "PackingConfig":
         """A copy with the given fields replaced (frozen-friendly)."""
@@ -229,64 +218,28 @@ class AutoscaleConfig:
     * ``interval_s`` — telemetry window width; the engine reports serving
       state at this cadence and every window yields one scale decision
       plus a rolling capacity refresh.
-    * ``overflow_pressure_threshold`` — reactive trigger: a window whose
-      overflowed/generated fraction exceeds this scales out immediately.
     * ``headroom`` — fractional cushion added on top of the estimated
       demand ratio when sizing a scale target.
-    * ``deadband`` — hysteresis: the predicted ratio must leave the
-      ``current_scale * (1 ± deadband)`` band before a rescale fires.
-    * ``cooldown_intervals`` — windows to hold after any rescale.
     * ``scale_down_patience`` — consecutive below-band windows required
       before scaling down (scale-out is never delayed).
-    * ``min_scale`` / ``max_scale`` — clamp on the scale factor.
-    * ``predictive`` — re-run the ``repro.forecasting`` models on the
-      observed-demand ratio stream to set targets ahead of the demand
-      (pure cumulative-ratio tracking otherwise).
-    * ``forecast_lookahead_slots`` — horizon of that ratio forecast.
-    * ``season_length`` — season passed to ``fit_auto`` (short intraday
-      series fall back to the trend fit automatically).
-    * ``provision_horizon_slots`` — the rolling capacity window: each
-      interval ``provision()`` re-runs over the next this-many slots at
-      the current scale, so provisioned cores follow the demand curve
-      instead of holding the daily peak.
+
+    The hysteresis band, cooldown, scale clamp and overflow trigger are
+    constants of :mod:`repro.autoscale.policy`; the rolling refresh
+    horizon is one of :mod:`repro.autoscale.controller`.
     """
 
     interval_s: float = 1800.0
-    overflow_pressure_threshold: float = 0.05
     headroom: float = 0.10
-    deadband: float = 0.15
-    cooldown_intervals: int = 1
     scale_down_patience: int = 2
-    min_scale: float = 0.25
-    max_scale: float = 8.0
-    predictive: bool = True
-    forecast_lookahead_slots: int = 2
-    season_length: int = 48
-    provision_horizon_slots: int = 4
 
     def __post_init__(self):
+        _require_finite(interval_s=self.interval_s, headroom=self.headroom)
         if self.interval_s <= 0:
             raise SwitchboardError("interval_s must be positive")
-        if not 0 <= self.overflow_pressure_threshold <= 1:
-            raise SwitchboardError(
-                "overflow_pressure_threshold must be in [0, 1]")
         if self.headroom < 0:
             raise SwitchboardError("headroom must be >= 0")
-        if self.deadband < 0:
-            raise SwitchboardError("deadband must be >= 0")
-        if self.cooldown_intervals < 0:
-            raise SwitchboardError("cooldown_intervals must be >= 0")
         if self.scale_down_patience < 1:
             raise SwitchboardError("scale_down_patience must be >= 1")
-        if not 0 < self.min_scale <= self.max_scale:
-            raise SwitchboardError(
-                "need 0 < min_scale <= max_scale")
-        if self.forecast_lookahead_slots < 1:
-            raise SwitchboardError("forecast_lookahead_slots must be >= 1")
-        if self.season_length < 1:
-            raise SwitchboardError("season_length must be >= 1")
-        if self.provision_horizon_slots < 1:
-            raise SwitchboardError("provision_horizon_slots must be >= 1")
 
     def but(self, **overrides: Any) -> "AutoscaleConfig":
         """A copy with the given fields replaced (frozen-friendly)."""
@@ -311,6 +264,7 @@ class MigrationConfig:
     disruption_ceiling: float = 0.25
 
     def __post_init__(self):
+        _require_finite(interval_s=self.interval_s)
         if self.interval_s <= 0:
             raise SwitchboardError("interval_s must be positive")
         if self.max_moves_per_window < 1:
@@ -332,8 +286,8 @@ class PlannerConfig:
     * ``latency_threshold_ms`` — Eq 4's ACL ceiling for placement options.
     * ``max_link_scenarios`` — cap on WAN-link failure scenarios
       (``None`` = all non-bridge links, ``0`` = DC failures only).
-    * ``backup_method`` — the rung provisioning *starts* at
-      (``joint`` | ``incremental`` | ``max``).
+    * ``backup_method`` — the rung of :data:`DEFAULT_LADDER`
+      provisioning *starts* at (``joint`` | ``incremental`` | ``max``).
     * ``background`` — non-conferencing link traffic folded into peaks.
     * ``dc_core_limits`` — per-DC core caps (regional exhaustion).
     * ``workers`` — process fan-out for the ``max`` sweep.
@@ -341,17 +295,17 @@ class PlannerConfig:
     Resilience:
 
     * ``solve_timeout_s`` — wall-clock budget per supervised solve
-      (``None`` disables timeouts).
+      (``None`` disables timeouts); a deployment setting.
     * ``solve_retries`` — additional attempts after the first failure.
-    * ``retry_backoff_s`` / ``retry_backoff_jitter`` — base delay
-      (doubled per retry) and multiplicative jitter fraction drawn from
-      the supervisor's seeded RNG.
-    * ``degradation_ladder`` — the ordered rungs provisioning walks on
-      persistent failure, starting at ``backup_method``'s position.
+    * ``retry_backoff_s`` — base delay before a retry, doubled per retry
+      and jittered by :mod:`repro.resilience.supervisor`; a deployment
+      setting.
     * ``pool_restarts`` — how many times a died-worker process pool is
       rebuilt before the ``max`` sweep counts as failed.
     * ``fault_plan`` — injected faults for drills/tests (``None`` = none).
-    * ``rng_seed`` — seeds the backoff-jitter RNG (deterministic drills).
+
+    Persistent failure walks :data:`DEFAULT_LADDER` down from
+    ``backup_method``'s rung (:meth:`provisioning_ladder`).
 
     Serving:
 
@@ -375,11 +329,8 @@ class PlannerConfig:
     solve_timeout_s: Optional[float] = None
     solve_retries: int = 2
     retry_backoff_s: float = 0.05
-    retry_backoff_jitter: float = 0.5
-    degradation_ladder: Tuple[str, ...] = DEFAULT_LADDER
     pool_restarts: int = 2
     fault_plan: Optional[FaultPlan] = None
-    rng_seed: int = 0
     service: Optional[ServiceConfig] = None
     packing: Optional[PackingConfig] = None
     autoscale: Optional[AutoscaleConfig] = None
@@ -388,26 +339,20 @@ class PlannerConfig:
     portfolio: Optional[PortfolioConfig] = None
 
     def __post_init__(self):
+        _require_finite(latency_threshold_ms=self.latency_threshold_ms,
+                        solve_timeout_s=self.solve_timeout_s,
+                        retry_backoff_s=self.retry_backoff_s)
         if self.backup_method not in BACKUP_METHODS:
             raise SwitchboardError(
                 f"unknown backup_method {self.backup_method!r}; "
                 f"expected one of {BACKUP_METHODS}"
             )
-        known = BACKUP_METHODS + ("locality",)
-        for rung in self.degradation_ladder:
-            if rung not in known:
-                raise SwitchboardError(
-                    f"unknown degradation ladder rung {rung!r}; "
-                    f"expected one of {known}"
-                )
-        if not self.degradation_ladder:
-            raise SwitchboardError("degradation ladder cannot be empty")
         if self.solve_retries < 0:
             raise SwitchboardError("solve_retries must be >= 0")
         if self.solve_timeout_s is not None and self.solve_timeout_s <= 0:
             raise SwitchboardError("solve_timeout_s must be positive")
-        if self.retry_backoff_s < 0 or self.retry_backoff_jitter < 0:
-            raise SwitchboardError("backoff parameters must be non-negative")
+        if self.retry_backoff_s < 0:
+            raise SwitchboardError("retry_backoff_s must be non-negative")
         if self.pool_restarts < 0:
             raise SwitchboardError("pool_restarts must be >= 0")
         if self.workers is not None and self.workers < 1:
@@ -419,13 +364,7 @@ class PlannerConfig:
         return dataclasses.replace(self, **overrides)
 
     def provisioning_ladder(self) -> Tuple[str, ...]:
-        """The rungs provisioning walks, starting at ``backup_method``.
-
-        If the configured method appears in ``degradation_ladder``, the
-        walk starts there (never escalating back *up* to a more expensive
-        method); otherwise the method is prepended to the whole ladder.
-        """
-        ladder = self.degradation_ladder
-        if self.backup_method in ladder:
-            return ladder[ladder.index(self.backup_method):]
-        return (self.backup_method,) + ladder
+        """The rungs provisioning walks: :data:`DEFAULT_LADDER` from
+        ``backup_method`` down (never escalating back *up* to a more
+        expensive method)."""
+        return DEFAULT_LADDER[DEFAULT_LADDER.index(self.backup_method):]

@@ -1,12 +1,12 @@
 """Server-level packing policies compared at matched quality.
 
-Three intra-DC placement policies serve the same seeded
+Two intra-DC placement policies serve the same seeded
 class-structured workload (``repro.packing.workload``) through the
 admission engine backed by a :class:`~repro.packing.FleetLedgerBase`:
 
-* ``first_fit`` / ``best_fit`` size calls by their *observed* frozen
-  config — tight packing that overloads servers when video calls grow
-  after the freeze, unless every server buys blanket headroom (a lower
+* ``first_fit`` sizes calls by their *observed* frozen config — tight
+  packing that overloads servers when video calls grow after the
+  freeze, unless every server buys blanket headroom (a lower
   ``utilization_target``);
 * ``predictive`` (Tetris-style) sizes each call by its *predicted
   peak* from the per-media joined-by-freeze fraction, so only the calls
@@ -97,7 +97,7 @@ def matched_quality(points: List[Dict[str, object]]) -> Dict[str, object]:
 
 
 def run(n_calls: int = 300, seed: int = 7,
-        policies=("first_fit", "best_fit", "predictive"),
+        policies=("first_fit", "predictive"),
         topology: Optional[Topology] = None) -> Dict[str, object]:
     topo = topology if topology is not None else Topology.default()
     load = generate_packing_load(n_calls=n_calls, seed=seed,

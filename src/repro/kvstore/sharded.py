@@ -33,7 +33,7 @@ from repro.kvstore.store import (
 from repro.obs.histogram import DEFAULT_PERCENTILES, percentiles_ms
 
 #: Virtual nodes per shard: enough to keep the ring statistically smooth.
-DEFAULT_RING_REPLICAS = 64
+RING_REPLICAS = 64
 
 
 def _ring_hash(value: str) -> int:
@@ -60,15 +60,12 @@ def routing_key(key: str) -> str:
 class HashRing:
     """Consistent-hash ring over named shards."""
 
-    def __init__(self, shard_ids: Sequence[str],
-                 replicas: int = DEFAULT_RING_REPLICAS):
+    def __init__(self, shard_ids: Sequence[str]):
         if not shard_ids:
             raise KVStoreError("hash ring needs at least one shard")
-        if replicas < 1:
-            raise KVStoreError("ring replicas must be positive")
         points: List[Tuple[int, str]] = []
         for shard_id in shard_ids:
-            for replica in range(replicas):
+            for replica in range(RING_REPLICAS):
                 points.append((_ring_hash(f"{shard_id}#{replica}"), shard_id))
         points.sort()
         self._points = points
@@ -90,8 +87,7 @@ class ShardedKVStore:
 
     def __init__(self, n_shards: int = 4,
                  latency_factory: Optional[
-                     Callable[[int], Optional[LatencyProfile]]] = None,
-                 ring_replicas: int = DEFAULT_RING_REPLICAS):
+                     Callable[[int], Optional[LatencyProfile]]] = None):
         if n_shards < 1:
             raise KVStoreError("need at least one shard")
         self._shard_ids = [f"shard-{i}" for i in range(n_shards)]
@@ -101,13 +97,12 @@ class ShardedKVStore:
             )
             for i, shard_id in enumerate(self._shard_ids)
         }
-        self._ring = HashRing(self._shard_ids, replicas=ring_replicas)
+        self._ring = HashRing(self._shard_ids)
 
     @classmethod
     def with_latency(cls, n_shards: int = 4, median_ms: float = 1.0,
                      sigma: float = 0.6, floor_ms: float = 0.3,
-                     ceil_ms: float = 4.2, seed: int = 99,
-                     ring_replicas: int = DEFAULT_RING_REPLICAS
+                     ceil_ms: float = 4.2, seed: int = 99
                      ) -> "ShardedKVStore":
         """Shards with independent, deterministic latency streams."""
         return cls(
@@ -116,7 +111,6 @@ class ShardedKVStore:
                 median_ms=median_ms, sigma=sigma, floor_ms=floor_ms,
                 ceil_ms=ceil_ms, seed=seed + i,
             ),
-            ring_replicas=ring_replicas,
         )
 
     # ------------------------------------------------------------------

@@ -29,7 +29,6 @@ from repro.packing.ledger import (
     servers_for_cores,
 )
 from repro.packing.policy import (
-    BestFit,
     FirstFit,
     POLICIES,
     PackingPolicy,
@@ -56,31 +55,19 @@ def build_packing(capacity, config: Optional[PackingConfig] = None,
         config = PackingConfig()
     predictor = None
     if config.policy == "predictive":
-        predictor = peak_predictor_or_default(
-            training_calls, safety_margin=config.safety_margin)
+        predictor = peak_predictor_or_default(training_calls)
     policy = make_policy(config.policy, load_model=load_model,
                          predictor=predictor)
     ledger = build_fleet_ledger(
         capacity, policy, store=store,
-        server_cores=config.server_cores,
-        utilization_target=config.utilization_target,
-        rebalance_on_overload=config.rebalance_on_overload,
-        frag_ref_cores=config.frag_ref_cores,
-        obs=obs,
-    )
+        utilization_target=config.utilization_target, obs=obs)
     defragmenter = None
     if config.defrag_interval_s is not None:
-        defragmenter = Defragmenter(
-            ledger,
-            max_moves_per_round=config.defrag_max_moves,
-            donor_fill_threshold=config.defrag_fill_threshold,
-            obs=obs,
-        )
+        defragmenter = Defragmenter(ledger, obs=obs)
     return ledger, defragmenter
 
 
 __all__ = [
-    "BestFit",
     "DEFAULT_SERVER_CORES",
     "Defragmenter",
     "DefragMove",

@@ -31,9 +31,8 @@ question: how many servers realize a DC's planned cores
 Post-freeze growth: the engine reports late joins via
 :meth:`FleetLedgerBase.note_join`.  A call that outgrows its reservation
 enlarges it in place; if its server then exceeds capacity the ledger
-counts an **overload** and (when ``rebalance_on_overload`` is set) tries
-to move the grown call to a server that fits — the reactive churn that
-predictive sizing exists to avoid.
+counts an **overload** and tries to move the grown call to a server that
+fits — the reactive churn that predictive sizing exists to avoid.
 """
 
 from __future__ import annotations
@@ -59,6 +58,10 @@ from repro.packing.policy import PackingPolicy
 
 #: Cores per MP server: a mid-size VM/host dedicated to media processing.
 DEFAULT_SERVER_CORES = 16.0
+
+#: Reference call size (one core) of the allocatable-slots-lost
+#: fragmentation metric, in microcores.
+_FRAG_REF_MC = to_microcores(1.0)
 
 
 def servers_for_cores(cores: float, server_cores: float = DEFAULT_SERVER_CORES,
@@ -195,16 +198,10 @@ class FleetLedgerBase(SlotLedger):
                  policy: PackingPolicy,
                  server_cores: float = DEFAULT_SERVER_CORES,
                  utilization_target: float = 0.9,
-                 rebalance_on_overload: bool = True,
-                 frag_ref_cores: float = 1.0,
                  obs: Optional[Observability] = None):
-        if frag_ref_cores <= 0:
-            raise CapacityError("frag_ref_cores must be positive")
         self.policy = policy
         self.server_cores = server_cores
         self.utilization_target = utilization_target
-        self.rebalance_on_overload = rebalance_on_overload
-        self.frag_ref_mc = to_microcores(frag_ref_cores)
         self.obs = obs
         usable_mc = to_microcores(server_cores * utilization_target)
         physical_mc = to_microcores(server_cores)
@@ -316,7 +313,7 @@ class FleetLedgerBase(SlotLedger):
 
         Growth beyond the reservation enlarges the server's commitment;
         if that pushes the server past capacity the ledger records an
-        overload and (optionally) rebalances the grown call.
+        overload and rebalances the grown call.
         """
         with self._lock:
             placement = self._placements.get(call_id)
@@ -341,9 +338,8 @@ class FleetLedgerBase(SlotLedger):
                     self.obs.record("packing.overload", label=call_id,
                                     dc=placement.dc_id,
                                     server=fleet.server_ids[index])
-                if self.rebalance_on_overload:
-                    if not self._move(call_id, kind="rebalance"):
-                        self.stats.bump("rebalance_failures")
+                if not self._move(call_id, kind="rebalance"):
+                    self.stats.bump("rebalance_failures")
 
     def release(self, call_id: str) -> None:
         """The call ended: free its server reservation.
@@ -509,7 +505,7 @@ class FleetLedgerBase(SlotLedger):
 
     def fragmentation_slots_lost(self, ref_mc: Optional[int] = None) -> int:
         """Total stranded ref-sized call slots across every DC."""
-        ref = ref_mc if ref_mc is not None else self.frag_ref_mc
+        ref = ref_mc if ref_mc is not None else _FRAG_REF_MC
         with self._lock:
             return sum(fleet.stranded_slots(ref)
                        for fleet in self._fleets.values())
@@ -535,7 +531,7 @@ class FleetLedgerBase(SlotLedger):
             "servers_used_peak": peak_open,
             "servers_touched": touched,
             "frag_slots_lost": self.fragmentation_slots_lost(),
-            "frag_ref_cores": from_microcores(self.frag_ref_mc),
+            "frag_ref_cores": from_microcores(_FRAG_REF_MC),
             "unresolved_overload_mc": self.unresolved_overload_mc(),
         }
         metrics.update(self.stats.snapshot())

@@ -86,25 +86,7 @@ class FirstFit(PackingPolicy):
         return int(np.argmax(fits))
 
 
-class BestFit(PackingPolicy):
-    """Fitting server with the least residual capacity (tightest fill).
-
-    Minimizes the free-capacity sliver left behind, the textbook
-    fragmentation-avoidance heuristic; still sizes by the frozen config.
-    """
-
-    name = "best_fit"
-
-    def select(self, free_mc: np.ndarray, need_mc: int) -> int:
-        residual = free_mc - need_mc
-        residual = np.where(residual >= 0, residual, np.iinfo(np.int64).max)
-        best = int(np.argmin(residual))
-        if residual[best] == np.iinfo(np.int64).max:
-            return -1
-        return best
-
-
-class PredictivePack(BestFit):
+class PredictivePack(PackingPolicy):
     """Tetris-style packing: best-fit selection, *predicted-peak* sizing.
 
     Each call is reserved at the peak participant count the
@@ -127,9 +109,19 @@ class PredictivePack(BestFit):
         per_participant = self.load_model.compute_load(config.media)
         return to_microcores(per_participant * peak)
 
+    def select(self, free_mc: np.ndarray, need_mc: int) -> int:
+        """Fitting server with the least residual capacity (tightest
+        fill), which leaves the smallest free-capacity sliver behind."""
+        residual = free_mc - need_mc
+        residual = np.where(residual >= 0, residual, np.iinfo(np.int64).max)
+        best = int(np.argmin(residual))
+        if residual[best] == np.iinfo(np.int64).max:
+            return -1
+        return best
+
 
 #: name -> policy class, for config-driven construction.
-POLICIES = {cls.name: cls for cls in (FirstFit, BestFit, PredictivePack)}
+POLICIES = {cls.name: cls for cls in (FirstFit, PredictivePack)}
 
 
 def make_policy(name: str,

@@ -46,15 +46,12 @@ class PeakParticipantPredictor:
 
     freeze_window_s: float = DEFAULT_FREEZE_WINDOW_S
     default_fraction: float = 0.9
-    safety_margin: float = 0.0
     _fraction: Dict[MediaType, float] = field(default_factory=dict)
     _n_calls: int = 0
 
     def __post_init__(self) -> None:
         if not 0 < self.default_fraction <= 1:
             raise ForecastError("default_fraction must be in (0, 1]")
-        if self.safety_margin < 0:
-            raise ForecastError("safety_margin must be >= 0")
         if self.freeze_window_s <= 0:
             raise ForecastError("freeze window must be positive")
 
@@ -110,7 +107,7 @@ class PeakParticipantPredictor:
         ``config``; never below the frozen count itself."""
         frozen_count = config.participant_count
         fraction = self.joined_fraction(config.media)
-        peak = frozen_count / fraction * (1.0 + self.safety_margin)
+        peak = frozen_count / fraction
         return max(frozen_count, int(math.ceil(peak - 1e-9)))
 
     def predict_peak_config(self, config: CallConfig) -> CallConfig:
@@ -128,23 +125,20 @@ class PeakParticipantPredictor:
 
 def fit_peak_predictor(calls: Iterable[Call],
                        freeze_window_s: float = DEFAULT_FREEZE_WINDOW_S,
-                       safety_margin: float = 0.0,
                        ) -> PeakParticipantPredictor:
     """Convenience: a fitted predictor in one call."""
-    predictor = PeakParticipantPredictor(freeze_window_s=freeze_window_s,
-                                         safety_margin=safety_margin)
+    predictor = PeakParticipantPredictor(freeze_window_s=freeze_window_s)
     return predictor.fit(calls)
 
 
 def peak_predictor_or_default(
         calls: Optional[Iterable[Call]] = None,
         freeze_window_s: float = DEFAULT_FREEZE_WINDOW_S,
-        safety_margin: float = 0.0) -> PeakParticipantPredictor:
+        ) -> PeakParticipantPredictor:
     """A fitted predictor when history exists, the prior otherwise."""
     if calls is not None:
         try:
-            return fit_peak_predictor(calls, freeze_window_s, safety_margin)
+            return fit_peak_predictor(calls, freeze_window_s)
         except ForecastError:
             pass
-    return PeakParticipantPredictor(freeze_window_s=freeze_window_s,
-                                    safety_margin=safety_margin)
+    return PeakParticipantPredictor(freeze_window_s=freeze_window_s)

@@ -379,7 +379,8 @@ class CapacityPlanner:
     def _sweep_deduped(self, ordered: List[FailureScenario],
                        background, dc_core_limits,
                        workers: Optional[int]) -> List[ScenarioResult]:
-        """The independent sweep, with structural scenario dedup when on.
+        """The independent sweep, with structural scenario dedup under a
+        portfolio.
 
         Only the first scenario of each structure class is solved; the
         duplicates are fanned back out as zero-cost copies (fresh
@@ -387,8 +388,7 @@ class CapacityPlanner:
         still lines up one-to-one with ``ordered`` and aggregate stats
         count the LP work exactly once.
         """
-        portfolio = self.portfolio
-        if portfolio is None or not portfolio.dedupe or len(ordered) < 2:
+        if self.portfolio is None or len(ordered) < 2:
             return self._solve_independent(
                 ordered, background, dc_core_limits, workers
             )

@@ -14,9 +14,9 @@ production behaviours the bare solver layer deliberately does not have:
 * **bounded retries with jittered exponential backoff**: transient
   failures (``SolverError``, including timeouts) are retried up to
   ``solve_retries`` times, waiting ``retry_backoff_s · 2^attempt``
-  multiplied by ``1 + jitter·U(0,1)`` between attempts.  The RNG is
-  seeded (``rng_seed``) and the clock/sleep are injectable, so tests can
-  drive the schedule deterministically.
+  multiplied by ``1 + RETRY_BACKOFF_JITTER·U(0,1)`` between attempts.
+  The RNG is seeded (``BACKOFF_RNG_SEED``) and the clock/sleep are
+  injectable, so tests can drive the schedule deterministically.
 * **infeasibility short-circuit**: an :class:`InfeasibleError` is
   deterministic — re-solving the same LP cannot fix it — so it is never
   retried.  The attached diagnosis (constraint family + scenario, see
@@ -52,6 +52,13 @@ from repro.config import PlannerConfig
 from repro.obs.events import Observability
 from repro.resilience.faults import FaultSpec
 
+#: Multiplicative jitter fraction on each retry delay: spreads retries of
+#: solves that failed together without ever shortening the base delay.
+RETRY_BACKOFF_JITTER = 0.5
+
+#: Seed of the default jitter RNG, so a drill's retry schedule repeats.
+BACKOFF_RNG_SEED = 0
+
 
 class SolveSupervisor:
     """Wraps LP solves with timeout, retry, backoff, and event emission.
@@ -71,7 +78,7 @@ class SolveSupervisor:
         self.obs = obs if obs is not None else Observability()
         self.clock = clock
         self.sleep = sleep
-        self.rng = rng if rng is not None else random.Random(self.config.rng_seed)
+        self.rng = rng if rng is not None else random.Random(BACKOFF_RNG_SEED)
 
     # ------------------------------------------------------------------
     def run(self, label: str, fn: Callable[[], Any]) -> Any:
@@ -136,7 +143,7 @@ class SolveSupervisor:
     def backoff_delay(self, attempt: int) -> float:
         """Jittered exponential backoff before retry ``attempt + 1``."""
         base = self.config.retry_backoff_s * (2.0 ** attempt)
-        return base * (1.0 + self.config.retry_backoff_jitter * self.rng.random())
+        return base * (1.0 + RETRY_BACKOFF_JITTER * self.rng.random())
 
     # ------------------------------------------------------------------
     def _attempt(self, label: str, fn: Callable[[], Any]) -> Any:

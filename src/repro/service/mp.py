@@ -100,22 +100,19 @@ class StoreSpec:
     n_shards: int = 4
     latency_median_ms: Optional[float] = None
     latency_seed: int = 99
-    ring_replicas: int = 64
 
     @classmethod
     def from_service_config(cls, svc) -> "StoreSpec":
         return cls(n_shards=svc.n_shards,
                    latency_median_ms=svc.kv_latency_median_ms,
-                   latency_seed=svc.kv_latency_seed,
-                   ring_replicas=svc.ring_replicas)
+                   latency_seed=svc.kv_latency_seed)
 
     def build(self) -> ShardedKVStore:
         if self.latency_median_ms is not None:
             return ShardedKVStore.with_latency(
                 n_shards=self.n_shards, median_ms=self.latency_median_ms,
-                seed=self.latency_seed, ring_replicas=self.ring_replicas)
-        return ShardedKVStore(n_shards=self.n_shards,
-                              ring_replicas=self.ring_replicas)
+                seed=self.latency_seed)
+        return ShardedKVStore(n_shards=self.n_shards)
 
 
 def merge_store_states(dumps: Iterable[Dict[str, Any]]) -> Dict[str, Any]:

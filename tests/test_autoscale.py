@@ -20,6 +20,8 @@ from repro.autoscale import (
     TelemetryAggregator,
     TelemetryWindow,
 )
+from repro.autoscale.controller import PROVISION_HORIZON_SLOTS
+from repro.autoscale.policy import MAX_SCALE, MIN_SCALE
 from repro.config import AutoscaleConfig, PackingConfig, PlannerConfig
 from repro.controller.columnar import build_event_batch
 from repro.kvstore import InMemoryKVStore
@@ -193,6 +195,13 @@ def _window(**kw) -> TelemetryWindow:
     return TelemetryWindow(**defaults)
 
 
+def _ratio(ratio: float) -> dict:
+    """Window fields whose cumulative observed/forecast ratio (the
+    policy's estimate) is ``ratio``."""
+    return dict(cumulative_generated=round(100 * ratio),
+                cumulative_forecast=100.0)
+
+
 class TestTelemetryAggregator:
     def _agg(self, interval=100.0):
         return TelemetryAggregator(
@@ -229,15 +238,6 @@ class TestTelemetryAggregator:
         assert window.cumulative_ratio is None
         assert window.utilization is None
 
-    def test_completed_slot_ratios(self):
-        agg = self._agg()
-        agg.add(ServiceSnapshot(t_s=95.0, generated=15))
-        agg.add(ServiceSnapshot(t_s=195.0, generated=30))
-        indices, ratios = agg.completed_slot_ratios(200.0)
-        assert indices == [0, 1]
-        # ~30 calls spread over [0, 195] against 10 forecast per slot.
-        assert all(r > 1.0 for r in ratios)
-
     def test_remaining_forecast_peak(self):
         agg = self._agg()
         assert agg.remaining_forecast_peak(150.0) == 40.0
@@ -272,15 +272,14 @@ class TestAutoscalePolicy:
         assert decision.target_scale == pytest.approx(2.2)
 
     def test_cooldown_after_commit(self):
-        policy = AutoscalePolicy(AutoscaleConfig(cooldown_intervals=1))
-        policy.decide(_window(predicted_ratio=2.0))
-        decision = policy.decide(_window(predicted_ratio=3.0))
+        policy = AutoscalePolicy(AutoscaleConfig())
+        assert policy.decide(_window(**_ratio(2.0))).action == "scale_out"
+        decision = policy.decide(_window(**_ratio(3.0)))
         assert decision.action == "hold"
         assert "cooldown" in decision.reason
 
     def test_scale_down_needs_patience(self):
-        policy = AutoscalePolicy(AutoscaleConfig(cooldown_intervals=0,
-                                                 scale_down_patience=2))
+        policy = AutoscalePolicy(AutoscaleConfig(scale_down_patience=2))
         quiet = dict(generated=40, admitted=40, migrated=0, overflowed=0,
                      forecast_calls=100.0, cumulative_generated=40,
                      cumulative_forecast=100.0)
@@ -290,8 +289,7 @@ class TestAutoscalePolicy:
         assert decision.target_scale == pytest.approx(0.44)
 
     def test_in_band_window_resets_patience(self):
-        policy = AutoscalePolicy(AutoscaleConfig(cooldown_intervals=0,
-                                                 scale_down_patience=2))
+        policy = AutoscalePolicy(AutoscaleConfig(scale_down_patience=2))
         quiet = dict(generated=40, admitted=40, migrated=0, overflowed=0,
                      forecast_calls=100.0, cumulative_generated=40,
                      cumulative_forecast=100.0)
@@ -300,21 +298,21 @@ class TestAutoscalePolicy:
         assert policy.decide(_window(**quiet)).action == "hold"
 
     def test_target_clamped_to_bounds(self):
-        config = AutoscaleConfig(max_scale=3.0, min_scale=0.5,
-                                 cooldown_intervals=0, scale_down_patience=1)
-        policy = AutoscalePolicy(config)
-        up = policy.decide(_window(predicted_ratio=50.0))
-        assert up.target_scale == 3.0
-        down = policy.decide(_window(predicted_ratio=0.01))
-        assert down.target_scale == 0.5
+        policy = AutoscalePolicy(AutoscaleConfig(scale_down_patience=1))
+        up = policy.decide(_window(**_ratio(50.0)))
+        assert up.target_scale == MAX_SCALE
+        # One window of cooldown, then the collapse.
+        assert policy.decide(_window(**_ratio(0.01))).action == "hold"
+        down = policy.decide(_window(**_ratio(0.01)))
+        assert down.action == "scale_down"
+        assert down.target_scale == MIN_SCALE
 
     def test_oscillating_demand_bounded_by_hysteresis(self):
-        policy = AutoscalePolicy(AutoscaleConfig(cooldown_intervals=1,
-                                                 scale_down_patience=2))
+        policy = AutoscalePolicy(AutoscaleConfig(scale_down_patience=2))
         rescales = 0
         for i in range(40):
             ratio = 2.0 if i % 2 == 0 else 0.5
-            decision = policy.decide(_window(index=i, predicted_ratio=ratio))
+            decision = policy.decide(_window(index=i, **_ratio(ratio)))
             if decision.action != "hold":
                 rescales += 1
         # Cooldown + deadband + patience: alternating windows cannot
@@ -396,9 +394,8 @@ class TestClosedLoop:
         rng = np.random.default_rng(6)
         noisy = Demand(base.slots, base.configs,
                        rng.poisson(base.counts).astype(float))
-        config = AutoscaleConfig(cooldown_intervals=1)
-        rescaler = Autoscaler(controller, base, plan, config=config,
-                              capacity=capacity)
+        rescaler = Autoscaler(controller, base, plan,
+                              config=AutoscaleConfig(), capacity=capacity)
         runtime = ServiceRuntime.from_config(
             topo, plan, freeze_window_s=FREEZE_S, rescaler=rescaler)
         report = runtime.run(_events(noisy, seed=7))
@@ -408,8 +405,7 @@ class TestClosedLoop:
         assert windows > 0
         # Cooldown structurally bounds rescales to every other window.
         assert metrics["rescale_events"] <= (windows + 1) // 2
-        assert (config.min_scale <= metrics["final_scale"]
-                <= config.max_scale)
+        assert MIN_SCALE <= metrics["final_scale"] <= MAX_SCALE
 
     def test_report_carries_autoscale_block(self, loop_world):
         topo, base = loop_world
@@ -465,14 +461,14 @@ class _ColdController:
 
 @pytest.fixture(scope="module")
 def surge_day(small_topology):
-    """A full small-topology day whose first half runs 1.8x the forecast
-    and whose second half runs 0.4x: the loop scales out, then in."""
+    """A full small-topology day whose first quarter runs 0.4x the
+    forecast and the rest 1.8x: the loop scales in, then out."""
     population = generate_population(small_topology.world, n_configs=6,
                                      seed=5)
     model = DemandModel(small_topology.world, population, DiurnalModel(),
                         calls_per_slot_at_peak=40.0)
     base = model.expected(make_slots(86400.0, SLOT_S))
-    factor = np.where(np.arange(base.n_slots) < base.n_slots // 2, 1.8, 0.4)
+    factor = np.where(np.arange(base.n_slots) < base.n_slots // 4, 0.4, 1.8)
     actual = Demand(base.slots, base.configs, base.counts * factor[:, None])
     return small_topology, base, _events(actual, seed=9)
 
@@ -523,14 +519,14 @@ class TestWarmCacheUnderTheLoop:
         previous window's LP."""
         _, rescaler, _ = warm_loop
         metrics = rescaler.autoscale_metrics()
-        horizon = rescaler.config.provision_horizon_slots
-        assert metrics["warmstart"]["hits"] >= metrics["windows"] - horizon
+        assert (metrics["warmstart"]["hits"]
+                >= metrics["windows"] - PROVISION_HORIZON_SLOTS)
 
     def test_a_day_keeps_a_bounded_cache(self, surge_day, warm_loop):
-        controller, rescaler, _ = warm_loop
+        controller, _, _ = warm_loop
         base = surge_day[1]
         assert controller.warmstart_stats()["entries"] <= (
-            base.n_slots + rescaler.config.provision_horizon_slots)
+            base.n_slots + PROVISION_HORIZON_SLOTS)
 
     def test_warmstart_block_counts_one_run(self, surge_day):
         """A replay on the same controller reports its own lookups, not
@@ -552,16 +548,8 @@ class TestAutoscaleConfigValidation:
 
     @pytest.mark.parametrize("kw", [
         {"interval_s": 0.0},
-        {"overflow_pressure_threshold": -0.1},
         {"headroom": -0.5},
-        {"deadband": -1.0},
-        {"cooldown_intervals": -1},
         {"scale_down_patience": 0},
-        {"min_scale": 0.0},
-        {"max_scale": 0.1},          # below min_scale
-        {"forecast_lookahead_slots": 0},
-        {"season_length": 0},
-        {"provision_horizon_slots": 0},
     ])
     def test_rejects_bad_values(self, kw):
         with pytest.raises(SwitchboardError):

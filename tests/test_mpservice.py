@@ -216,8 +216,7 @@ class TestFleetLedgerParity:
         plan = controller.allocate(plan_load.demand, capacity).plan
         fleet = {dc: cores * 3.0 for dc, cores in capacity.cores.items()}
         config = PackingConfig(policy="first_fit", utilization_target=0.7,
-                               defrag_interval_s=900.0,
-                               defrag_fill_threshold=0.6)
+                               defrag_interval_s=900.0)
         ledger, defragmenter = build_packing(
             fleet, config, training_calls=plan_load.training_calls)
         runtime = ServiceRuntime.from_config(

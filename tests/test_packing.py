@@ -54,15 +54,14 @@ def _local(dc_cores, policy="first_fit", **kwargs):
 class TestPolicies:
     def test_observed_sizing_matches_load_model(self):
         model = MediaLoadModel()
-        for name in ("first_fit", "best_fit"):
-            policy = make_policy(name)
-            assert policy.size_mc(VIDEO_4) == to_microcores(
-                model.call_cores(VIDEO_4))
+        policy = make_policy("first_fit")
+        assert policy.size_mc(VIDEO_4) == to_microcores(
+            model.call_cores(VIDEO_4))
 
     def test_predictive_sizes_above_observed_for_video(self):
         predictor = peak_predictor_or_default(None)  # conservative prior
         policy = make_policy("predictive", predictor=predictor)
-        observed = make_policy("best_fit")
+        observed = make_policy("first_fit")
         assert policy.size_mc(VIDEO_4) >= observed.size_mc(VIDEO_4)
 
     def test_first_fit_picks_lowest_fitting_index(self):
@@ -73,9 +72,10 @@ class TestPolicies:
         assert policy.select(free, 1000) == -1
 
     def test_best_fit_picks_tightest_fit(self):
-        policy = make_policy("best_fit")
+        policy = make_policy("predictive")
         free = np.array([900, 310, 400], dtype=np.int64)
         assert policy.select(free, 300) == 1
+        assert policy.select(free, 1000) == -1
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(Exception):
@@ -116,7 +116,7 @@ class TestFleetLedger:
         # 40 video participants = 20 cores > one server's 14.4 usable:
         # the call must still place (dedicated server), not fail.
         giant = CallConfig.build({"US": 40}, MediaType.VIDEO)
-        ledger = LocalFleetLedger({"dc-a": 28.8}, make_policy("best_fit"))
+        ledger = LocalFleetLedger({"dc-a": 28.8}, make_policy("predictive"))
         ledger.load_plan(_plan(config=giant))
         assert ledger.try_debit(0, giant, "dc-a", call_id="giant")
         fleet = ledger.fleet("dc-a")
@@ -332,8 +332,7 @@ class TestLedgerEquivalence:
             decisions.append((f"c{i}", "grown", ledger.server_of(f"c{i}")))
         return decisions
 
-    @pytest.mark.parametrize("policy", ["first_fit", "best_fit",
-                                        "predictive"])
+    @pytest.mark.parametrize("policy", ["first_fit", "predictive"])
     def test_same_stream_same_placements(self, policy):
         plan = AllocationPlan(
             slots=make_slots(3600.0, 1800.0),
@@ -476,7 +475,7 @@ class TestEngineWithFleetLedger:
                 "placement_leaks", 0)
 
     def test_local_and_kv_backends_agree(self, topology, packing_setup):
-        config = PackingConfig(policy="best_fit", defrag_interval_s=None)
+        config = PackingConfig(policy="predictive", defrag_interval_s=None)
         local_report = self._run(topology, packing_setup, config)
         kv_report = self._run(topology, packing_setup, config,
                               store=ShardedKVStore(n_shards=4))
@@ -499,8 +498,7 @@ class TestEngineWithFleetLedger:
         """
         config = PackingConfig(policy="first_fit",
                                utilization_target=0.7,
-                               defrag_interval_s=900.0,
-                               defrag_fill_threshold=0.6)
+                               defrag_interval_s=900.0)
         report = self._run(topology, packing_setup, config)
         report.require_exact_accounting()
         assert report.defrag_rounds > 0

@@ -1,9 +1,21 @@
-"""The unified PlannerConfig API and its read-through attribute views."""
+"""The unified PlannerConfig API, its read-through attribute views, and
+the census of every config dataclass's fields."""
+
+import dataclasses
+import math
 
 import numpy as np
 import pytest
 
-from repro.config import DEFAULT_LADDER, PlannerConfig
+from repro.config import (
+    DEFAULT_LADDER,
+    AutoscaleConfig,
+    MigrationConfig,
+    PackingConfig,
+    PlannerConfig,
+    PortfolioConfig,
+    ServiceConfig,
+)
 from repro.core.errors import SwitchboardError
 from repro.core.types import CallConfig, MediaType, make_slots
 from repro.switchboard import Switchboard, SwitchboardPipeline
@@ -28,7 +40,6 @@ class TestPlannerConfig:
         config = PlannerConfig()
         assert config.backup_method == "joint"
         assert config.max_link_scenarios is None
-        assert config.degradation_ladder == DEFAULT_LADDER
 
     def test_frozen(self):
         with pytest.raises(Exception):
@@ -44,14 +55,6 @@ class TestPlannerConfig:
     def test_unknown_backup_method_rejected(self):
         with pytest.raises(SwitchboardError):
             PlannerConfig(backup_method="psychic")
-
-    def test_unknown_ladder_rung_rejected(self):
-        with pytest.raises(SwitchboardError):
-            PlannerConfig(degradation_ladder=("joint", "prayer"))
-
-    def test_empty_ladder_rejected(self):
-        with pytest.raises(SwitchboardError):
-            PlannerConfig(degradation_ladder=())
 
     def test_negative_knobs_rejected(self):
         with pytest.raises(SwitchboardError):
@@ -82,11 +85,6 @@ class TestPlannerConfig:
         assert PlannerConfig(
             backup_method="incremental"
         ).provisioning_ladder() == ("incremental", "locality")
-
-    def test_method_absent_from_ladder_is_prepended(self):
-        config = PlannerConfig(backup_method="joint",
-                               degradation_ladder=("max", "locality"))
-        assert config.provisioning_ladder() == ("joint", "max", "locality")
 
 
 class TestDeprecatedShims:
@@ -121,3 +119,48 @@ class TestPlacementCache:
         other = sb.placement_for(demand.configs[:1])
         assert other is not first
         assert sb.placement_for(demand.configs[:1]) is other
+
+
+class TestKnobCensus:
+    def test_field_names_are_pinned(self):
+        """Every field is an option tests and benchmarks must cover: a new
+        knob edits this list on purpose, with a caller that needs it."""
+        census = {
+            cls.__name__: tuple(f.name for f in dataclasses.fields(cls))
+            for cls in (PortfolioConfig, ServiceConfig, PackingConfig,
+                        AutoscaleConfig, MigrationConfig, PlannerConfig)
+        }
+        assert census == {
+            "PortfolioConfig": ("arms", "gap"),
+            "ServiceConfig": ("n_shards", "n_workers", "kv_latency_median_ms",
+                              "kv_latency_seed", "executor"),
+            "PackingConfig": ("policy", "utilization_target",
+                              "defrag_interval_s"),
+            "AutoscaleConfig": ("interval_s", "headroom",
+                                "scale_down_patience"),
+            "MigrationConfig": ("interval_s", "max_moves_per_window",
+                                "disruption_ceiling"),
+            "PlannerConfig": ("latency_threshold_ms", "max_link_scenarios",
+                              "backup_method", "background", "dc_core_limits",
+                              "workers", "solve_timeout_s", "solve_retries",
+                              "retry_backoff_s", "pool_restarts", "fault_plan",
+                              "service", "packing", "autoscale", "portfolio"),
+        }
+
+    @pytest.mark.parametrize("cls, field", [
+        (AutoscaleConfig, "interval_s"),
+        (AutoscaleConfig, "headroom"),
+        (PortfolioConfig, "gap"),
+        (ServiceConfig, "kv_latency_median_ms"),
+        (PackingConfig, "defrag_interval_s"),
+        (MigrationConfig, "interval_s"),
+        (PlannerConfig, "solve_timeout_s"),
+        (PlannerConfig, "retry_backoff_s"),
+        (PlannerConfig, "latency_threshold_ms"),
+    ])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_float_rejected(self, cls, field, value):
+        """NaN passes every ``<``/``<=`` range check, so it used to
+        construct; +inf is no budget, interval or threshold either."""
+        with pytest.raises(SwitchboardError, match=field):
+            cls(**{field: value})

@@ -629,8 +629,8 @@ def test_portfolio_config_validation():
 
 def test_portfolio_config_but_is_a_frozen_copy():
     base = PortfolioConfig()
-    tightened = base.but(gap=0.001, dedupe=False)
-    assert tightened.gap == 0.001 and not tightened.dedupe
-    assert base.gap == 0.02 and base.dedupe
+    tightened = base.but(gap=0.001, arms=("exact",))
+    assert tightened.gap == 0.001 and tightened.arms == ("exact",)
+    assert base.gap == 0.02 and base.arms == ("locality", "exact")
     with pytest.raises(dataclasses.FrozenInstanceError):
         base.gap = 0.5
