@@ -33,7 +33,7 @@ from __future__ import annotations
 import threading
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from repro.core.errors import CapacityError, TopologyError
 from repro.core.types import Call, CallConfig
@@ -42,9 +42,8 @@ from repro.allocation.plan import AllocationPlan
 from repro.topology.builder import Topology
 
 
-@dataclass(frozen=True)
-class SelectionOutcome:
-    """What happened to one call."""
+class SelectionOutcome(NamedTuple):
+    """What happened to one call (a tuple: built once per settle)."""
 
     call_id: str
     initial_dc: str
@@ -248,10 +247,16 @@ class KVSlotLedger(SlotLedger):
 
     def __init__(self, store):
         self._store = store
+        #: Interned cell keys: every planned cell's at ``load_plan``, any
+        #: other on its first use (a settle formats no key).
+        self._keys: Dict[Tuple[int, CallConfig], str] = {}
 
-    @staticmethod
-    def _key(slot_index: int, config: CallConfig) -> str:
-        return f"slots:{slot_index}:{config}"
+    def _key(self, slot_index: int, config: CallConfig) -> str:
+        key = self._keys.get((slot_index, config))
+        if key is None:
+            key = self._keys[slot_index, config] = \
+                f"slots:{slot_index}:{config}"
+        return key
 
     def load_plan(self, plan: AllocationPlan) -> int:
         """Write the integerized plan into the store; returns cell count."""
@@ -284,8 +289,8 @@ class KVSlotLedger(SlotLedger):
                            dc_id: str, call_id: Optional[str] = None
                            ) -> Tuple[Optional[Dict[str, int]], bool]:
         key = self._key(slot_index, config)
-        table, took = (self._store.pipeline()
-                       .hgetall(key).htake(key, dc_id).execute())
+        table, took = self._store.execute_batch(
+            [("hgetall", (key,)), ("htake", (key, dc_id))])
         return self._cell(table), took
 
     def credit(self, slot_index: int, config: CallConfig,
@@ -338,49 +343,60 @@ class RealTimeSelector:
         """(a): closest DC to the first joiner."""
         return self.topology.closest_dc(call.first_joiner.country)
 
-    def final_dc(self, call: Call, initial_dc: str) -> Tuple[str, bool, bool]:
-        """(b)+(c): settle against the plan once the config is known.
+    def settle(self, call_id: str, slot_index: int, frozen: CallConfig,
+               final: CallConfig, initial_dc: str) -> SelectionOutcome:
+        """(b)+(c): reconcile one call against the plan, record the outcome.
 
-        Returns ``(dc, planned, overflowed)``.
+        ``frozen`` is the config at the freeze (the plan cell it debits),
+        ``final`` its full config (what its ACL is measured on).  The
+        caller derives the key from a ``Call`` (:meth:`process_call`) or
+        from a batch's precomputed columns (the serving port).
         """
-        config = call.config(self.freeze_window_s)
-        slot_index = self.plan.slot_index_of(call.start_s)
         down = self.down_dcs if self.down_dcs else ()
         if initial_dc in down:
-            cell, took = self.ledger.snapshot(slot_index, config), False
+            cell, took = self.ledger.snapshot(slot_index, frozen), False
         else:
             cell, took = self.ledger.snapshot_and_debit(
-                slot_index, config, initial_dc, call_id=call.call_id)
-        if cell is None:
-            # Unanticipated config: closest DC to the majority (§5.4 b).
-            dc = self.topology.closest_dc(config.majority_country)
-            if dc in down:
-                dc = self._failover_dc(config, down, dc)
-            return dc, False, False
-
+                slot_index, frozen, initial_dc, call_id=call_id)
+        planned, overflowed = True, False
         if took:
-            return initial_dc, True, False
-
-        # Prefer the lowest-ACL DC among those with slots remaining; under
-        # concurrency a candidate can vanish between snapshot and debit,
-        # so walk the preference order until a debit lands.
-        open_dcs = sorted(
-            (dc for dc, slots in cell.items()
-             if slots > 0 and dc != initial_dc and dc not in down),
-            key=lambda dc: (self.topology.acl_ms(dc, config), dc),
-        )
-        for dc in open_dcs:
-            if self.ledger.try_debit(slot_index, config, dc,
-                                     call_id=call.call_id):
-                return dc, True, False
-
-        # Slot exhaustion: more calls of this config arrived than planned.
-        # Stay at the initial DC and count the overflow — unless that DC
-        # is down, in which case overflow is redirected to the best live
-        # DC (a served-but-off-plan placement, still counted overflow).
-        if initial_dc in down:
-            return self._failover_dc(config, down, initial_dc), True, True
-        return initial_dc, True, True
+            final_dc = initial_dc
+        elif cell is None:
+            # Unanticipated config: closest DC to the majority (§5.4 b).
+            planned = False
+            final_dc = self.topology.closest_dc(frozen.majority_country)
+            if final_dc in down:
+                final_dc = self._failover_dc(frozen, down, final_dc)
+        else:
+            # Prefer the lowest-ACL DC among those with slots remaining;
+            # under concurrency a candidate can vanish between snapshot
+            # and debit, so walk the preference order until a debit lands.
+            open_dcs = sorted(
+                (dc for dc, slots in cell.items()
+                 if slots > 0 and dc != initial_dc and dc not in down),
+                key=lambda dc: (self.topology.acl_ms(dc, frozen), dc))
+            for final_dc in open_dcs:
+                if self.ledger.try_debit(slot_index, frozen, final_dc,
+                                         call_id=call_id):
+                    break
+            else:
+                # Slot exhaustion: more calls of this config arrived than
+                # planned.  Stay at the initial DC and count the overflow
+                # — unless that DC is down, in which case overflow is
+                # redirected to the best live DC (a served-but-off-plan
+                # placement, still counted overflow).
+                overflowed = True
+                final_dc = (self._failover_dc(frozen, down, initial_dc)
+                            if initial_dc in down else initial_dc)
+        migrated = final_dc != initial_dc
+        acl = self.topology.acl_ms(final_dc, final)
+        self.stats.record(acl, migrated, planned, overflowed)
+        if self.registry is not None:
+            self.registry.on_settle(
+                call_id=call_id, slot_index=slot_index, config=frozen,
+                dc=final_dc, planned=planned, overflowed=overflowed)
+        return SelectionOutcome(call_id, initial_dc, final_dc, migrated,
+                                planned, acl, overflowed)
 
     def _failover_dc(self, config: CallConfig, down, fallback: str) -> str:
         """The best live DC when the natural choice is down."""
@@ -389,30 +405,11 @@ class RealTimeSelector:
         except TopologyError:
             return fallback
 
-    def settle(self, call: Call, initial_dc: str) -> SelectionOutcome:
-        """Reconcile one call against the plan and record its outcome."""
-        final, planned, overflowed = self.final_dc(call, initial_dc)
-        migrated = final != initial_dc
-        acl = self.topology.acl_ms(final, call.config())
-        self.stats.record(acl, migrated, planned, overflowed)
-        if self.registry is not None:
-            self.registry.on_settle(
-                call_id=call.call_id,
-                slot_index=self.plan.slot_index_of(call.start_s),
-                config=call.config(self.freeze_window_s),
-                dc=final, planned=planned, overflowed=overflowed)
-        return SelectionOutcome(
-            call_id=call.call_id,
-            initial_dc=initial_dc,
-            final_dc=final,
-            migrated=migrated,
-            planned=planned,
-            acl_ms=acl,
-            overflowed=overflowed,
-        )
-
     def process_call(self, call: Call) -> SelectionOutcome:
-        return self.settle(call, self.initial_dc(call))
+        initial = self.initial_dc(call)
+        return self.settle(call.call_id, self.plan.slot_index_of(call.start_s),
+                           call.config(self.freeze_window_s), call.config(),
+                           initial)
 
     def process_trace(self, calls: Iterable[Call]) -> List[SelectionOutcome]:
         return [self.process_call(call) for call in calls]

@@ -18,13 +18,13 @@ reference the serving core's store state is pinned against.
 schema with the call id as a Redis-cluster hash tag — ``call:{<id>}``
 and ``call:{<id>}:spread`` — so both of a call's keys live on one shard
 and a lifecycle pipeline touches at most two (the call's and
-``dcload:<dc>``'s).
+``dcload:<dc>``'s).  Its batches go straight to the store's one batch
+entry point, ``execute_batch``; an empty batch makes no call.
 """
 
 from __future__ import annotations
 
-from typing import (TYPE_CHECKING, Any, Iterable, List, Optional, Tuple,
-                    Union)
+from typing import TYPE_CHECKING, Any, List, Optional, Tuple, Union
 
 from repro.core.types import CallConfig, MediaType
 from repro.kvstore.store import InMemoryKVStore
@@ -33,7 +33,7 @@ if TYPE_CHECKING:
     from repro.kvstore.sharded import ShardedKVStore
 
 #: Any store with the single-key op surface (and, for the pipelined
-#: client, ``pipeline()``): one in-memory instance or a sharded cluster.
+#: client, ``execute_batch``): one in-memory instance or a sharded cluster.
 KVStore = Union[InMemoryKVStore, "ShardedKVStore"]
 
 
@@ -116,17 +116,19 @@ class PipelinedStateClient:
     def _key(call_id: str) -> str:
         return f"call:{{{call_id}}}"
 
-    def open_call(self, call_id: str, dc_id: str, first_country: str) -> None:
+    def open_call(self, call_id: str, dc_id: str, first_country: str) -> str:
+        """Write a new call's state in one trip; returns its spread key,
+        which the owner keeps: a join is ``("hincrby", (key, country, 1))``.
+        """
         key = self._key(call_id)
-        self.flush([
+        spread = f"{key}:spread"
+        self._store.execute_batch([
             ("hset", (key, "dc", dc_id)),
             ("hset", (key, "media", MediaType.AUDIO.value)),
-            ("hincrby", (f"{key}:spread", first_country, 1)),
+            ("hincrby", (spread, first_country, 1)),
             ("incr", (f"dcload:{dc_id}", 1)),
         ])
-
-    def join_write(self, call_id: str, country: str) -> Write:
-        return "hincrby", (f"{self._key(call_id)}:spread", country, 1)
+        return spread
 
     def media_write(self, call_id: str, media: MediaType) -> Write:
         """``media`` is the call's media after escalation (the owner
@@ -145,8 +147,7 @@ class PipelinedStateClient:
                 ("delete", (key,)),
                 ("delete", (f"{key}:spread",))]
 
-    def flush(self, writes: Iterable[Write]) -> None:
+    def flush(self, writes: List[Write]) -> None:
         """Send ``writes`` as one pipelined trip (none when empty)."""
-        pipe = self._store.pipeline().extend(writes)
-        if len(pipe):
-            pipe.execute()
+        if writes:
+            self._store.execute_batch(writes)

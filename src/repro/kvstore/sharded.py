@@ -11,8 +11,9 @@ instead: N independent shards behind a consistent-hash ring, so
   keyspace (the consistent-hashing property the tests pin down);
 * Redis-cluster-style ``{hash-tag}`` routing keeps chosen key families
   on one shard when callers need multi-key batches to stay local;
-* pipelined batches group ops by shard and pay **one simulated network
-  round-trip per shard touched**, with shard batches issued
+* batches (:meth:`ShardedKVStore.execute_batch`, the same entry point
+  an unsharded store has) group ops by shard and pay **one simulated
+  network round-trip per shard touched**, with shard batches issued
   concurrently — the multi-client overlap that makes admission
   throughput scale with worker threads (Fig 10's shape, served online).
 """
@@ -183,13 +184,18 @@ class ShardedKVStore:
         """
         return Pipeline(self)
 
-    def _execute_pipeline(self, ops: Sequence[Tuple[str, Tuple[Any, ...]]]
-                          ) -> List[Any]:
+    def execute_batch(self, ops: Sequence[Tuple[str, Tuple[Any, ...]]]
+                      ) -> List[Any]:
+        """:meth:`InMemoryKVStore.execute_batch` over the ring: one trip
+        per shard touched, results in op order, no shard applying
+        anything when an op name is unknown."""
         if not ops:
             return []
         # Group by owning shard, remembering each op's global position.
         groups: Dict[str, List[Tuple[int, Tuple[str, Tuple[Any, ...]]]]] = {}
         for index, (name, args) in enumerate(ops):
+            if name not in InMemoryKVStore._BATCH_OPS:
+                raise KVStoreError(f"unsupported batch op {name!r}")
             shard_id = self._ring.shard_for(args[0])
             groups.setdefault(shard_id, []).append((index, (name, args)))
 

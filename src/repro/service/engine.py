@@ -82,13 +82,15 @@ class _Call:
 
     ``dc`` and ``media`` are the authoritative copies of what the store's
     ``call:{<id>}`` hash holds: the owner is the only writer of that
-    hash, so it never has to read it back.
+    hash, so it never has to read it back.  ``spread`` is the call's
+    ``call:{<id>}:spread`` key, built once at START for every JOIN write.
     """
 
-    __slots__ = ("dc", "media", "settled", "ended")
+    __slots__ = ("dc", "spread", "media", "settled", "ended")
 
-    def __init__(self, dc: str):
+    def __init__(self, dc: str, spread: str):
         self.dc = dc
+        self.spread = spread
         self.media = MediaType.AUDIO
         self.settled = False
         self.ended = False
@@ -181,7 +183,7 @@ def serve_rows(worker: WorkerState, trace: ColumnarTrace,
     closest_dc = worker.closest_dc
     record_admission = worker.admission_ms.append
     ids = trace.call_ids()
-    country_of = trace.countries.value
+    country_of = trace.countries.values
     flush = client.flush
     settle, skip = port.settle, port.skip
     join, release = port.join, port.release
@@ -196,9 +198,10 @@ def serve_rows(worker: WorkerState, trace: ColumnarTrace,
                 if join is not None:
                     skip(row)
                 continue
-            if call_id in calls:
+            call = calls.get(call_id)
+            if call is not None:
                 pending.setdefault(call_id, []).append(
-                    client.join_write(call_id, country_of(country)))
+                    ("hincrby", (call.spread, country_of[country], 1)))
             worker.joins += 1
             if join is not None:
                 # Post-freeze joins grow the call's server reservation
@@ -209,10 +212,10 @@ def serve_rows(worker: WorkerState, trace: ColumnarTrace,
                 worker.dropped += 1
                 continue
             t0 = clock()
-            first_country = country_of(country)
+            first_country = country_of[country]
             initial = closest_dc(first_country)
-            calls[call_id] = _Call(initial)
-            client.open_call(call_id, initial, first_country)
+            calls[call_id] = _Call(
+                initial, client.open_call(call_id, initial, first_country))
             worker.generated += 1
             record_admission((clock() - t0) * 1e3)
         elif code == _MEDIA:
@@ -306,13 +309,12 @@ class LocalPort:
     ``registry.on_end`` exist (plain slot ledgers have neither hook).
     The thread executor holds one per worker, so counts need no lock;
     the process executor's parent feeds one the workers' messages.
-    ``trace`` is the batch being served, set at batch open.
     """
 
     def __init__(self, selector: RealTimeSelector, ledger: SlotLedger,
                  migrator, settle_latency: LatencyHistogram):
-        self.trace: Optional[ColumnarTrace] = None
         self.admitted = self.migrated = self.overflowed = self.unplanned = 0
+        self._selector = selector
         self._settle = selector.settle
         self._record_settle = settle_latency.record
         note_join = getattr(ledger, "note_join", None)
@@ -328,6 +330,23 @@ class LocalPort:
         self.release = None if not enders else self._release
         self._enders = enders
 
+    def open(self, trace: ColumnarTrace) -> None:
+        """Batch open: derive the settle key of every call of ``trace``
+        at once — its plan slot (one ``floor_divide``, clamped like
+        :meth:`~repro.allocation.plan.AllocationPlan.slot_index_of`) and
+        its frozen and final configs (the trace's interned config
+        tables) — so a settle indexes three lists, never a call view."""
+        selector = self._selector
+        slots = selector.plan.slots
+        index = np.floor_divide(trace.start_s - slots[0].start_s,
+                                slots[0].duration_s)
+        self._slot_of_call = np.clip(index, 0, len(slots) - 1) \
+            .astype(np.int64).tolist()
+        frozen, codes = trace.config_table(selector.freeze_window_s)
+        self._frozen = [frozen[code] for code in codes.tolist()]
+        final, codes = trace.config_table(None)
+        self._final = [final[code] for code in codes.tolist()]
+
     def _release(self, row: int, call_id: str) -> None:
         for end in self._enders:
             end(call_id)
@@ -338,21 +357,23 @@ class LocalPort:
     def settle(self, row: int, call_index: int, call_id: str,
                initial_dc: str, ended: bool) -> Tuple[str, bool]:
         t0 = time.perf_counter()
-        outcome = self._settle(self.trace.call(call_index), initial_dc)
-        if outcome.migrated:
+        _, _, final_dc, migrated, planned, _, overflowed = self._settle(
+            call_id, self._slot_of_call[call_index],
+            self._frozen[call_index], self._final[call_index], initial_dc)
+        if migrated:
             self.migrated += 1
-        elif outcome.overflowed:
+        elif overflowed:
             self.overflowed += 1
         else:
             self.admitted += 1
-        if not outcome.planned:
+        if not planned:
             self.unplanned += 1
         self._record_settle((time.perf_counter() - t0) * 1e3)
         if ended and self.release is not None:
             # An early-ended call closes at its freeze: release its
             # reservation now, before the next scheduled row.
             self.release(row, call_id)
-        return outcome.final_dc, outcome.migrated
+        return final_dc, migrated
 
 
 # ----------------------------------------------------------------------
@@ -509,7 +530,7 @@ class ServingEngine:
                     continue
                 n_events += len(batch)
                 for port in self._ports:
-                    port.trace = batch.trace
+                    port.open(batch.trace)
                 self._open_batch(batch, self._shard_of_call(batch.trace))
                 ranges, anchor = self._window_ranges(batch, anchor)
                 for lo, hi in ranges:

@@ -187,8 +187,8 @@ class TestControllerStateClient:
         plain.close_call("c2")
 
         piped = PipelinedStateClient(piped_store)
-        piped.open_call("c1", "dc-a", "US")
-        piped.flush([piped.join_write("c1", "CA"),
+        spread = piped.open_call("c1", "dc-a", "US")
+        piped.flush([("hincrby", (spread, "CA", 1)),
                      piped.media_write("c1", MediaType.VIDEO)]
                     + piped.migrate_writes("c1", "dc-a", "dc-b"))
         piped.open_call("c2", "dc-a", "US")
@@ -335,3 +335,22 @@ class TestBatchedOps:
     def test_unknown_batch_op_rejected(self):
         with pytest.raises(KVStoreError):
             InMemoryKVStore().execute_batch([("flush", ())])
+
+    def test_unknown_op_applies_nothing(self):
+        """Every op name resolves before the first op applies."""
+        store = InMemoryKVStore()
+        with pytest.raises(KVStoreError):
+            store.execute_batch([("hset", ("k", "f", 1)), ("bogus", ())])
+        assert "k" not in store._data
+        assert (store.op_count, store.trip_count) == (0, 0)
+
+    def test_failed_batch_counts_its_trip_and_applied_ops(self):
+        """A WRONGTYPE op mid-batch raises after the ops before it
+        applied; the trip and those ops are counted."""
+        store = InMemoryKVStore()
+        store.set("s", "text")
+        with pytest.raises(KVStoreError):
+            store.execute_batch([("hset", ("h", "f", 1)), ("incr", ("s", 1)),
+                                 ("set", ("z", 2))])
+        assert store._data == {"s": "text", "h": {"f": 1}}
+        assert (store.op_count, store.trip_count) == (2, 2)

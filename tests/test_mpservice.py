@@ -146,8 +146,11 @@ class TestCallStateStore:
             elif kind is EventType.MEDIA_CHANGE:
                 client.record_media(call_id, event.media)
             elif kind is EventType.CONFIG_FREEZE:
-                outcome = selector.settle(event.call,
-                                          client.call_dc(call_id))
+                call = event.call
+                outcome = selector.settle(
+                    call_id, plan.slot_index_of(call.start_s),
+                    call.config(FREEZE_S), call.config(),
+                    client.call_dc(call_id))
                 if outcome.migrated:
                     client.migrate_call(call_id, outcome.final_dc)
                 settled.add(call_id)

@@ -361,7 +361,7 @@ class TestWindowKernel:
         ledger.load_plan(plan)
         port = LocalPort(RealTimeSelector(topology, plan, ledger=ledger),
                          ledger, None, LatencyHistogram())
-        port.trace = trace
+        port.open(trace)
         worker = WorkerState(topology)
         client = PipelinedStateClient(store)
         for window, tail in zip(windows, tails):

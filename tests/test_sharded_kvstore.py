@@ -5,6 +5,7 @@ import pytest
 from repro.kvstore import (
     HashRing,
     InMemoryKVStore,
+    KVStoreError,
     ShardedKVStore,
     routing_key,
 )
@@ -212,6 +213,15 @@ class TestPipelines:
         store = ShardedKVStore(n_shards=2)
         assert store.pipeline().execute() == []
         assert store.trip_count == 0
+
+    def test_unknown_op_applies_nothing_on_any_shard(self):
+        store = ShardedKVStore(n_shards=4)
+        keys = [f"key-{i}" for i in range(12)]
+        assert len({store.shard_of(key) for key in keys}) > 1
+        with pytest.raises(KVStoreError):
+            store.execute_batch([("set", (key, 1)) for key in keys]
+                                + [("bogus", ("other",))])
+        assert len(store) == 0 and store.trip_count == 0
 
     def test_sharded_latency_percentiles(self):
         store = ShardedKVStore.with_latency(n_shards=2, median_ms=0.1,
