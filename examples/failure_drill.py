@@ -9,8 +9,9 @@ is.  This is the §4.2 story made concrete: the backup that absorbs
 Japan's peak is India's and Hong Kong's off-peak serving capacity.
 
 Part 2 drills the *control plane* instead of the topology: a
-:class:`~repro.resilience.faults.FaultPlan` injects solver crashes,
-hangs, and worker-pool deaths, and the degradation ladder
+:class:`~repro.resilience.faults.FaultPlan` injects solver crashes and
+hangs, one of them inside the threaded max sweep, and the degradation
+ladder
 (``joint → max → incremental → locality``) keeps ``provision()``
 returning usable plans, each tagged with how far it degraded, with the
 full attempt/retry/fallback trail in the event log.
@@ -68,7 +69,7 @@ def main() -> None:
 
 
 def resilience_drill(topology: Topology, demand) -> None:
-    """Part 2: crash/hang/worker-death faults against the solve pipeline."""
+    """Part 2: crash/hang faults against the solve pipeline."""
     print("\n--- resilience drill: faults against the solver itself ---")
     print(f"{'fault':<34}{'method':>12}{'level':>7}{'retries':>9}"
           f"{'fallbacks':>11}")
@@ -86,10 +87,10 @@ def resilience_drill(topology: Topology, demand) -> None:
          FaultPlan().hang("provision.joint", seconds=30.0, times=10),
          PlannerConfig(max_link_scenarios=0, solve_timeout_s=8.0,
                        solve_retries=1, retry_backoff_s=0.0)),
-        ("worker death in the max sweep",
-         FaultPlan().worker_death("provision.scenario", times=1),
+        ("crash inside the threaded max sweep",
+         FaultPlan().crash("provision.scenario[F0]", times=1),
          PlannerConfig(max_link_scenarios=0, backup_method="max",
-                       workers=2, solve_retries=1, retry_backoff_s=0.0)),
+                       solve_retries=1, retry_backoff_s=0.0)),
     ]
     for title, faults, base in drills:
         controller = Switchboard(

@@ -2,15 +2,14 @@
 
 :class:`Switchboard` historically grew one keyword per feature
 (``latency_threshold_ms``, ``max_link_scenarios``, ``backup_method``,
-``background``, ``dc_core_limits``, ``workers``) — sprawl that
+``background``, ``dc_core_limits``) — sprawl that
 :class:`~repro.switchboard.SwitchboardPipeline` could not even pass
 through.  :class:`PlannerConfig` consolidates them, adds the resilience
 knobs (timeouts, retries, backoff, fault injection), and travels as a
 single immutable value:
 
 >>> from repro import PlannerConfig, Switchboard, Topology
->>> config = PlannerConfig(backup_method="max", workers=4,
-...                        solve_timeout_s=30.0)
+>>> config = PlannerConfig(backup_method="max", solve_timeout_s=30.0)
 >>> controller = Switchboard(Topology.default(), config=config)
 
 ``dataclasses.replace`` (or :meth:`PlannerConfig.but`) derives variants::
@@ -290,7 +289,9 @@ class PlannerConfig:
       provisioning *starts* at (``joint`` | ``incremental`` | ``max``).
     * ``background`` — non-conferencing link traffic folded into peaks.
     * ``dc_core_limits`` — per-DC core caps (regional exhaustion).
-    * ``workers`` — process fan-out for the ``max`` sweep.
+
+    The ``max`` sweep solves on one thread per usable CPU; that is not a
+    knob (:func:`~repro.provisioning.planner.usable_cpus`).
 
     Resilience:
 
@@ -300,8 +301,6 @@ class PlannerConfig:
     * ``retry_backoff_s`` — base delay before a retry, doubled per retry
       and jittered by :mod:`repro.resilience.supervisor`; a deployment
       setting.
-    * ``pool_restarts`` — how many times a died-worker process pool is
-      rebuilt before the ``max`` sweep counts as failed.
     * ``fault_plan`` — injected faults for drills/tests (``None`` = none).
 
     Persistent failure walks :data:`DEFAULT_LADDER` down from
@@ -325,11 +324,9 @@ class PlannerConfig:
     backup_method: str = "joint"
     background: Optional["BackgroundTraffic"] = None
     dc_core_limits: Optional[Mapping[str, float]] = None
-    workers: Optional[int] = None
     solve_timeout_s: Optional[float] = None
     solve_retries: int = 2
     retry_backoff_s: float = 0.05
-    pool_restarts: int = 2
     fault_plan: Optional[FaultPlan] = None
     service: Optional[ServiceConfig] = None
     packing: Optional[PackingConfig] = None
@@ -353,10 +350,6 @@ class PlannerConfig:
             raise SwitchboardError("solve_timeout_s must be positive")
         if self.retry_backoff_s < 0:
             raise SwitchboardError("retry_backoff_s must be non-negative")
-        if self.pool_restarts < 0:
-            raise SwitchboardError("pool_restarts must be >= 0")
-        if self.workers is not None and self.workers < 1:
-            raise SwitchboardError("workers must be a positive integer")
         checked_core_limits(self.dc_core_limits)
 
     def but(self, **overrides: Any) -> "PlannerConfig":

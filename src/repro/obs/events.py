@@ -8,7 +8,7 @@ This module is that trail.
 * :class:`EventLog` — an append-only, thread-safe sequence of
   :class:`Event` records.  Every event carries a monotonically increasing
   ``seq``, a dotted ``kind`` (``solve.attempt``, ``solve.retry``,
-  ``ladder.fallback``, ``pool.restart``, ``fault.injected``, …), the
+  ``ladder.fallback``, ``solve.timeout``, ``fault.injected``, …), the
   ``label`` of the solve it concerns, and a free-form ``detail`` mapping.
 * :class:`Counters` — a thread-safe name → count registry for the
   aggregate view (``solve.attempts``, ``solve.retries``,

@@ -18,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
+import numpy as np
+
 from repro.core.errors import TopologyError, WorkloadError
 from repro.core.types import CallConfig
 from repro.core.units import DEFAULT_LATENCY_THRESHOLD_MS, mbps_to_gbps
@@ -91,6 +93,11 @@ class PlacementData:
         self._scenario_cache: Dict[
             tuple, List[PlacementOption]
         ] = {}
+        self._unit_costs: Dict[tuple, np.ndarray] = {}
+        #: :func:`~repro.provisioning.failures.scenario_structure_signature`
+        #: memo: (configs with demand) -> (failed DCs, failed links) ->
+        #: signature.  A multi-day sweep asks for the same ones every day.
+        self.structure_signatures: Dict[tuple, Dict[tuple, tuple]] = {}
 
     def _build_options(self, config: CallConfig,
                        restrict_regions: bool) -> List[PlacementOption]:
@@ -136,6 +143,22 @@ class PlacementData:
         return self._cached_surviving_options(
             config, scenario.all_failed_dcs, scenario.all_failed_links
         )
+
+    def option_unit_costs(self, config: CallConfig, scenario) -> np.ndarray:
+        """Capacity cost of hosting one steady call on each of
+        :meth:`options_under_scenario`'s options (cores·DC$ + Σ Gbps·WAN$),
+        memoized per (config, failure set)."""
+        key = (config, scenario.all_failed_dcs, scenario.all_failed_links)
+        costs = self._unit_costs.get(key)
+        if costs is None:
+            dc_cost, wan_cost = self.topology.dc_cost, self.topology.wan_cost
+            costs = np.array([
+                option.cores_per_call * dc_cost(option.dc_id)
+                + sum(gbps * wan_cost(link_id)
+                      for link_id, gbps in option.link_gbps.items())
+                for option in self.options_under_scenario(config, scenario)])
+            self._unit_costs[key] = costs
+        return costs
 
     def _cached_surviving_options(self, config: CallConfig,
                                   failed_dcs: Sequence[str],

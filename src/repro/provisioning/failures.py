@@ -157,6 +157,32 @@ def enumerate_compound_scenarios(topology: Topology,
     return scenarios
 
 
+def _demand_key(demand: "Demand") -> Tuple:
+    """What a structure signature reads of the demand: each config with
+    demand in some slot, with its index."""
+    active = (demand.counts > 0).any(axis=0)
+    return tuple((j, config) for j, config in enumerate(demand.configs)
+                 if active[j])
+
+
+def _structure_signature(placement: "PlacementData", demand_key: Tuple,
+                         scenario: FailureScenario) -> Tuple:
+    failures = (scenario.all_failed_dcs, scenario.all_failed_links)
+    memo = placement.structure_signatures.setdefault(demand_key, {})
+    signature = memo.get(failures)
+    if signature is None:
+        signature = tuple(
+            (j, tuple(sorted(
+                (option.dc_id, option.acl_ms, option.cores_per_call,
+                 tuple(sorted(option.link_gbps.items())))
+                for option in placement.options_under_scenario(config,
+                                                               scenario)
+            )))
+            for j, config in demand_key)
+        memo[failures] = signature
+    return signature
+
+
 def scenario_structure_signature(placement: "PlacementData",
                                  demand: "Demand",
                                  scenario: FailureScenario) -> Tuple:
@@ -169,23 +195,11 @@ def scenario_structure_signature(placement: "PlacementData",
     its surviving :class:`~repro.provisioning.demand.PlacementOption` set
     (DC, ACL, cores/call, per-link Gbps) — equal signatures imply
     identical scenario LPs for the same demand matrix, so one solve
-    serves all of them.
+    serves all of them.  It is memoized on the placement, keyed by the
+    configs with demand and the scenario's failure sets: a multi-day
+    sweep pays for it once.
     """
-    counts = demand.counts
-    parts: List[Tuple] = []
-    for j, config in enumerate(demand.configs):
-        if not bool((counts[:, j] > 0).any()):
-            continue
-        options = placement.options_under_scenario(config, scenario)
-        parts.append((
-            j,
-            tuple(sorted(
-                (option.dc_id, option.acl_ms, option.cores_per_call,
-                 tuple(sorted(option.link_gbps.items())))
-                for option in options
-            )),
-        ))
-    return tuple(parts)
+    return _structure_signature(placement, _demand_key(demand), scenario)
 
 
 def dedupe_scenarios(placement: "PlacementData", demand: "Demand",
@@ -199,11 +213,12 @@ def dedupe_scenarios(placement: "PlacementData", demand: "Demand",
     solve only ``unique`` and fan the results back out over the original
     list.
     """
+    demand_key = _demand_key(demand)
     unique: List[FailureScenario] = []
     expansion: List[int] = []
     index_of: Dict[Tuple, int] = {}
     for scenario in scenarios:
-        signature = scenario_structure_signature(placement, demand, scenario)
+        signature = _structure_signature(placement, demand_key, scenario)
         idx = index_of.get(signature)
         if idx is None:
             idx = len(unique)

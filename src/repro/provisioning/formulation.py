@@ -171,8 +171,6 @@ class ScenarioResult:
     #: gap ``(upper - lower) / lower`` of the winning arm.  ``None`` means
     #: the result is an exact LP optimum (gap 0 by construction).
     bound_gap: Optional[float] = None
-    #: Pid of the pool worker that solved it (``None``: solved in-process).
-    worker_pid: Optional[int] = field(default=None, compare=False)
 
     def mean_acl_ms(self, placement: PlacementData, demand: Demand) -> float:
         """Demand-weighted mean ACL of this scenario's allocation."""

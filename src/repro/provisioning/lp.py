@@ -556,8 +556,7 @@ class WarmStartCache:
     :attr:`max_bytes` of :attr:`WarmEntry.nbytes` (least recently used
     evicted first), and counts ``hits``/``misses`` (instance lookups),
     ``stores`` and ``dual_hits`` (a bound was available) so callers can
-    report reuse.  A pooled sweep ships each task its :meth:`shipped`
-    entry and folds the task's cache back in with :meth:`absorb`.
+    report reuse.  The threads of a ``max`` sweep share one cache.
     """
 
     #: Room for a default-topology day's scenario sweep (plan-sweep's 23
@@ -565,14 +564,13 @@ class WarmStartCache:
     #: long-lived autoscaled controller cannot pile up.
     max_bytes = 16 * 2 ** 20
 
-    def __init__(self, max_entries: int = 256,
-                 entries: Optional[Dict[Hashable, WarmEntry]] = None):
+    def __init__(self, max_entries: int = 256):
         if max_entries < 1:
             raise SolverError("WarmStartCache needs max_entries >= 1")
         self.max_entries = max_entries
         self._lock = threading.Lock()
-        self._entries = OrderedDict(entries or {})
-        self._nbytes = sum(entry.nbytes for entry in self._entries.values())
+        self._entries: "OrderedDict[Hashable, WarmEntry]" = OrderedDict()
+        self._nbytes = 0
         self.hits = 0
         self.misses = 0
         self.stores = 0
@@ -626,23 +624,6 @@ class WarmStartCache:
         with self._lock:
             self._entries.clear()
             self._nbytes = 0
-
-    def shipped(self, signature: Hashable) -> Optional[WarmEntry]:
-        """The entry under ``signature`` for a pool task, uncounted and
-        without its basis: a HiGHS basis does not pickle."""
-        with self._lock:
-            entry = self._entries.get(signature)
-            return None if entry is None else entry._replace(basis=None)
-
-    def absorb(self, signature: Hashable, entry: Optional[WarmEntry],
-               counts: Dict[str, int]) -> None:
-        """Fold in a pool task's cache: the ``entry`` it stored (if any)
-        under ``signature``, and its lookups from :meth:`stats`."""
-        if entry is not None:
-            self.put(signature, *entry)
-        with self._lock:
-            for name in ("hits", "misses", "dual_hits"):
-                setattr(self, name, getattr(self, name) + counts[name])
 
     def stats(self) -> Dict[str, int]:
         with self._lock:

@@ -16,10 +16,9 @@ Two sweep modes implement the combining:
   **dependent** and the sweep is sequential by design.
 * ``combine="max"`` — every scenario is solved independently against an
   empty base and the plan takes the element-wise maximum (the literal
-  Eqs 7-8).  The scenarios are independent LPs, so the sweep fans out
-  over a :class:`~concurrent.futures.ProcessPoolExecutor` when
-  ``workers > 1``; results are merged in deterministic scenario order
-  regardless of completion order.
+  Eqs 7-8).  The scenarios are independent LPs, so the sweep solves them
+  on one thread per usable CPU (HiGHS releases the GIL while it runs);
+  results are merged in scenario order regardless of completion order.
 """
 
 from __future__ import annotations
@@ -27,14 +26,12 @@ from __future__ import annotations
 import dataclasses
 import functools
 import os
-import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeoutError
-from concurrent.futures.process import BrokenProcessPool
+import threading
+from concurrent.futures import CancelledError, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
-from repro.core.errors import InfeasibleError, SolverError, SolveTimeoutError
+from repro.core.errors import SolverError
 from repro.obs.events import Event, Observability
 from repro.provisioning.demand import PlacementData
 from repro.provisioning.failures import (
@@ -44,7 +41,7 @@ from repro.provisioning.failures import (
     enumerate_scenarios,
 )
 from repro.provisioning.formulation import ScenarioLP, ScenarioResult
-from repro.provisioning.lp import SolveStats, WarmEntry, WarmStartCache
+from repro.provisioning.lp import SolveStats, WarmStartCache
 from repro.provisioning.portfolio import build_arms, run_race
 from repro.topology.builder import Topology
 from repro.workload.arrivals import Demand
@@ -159,70 +156,16 @@ class CapacityPlan:
         return True
 
 
-# ---------------------------------------------------------------------------
-# Process-pool plumbing for the independent-scenario ("max") sweep.  The
-# heavyweight shared inputs are shipped once per worker via the pool
-# initializer; each task then sends only its FailureScenario and the
-# warm-cache entry for it.  A fault plan (drills/tests) rides along so
-# worker-side faults — a hang, or a hard worker death — happen inside the
-# worker process for real.
-# ---------------------------------------------------------------------------
-
-_WORKER_CONTEXT: dict = {}
-
-
 def _scenario_label(scenario: FailureScenario) -> str:
     return f"provision.scenario[{scenario.name}]"
 
 
-def _init_scenario_worker(placement, demand, background, dc_core_limits,
-                          fault_plan=None, portfolio=None):
-    _WORKER_CONTEXT["args"] = (placement, demand, background, dc_core_limits)
-    _WORKER_CONTEXT["faults"] = fault_plan
-    _WORKER_CONTEXT["portfolio"] = portfolio
-
-
-def _inject_worker_faults(scenario: FailureScenario) -> None:
-    faults = _WORKER_CONTEXT.get("faults")
-    if faults is None:
-        return
-    label = _scenario_label(scenario)
-    if faults.take("worker_death", label) is not None:
-        # An OOM-kill / segfault stand-in: the whole worker process
-        # hard-exits, breaking the pool for every sibling future.
-        os._exit(1)
-    hang = faults.take("hang", label)
-    if hang is not None:
-        time.sleep(hang.hang_seconds)
-
-
-def _solve_scenario_in_worker(scenario: FailureScenario,
-                              entry: Optional[WarmEntry] = None):
-    """Pool task: solve one scenario, or race the arms for portfolio runs.
-
-    Returns ``(result, trail, report)`` — the parent replays the win/loss
-    ``trail`` into its observability log and hands ``report`` to
-    :meth:`WarmStartCache.absorb`.  The task's cache starts from the
-    parent's ``entry``.
-    """
-    placement, demand, background, dc_core_limits = _WORKER_CONTEXT["args"]
-    _inject_worker_faults(scenario)
-    portfolio = _WORKER_CONTEXT["portfolio"]
-    lp = ScenarioLP(placement, demand, scenario, background=background,
-                    dc_core_limits=dc_core_limits)
-    signature = lp.signature()
-    cache = WarmStartCache(entries=entry and {signature: entry})
-    if portfolio is None:
-        result, trail = lp.solve(warm_cache=cache), []
-    else:
-        arms = build_arms(placement, demand, scenario, arms=portfolio.arms,
-                          warm_cache=cache, background=background,
-                          dc_core_limits=dc_core_limits)
-        result, trail = run_race(arms, portfolio.gap,
-                                 label=_scenario_label(scenario))
-    result.worker_pid = os.getpid()
-    return result, trail, (cache.shipped(signature) if cache.stores
-                           else None, cache.stats())
+def usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where the OS
+    keeps one): how many threads the ``max`` sweep solves on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 class CapacityPlanner:
@@ -230,8 +173,7 @@ class CapacityPlanner:
 
     ``supervisor`` (optional) routes every LP solve through a
     :class:`~repro.resilience.supervisor.SolveSupervisor` — per-solve
-    timeouts, bounded retries, fault injection, structured events — and
-    arms the ``method="max"`` sweep's process pool with death recovery.
+    timeouts, bounded retries, fault injection, structured events.
     Without a supervisor solves run directly, record no events, and
     failures propagate immediately.
 
@@ -240,7 +182,8 @@ class CapacityPlanner:
     scenario LP, its basis and duals across planners: a repeat solve of
     the same LP signature re-prices the kept instance and re-solves from
     its basis.  Its owner — a :class:`~repro.switchboard.Switchboard` —
-    keeps it across days and rolling refreshes.
+    keeps it across days and rolling refreshes; the ``max`` sweep's
+    threads all share it.
 
     ``portfolio`` (optional, a :class:`~repro.config.PortfolioConfig`)
     turns on the raced sweep: empty-base scenario solves race the
@@ -278,8 +221,7 @@ class CapacityPlanner:
                          method: str = "joint",
                          latency_tiebreak: float = 1e-6,
                          background=None,
-                         dc_core_limits=None,
-                         workers: Optional[int] = None) -> CapacityPlan:
+                         dc_core_limits=None) -> CapacityPlan:
         """Serving + backup: all DC and (non-bridge) link failures.
 
         ``method="joint"`` (default) co-optimizes serving placement with
@@ -290,11 +232,7 @@ class CapacityPlanner:
         an upper bound the ablation benchmark quantifies.  ``method="max"``
         solves every scenario independently and element-wise
         max-combines, which is the only mode whose scenario LPs are
-        independent — ``workers`` fans them out across processes there.
-        ``workers`` is ignored by the single-LP joint method and by the
-        incremental sweep (sequential by design); the parallel plan is
-        bitwise-deterministic and identical to the sequential one because
-        results are merged in scenario order.
+        independent, so only it solves on several threads (:meth:`plan`).
         """
         scenarios = enumerate_scenarios(
             self.placement.topology, max_link_scenarios=max_link_scenarios
@@ -315,12 +253,12 @@ class CapacityPlanner:
         if method == "max":
             return self.plan(scenarios=scenarios, background=background,
                              dc_core_limits=dc_core_limits,
-                             combine="max", workers=workers)
+                             combine="max")
         raise SolverError(f"unknown provisioning method {method!r}")
 
     def plan(self, scenarios: List[FailureScenario], background=None,
-             dc_core_limits=None, combine: str = "incremental",
-             workers: Optional[int] = None) -> CapacityPlan:
+             dc_core_limits=None, combine: str = "incremental"
+             ) -> CapacityPlan:
         """Sweep the scenario set and combine into one plan.
 
         ``combine="incremental"``: scenario *k* is solved with everything
@@ -330,13 +268,13 @@ class CapacityPlanner:
         Eqs 7-8 emerges with every core and Gbps priced exactly once.
         The no-failure scenario runs first so serving capacity anchors
         the base; the data dependence makes this mode inherently
-        sequential (``workers`` is ignored).
+        sequential.
 
         ``combine="max"``: every scenario is solved against an empty base
         and the plan takes per-DC / per-link maxima (the literal Eqs
-        7-8).  The LPs are independent, so ``workers > 1`` solves them in
-        a process pool; the merge always walks results in scenario order,
-        so the plan is identical to a sequential run.
+        7-8).  The LPs are independent, so they solve on one thread per
+        usable CPU (:meth:`_solve_independent`); the merge walks results
+        in scenario order, so the plan is a sequential run's.
         """
         if not scenarios:
             raise SolverError("need at least one scenario")
@@ -344,9 +282,8 @@ class CapacityPlanner:
             raise SolverError(f"unknown combine mode {combine!r}")
         ordered = sorted(scenarios, key=lambda s: not s.is_baseline)
         if combine == "max":
-            results = self._sweep_deduped(
-                ordered, background, dc_core_limits, workers
-            )
+            results = self._sweep_deduped(ordered, background,
+                                          dc_core_limits)
             cores: Dict[str, float] = {}
             link_gbps: Dict[str, float] = {}
             for result in results:
@@ -377,8 +314,7 @@ class CapacityPlanner:
         return CapacityPlan(cores=cores, link_gbps=link_gbps, scenario_results=results)
 
     def _sweep_deduped(self, ordered: List[FailureScenario],
-                       background, dc_core_limits,
-                       workers: Optional[int]) -> List[ScenarioResult]:
+                       background, dc_core_limits) -> List[ScenarioResult]:
         """The independent sweep, with structural scenario dedup under a
         portfolio.
 
@@ -389,24 +325,20 @@ class CapacityPlanner:
         count the LP work exactly once.
         """
         if self.portfolio is None or len(ordered) < 2:
-            return self._solve_independent(
-                ordered, background, dc_core_limits, workers
-            )
+            return self._solve_independent(ordered, background,
+                                           dc_core_limits)
         unique, expansion = dedupe_scenarios(
             self.placement, self.demand, ordered
         )
         if len(unique) == len(ordered):
-            return self._solve_independent(
-                ordered, background, dc_core_limits, workers
-            )
+            return self._solve_independent(ordered, background,
+                                           dc_core_limits)
         if self.supervisor is not None:
             self.supervisor.obs.record(
                 "dedup.collapsed", label="provision.max",
                 scenarios=len(ordered), unique=len(unique),
             )
-        solved = self._solve_independent(
-            unique, background, dc_core_limits, workers
-        )
+        solved = self._solve_independent(unique, background, dc_core_limits)
         seen: set = set()
         results: List[ScenarioResult] = []
         for scenario, idx in zip(ordered, expansion):
@@ -420,186 +352,54 @@ class CapacityPlanner:
         return results
 
     def _solve_independent(self, ordered: List[FailureScenario],
-                           background, dc_core_limits,
-                           workers: Optional[int]) -> List[ScenarioResult]:
-        """Solve independent scenario LPs, optionally process-parallel.
+                           background, dc_core_limits) -> List[ScenarioResult]:
+        """Solve independent scenario LPs on one thread per usable CPU.
 
-        Results always come back in scenario order whichever worker
-        finished first — the merge is deterministic.  The pool path is
-        :meth:`_solve_pool`.
+        HiGHS releases the GIL while it solves, so the LPs run in
+        parallel; every thread goes through the one thread-safe warm
+        cache, and results come back in scenario order whichever thread
+        finished first.  After the first failure no further scenario
+        starts; once the running ones return, the failure of the earliest
+        scenario propagates — a supervised sweep's
+        :class:`SolveTimeoutError` reaches the degradation ladder this way.
         """
-        n_workers = self._effective_workers(workers, len(ordered))
-        portfolio = self.portfolio
-        if n_workers > 1:
-            return self._solve_pool(ordered, background, dc_core_limits,
-                                    n_workers)
-        results = []
-        for scenario in ordered:
-            label = _scenario_label(scenario)
-            if portfolio is None:
-                lp = ScenarioLP(self.placement, self.demand, scenario,
-                                background=background,
-                                dc_core_limits=dc_core_limits)
-                results.append(self._run(label, self._exact_solve(lp)))
-                continue
-            arms = build_arms(self.placement, self.demand, scenario,
-                              arms=portfolio.arms,
-                              warm_cache=self.warm_cache,
-                              background=background,
-                              dc_core_limits=dc_core_limits)
-            if self.supervisor is None:
-                results.append(run_race(arms, portfolio.gap, label=label)[0])
-            else:
-                results.append(self.supervisor.race(label, arms, portfolio.gap))
-        return results
+        solve = functools.partial(self._solve_scenario, background=background,
+                                  dc_core_limits=dc_core_limits)
+        n_threads = min(usable_cpus(), len(ordered))
+        if n_threads <= 1:
+            return [solve(scenario) for scenario in ordered]
+        failed = threading.Event()
 
-    def _solve_pool(self, ordered: List[FailureScenario],
-                    background, dc_core_limits,
-                    n_workers: int) -> List[ScenarioResult]:
-        """The ``max`` sweep in a process pool: timeouts + pool recovery.
-
-        Without a supervisor the sweep runs under one with no retries,
-        no pool restarts and no timeout, so any failure propagates.
-
-        * **crash faults** are intercepted parent-side at submission (a
-          worker cannot be asked to "crash deterministically" across
-          resubmissions), burning one retry each;
-        * **hang / worker-death faults** ship to the workers via the pool
-          initializer and happen inside the worker process for real;
-        * a worker death breaks the whole pool (``BrokenProcessPool``):
-          the sweep consumes one ``worker_death`` budget unit, rebuilds
-          the pool, and resubmits only the unfinished scenarios — up to
-          ``pool_restarts`` times;
-        * a scenario exceeding ``solve_timeout_s`` fails the sweep with
-          :class:`SolveTimeoutError` (the hung worker cannot be reclaimed
-          without killing the pool), handing control to the ladder;
-        * a solver error inside a worker is retried by resubmission to
-          the same pool, up to ``solve_retries`` per scenario.
-        """
-        supervisor = self.supervisor
-        if supervisor is None:
-            from repro.config import PlannerConfig
-            from repro.resilience.supervisor import SolveSupervisor
-            supervisor = SolveSupervisor(
-                PlannerConfig(solve_retries=0, pool_restarts=0))
-        cfg = supervisor.config
-        obs = supervisor.obs
-        fault_plan = cfg.fault_plan
-        cache = self.warm_cache
-        signatures = [None if cache is None else ScenarioLP(
-            self.placement, self.demand, scenario, background=background,
-            dc_core_limits=dc_core_limits).signature() for scenario in ordered]
-        shipped = [None if cache is None else cache.shipped(signature)
-                   for signature in signatures]
-        results: Dict[int, ScenarioResult] = {}
-        restarts_left = cfg.pool_restarts
-        retries_left = {i: cfg.solve_retries for i in range(len(ordered))}
-
-        while len(results) < len(ordered):
-            pending = [(i, scenario) for i, scenario in enumerate(ordered)
-                       if i not in results]
-            obs.record("pool.start", label="provision.max",
-                       workers=n_workers, pending=len(pending))
-            executor = ProcessPoolExecutor(
-                max_workers=n_workers,
-                initializer=_init_scenario_worker,
-                initargs=(self.placement, self.demand, background,
-                          dc_core_limits, fault_plan, self.portfolio),
-            )
-            broken = False
+        def task(scenario: FailureScenario) -> ScenarioResult:
+            if failed.is_set():
+                raise CancelledError
             try:
-                submitted = []
-                for i, scenario in pending:
-                    label = _scenario_label(scenario)
-                    # Parent-side crash injection: each injected crash
-                    # burns one retry; budget exhaustion fails the sweep.
-                    while fault_plan is not None and \
-                            fault_plan.take("crash", label) is not None:
-                        obs.record("fault.injected", label=label,
-                                   kind="crash", fault=f"crash({label})")
-                        obs.record("solve.error", label=label,
-                                   error="injected solver crash")
-                        if retries_left[i] <= 0:
-                            raise SolverError(
-                                f"{label}: injected crashes exhausted retries"
-                            )
-                        retries_left[i] -= 1
-                        obs.record("solve.retry", label=label,
-                                   delay_s=0.0)
-                    submitted.append((i, scenario, executor.submit(
-                        _solve_scenario_in_worker, scenario, shipped[i])))
-                for i, scenario, future in submitted:
-                    label = _scenario_label(scenario)
-                    while True:
-                        try:
-                            results[i], trail, report = future.result(
-                                timeout=cfg.solve_timeout_s
-                            )
-                            for kind, fields in trail:
-                                obs.record(kind, **fields)
-                            if cache is not None:
-                                cache.absorb(signatures[i], *report)
-                            obs.record("solve.success", label=label)
-                            break
-                        except FutureTimeoutError:
-                            obs.record("solve.timeout", label=label,
-                                       timeout_s=cfg.solve_timeout_s)
-                            raise SolveTimeoutError(
-                                f"{label}: pooled solve exceeded "
-                                f"{cfg.solve_timeout_s}s budget"
-                            ) from None
-                        except BrokenProcessPool:
-                            broken = True
-                            break
-                        except InfeasibleError as exc:
-                            obs.record(
-                                "solve.infeasible", label=label,
-                                error=str(exc),
-                                diagnosis=getattr(exc, "diagnosis", None),
-                            )
-                            raise
-                        except SolverError as exc:
-                            obs.record("solve.error", label=label,
-                                       error=str(exc))
-                            if retries_left[i] <= 0:
-                                obs.record("solve.failure", label=label,
-                                           error=str(exc))
-                                raise
-                            retries_left[i] -= 1
-                            obs.record("solve.retry", label=label,
-                                       delay_s=0.0)
-                            future = executor.submit(
-                                _solve_scenario_in_worker, scenario,
-                                shipped[i])
-                    if broken:
-                        break
-            finally:
-                executor.shutdown(wait=False, cancel_futures=True)
-            if not broken:
-                continue
-            # A worker died and took the pool with it.  Account for the
-            # injected death parent-side (so a rebuilt pool does not
-            # replay it), then rebuild and resubmit the unfinished tail.
-            if fault_plan is not None:
-                fault_plan.take_first("worker_death")
-            obs.record("pool.worker_death", label="provision.max",
-                       completed=len(results),
-                       pending=len(ordered) - len(results))
-            if restarts_left <= 0:
-                obs.record("pool.failure", label="provision.max",
-                           error="pool restarts exhausted")
-                raise SolverError(
-                    "process pool died and pool_restarts is exhausted"
-                )
-            restarts_left -= 1
-            obs.record("pool.restart", label="provision.max",
-                       restarts_left=restarts_left)
-        return [results[i] for i in range(len(ordered))]
+                return solve(scenario)
+            except BaseException:
+                failed.set()
+                raise
 
-    @staticmethod
-    def _effective_workers(workers: Optional[int], n_scenarios: int) -> int:
-        if workers is None:
-            return 1
-        if workers < 1:
-            raise SolverError("workers must be a positive integer")
-        return min(workers, n_scenarios, max(os.cpu_count() or 1, 1) * 4)
+        with ThreadPoolExecutor(n_threads,
+                                thread_name_prefix="provision.max") as pool:
+            futures = [pool.submit(task, scenario) for scenario in ordered]
+        # Threads take scenarios in order, so any skipped one comes after
+        # the failure that skipped it.
+        return [future.result() for future in futures]
+
+    def _solve_scenario(self, scenario: FailureScenario, background,
+                        dc_core_limits) -> ScenarioResult:
+        """One empty-base scenario: the exact LP, or the portfolio race."""
+        label = _scenario_label(scenario)
+        if self.portfolio is None:
+            lp = ScenarioLP(self.placement, self.demand, scenario,
+                            background=background,
+                            dc_core_limits=dc_core_limits)
+            return self._run(label, self._exact_solve(lp))
+        arms = build_arms(self.placement, self.demand, scenario,
+                          arms=self.portfolio.arms,
+                          warm_cache=self.warm_cache,
+                          background=background,
+                          dc_core_limits=dc_core_limits)
+        if self.supervisor is None:
+            return run_race(arms, self.portfolio.gap, label=label)[0]
+        return self.supervisor.race(label, arms, self.portfolio.gap)

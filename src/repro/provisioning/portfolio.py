@@ -27,6 +27,7 @@ the exact arm.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
@@ -51,25 +52,25 @@ _BOUND_RTOL = 1e-9
 
 @dataclass
 class ArmOutcome:
-    """One arm's verdict: a feasible plan (maybe) plus certified bounds."""
+    """One arm's verdict: a feasible plan (maybe) plus certified bounds.
+
+    A heuristic arm may leave ``result.shares`` empty and pass their
+    builder as ``shares``: the race builds them only for the arm whose
+    result it returns (:meth:`final`).
+    """
 
     arm: str
     result: Optional[ScenarioResult]
     upper_bound: float
     lower_bound: float
     exact: bool = False
+    shares: Optional[Callable[[], Dict]] = None
 
-
-def unit_cost(placement: PlacementData, option: PlacementOption) -> float:
-    """Capacity cost of hosting one steady call on this option."""
-    topology = placement.topology
-    return (
-        option.cores_per_call * topology.dc_cost(option.dc_id)
-        + sum(
-            gbps * topology.wan_cost(link_id)
-            for link_id, gbps in option.link_gbps.items()
-        )
-    )
+    def final(self) -> ScenarioResult:
+        """``result``, with its shares built if they were deferred."""
+        if self.shares is not None:
+            self.result.shares, self.shares = self.shares(), None
+        return self.result
 
 
 def scenario_lower_bound(placement: PlacementData, demand: Demand,
@@ -77,17 +78,15 @@ def scenario_lower_bound(placement: PlacementData, demand: Demand,
     """Closed-form lower bound on a scenario's standalone optimum.
 
     Any feasible plan's cost is at least any single slot's usage priced
-    at each config's cheapest surviving unit rate, so the busiest slot so
+    at each config's cheapest surviving unit rate
+    (:meth:`~PlacementData.option_unit_costs`), so the busiest slot so
     priced bounds the optimum from below.
     """
     counts = demand.counts
     if counts.size == 0:
         return 0.0
     min_costs = np.array([
-        min(
-            unit_cost(placement, option)
-            for option in placement.options_under_scenario(config, scenario)
-        )
+        placement.option_unit_costs(config, scenario).min()
         for config in demand.configs
     ])
     return float((counts * min_costs).sum(axis=1).max())
@@ -102,40 +101,48 @@ def _used_links(placement: PlacementData, demand: Demand,
     return sorted(links)
 
 
-def _assignment_result(placement: PlacementData, demand: Demand,
-                       scenario: FailureScenario,
-                       choice: Dict[int, np.ndarray],
-                       arm: str,
-                       background: Optional["BackgroundTraffic"],
-                       dc_core_limits: Optional[Dict[str, float]],
-                       started: float) -> Optional[ScenarioResult]:
-    """Price a concrete per-slot assignment into a feasible ScenarioResult.
+def _assignment_shares(demand: Demand,
+                       chosen: Sequence[Tuple[int, PlacementOption]]
+                       ) -> Dict[Tuple[int, object], Dict[str, float]]:
+    """Every slot's calls of config ``j`` on its one ``chosen`` option."""
+    shares: Dict[Tuple[int, object], Dict[str, float]] = {}
+    for j, option in chosen:
+        column = demand.counts[:, j]
+        config = demand.configs[j]
+        for t in np.nonzero(column > 0)[0]:
+            shares[(int(t), config)] = {option.dc_id: float(column[t])}
+    return shares
 
-    ``choice[j][t]`` is the index (into the config's surviving-option
-    list) hosting all of config ``j``'s slot-``t`` calls.  Returns
-    ``None`` when the assignment violates a DC core cap — the arm is then
-    invalid and the race moves on.
-    """
+
+def _locality_arm(placement: PlacementData, demand: Demand,
+                  scenario: FailureScenario,
+                  background: Optional["BackgroundTraffic"],
+                  dc_core_limits: Optional[Dict[str, float]]) -> ArmOutcome:
+    """Every config's calls on its cheapest surviving option in every
+    slot, priced from per-config count columns.  The plan's shares are
+    deferred to :meth:`ArmOutcome.final`; a plan over a DC core cap is
+    no plan (upper bound ``inf``)."""
+    started = time.perf_counter()
     counts = demand.counts
     n_slots = demand.n_slots
     core_series: Dict[str, np.ndarray] = {}
     link_series: Dict[str, np.ndarray] = {}
-    shares: Dict[Tuple[int, object], Dict[str, float]] = {}
+    chosen: List[Tuple[int, PlacementOption]] = []
     for j, config in enumerate(demand.configs):
         options = placement.options_under_scenario(config, scenario)
-        column = counts[:, j]
-        for t in np.nonzero(column > 0)[0]:
-            option = options[int(choice[j][t])]
-            calls = float(column[t])
-            series = core_series.setdefault(
-                option.dc_id, np.zeros(n_slots)
-            )
-            series[t] += calls * option.cores_per_call
-            for link_id, gbps in option.link_gbps.items():
-                link_series.setdefault(
-                    link_id, np.zeros(n_slots)
-                )[t] += calls * gbps
-            shares.setdefault((int(t), config), {})[option.dc_id] = calls
+        option = options[int(np.argmin(
+            placement.option_unit_costs(config, scenario)))]
+        active = counts[:, j] > 0
+        if not active.any():
+            continue
+        chosen.append((j, option))
+        calls = np.where(active, counts[:, j], 0.0).astype(float)
+        series = core_series.setdefault(option.dc_id, np.zeros(n_slots))
+        series += calls * option.cores_per_call
+        for link_id, gbps in option.link_gbps.items():
+            series = link_series.setdefault(link_id, np.zeros(n_slots))
+            series += calls * gbps
+    lower = scenario_lower_bound(placement, demand, scenario)
 
     cores = {dc_id: float(series.max())
              for dc_id, series in core_series.items()}
@@ -143,7 +150,7 @@ def _assignment_result(placement: PlacementData, demand: Demand,
         for dc_id, value in cores.items():
             cap = dc_core_limits.get(dc_id)
             if cap is not None and value > cap * (1.0 + 1e-9):
-                return None
+                return ArmOutcome("locality", None, float("inf"), lower)
 
     link_gbps: Dict[str, float] = {}
     for link_id, series in link_series.items():
@@ -163,39 +170,22 @@ def _assignment_result(placement: PlacementData, demand: Demand,
         sum(topology.dc_cost(dc_id) * v for dc_id, v in cores.items())
         + sum(topology.wan_cost(l) * v for l, v in link_gbps.items())
     )
-    return ScenarioResult(
+    result = ScenarioResult(
         scenario=scenario,
         cores=cores,
         link_gbps=link_gbps,
         excess_cores=dict(cores),
         excess_links=dict(link_gbps),
-        shares=shares,
+        shares={},
         cost=cost,
         stats=SolveStats(
             solver_seconds=time.perf_counter() - started,
-            arm=arm,
+            arm="locality",
         ),
     )
-
-
-def _locality_arm(placement: PlacementData, demand: Demand,
-                  scenario: FailureScenario,
-                  background: Optional["BackgroundTraffic"],
-                  dc_core_limits: Optional[Dict[str, float]]) -> ArmOutcome:
-    started = time.perf_counter()
-    choice: Dict[int, np.ndarray] = {}
-    for j, config in enumerate(demand.configs):
-        options = placement.options_under_scenario(config, scenario)
-        costs = [unit_cost(placement, option) for option in options]
-        choice[j] = np.full(demand.n_slots, int(np.argmin(costs)),
-                            dtype=np.int64)
-    lower = scenario_lower_bound(placement, demand, scenario)
-    result = _assignment_result(
-        placement, demand, scenario, choice, "locality",
-        background, dc_core_limits, started,
-    )
-    upper = result.cost if result is not None else float("inf")
-    return ArmOutcome("locality", result, upper, lower)
+    return ArmOutcome("locality", result, cost, lower,
+                      shares=functools.partial(_assignment_shares, demand,
+                                               chosen))
 
 
 def build_arms(placement: PlacementData, demand: Demand,
@@ -252,9 +242,8 @@ def run_race(arms: Sequence[Tuple[str, Callable[[], ArmOutcome]]],
     """Race the arms; first valid under the gap wins.
 
     ``runner(label, fn)`` lets a supervisor wrap each arm with its
-    timeout/retry machinery; by default arms run directly (the process-
-    pool workers use this, returning the event ``trail`` for the parent
-    to replay into its observability log).
+    timeout/retry machinery; by default arms run directly (an
+    unsupervised sweep).
 
     Returns ``(result, trail)`` where ``result.bound_gap`` is the
     certified relative gap of the winning plan (0.0 for exact wins) and
@@ -298,7 +287,7 @@ def run_race(arms: Sequence[Tuple[str, Callable[[], ArmOutcome]]],
             outcome.result.bound_gap = bound_gap
             fields["gap"] = bound_gap
             trail.append(("portfolio.arm.win", fields))
-            return outcome.result, trail
+            return outcome.final(), trail
         trail.append(("portfolio.arm.loss", fields))
         if outcome.result is not None and (
             fallback is None or outcome.upper_bound < fallback.upper_bound
@@ -319,4 +308,4 @@ def run_race(arms: Sequence[Tuple[str, Callable[[], ArmOutcome]]],
         "gap": fallback.result.bound_gap,
         "gap_exceeded": True,
     }))
-    return fallback.result, trail
+    return fallback.final(), trail

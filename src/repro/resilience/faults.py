@@ -1,18 +1,15 @@
 """Fault injection: declarative failure drills for the solve pipeline.
 
 A :class:`FaultPlan` is a budgeted list of :class:`FaultSpec` entries that
-the :class:`~repro.resilience.supervisor.SolveSupervisor`, the planner's
-process-pool sweep, and :class:`~repro.simulation.ServiceSimulator`
-consult at well-defined points:
+the :class:`~repro.resilience.supervisor.SolveSupervisor` and
+:class:`~repro.simulation.ServiceSimulator` consult at well-defined
+points:
 
 * ``crash`` — the next matching supervised solve raises
   :class:`~repro.core.errors.SolverError` *instead of running* (models a
   solver segfault/abort; exercises retry + backoff + ladder).
 * ``hang`` — the next matching solve sleeps ``hang_seconds`` before
   running (models a stuck solve; exercises the per-solve timeout).
-* ``worker_death`` — the process-pool worker that picks up the matching
-  scenario hard-exits (models an OOM-killed worker; exercises
-  ``BrokenProcessPool`` recovery and pool restarts).
 * ``dc_failure`` / ``link_failure`` — at simulated day ``at_day``, the
   named DC or WAN link goes down (exercises the failure-aware
   allocation path from the simulator).  An outage may carry an *end*:
@@ -28,10 +25,10 @@ through.  Matching is by substring on the supervised solve's label
 one rung (``"provision.joint"``) or one scenario
 (``"F_dc:dc-tokyo"``).
 
-The plan is picklable (its lock is process-local) so the planner can ship
-it to pool workers; budgets consumed inside a worker do **not** flow back
-to the parent — the parent accounts for worker deaths itself when it
-observes the broken pool.
+The plan is thread-safe and picklable (its lock is process-local).  The
+threads of a ``max`` sweep consume a budget that several scenarios'
+labels match in the order they reach it, so a drill that must fail one
+particular scenario targets its label.
 """
 
 from __future__ import annotations
@@ -44,13 +41,13 @@ from repro.core.errors import SwitchboardError
 
 _SOLVE_FAULTS = ("crash", "hang")
 _TOPOLOGY_FAULTS = ("dc_failure", "link_failure")
-_KINDS = _SOLVE_FAULTS + ("worker_death",) + _TOPOLOGY_FAULTS
+_KINDS = _SOLVE_FAULTS + _TOPOLOGY_FAULTS
 
 
 def _spec_sort_key(spec: "FaultSpec"):
     """The canonical total order for composed plans.
 
-    ``(at_day, kind, target)`` with day-less (solve/worker) faults
+    ``(at_day, kind, target)`` with day-less (solve) faults
     first: two plans that schedule faults on the same day merge to the
     same sequence regardless of insertion order, so which same-day
     fault a consumer sees first no longer depends on builder-call
@@ -145,11 +142,6 @@ class FaultPlan:
                                      hang_seconds=seconds, times=times))
         return self
 
-    def worker_death(self, target: str = "", times: int = 1) -> "FaultPlan":
-        self._specs.append(FaultSpec(kind="worker_death", target=target,
-                                     times=times))
-        return self
-
     def dc_failure(self, dc: str, at_day: int,
                    until_day: Optional[int] = None,
                    at_s: Optional[float] = None,
@@ -185,20 +177,6 @@ class FaultPlan:
         return FaultPlan(sorted(specs, key=_spec_sort_key))
 
     # -- consumption ---------------------------------------------------
-    def take(self, kind: str, label: str = "") -> Optional[FaultSpec]:
-        """Consume one budget unit of the first matching spec, if any."""
-        with self._lock:
-            for i, spec in enumerate(self._specs):
-                if spec.kind != kind or spec.target not in label:
-                    continue
-                taken = replace(spec, times=1)
-                if spec.times <= 1:
-                    del self._specs[i]
-                else:
-                    self._specs[i] = replace(spec, times=spec.times - 1)
-                return taken
-        return None
-
     def take_solve_fault(self, label: str) -> Optional[FaultSpec]:
         """A crash or hang aimed at this solve label, whichever comes first."""
         with self._lock:
@@ -211,30 +189,6 @@ class FaultPlan:
                 else:
                     self._specs[i] = replace(spec, times=spec.times - 1)
                 return taken
-        return None
-
-    def take_first(self, kind: str) -> Optional[FaultSpec]:
-        """Consume one budget unit of the first spec of ``kind``,
-        regardless of its target (used when the consumer cannot know
-        which label triggered, e.g. after a broken process pool)."""
-        with self._lock:
-            for i, spec in enumerate(self._specs):
-                if spec.kind != kind:
-                    continue
-                taken = replace(spec, times=1)
-                if spec.times <= 1:
-                    del self._specs[i]
-                else:
-                    self._specs[i] = replace(spec, times=spec.times - 1)
-                return taken
-        return None
-
-    def peek(self, kind: str, label: str = "") -> Optional[FaultSpec]:
-        """The first matching spec without consuming budget."""
-        with self._lock:
-            for spec in self._specs:
-                if spec.kind == kind and spec.target in label:
-                    return spec
         return None
 
     def take_topology_fault(self, day: int) -> Optional[FaultSpec]:

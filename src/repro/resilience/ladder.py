@@ -1,8 +1,8 @@
 """The degradation ladder: ``provision()`` always returns a plan.
 
 A production controller must degrade, not crash: when the configured
-provisioning method fails persistently (solver crash, timeout, dead
-worker pool, infeasibility), the planner walks a configurable ladder of
+provisioning method fails persistently (solver crash, timeout,
+infeasibility), the planner walks a configurable ladder of
 progressively cheaper-but-rougher methods and returns the first plan any
 rung produces, *tagged with how far it degraded*:
 
@@ -10,7 +10,7 @@ rung produces, *tagged with how far it degraded*:
 
 * ``joint`` — the exact joint serving+backup LP (§4.2), one big solve;
 * ``max`` — independent per-scenario LPs element-wise max-combined
-  (Eqs 7-8), process-parallel and resilient to single-scenario failures;
+  (Eqs 7-8), solved on threads and resilient to single-scenario failures;
 * ``incremental`` — the sequential growing-base sweep, small LPs only;
 * ``locality`` — **no LP at all**: every config at its min-ACL DC,
   closed-form regional backup, failover-peak link capacity.  It always
@@ -82,7 +82,6 @@ def provision_with_ladder(placement: PlacementData, demand: Demand,
                     method=rung,
                     background=config.background,
                     dc_core_limits=config.dc_core_limits,
-                    workers=config.workers,
                 )
         except SwitchboardError as exc:
             last_error = exc

@@ -9,8 +9,9 @@ production behaviours the bare solver layer deliberately does not have:
   cooperative cancellation, so the thread keeps running to completion in
   the background; what the timeout buys is *bounded decision latency* —
   the caller moves on to a retry or a ladder rung instead of waiting
-  forever.  (In the process-pool sweep the analogue is a per-future
-  timeout; see the planner.)
+  forever.  In the threaded ``max`` sweep a scenario that runs out of
+  retries this way cancels the scenarios not yet started (see the
+  planner).
 * **bounded retries with jittered exponential backoff**: transient
   failures (``SolverError``, including timeouts) are retried up to
   ``solve_retries`` times, waiting ``retry_backoff_s · 2^attempt``

@@ -104,10 +104,6 @@ class Switchboard(ProvisioningStrategy):
     def dc_core_limits(self):
         return self.config.dc_core_limits
 
-    @property
-    def workers(self) -> Optional[int]:
-        return self.config.workers
-
     # ------------------------------------------------------------------
     # provisioning (§5.3)
     # ------------------------------------------------------------------

@@ -17,6 +17,7 @@ endpoints sit in different countries; only those links count toward the
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
@@ -212,14 +213,22 @@ class WanNetwork:
             raise TopologyError(f"unknown DC {dc_id!r}")
         return [link for link in self.links if dc_id in link.endpoints]
 
+    @functools.cached_property
+    def _bridges(self) -> FrozenSet[str]:
+        """Ids of the links whose removal disconnects the graph.
+        ``nx.bridges`` orients each edge arbitrarily, so the set holds
+        link ids, not node pairs."""
+        return frozenset(self._graph.edges[a, b]["link_id"]
+                         for a, b in nx.bridges(self._graph))
+
     def is_bridge(self, link_id: str) -> bool:
         """True when removing the link disconnects the WAN graph.
 
         Bridge links are excluded from single-link failure scenarios
         because no amount of backup capacity can reroute around them.
         """
-        link = self.link(link_id)
-        return (link.node_a, link.node_b) in set(nx.bridges(self._graph))
+        self.link(link_id)  # unknown ids raise
+        return link_id in self._bridges
 
     @property
     def graph(self) -> nx.Graph:

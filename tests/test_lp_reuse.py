@@ -6,12 +6,14 @@
 * a cache hit re-prices the cached instance into exactly the bytes a
   fresh build gives (property test over day pairs with base capacities,
   core limits and background);
-* the HiGHS binding calls only ``_Highs`` methods that exist, and a
-  failing import falls back to ``linprog`` with identical results.
+* the HiGHS binding calls only ``_Highs`` methods that exist, a failing
+  import falls back to ``linprog`` with identical results, and solves on
+  concurrent threads return what they return one after another.
 """
 
 import importlib
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -21,11 +23,14 @@ from repro.core.types import CallConfig, MediaType, make_slots
 from repro.provisioning import highs
 from repro.provisioning.background import BackgroundTraffic
 from repro.provisioning.demand import PlacementData
-from repro.provisioning.failures import FailureScenario, enumerate_scenarios
+from repro.provisioning.failures import (FailureScenario,
+                                         enumerate_compound_scenarios,
+                                         enumerate_scenarios)
 from repro.provisioning.formulation import ScenarioLP
 from repro.provisioning.lp import WarmStartCache
 from repro.topology.builder import Topology
-from repro.workload.arrivals import Demand
+from repro.workload.arrivals import Demand, DemandModel
+from repro.workload.configs import generate_population
 from repro.workload.media import MediaLoadModel
 
 _TOPOLOGY = Topology.small()
@@ -199,4 +204,34 @@ def test_failing_highs_import_falls_back_to_linprog(monkeypatch):
     assert fallback.values == direct.values
     assert np.array_equal(fallback.dual_ineq, direct.dual_ineq)
     assert np.array_equal(fallback.dual_eq, direct.dual_eq)
+
+
+@pytest.mark.skipif(highs._core is None,
+                    reason="the linprog fallback keeps no basis")
+def test_highs_threads_are_bit_identical_to_sequential(topology):
+    """HiGHS releases the GIL in ``run``, so the max sweep solves on
+    threads: four threads over 44 plan-sweep scenario LPs (default
+    topology, 16 configs, 12 slots) return the sequential run's x, duals,
+    basis and objective bit for bit."""
+    population = generate_population(topology.world, n_configs=16, seed=61)
+    demand = DemandModel(topology.world, population,
+                         calls_per_slot_at_peak=200.0).expected(
+        make_slots(86400.0, 7200.0))
+    placement = PlacementData(topology, demand.configs)
+    scenarios = (enumerate_scenarios(topology) + enumerate_compound_scenarios(
+        topology, dc_plus_link=True, max_link_scenarios=None,
+        same_region_only=False))[:44]
+    instances = [ScenarioLP(placement, demand, scenario).prepared()[1]
+                 for scenario in scenarios]
+
+    def solve(instance):
+        solution, basis = highs.solve(instance)
+        return (solution.objective, list(solution.values.values()),
+                solution.dual_ineq.tolist(), solution.dual_eq.tolist(),
+                list(basis.col_status), list(basis.row_status))
+
+    sequential = [solve(instance) for instance in instances]
+    with ThreadPoolExecutor(4) as pool:
+        threaded = list(pool.map(solve, instances))
+    assert threaded == sequential
 

@@ -63,10 +63,6 @@ class TestPlannerConfig:
             PlannerConfig(solve_timeout_s=0.0)
         with pytest.raises(SwitchboardError):
             PlannerConfig(retry_backoff_s=-0.1)
-        with pytest.raises(SwitchboardError):
-            PlannerConfig(pool_restarts=-1)
-        with pytest.raises(SwitchboardError):
-            PlannerConfig(workers=0)
 
     @pytest.mark.parametrize("cap", [-5.0, float("nan"), float("inf")])
     def test_unusable_core_limit_rejected(self, cap):
@@ -91,11 +87,11 @@ class TestDeprecatedShims:
     def test_attribute_shims_read_through_to_config(self, small_world):
         topo, _ = small_world
         sb = Switchboard(topo, config=PlannerConfig(
-            max_link_scenarios=3, backup_method="max", workers=2,
+            max_link_scenarios=3, backup_method="max",
         ))
         assert sb.max_link_scenarios == 3
         assert sb.backup_method == "max"
-        assert sb.workers == 2
+        assert not hasattr(sb, "workers")
         assert sb.background is None
         assert sb.dc_core_limits is None
 
@@ -142,10 +138,11 @@ class TestKnobCensus:
                                 "disruption_ceiling"),
             "PlannerConfig": ("latency_threshold_ms", "max_link_scenarios",
                               "backup_method", "background", "dc_core_limits",
-                              "workers", "solve_timeout_s", "solve_retries",
-                              "retry_backoff_s", "pool_restarts", "fault_plan",
+                              "solve_timeout_s", "solve_retries",
+                              "retry_backoff_s", "fault_plan",
                               "service", "packing", "autoscale", "portfolio"),
         }
+        assert sum(map(len, census.values())) == 29
 
     @pytest.mark.parametrize("cls, field", [
         (AutoscaleConfig, "interval_s"),

@@ -18,6 +18,12 @@ def wan(world):
     return WanNetwork(world, DatacenterFleet.default(world))
 
 
+@pytest.fixture(scope="module")
+def single_homed(world):
+    """Every country on one access link: each of those is a bridge."""
+    return WanNetwork(world, DatacenterFleet.default(world), country_homing=1)
+
+
 class TestConstruction:
     def test_invalid_parameters(self, world):
         fleet = DatacenterFleet.default(world)
@@ -92,24 +98,31 @@ class TestPaths:
             assert link_id not in alternate
             break
 
-    def test_excluding_only_access_link_of_single_homed_pair_raises(self, wan):
+    def test_excluding_only_access_link_of_single_homed_pair_raises(
+            self, single_homed, world):
         # If a (dc, country) pair's every path crosses one bridge link,
         # excluding it must raise rather than fabricate a path.
-        bridges = [l for l in wan.links if wan.is_bridge(l.link_id)]
-        if not bridges:
-            pytest.skip("default WAN has no bridges")
-        link = bridges[0]
-        # Removing a bridge disconnects the graph; any path that needed
-        # it must now raise.
-        node_a, node_b = sorted(link.endpoints)
-        country = node_b if node_b.isupper() and len(node_b) == 2 else None
-        if country is None:
-            pytest.skip("bridge does not touch a country edge node")
-        dc = node_a
-        if dc not in [d for d in (node_a,) if d.startswith("dc-")]:
-            pytest.skip("bridge does not touch a DC")
+        for country in world.codes:
+            [link] = [l for l in single_homed.links
+                      if country in l.endpoints]
+            assert single_homed.is_bridge(link.link_id)
+            [dc] = link.endpoints - {country}
+            with pytest.raises(TopologyError):
+                single_homed.path(dc, country, exclude_link=link.link_id)
+
+    def test_bridges_found_whatever_their_orientation(self, single_homed,
+                                                      wan, world):
+        """``nx.bridges`` orients edges arbitrarily; every single-homed
+        access link is a bridge and nothing else is, and a twice-homed
+        world has none."""
+        bridges = {l.link_id for l in single_homed.links
+                   if single_homed.is_bridge(l.link_id)}
+        access = {l.link_id for l in single_homed.links
+                  if l.endpoints & set(world.codes)}
+        assert bridges == access and len(bridges) == len(world.codes)
+        assert not any(wan.is_bridge(l.link_id) for l in wan.links)
         with pytest.raises(TopologyError):
-            wan.path(dc, country, exclude_link=link.link_id)
+            wan.is_bridge("nowhere--XX")
 
     def test_links_touching_dc(self, wan):
         touching = wan.links_touching_dc("dc-tokyo")
