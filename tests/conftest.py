@@ -11,6 +11,7 @@ import pytest
 from hypothesis import settings
 
 from repro.core.types import make_slots
+from repro.provisioning import planner as planner_module
 from repro.provisioning.demand import PlacementData
 from repro.provisioning.planner import CapacityPlanner
 from repro.config import PlannerConfig
@@ -90,3 +91,9 @@ def serving_plan(placement, expected_demand):
 def switchboard(topology, load_model):
     return Switchboard(topology, load_model,
                        config=PlannerConfig(max_link_scenarios=0))
+
+
+@pytest.fixture
+def four_threads(monkeypatch):
+    """The max sweep on four threads, whatever the machine's CPU count."""
+    monkeypatch.setattr(planner_module, "usable_cpus", lambda: 4)
