@@ -1,6 +1,6 @@
 """MP server allocation: offline daily plan + real-time selector (§5.3-5.4)."""
 
-from repro.allocation.offline import AllocationOptimizer, AllocationOutcome
+from repro.allocation.offline import AllocationLP, AllocationOutcome
 from repro.allocation.predictive import (
     PredictiveSelector,
     compare_selectors,
@@ -17,7 +17,7 @@ from repro.allocation.realtime import (
 )
 
 __all__ = [
-    "AllocationOptimizer",
+    "AllocationLP",
     "AllocationOutcome",
     "AllocationPlan",
     "KVSlotLedger",

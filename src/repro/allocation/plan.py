@@ -11,9 +11,10 @@ per-cell totals exactly.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.core.errors import SolverError
 from repro.core.types import CallConfig, TimeSlot
@@ -47,23 +48,55 @@ class AllocationPlan:
         """Largest-remainder rounding of every cell.
 
         Each cell's integer counts sum to ``round(sum(fractions))`` so no
-        call slots are silently created or destroyed.
+        call slots are silently created or destroyed.  Cells keep their
+        order and their DCs' order; DCs rounded to zero are left out.
         """
+        configs = list(dict.fromkeys(config for _, config in self.shares))
+        dc_ids = sorted({dc_id for cell in self.shares.values()
+                         for dc_id in cell})
+        n_slots = 1 + max((t for t, _ in self.shares), default=-1)
+        grid = self.integerized_grid(configs, dc_ids, n_slots)
+        config_of = {config: j for j, config in enumerate(configs)}
+        dc_of = {dc_id: d for d, dc_id in enumerate(dc_ids)}
         result: Dict[Tuple[int, CallConfig], Dict[str, int]] = {}
-        for key, cell in self.shares.items():
-            total = int(round(sum(cell.values())))
-            floors = {dc: int(math.floor(v)) for dc, v in cell.items()}
-            assigned = sum(floors.values())
-            remainders = sorted(
-                cell, key=lambda dc: (cell[dc] - floors[dc], dc), reverse=True
-            )
-            for dc in remainders:
-                if assigned >= total:
-                    break
-                floors[dc] += 1
-                assigned += 1
-            result[key] = {dc: count for dc, count in floors.items() if count > 0}
+        for (t, config), cell in self.shares.items():
+            counts = grid[t, config_of[config]].tolist()
+            result[(t, config)] = {dc_id: counts[dc_of[dc_id]]
+                                   for dc_id in cell if counts[dc_of[dc_id]]}
         return result
+
+    def integerized_grid(self, configs: Sequence[CallConfig],
+                         dc_ids: Sequence[str], n_slots: int) -> np.ndarray:
+        """Largest-remainder rounding of every cell, as an ``(n_slots,
+        len(configs), len(dc_ids))`` integer array; ``dc_ids`` must be
+        sorted, and every cell's slot, config and DCs inside the grid.
+
+        A cell's total is its shares summed in cell order, rounded half to
+        even; the units its floors leave go to its largest remainders,
+        ties to the larger DC id.
+        """
+        config_of = {config: j for j, config in enumerate(configs)}
+        dc_of = {dc_id: d for d, dc_id in enumerate(dc_ids)}
+        entries = [(t * len(configs) + config_of[config], dc_of[dc_id], share)
+                   for (t, config), cell in self.shares.items()
+                   for dc_id, share in cell.items()]
+        cell = np.array([entry[0] for entry in entries], dtype=np.int64)
+        dc = np.array([entry[1] for entry in entries], dtype=np.int64)
+        value = np.array([entry[2] for entry in entries], dtype=float)
+        total = np.zeros(n_slots * len(configs))
+        np.add.at(total, cell, value)  # in order, as sum() adds a cell
+        floors = np.floor(value)
+        assigned = np.zeros_like(total)
+        np.add.at(assigned, cell, floors)
+        leftover = np.rint(total) - assigned
+        order = np.lexsort((-dc, floors - value, cell))
+        ranked = cell[order]
+        rank = np.arange(ranked.size) - np.searchsorted(ranked, ranked)
+        bumped = np.zeros(value.size, dtype=np.int64)
+        bumped[order] = rank < leftover[ranked]
+        grid = np.zeros((n_slots * len(configs), len(dc_ids)), dtype=np.int64)
+        grid[cell, dc] = floors.astype(np.int64) + bumped
+        return grid.reshape(n_slots, len(configs), len(dc_ids))
 
     def mean_acl_ms(self, acl_of) -> float:
         """Plan-weighted mean ACL; ``acl_of(dc_id, config) -> ms``."""

@@ -8,10 +8,12 @@ uses); the aggregator folds snapshots into telemetry windows; the policy
 turns windows into scale decisions; and this controller applies them:
 
 * **Rescale** (on a non-hold decision): re-run the planner's
-  ``provision()`` + ``allocate()`` over the *strictly future* slots of
-  the base forecast, scaled to the decision's target, then diff the new
-  integerized plan against the live plan and apply the delta through the
-  ledger — ``add_slots`` for growth, ``remove_slots`` for shrink.
+  ``provision()`` over the *strictly future* slots of the base forecast,
+  scaled to the decision's target, and solve that tail's slice of the
+  forecast's one allocation LP (``allocate_tail``); then diff the new
+  integerized plan against the live plan as integer grids and apply the
+  delta through the ledger — ``add_slots`` for growth, ``remove_slots``
+  for shrink.
   ``remove_slots`` is a debit loop: it can only take *free* slots, so a
   scale-down drains capacity without ever dropping an in-flight call
   (calls settled into a cell hold their debit until END).  Restricting
@@ -37,7 +39,6 @@ import numpy as np
 from repro.allocation.plan import AllocationPlan
 from repro.config import AutoscaleConfig
 from repro.core.errors import SwitchboardError
-from repro.core.types import CallConfig
 from repro.obs.events import Observability
 from repro.workload.arrivals import Demand
 
@@ -57,10 +58,9 @@ PROVISION_HORIZON_SLOTS = 4
 class Autoscaler:
     """Rolling re-provision loop between service plane and planner.
 
-    ``controller`` is anything with the
-    :class:`~repro.baselines.base.ProvisioningStrategy` surface —
-    ``provision(demand, with_backup=...)`` and
-    ``allocate(demand, capacity)`` — in practice a
+    ``controller`` has a ``topology`` and provides ``provision(demand,
+    with_backup=...)``, ``allocation_lp(demand)`` and
+    ``allocate_tail(allocation, capacity, k, scale)`` — in practice a
     :class:`~repro.switchboard.Switchboard`.  ``forecast`` is the *base*
     demand the live plan was provisioned for; ``plan`` is that live
     plan.  Bind to an engine (``rescaler=`` on
@@ -94,11 +94,31 @@ class Autoscaler:
             forecast_per_slot=forecast.counts.sum(axis=1),
             interval_s=self.config.interval_s,
         )
+        # Plans are diffed on one (slot, config, DC) integer grid: the
+        # forecast's slots and configs (then any other slot or config the
+        # live plan holds) and every DC, sorted by id.
+        self._configs = list(forecast.configs)
+        known = set(self._configs)
+        dc_ids = set(controller.topology.fleet.ids)
+        n_slots = forecast.n_slots
+        for (t, config), cell in plan.shares.items():
+            if config not in known:
+                known.add(config)
+                self._configs.append(config)
+            dc_ids.update(cell)
+            n_slots = max(n_slots, t + 1)
+        self._dc_ids = sorted(dc_ids)
         #: The integerized plan as the ledger currently reflects it,
-        #: updated cell-by-cell as rescale deltas apply.
-        self.live_cells: Dict[Tuple[int, CallConfig], Dict[str, int]] = {
-            key: dict(cell) for key, cell in plan.integerized().items()
-        }
+        #: updated cell by cell as rescale deltas apply.
+        self.live_slots = plan.integerized_grid(self._configs,
+                                                self._dc_ids, n_slots)
+        #: Config axis in diff order (by ``repr``).
+        self._diff_order = np.array(
+            sorted(range(len(self._configs)),
+                   key=lambda j: repr(self._configs[j])), dtype=np.int64)
+        #: Eq 10 over the whole forecast, assembled at the first rescale;
+        #: each rescale solves its tail slice.
+        self._allocation = None
 
         self.windows: List[TelemetryWindow] = []
         self.decisions: List[ScaleDecision] = []
@@ -172,58 +192,58 @@ class Autoscaler:
         slots = self.forecast.slots
         if k >= len(slots):
             return  # horizon exhausted; nothing left to reshape
+        scale = decision.target_scale
         remaining = Demand(slots[k:], self.forecast.configs,
-                           self.forecast.counts[k:] * decision.target_scale)
+                           self.forecast.counts[k:] * scale)
         capacity = self.controller.provision(remaining,
                                              with_backup=self.with_backup)
-        outcome = self.controller.allocate(remaining, capacity)
+        if self._allocation is None:
+            self._allocation = self.controller.allocation_lp(self.forecast)
+        outcome = self.controller.allocate_tail(self._allocation, capacity,
+                                                k, scale)
         self.max_degradation_level = max(self.max_degradation_level,
                                          capacity.degradation_level,
                                          outcome.degradation_level)
 
-        target: Dict[Tuple[int, CallConfig], Dict[str, int]] = {}
-        for (rel, config), cell in outcome.plan.integerized().items():
-            target[(rel + k, config)] = cell
-
+        live = self.live_slots[k:]
+        want = np.zeros_like(live)
+        want[:len(slots) - k] = outcome.plan.integerized_grid(
+            self._configs, self._dc_ids, len(slots) - k)
+        # Cells in (slot, repr(config), DC id) order: ledger writes and
+        # drain requests go out in the same order every run.
+        order = self._diff_order
+        delta = (want - live)[:, order]
         ledger = self._engine.ledger if self._engine is not None else None
         added = drained = shortfall = deferred = 0
-        keys = set(target) | {key for key in self.live_cells if key[0] >= k}
-        for key in sorted(keys, key=lambda kc: (kc[0], repr(kc[1]))):
-            slot_index, config = key
-            live = dict(self.live_cells.get(key, {}))
-            want = target.get(key, {})
-            for dc_id in sorted(set(live) | set(want)):
-                delta = want.get(dc_id, 0) - live.get(dc_id, 0)
-                if delta > 0:
-                    if ledger is not None:
-                        ledger.add_slots(slot_index, config, dc_id, delta)
-                    live[dc_id] = live.get(dc_id, 0) + delta
-                    added += delta
-                elif delta < 0:
-                    if ledger is not None:
-                        got = ledger.remove_slots(slot_index, config,
-                                                  dc_id, -delta)
-                    else:
-                        got = -delta
-                    miss = (-delta) - got
-                    handed = 0
-                    if miss > 0 and self.migrator is not None:
-                        # The held slots drain through a live move at the
-                        # next migration window: the calls relocate and
-                        # the vacated source slots are never credited —
-                        # the drain completes without touching a call.
-                        self.migrator.request_cell_drain(
-                            slot_index, config, dc_id, miss)
-                        handed, miss = miss, 0
-                    live[dc_id] = live.get(dc_id, 0) - got - handed
-                    drained += got
-                    deferred += handed
-                    shortfall += miss
-            live = {dc: n for dc, n in live.items() if n > 0}
-            if live:
-                self.live_cells[key] = live
+        ts, cs, ds = np.nonzero(delta)
+        for t, j, d, change in zip(ts.tolist(), order[cs].tolist(),
+                                   ds.tolist(), delta[ts, cs, ds].tolist()):
+            slot_index, config, dc_id = k + t, self._configs[j], \
+                self._dc_ids[d]
+            if change > 0:
+                if ledger is not None:
+                    ledger.add_slots(slot_index, config, dc_id, change)
+                live[t, j, d] += change
+                added += change
+                continue
+            if ledger is not None:
+                got = ledger.remove_slots(slot_index, config, dc_id, -change)
             else:
-                self.live_cells.pop(key, None)
+                got = -change
+            miss = -change - got
+            handed = 0
+            if miss > 0 and self.migrator is not None:
+                # The held slots drain through a live move at the next
+                # migration window: the calls relocate and the vacated
+                # source slots are never credited — the drain completes
+                # without touching a call.
+                self.migrator.request_cell_drain(slot_index, config, dc_id,
+                                                 miss)
+                handed, miss = miss, 0
+            live[t, j, d] -= got + handed
+            drained += got
+            deferred += handed
+            shortfall += miss
 
         self.rescale_events += 1
         if decision.action == "scale_out":

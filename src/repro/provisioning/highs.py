@@ -64,8 +64,7 @@ def _solution(instance: "LPInstance", x: np.ndarray, fun: float,
     n_ub, n_rows = instance.n_ub, instance.n_rows
     has_duals = row_dual is not None
     return LPSolution(
-        objective=float(fun),
-        values=dict(zip(instance.keys, x.tolist())),
+        objective=float(fun), x=x, keys=instance.keys,
         stats=SolveStats(n_rows=n_rows, n_cols=instance.n_cols,
                          nnz=instance.nnz, solver_seconds=seconds,
                          assembly_seconds=instance.assembly_seconds),

@@ -21,6 +21,7 @@ sweeps:
 
 from __future__ import annotations
 
+import functools
 import threading
 import time
 from collections import OrderedDict
@@ -328,22 +329,34 @@ class ConstraintSet:
 
 @dataclass
 class LPSolution:
-    """A solved LP: objective value, per-variable values, and solve stats.
+    """A solved LP: objective value, the column values ``x`` in column
+    order, and solve stats.
 
-    ``dual_ineq``/``dual_eq`` carry the constraint marginals HiGHS
-    returned (when it did): a dual-feasible point of this instance, and
-    of any instance with the same matrix and objective whatever its RHS
-    (:meth:`LPInstance.dual_bound`).  ``basis`` is HiGHS's final simplex
-    basis (``None`` on the ``linprog`` fallback), where such a re-solve
-    can start.
+    ``values`` maps each column's key to its value; it is built on first
+    read from ``keys`` (the instance's), so a caller reading columns by
+    position never pays for it.  ``dual_ineq``/``dual_eq`` carry the
+    constraint marginals HiGHS returned (when it did): a dual-feasible
+    point of this instance, and of any instance with the same matrix and
+    objective whatever its RHS (:meth:`LPInstance.dual_bound`).
+    ``basis`` is HiGHS's final simplex basis (``None`` on the ``linprog``
+    fallback), where such a re-solve can start.
     """
 
     objective: float
-    values: Dict[Hashable, float]
+    x: np.ndarray = field(repr=False)
+    keys: Optional[Sequence[Hashable]] = field(default=None, repr=False,
+                                               compare=False)
     stats: SolveStats = field(default_factory=SolveStats)
     dual_ineq: Optional[np.ndarray] = field(default=None, repr=False)
     dual_eq: Optional[np.ndarray] = field(default=None, repr=False)
     basis: Any = field(default=None, repr=False, compare=False)
+
+    @functools.cached_property
+    def values(self) -> Dict[Hashable, float]:
+        if self.keys is None:
+            raise SolverError("LP solution of an instance without column "
+                              "keys: read its values from x")
+        return dict(zip(self.keys, self.x.tolist()))
 
     def value(self, key: Hashable, default: float = 0.0) -> float:
         return self.values.get(key, default)
@@ -402,13 +415,16 @@ class LPInstance:
     rows — the layout HiGHS loads.  :meth:`with_rhs` shares the matrix,
     objective and keys under another RHS and bounds; ``sources`` is the
     formulation's record of where those come from
-    (:class:`~repro.provisioning.formulation.RhsSources`).
+    (:class:`~repro.provisioning.formulation.RhsSources`).  ``keys`` (one
+    per column) may be ``None`` for an instance cut out of a larger one
+    (:class:`~repro.allocation.offline.AllocationLP`).
     """
 
     def __init__(self, c: np.ndarray, lower: np.ndarray, upper: np.ndarray,
                  matrix: sparse.csc_array, n_ub: int,
                  b_ub: np.ndarray, b_eq: np.ndarray,
-                 keys: List[Hashable], assembly_seconds: float = 0.0,
+                 keys: Optional[List[Hashable]],
+                 assembly_seconds: float = 0.0,
                  sources: Any = None):
         self.c = np.asarray(c, dtype=float)
         self.lower = lower
@@ -433,7 +449,7 @@ class LPInstance:
 
     @property
     def n_cols(self) -> int:
-        return len(self.keys)
+        return self.matrix.shape[1]
 
     @property
     def nnz(self) -> int:
@@ -532,7 +548,7 @@ class WarmEntry(NamedTuple):
                   instance.lower, instance.upper, instance.b_ub,
                   instance.b_eq, self.dual_ineq, self.dual_eq)
         return (sum(a.nbytes for a in arrays if a is not None)
-                + 80 * len(instance.keys))
+                + 80 * instance.n_cols)
 
 
 class WarmStartCache:

@@ -29,7 +29,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.core.errors import SwitchboardError
 from repro.core.types import CallConfig
 from repro.core.units import DEFAULT_FREEZE_WINDOW_S
-from repro.allocation.offline import AllocationOptimizer, AllocationOutcome
+from repro.allocation.offline import AllocationLP, AllocationOutcome
 from repro.allocation.plan import AllocationPlan
 from repro.allocation.realtime import RealTimeSelector
 from repro.autoscale import Autoscaler
@@ -165,22 +165,33 @@ class Switchboard(ProvisioningStrategy):
     # allocation (§5.3 "Allocation plan" + §5.4)
     # ------------------------------------------------------------------
     def allocate(self, demand: Demand, capacity: CapacityPlan) -> AllocationOutcome:
-        """The daily allocation LP (Eq 10) against fixed capacity.
+        """The daily allocation LP (Eq 10) against fixed capacity: the
+        ``k = 0`` slice of :meth:`allocation_lp` (:meth:`allocate_tail`)."""
+        return self.allocate_tail(self.allocation_lp(demand), capacity)
+
+    def allocation_lp(self, demand: Demand) -> AllocationLP:
+        """Eq 10 over ``demand``, to be solved slice by slice."""
+        return AllocationLP(self.placement_for(demand.configs), demand)
+
+    def allocate_tail(self, allocation: AllocationLP, capacity: CapacityPlan,
+                      k: int = 0, scale: float = 1.0) -> AllocationOutcome:
+        """Eq 10 over ``allocation``'s slots from ``k`` on at ``scale``
+        times its demand, against fixed capacity; slot indices in the
+        plan count from ``k``.
 
         Supervised like every other solve; if the LP fails persistently
         the min-ACL locality heuristic produces the plan instead, tagged
         ``method="locality"`` / ``degradation_level=1``.
         """
-        placement = self.placement_for(demand.configs)
-        optimizer = AllocationOptimizer(placement, capacity)
         try:
             return self._supervisor.run(
-                "allocation", lambda: optimizer.allocate(demand)
+                "allocation", lambda: allocation.allocate(capacity, k, scale)
             )
         except SwitchboardError as exc:
             self.obs.record("ladder.fallback", label="allocation",
                             error=str(exc), next_rung="locality")
-            outcome = locality_allocation_outcome(placement, capacity, demand)
+            outcome = locality_allocation_outcome(
+                allocation.placement, capacity, allocation.tail(k, scale))
             self.obs.record("ladder.selected", label="allocation.locality",
                             level=1)
             self.obs.counters.increment("ladder.degraded")
@@ -346,8 +357,8 @@ class SwitchboardPipeline:
         Pass the returned object as ``rescaler=`` to an
         :class:`~repro.service.engine.AdmissionEngine` serving
         ``result``'s plan and the loop runs itself: telemetry windows →
-        scale decisions → incremental ``provision()``/``allocate()``
-        re-runs over the remaining horizon, applied through the ledger.
+        scale decisions → ``provision()`` re-runs and allocation-LP
+        slices over the remaining horizon, applied through the ledger.
         ``config`` overrides ``PlannerConfig.autoscale`` (either may be
         None; the defaults then apply).
         """

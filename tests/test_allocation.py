@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.errors import CapacityError, SolverError
 from repro.core.types import Call, CallConfig, MediaType, Participant, make_slots
-from repro.allocation.offline import AllocationOptimizer
+from repro.allocation.offline import AllocationLP
 from repro.allocation.plan import AllocationPlan
 from repro.allocation.realtime import RealTimeSelector
 from repro.provisioning.demand import PlacementData
@@ -80,6 +80,8 @@ class TestAllocationPlan:
 
 
 class TestAllocationOptimizer:
+    """The daily allocation LP (Eq 10), solved through AllocationLP."""
+
     @pytest.fixture(scope="class")
     def setup(self, topology, load_model):
         configs = [_config({"JP": 2}), _config({"US": 3})]
@@ -92,7 +94,7 @@ class TestAllocationOptimizer:
 
     def test_allocation_fits_capacity(self, setup, load_model):
         placement, demand, capacity = setup
-        outcome = AllocationOptimizer(placement, capacity).allocate(demand)
+        outcome = AllocationLP(placement, demand).allocate(capacity)
         assert not outcome.overflowed
         usage = {}
         for (t, config), cell in outcome.plan.shares.items():
@@ -106,7 +108,7 @@ class TestAllocationOptimizer:
 
     def test_allocation_completeness(self, setup):
         placement, demand, capacity = setup
-        outcome = AllocationOptimizer(placement, capacity).allocate(demand)
+        outcome = AllocationLP(placement, demand).allocate(capacity)
         assert outcome.plan.planned_calls() == pytest.approx(demand.total_calls())
 
     def test_prefers_local_dc_when_capacity_allows(self, setup, topology):
@@ -117,7 +119,7 @@ class TestAllocationOptimizer:
             cores={dc: 1e6 for dc in topology.fleet.ids},
             link_gbps={l.link_id: 1e6 for l in topology.wan.links},
         )
-        outcome = AllocationOptimizer(placement, generous).allocate(demand)
+        outcome = AllocationLP(placement, demand).allocate(generous)
         jp = _config({"JP": 2})
         for t in range(demand.n_slots):
             cell = outcome.plan.cell(t, jp)
@@ -126,7 +128,7 @@ class TestAllocationOptimizer:
     def test_overflow_reported_when_capacity_short(self, setup):
         placement, demand, _ = setup
         starved = CapacityPlan(cores={}, link_gbps={})
-        outcome = AllocationOptimizer(placement, starved).allocate(demand)
+        outcome = AllocationLP(placement, demand).allocate(starved)
         assert outcome.overflowed
         assert outcome.compute_overflow_cores > 0
         # Demand is still fully placed (overflow absorbs it).

@@ -444,7 +444,8 @@ class TestClosedLoop:
 
 class _ColdController:
     """A fresh :class:`Switchboard` per call: every LP the loop solves is
-    assembled and solved cold."""
+    assembled and solved cold, and each rescale's allocation LP is a fresh
+    assembly of its tail rather than a slice of the forecast's."""
 
     def __init__(self, topology, config):
         self.topology = topology
@@ -457,6 +458,13 @@ class _ColdController:
     def allocate(self, demand, capacity):
         return Switchboard(self.topology, config=self.config).allocate(
             demand, capacity)
+
+    def allocation_lp(self, demand):
+        return Switchboard(self.topology, config=self.config).allocation_lp(
+            demand)
+
+    def allocate_tail(self, allocation, capacity, k=0, scale=1.0):
+        return self.allocate(allocation.tail(k, scale), capacity)
 
 
 @pytest.fixture(scope="module")

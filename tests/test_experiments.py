@@ -115,16 +115,18 @@ class TestTable3:
 
 
 class TestTable4:
-    def test_forecast_deltas_bounded(self, scenario):
-        result = table4.run(scenario, history_days=14)
+    @pytest.fixture(scope="class")
+    def result(self, scenario):
+        return table4.run(scenario, history_days=14)
+
+    def test_forecast_deltas_bounded(self, result):
         for row in result["deltas"].values():
             # The paper lands within +/-13%; allow slack for our noisier
             # small-scale Poisson workload.
             assert abs(row["cores_delta"]) < 0.5
             assert abs(row["wan_delta"]) < 0.6
 
-    def test_all_schemes_present(self, scenario):
-        result = table4.run(scenario, history_days=14)
+    def test_all_schemes_present(self, result):
         schemes = {key.split("/")[0] for key in result["deltas"]}
         assert schemes == {"round_robin", "locality_first", "switchboard"}
 

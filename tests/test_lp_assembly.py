@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from repro.allocation.offline import AllocationOptimizer
+from repro.allocation.offline import AllocationLP
 from repro.core.types import CallConfig, MediaType, make_slots
 from repro.provisioning.background import BackgroundTraffic
 from repro.provisioning.demand import PlacementData
@@ -124,7 +124,7 @@ def test_allocation_lp(solved_lps):
         cores={"dc-tokyo": 50.0, "dc-hongkong": 200.0},
         link_gbps={"JP--dc-tokyo": 0.5, "HK--dc-hongkong": 2.0},
     )
-    AllocationOptimizer(_PLACEMENT, capacity).allocate(_DEMAND)
+    AllocationLP(_PLACEMENT, _DEMAND).allocate(capacity)
     assert solved_lps == [
         "3345cb3ed9d96bc5fbc340dcfb6f634272d29400ad7cbc1730837839462725f1",
     ]

@@ -363,9 +363,9 @@ class TestSolveStats:
     def test_allocation_outcome_stats(self):
         demand = _demand(_BASE_COUNTS)
         capacity = CapacityPlanner(_PLACEMENT, demand).plan_without_backup()
-        from repro.allocation.offline import AllocationOptimizer
+        from repro.allocation.offline import AllocationLP
 
-        outcome = AllocationOptimizer(_PLACEMENT, capacity).allocate(demand)
+        outcome = AllocationLP(_PLACEMENT, demand).allocate(capacity)
         assert outcome.stats.n_rows > 0
         assert outcome.stats.solver_seconds > 0
 
