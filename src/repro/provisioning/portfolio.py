@@ -54,9 +54,9 @@ _BOUND_RTOL = 1e-9
 class ArmOutcome:
     """One arm's verdict: a feasible plan (maybe) plus certified bounds.
 
-    A heuristic arm may leave ``result.shares`` empty and pass their
-    builder as ``shares``: the race builds them only for the arm whose
-    result it returns (:meth:`final`).
+    A heuristic arm may give its result's shares as a builder
+    (:class:`~repro.provisioning.formulation.ScenarioResult`): they are
+    built only if someone reads them, so a losing arm's never are.
     """
 
     arm: str
@@ -64,13 +64,6 @@ class ArmOutcome:
     upper_bound: float
     lower_bound: float
     exact: bool = False
-    shares: Optional[Callable[[], Dict]] = None
-
-    def final(self) -> ScenarioResult:
-        """``result``, with its shares built if they were deferred."""
-        if self.shares is not None:
-            self.result.shares, self.shares = self.shares(), None
-        return self.result
 
 
 def scenario_lower_bound(placement: PlacementData, demand: Demand,
@@ -120,8 +113,8 @@ def _locality_arm(placement: PlacementData, demand: Demand,
                   dc_core_limits: Optional[Dict[str, float]]) -> ArmOutcome:
     """Every config's calls on its cheapest surviving option in every
     slot, priced from per-config count columns.  The plan's shares are
-    deferred to :meth:`ArmOutcome.final`; a plan over a DC core cap is
-    no plan (upper bound ``inf``)."""
+    built when first read; a plan over a DC core cap is no plan (upper
+    bound ``inf``)."""
     started = time.perf_counter()
     counts = demand.counts
     n_slots = demand.n_slots
@@ -176,16 +169,14 @@ def _locality_arm(placement: PlacementData, demand: Demand,
         link_gbps=link_gbps,
         excess_cores=dict(cores),
         excess_links=dict(link_gbps),
-        shares={},
+        shares=functools.partial(_assignment_shares, demand, chosen),
         cost=cost,
         stats=SolveStats(
             solver_seconds=time.perf_counter() - started,
             arm="locality",
         ),
     )
-    return ArmOutcome("locality", result, cost, lower,
-                      shares=functools.partial(_assignment_shares, demand,
-                                               chosen))
+    return ArmOutcome("locality", result, cost, lower)
 
 
 def build_arms(placement: PlacementData, demand: Demand,
@@ -287,7 +278,7 @@ def run_race(arms: Sequence[Tuple[str, Callable[[], ArmOutcome]]],
             outcome.result.bound_gap = bound_gap
             fields["gap"] = bound_gap
             trail.append(("portfolio.arm.win", fields))
-            return outcome.final(), trail
+            return outcome.result, trail
         trail.append(("portfolio.arm.loss", fields))
         if outcome.result is not None and (
             fallback is None or outcome.upper_bound < fallback.upper_bound
@@ -308,4 +299,4 @@ def run_race(arms: Sequence[Tuple[str, Callable[[], ArmOutcome]]],
         "gap": fallback.result.bound_gap,
         "gap_exceeded": True,
     }))
-    return fallback.final(), trail
+    return fallback.result, trail

@@ -513,7 +513,7 @@ def test_locality_pricing_matches_the_reference_loop(data):
     if want is None:
         assert outcome.result is None
         return
-    result = outcome.final()
+    result = outcome.result
     cores, link_gbps, shares, cost = want
     assert list(result.cores.items()) == list(cores.items())
     assert list(result.link_gbps.items()) == list(link_gbps.items())
@@ -524,19 +524,21 @@ def test_locality_pricing_matches_the_reference_loop(data):
 
 def test_race_builds_shares_only_for_the_returned_arm():
     """A losing locality plan never builds its shares; a winning one
-    does, once."""
+    builds them when they are read, once."""
     built = []
 
     def outcome(upper):
         result = _fake_result(upper)
-        return ArmOutcome("locality", result, upper, 100.0,
-                          shares=lambda: built.append(upper) or {"s": upper})
+        result.shares = lambda: built.append(upper) or {"s": upper}
+        return ArmOutcome("locality", result, upper, 100.0)
 
     exact = _arm("exact", upper=100.0, lower=100.0, exact=True)
     loser, _ = run_race([("locality", lambda: outcome(150.0)), exact], 0.02)
     assert built == [] and loser.shares == {}
     winner, _ = run_race([("locality", lambda: outcome(101.0)), exact], 0.02)
-    assert built == [101.0] and winner.shares == {"s": 101.0}
+    assert built == []
+    assert winner.shares == {"s": 101.0} and winner.shares == {"s": 101.0}
+    assert built == [101.0]
 
 
 def test_heuristic_lineup_reports_honest_gap():
