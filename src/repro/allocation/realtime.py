@@ -33,12 +33,14 @@ from __future__ import annotations
 import threading
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
+from typing import (Dict, Iterable, List, NamedTuple, Optional, Sequence,
+                    Tuple)
 
 from repro.core.errors import CapacityError, TopologyError
 from repro.core.types import Call, CallConfig
 from repro.core.units import DEFAULT_FREEZE_WINDOW_S
 from repro.allocation.plan import AllocationPlan
+from repro.kvstore.client import Write
 from repro.topology.builder import Topology
 
 
@@ -131,7 +133,8 @@ class SlotLedger(ABC):
         """
 
     def snapshot_and_debit(self, slot_index: int, config: CallConfig,
-                           dc_id: str, call_id: Optional[str] = None
+                           dc_id: str, call_id: Optional[str] = None,
+                           writes: Sequence[Write] = ()
                            ) -> Tuple[Optional[Dict[str, int]], bool]:
         """A settle's first step, fused: the cell's counts *before* any
         debit (``None`` when unplanned), and whether one slot at
@@ -139,8 +142,13 @@ class SlotLedger(ABC):
 
         The default is the two calls it stands for; a ledger whose cell
         sits behind a network (:class:`KVSlotLedger`) overrides it to
-        pay one round-trip for both.
+        pay one round-trip for both, and to carry ``writes`` — other
+        store writes that must land first — ahead of them on that trip.
+        No other ledger can carry writes.
         """
+        if writes:
+            raise CapacityError(
+                f"{type(self).__name__} cannot carry store writes")
         cell = self.snapshot(slot_index, config)
         took = (cell is not None and cell.get(dc_id, 0) > 0
                 and self.try_debit(slot_index, config, dc_id,
@@ -235,7 +243,8 @@ class KVSlotLedger(SlotLedger):
     costs one round-trip whether it lands or not, a cell never reads
     negative, a refused debit writes nothing, and concurrent debitors
     never lose or double-grant a slot.  A settle's snapshot and its
-    first debit travel together as one same-key pipeline
+    first debit travel together as one pipeline, behind whatever
+    call-side writes the settling worker hands it
     (:meth:`snapshot_and_debit`).
 
     A ``_planned`` sentinel field marks every cell the plan knew about,
@@ -246,7 +255,9 @@ class KVSlotLedger(SlotLedger):
     _SENTINEL = "_planned"
 
     def __init__(self, store):
-        self._store = store
+        #: The store the cells live in.  A serving port carries call-side
+        #: writes on the debit trip only when they go to this same store.
+        self.store = store
         #: Interned cell keys: every planned cell's at ``load_plan``, any
         #: other on its first use (a settle formats no key).
         self._keys: Dict[Tuple[int, CallConfig], str] = {}
@@ -261,7 +272,7 @@ class KVSlotLedger(SlotLedger):
     def load_plan(self, plan: AllocationPlan) -> int:
         """Write the integerized plan into the store; returns cell count."""
         cells = plan.integerized()
-        pipe = self._store.pipeline()
+        pipe = self.store.pipeline()
         for (slot_index, config), cell in cells.items():
             key = self._key(slot_index, config)
             pipe.hset(key, self._SENTINEL, 1)
@@ -279,30 +290,31 @@ class KVSlotLedger(SlotLedger):
 
     def snapshot(self, slot_index: int, config: CallConfig
                  ) -> Optional[Dict[str, int]]:
-        return self._cell(self._store.hgetall(self._key(slot_index, config)))
+        return self._cell(self.store.hgetall(self._key(slot_index, config)))
 
     def try_debit(self, slot_index: int, config: CallConfig, dc_id: str,
                   call_id: Optional[str] = None) -> bool:
-        return self._store.htake(self._key(slot_index, config), dc_id)
+        return self.store.htake(self._key(slot_index, config), dc_id)
 
     def snapshot_and_debit(self, slot_index: int, config: CallConfig,
-                           dc_id: str, call_id: Optional[str] = None
+                           dc_id: str, call_id: Optional[str] = None,
+                           writes: Sequence[Write] = ()
                            ) -> Tuple[Optional[Dict[str, int]], bool]:
         key = self._key(slot_index, config)
-        table, took = self._store.execute_batch(
-            [("hgetall", (key,)), ("htake", (key, dc_id))])
+        table, took = self.store.execute_batch(
+            [*writes, ("hgetall", (key,)), ("htake", (key, dc_id))])[-2:]
         return self._cell(table), took
 
     def credit(self, slot_index: int, config: CallConfig,
                dc_id: str) -> None:
-        self._store.hincrby(self._key(slot_index, config), dc_id, 1)
+        self.store.hincrby(self._key(slot_index, config), dc_id, 1)
 
     def add_slots(self, slot_index: int, config: CallConfig, dc_id: str,
                   count: int) -> None:
         if count < 0:
             raise CapacityError("add_slots count must be >= 0")
         key = self._key(slot_index, config)
-        pipe = self._store.pipeline()
+        pipe = self.store.pipeline()
         # Mark the cell planned: a scaled-out cell the original plan
         # never had must read as planned-but-exhaustible (overflow
         # semantics), not unanticipated (fallback).
@@ -344,20 +356,29 @@ class RealTimeSelector:
         return self.topology.closest_dc(call.first_joiner.country)
 
     def settle(self, call_id: str, slot_index: int, frozen: CallConfig,
-               final: CallConfig, initial_dc: str) -> SelectionOutcome:
+               final: CallConfig, initial_dc: str,
+               writes: Sequence[Write] = ()) -> SelectionOutcome:
         """(b)+(c): reconcile one call against the plan, record the outcome.
 
         ``frozen`` is the config at the freeze (the plan cell it debits),
         ``final`` its full config (what its ACL is measured on).  The
         caller derives the key from a ``Call`` (:meth:`process_call`) or
         from a batch's precomputed columns (the serving port).
+        ``writes`` ride the fused snapshot+debit trip ahead of it
+        (:meth:`SlotLedger.snapshot_and_debit`); a caller passes them
+        only when the initial DC is live, since a down one skips that
+        trip.
         """
         down = self.down_dcs if self.down_dcs else ()
         if initial_dc in down:
+            if writes:
+                raise CapacityError(
+                    f"no debit trip to carry writes: {initial_dc} is down")
             cell, took = self.ledger.snapshot(slot_index, frozen), False
         else:
             cell, took = self.ledger.snapshot_and_debit(
-                slot_index, frozen, initial_dc, call_id=call_id)
+                slot_index, frozen, initial_dc, call_id=call_id,
+                writes=writes)
         planned, overflowed = True, False
         if took:
             final_dc = initial_dc

@@ -16,10 +16,10 @@ placeholder, braces are literal):
 reference the serving core's store state is pinned against.
 :class:`PipelinedStateClient`, the serving core's, writes the same
 schema with the call id as a Redis-cluster hash tag — ``call:{<id>}``
-and ``call:{<id>}:spread`` — so both of a call's keys live on one shard
-and a lifecycle pipeline touches at most two (the call's and
-``dcload:<dc>``'s).  Its batches go straight to the store's one batch
-entry point, ``execute_batch``; an empty batch makes no call.
+and ``call:{<id>}:spread`` — so both of a call's keys live on one shard.
+It sends nothing itself: it builds writes, and the owner queues them
+and sends them in batches through the store's one batch entry point,
+``execute_batch`` (an empty batch makes no call).
 """
 
 from __future__ import annotations
@@ -97,16 +97,16 @@ Write = Tuple[str, Tuple[Any, ...]]
 
 
 class PipelinedStateClient:
-    """The serving core's client: write-only, one round-trip per step.
+    """The serving core's client: write-only, and it never waits per step.
 
     The per-op :class:`ControllerStateClient` pays one network trip per
     op and reads a call's DC and media back before changing them.  The
     online admission service cannot afford that: each call has exactly
     one owner (its worker), which already holds the call's current DC
     and media, so this client never reads.  Its methods *build* writes;
-    the owner buffers a call's join and media writes and sends them with
-    the call's next lifecycle write through :meth:`flush`, one pipelined
-    trip however many writes ride it.
+    the owner queues them in row order and sends the queue as one
+    pipelined trip (:meth:`flush`), or hands it to its next settle to
+    ride the ledger's debit trip, however many writes the queue holds.
     """
 
     def __init__(self, store: KVStore):
@@ -116,19 +116,16 @@ class PipelinedStateClient:
     def _key(call_id: str) -> str:
         return f"call:{{{call_id}}}"
 
-    def open_call(self, call_id: str, dc_id: str, first_country: str) -> str:
-        """Write a new call's state in one trip; returns its spread key,
-        which the owner keeps: a join is ``("hincrby", (key, country, 1))``.
-        """
+    def open_writes(self, call_id: str, dc_id: str, first_country: str
+                    ) -> Tuple[str, List[Write]]:
+        """A new call's state as writes, plus its spread key, which the
+        owner keeps: a join is ``("hincrby", (key, country, 1))``."""
         key = self._key(call_id)
         spread = f"{key}:spread"
-        self._store.execute_batch([
-            ("hset", (key, "dc", dc_id)),
-            ("hset", (key, "media", MediaType.AUDIO.value)),
-            ("hincrby", (spread, first_country, 1)),
-            ("incr", (f"dcload:{dc_id}", 1)),
-        ])
-        return spread
+        return spread, [("hset", (key, "dc", dc_id)),
+                        ("hset", (key, "media", MediaType.AUDIO.value)),
+                        ("hincrby", (spread, first_country, 1)),
+                        ("incr", (f"dcload:{dc_id}", 1))]
 
     def media_write(self, call_id: str, media: MediaType) -> Write:
         """``media`` is the call's media after escalation (the owner

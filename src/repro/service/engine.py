@@ -8,7 +8,13 @@ Redis sits in production.  Scale-out only changes who schedules it:
 
 * :func:`serve_rows` — the window kernel.  It owns the *call side* of a
   partition: the :class:`WorkerState` call table and counters, and every
-  call-state write.
+  call-state write.  The writes are write-behind: they queue in row
+  order and leave with the worker's next settle — on the settle's own
+  store trip when the slot ledger shares the store — so a call waits on
+  the store about once (its freeze), not at every lifecycle step.  A
+  write is durable at the worker's next settle or the next barrier,
+  whichever comes first; the store at every barrier is what per-step
+  writes would leave.
 * the *port* — the kernel's only view of the *ledger side*: slot/fleet
   ledger, selector and its statistics, the migrator's live-call
   registry, outcome counts, settle latencies.  :class:`LocalPort` calls
@@ -146,10 +152,14 @@ def serve_rows(worker: WorkerState, trace: ColumnarTrace,
     Port contract — the ledger side, and the only thing that differs
     between executors:
 
-    * ``port.settle(row, call_index, call_id, initial_dc, ended)`` →
-      ``(final_dc, migrated)`` reconciles a freeze against the plan;
+    * ``port.settle(row, call_index, call_id, initial_dc, ended, writes)``
+      → ``(final_dc, migrated)`` reconciles a freeze against the plan;
       ``ended`` says the call already hung up, so its reservation is to
-      be released in the same step.
+      be released in the same step.  ``writes`` is the worker's buffer of
+      call-side writes, which the port sends before the settle's ledger
+      ops: on the same trip when it can (a :class:`KVSlotLedger` on the
+      call-side store, initial DC live), else as one pipeline just ahead
+      of the settle.  The kernel starts a new buffer after every settle.
     * ``port.join(row, call_id)`` / ``port.release(row, call_id)`` hear
       served joins and the ends of settled calls; each is ``None`` when
       nothing on the ledger side consumes them (no fleet ledger, no
@@ -163,16 +173,19 @@ def serve_rows(worker: WorkerState, trace: ColumnarTrace,
     — makes exactly one port call, which is what lets the process
     executor's parent apply them in global row order.
 
-    The call side is write-only: a call's current DC and media live in
-    its :class:`_Call`, so nothing here reads the store.  Join and media
-    writes (the bulk of the stream) are buffered per call and ride the
-    call's next lifecycle write — the migrate and/or close at its freeze,
-    the close at its end — or, at a freeze with neither, one trip of
-    their own; whatever is still buffered when the window ends leaves as
-    a single pipeline.  So START, FREEZE and END each cost at most one
-    call-side round-trip and JOIN/MEDIA none.  Final store state and op
-    counts equal per-event writes: spread increments commute, and the
-    ``media`` field is only ever overwritten with a later escalation.
+    The call side is write-only and write-behind: a call's current DC
+    and media live in its :class:`_Call`, so nothing here reads the
+    store, and every call-side write (START's open, joins, media, the
+    migrate and close a freeze or end decides) joins one FIFO buffer in
+    row order.  The buffer leaves with the worker's next settle, and
+    whatever is left when the window ends leaves as one pipeline.  So
+    START, JOIN, MEDIA and END make no trip of their own, and a FREEZE
+    makes one (plus its preference walk).  A write is durable at the
+    worker's next settle or the next barrier, whichever comes first.
+    Final store state and op counts equal per-event writes, and so does
+    every barrier's: the ops are the same, each key hears them in the
+    same order (a call's keys have one writer), ``dcload`` increments
+    commute, and no call-side key is a ledger key.
 
     A JOIN or MEDIA row for a call with no live entry (participants who
     join after the hangup, or a call whose start was dropped) is counted
@@ -184,11 +197,11 @@ def serve_rows(worker: WorkerState, trace: ColumnarTrace,
     record_admission = worker.admission_ms.append
     ids = trace.call_ids()
     country_of = trace.countries.values
-    flush = client.flush
+    open_writes = client.open_writes
     settle, skip = port.settle, port.skip
     join, release = port.join, port.release
     clock = time.perf_counter
-    pending: Dict[str, List[Write]] = {}
+    buffer: List[Write] = []
     for row, call_index, code, country, media in zip(
             rows, call_idx, type_code, country_code, media_code):
         call_id = ids[call_index]
@@ -200,7 +213,7 @@ def serve_rows(worker: WorkerState, trace: ColumnarTrace,
                 continue
             call = calls.get(call_id)
             if call is not None:
-                pending.setdefault(call_id, []).append(
+                buffer.append(
                     ("hincrby", (call.spread, country_of[country], 1)))
             worker.joins += 1
             if join is not None:
@@ -214,8 +227,9 @@ def serve_rows(worker: WorkerState, trace: ColumnarTrace,
             t0 = clock()
             first_country = country_of[country]
             initial = closest_dc(first_country)
-            calls[call_id] = _Call(
-                initial, client.open_call(call_id, initial, first_country))
+            spread, opened = open_writes(call_id, initial, first_country)
+            buffer += opened
+            calls[call_id] = _Call(initial, spread)
             worker.generated += 1
             record_admission((clock() - t0) * 1e3)
         elif code == _MEDIA:
@@ -225,8 +239,7 @@ def serve_rows(worker: WorkerState, trace: ColumnarTrace,
             call = calls.get(call_id)
             if call is not None:
                 call.media = call.media.escalate(MediaType.from_code(media))
-                pending.setdefault(call_id, []).append(
-                    client.media_write(call_id, call.media))
+                buffer.append(client.media_write(call_id, call.media))
             worker.media_changes += 1
         elif code == _FREEZE:
             call = calls.get(call_id)
@@ -235,19 +248,18 @@ def serve_rows(worker: WorkerState, trace: ColumnarTrace,
                 skip(row)
                 continue
             final_dc, migrated = settle(row, call_index, call_id,
-                                        call.dc, call.ended)
+                                        call.dc, call.ended, buffer)
+            buffer = []
             call.settled = True
-            writes = pending.pop(call_id, [])
             if migrated:
-                writes += client.migrate_writes(call_id, call.dc, final_dc)
+                buffer += client.migrate_writes(call_id, call.dc, final_dc)
                 call.dc = final_dc
             if call.ended:
                 # Hung up before its freeze point; it was settled against
                 # the plan anyway (the slot was reserved for it), and its
                 # state can be released now.
-                writes += client.close_writes(call_id, call.dc)
+                buffer += client.close_writes(call_id, call.dc)
                 del calls[call_id]
-            flush(writes)
         elif code == _END:
             call = calls.get(call_id)
             if call is None:
@@ -257,8 +269,7 @@ def serve_rows(worker: WorkerState, trace: ColumnarTrace,
                 continue
             worker.ended += 1
             if call.settled:
-                flush(pending.pop(call_id, [])
-                      + client.close_writes(call_id, call.dc))
+                buffer += client.close_writes(call_id, call.dc)
                 del calls[call_id]
                 if release is not None:
                     release(row, call_id)
@@ -270,7 +281,7 @@ def serve_rows(worker: WorkerState, trace: ColumnarTrace,
         else:
             raise SwitchboardError(f"unknown event code {code}")
         worker.processed += 1
-    flush([write for writes in pending.values() for write in writes])
+    client.flush(buffer)
 
 
 def partition_columns(batch, lo: int, hi: int,
@@ -309,14 +320,24 @@ class LocalPort:
     ``registry.on_end`` exist (plain slot ledgers have neither hook).
     The thread executor holds one per worker, so counts need no lock;
     the process executor's parent feeds one the workers' messages.
+
+    ``store`` is where the kernel's call-side writes go (``None`` when
+    they never reach this port: the process executor's workers send
+    their own).  A settle carries them on its fused snapshot+debit trip
+    when the ledger is a :class:`KVSlotLedger` on that store and the
+    call's initial DC is live; otherwise they leave as one pipeline just
+    ahead of the settle — a fleet or local ledger, a down initial DC.
     """
 
     def __init__(self, selector: RealTimeSelector, ledger: SlotLedger,
-                 migrator, settle_latency: LatencyHistogram):
+                 migrator, settle_latency: LatencyHistogram, store=None):
         self.admitted = self.migrated = self.overflowed = self.unplanned = 0
         self._selector = selector
         self._settle = selector.settle
         self._record_settle = settle_latency.record
+        self._store = store
+        self._carries = (isinstance(ledger, KVSlotLedger)
+                         and ledger.store is store)
         note_join = getattr(ledger, "note_join", None)
         enders: List[Callable[[str], Any]] = []
         if getattr(ledger, "release", None) is not None:
@@ -355,11 +376,17 @@ class LocalPort:
         pass
 
     def settle(self, row: int, call_index: int, call_id: str,
-               initial_dc: str, ended: bool) -> Tuple[str, bool]:
+               initial_dc: str, ended: bool,
+               writes: Sequence[Write] = ()) -> Tuple[str, bool]:
+        if writes and not (self._carries and initial_dc not in
+                           (self._selector.down_dcs or ())):
+            self._store.execute_batch(writes)
+            writes = ()
         t0 = time.perf_counter()
         _, _, final_dc, migrated, planned, _, overflowed = self._settle(
             call_id, self._slot_of_call[call_index],
-            self._frozen[call_index], self._final[call_index], initial_dc)
+            self._frozen[call_index], self._final[call_index], initial_dc,
+            writes)
         if migrated:
             self.migrated += 1
         elif overflowed:
@@ -498,9 +525,9 @@ class ServingEngine:
         self._ports: List[LocalPort] = []
         self._counts: List[Dict[str, int]] = []
 
-    def _local_port(self) -> LocalPort:
+    def _local_port(self, store=None) -> LocalPort:
         return LocalPort(self.selector, self.ledger, self.migrator,
-                         self.settle_latency)
+                         self.settle_latency, store)
 
     def _stop(self, failed: bool) -> None:
         """Release whatever ``_start`` acquired (runs on every path)."""
@@ -714,7 +741,8 @@ class AdmissionEngine(ServingEngine):
         self._client = PipelinedStateClient(self.store)
         self._workers = [WorkerState(self.topology)
                          for _ in range(self.n_workers)]
-        self._ports = [self._local_port() for _ in range(self.n_workers)]
+        self._ports = [self._local_port(self.store)
+                       for _ in range(self.n_workers)]
 
     def _open_batch(self, batch: ColumnarEventBatch,
                     shard_of_call: Optional[np.ndarray]) -> None:

@@ -49,7 +49,7 @@ import numpy as np
 
 from repro.core.errors import SwitchboardError
 from repro.controller.columnar import ColumnarEventBatch
-from repro.kvstore.client import PipelinedStateClient
+from repro.kvstore.client import PipelinedStateClient, Write
 from repro.kvstore.sharded import ShardedKVStore
 from repro.kvstore.store import InMemoryKVStore
 from repro.service.engine import (
@@ -255,12 +255,15 @@ class PipePort:
 
     ``fleet`` says whether the parent consumes joins and ends (a fleet
     ledger or a migrator is bound) and so schedules those rows too;
-    without it only freezes are scheduled.
+    without it only freezes are scheduled.  ``flush`` sends the kernel's
+    call-side writes to the worker's private store: they cannot ride the
+    parent's ledger trip, so a settle flushes them as one pipeline first.
     """
 
-    def __init__(self, conn, fleet: bool):
+    def __init__(self, conn, fleet: bool, flush):
         self._conn = conn
         self._send = conn.send
+        self._flush = flush
         self.join = self._join if fleet else None
         self.release = self._release if fleet else None
 
@@ -274,7 +277,9 @@ class PipePort:
         self._send(("skip", row))
 
     def settle(self, row: int, call_index: int, call_id: str,
-               initial_dc: str, ended: bool) -> Tuple[str, bool]:
+               initial_dc: str, ended: bool,
+               writes: List[Write]) -> Tuple[str, bool]:
+        self._flush(writes)
         # Blocking round-trip: the parent runs the selector against the
         # shared ledger (releasing an already-ended call's reservation in
         # the same step) and replies with the outcome to write.
@@ -305,7 +310,7 @@ def _worker_main(worker_index: int, topology: Topology,
         state = WorkerState(topology)
         store = store_spec.build()
         client = PipelinedStateClient(store)
-        port = PipePort(conn, fleet)
+        port = PipePort(conn, fleet, client.flush)
         conn.send(("ready", worker_index))
         while True:
             msg = conn.recv()

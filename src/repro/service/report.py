@@ -104,8 +104,11 @@ class ServiceReport:
     wall_time_s: float = 0.0
     events_per_s: float = 0.0
 
-    # Latency tails (ms): admission = CALL_START handling, settle =
-    # CONFIG_FREEZE reconciliation, kv = simulated store round-trips.
+    # Latency tails (ms): admission = CALL_START handling, which is the
+    # initial-DC decision (START's store writes queue behind the next
+    # settle, so it waits on no store trip); settle = CONFIG_FREEZE
+    # reconciliation, including any queued call-side writes its store
+    # trip carries; kv = simulated store round-trips.
     # Values are None (rendered "n/a") when no samples were recorded;
     # the "count" key always carries the sample count.
     admission_latency_ms: Dict[str, Optional[float]] = field(

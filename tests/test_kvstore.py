@@ -176,7 +176,7 @@ class TestControllerStateClient:
         """The write-only pipelined client, told the DC and media its
         owner holds, must leave the store in the state the
         read-before-write client does (modulo the call-id hash tag) —
-        in one trip per lifecycle step."""
+        in one trip per flush, however many steps it holds."""
         plain_store, piped_store = InMemoryKVStore(), InMemoryKVStore()
         plain = ControllerStateClient(plain_store)
         plain.open_call("c1", "dc-a", "US")
@@ -187,14 +187,15 @@ class TestControllerStateClient:
         plain.close_call("c2")
 
         piped = PipelinedStateClient(piped_store)
-        spread = piped.open_call("c1", "dc-a", "US")
+        spread, writes = piped.open_writes("c1", "dc-a", "US")
+        piped.flush(writes)
         piped.flush([("hincrby", (spread, "CA", 1)),
                      piped.media_write("c1", MediaType.VIDEO)]
                     + piped.migrate_writes("c1", "dc-a", "dc-b"))
-        piped.open_call("c2", "dc-a", "US")
-        piped.flush(piped.close_writes("c2", "dc-a"))
+        _, writes = piped.open_writes("c2", "dc-a", "US")
+        piped.flush(writes + piped.close_writes("c2", "dc-a"))
         piped.flush([])  # nothing buffered: no trip
-        assert piped_store.trip_count == 4
+        assert piped_store.trip_count == 3
 
         assert set(piped_store._data) >= {"call:{c1}", "call:{c1}:spread"}
         untagged = {key.replace("{", "").replace("}", ""): value
@@ -205,8 +206,10 @@ class TestControllerStateClient:
         store = InMemoryKVStore(LatencyProfile(median_ms=0.1, floor_ms=0.05,
                                                ceil_ms=0.2))
         client = PipelinedStateClient(store)
-        client.open_call("c1", "dc-a", "US")
-        # open_call issues several writes; batched, they pay one trip.
+        _, writes = client.open_writes("c1", "dc-a", "US")
+        assert not store.latency_samples_ms()  # building writes sends none
+        # A call's open is several writes; batched, they pay one trip.
+        client.flush(writes)
         assert len(store.latency_samples_ms()) == 1
 
 

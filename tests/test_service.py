@@ -214,10 +214,12 @@ class TestAdmissionEngine:
 
 
 class RecordingPort:
-    """A fake ledger side: records every port call the kernel makes."""
+    """A fake ledger side: records every port call the kernel makes, and
+    flushes the write buffer each settle hands it to ``store``."""
 
-    def __init__(self, hooks: bool):
+    def __init__(self, hooks: bool, store):
         self.calls = []
+        self._store = store
         self.join = self._join if hooks else None
         self.release = self._release if hooks else None
 
@@ -230,9 +232,11 @@ class RecordingPort:
     def skip(self, row):
         self.calls.append(("skip", row))
 
-    def settle(self, row, call_index, call_id, initial_dc, ended):
+    def settle(self, row, call_index, call_id, initial_dc, ended, writes):
         self.calls.append(("settle", row, call_index, call_id, initial_dc,
-                           ended))
+                           ended, len(writes)))
+        if writes:
+            self._store.execute_batch(writes)
         # Call "a" migrates at its freeze; everything else stays put.
         return ("dc-virginia", True) if call_id == "a" else (initial_dc,
                                                              False)
@@ -281,7 +285,7 @@ class TestWindowKernel:
         ]
         worker = WorkerState(topology)
         store = InMemoryKVStore()
-        port = RecordingPort(hooks)
+        port = RecordingPort(hooks, store)
         serve_rows(worker, trace, range(len(stream)), *zip(*stream),
                    PipelinedStateClient(store), port)
         return worker, store, port
@@ -292,8 +296,9 @@ class TestWindowKernel:
             ("join", 2, "a"),
             ("skip", 3),
             ("skip", 4),
-            ("settle", 5, 0, "a", "dc-tokyo", False),
-            ("settle", 6, 1, "b", "dc-frankfurt", True),
+            # a's settle takes both opens and a's join; b's, a's migrate.
+            ("settle", 5, 0, "a", "dc-tokyo", False, 9),
+            ("settle", 6, 1, "b", "dc-frankfurt", True, 3),
             ("skip", 7),
             ("join", 8, "a"),
             ("release", 10, "a"),
@@ -310,44 +315,61 @@ class TestWindowKernel:
     def test_without_hooks_only_freezes_reach_the_port(self, topology):
         worker, _, port = self._serve(topology, hooks=False)
         assert port.calls == [
-            ("settle", 5, 0, "a", "dc-tokyo", False),
-            ("settle", 6, 1, "b", "dc-frankfurt", True),
+            ("settle", 5, 0, "a", "dc-tokyo", False, 9),
+            ("settle", 6, 1, "b", "dc-frankfurt", True, 3),
             ("skip", 7),
         ]
         assert worker.counts()["dropped"] == 5
 
     def test_round_trip_budget_per_lifecycle_step(self, topology):
         """Exact store round-trips per row, call state and slot ledger on
-        one one-shard store: START 1, JOIN/MEDIA 0, FREEZE 1 ledger (+1
-        per preference-walk debit) + at most 1 call-side, END 1, and at
-        most 1 for everything a window leaves buffered."""
+        one one-shard store.  START, JOIN, MEDIA and END make none: every
+        call-side write joins the worker's buffer.  A FREEZE makes one
+        trip, which carries the buffer and the fused snapshot+debit, plus
+        one per preference-walk debit; a window's leftover buffer leaves
+        as one tail pipeline."""
+        self._check_budget(topology, "carried")
+
+    @pytest.mark.parametrize("arm", ["down", "local"])
+    def test_round_trip_budget_when_the_settle_cannot_carry(self, topology,
+                                                            arm):
+        """A settle with no debit trip on the call-side store — a down
+        initial DC (a snapshot only) or a ledger outside the store —
+        sends the buffer as one flush just before it."""
+        self._check_budget(topology, arm)
+
+    def _check_budget(self, topology, arm):
         trace = self._trace()
         jp, de = trace.countries.code("JP"), trace.countries.code("DE")
         video = MediaType.VIDEO.code
         a, b, c = 0, 1, 2
-        windows = [[  # (row, round-trips it may cost)
-            ((a, self.START, jp, -1), 1),
-            ((b, self.START, de, -1), 1),
+        # Plan has a's slot in Virginia only.  Carried: the fused trip
+        # (with the buffered join) misses Tokyo, one walk debit lands.
+        # Down: the flush, a snapshot, the walk debit.  Local: the flush.
+        # b takes its slot at Frankfurt; its trip (or, local, its flush)
+        # carries a's migrate.
+        a_freeze, b_freeze = {"carried": (2, 1), "down": (3, 1),
+                              "local": (1, 1)}[arm]
+        windows = [[  # (row, round-trips it costs)
+            ((a, self.START, jp, -1), 0),
+            ((b, self.START, de, -1), 0),
             ((a, self.JOIN, de, -1), 0),
             ((b, self.JOIN, jp, -1), 0),
             ((a, self.MEDIA, -1, video), 0),
         ], [
             ((b, self.END, -1, -1), 0),     # early end: nothing to write
             ((a, self.JOIN, jp, -1), 0),
-            # Plan has a's slot in Virginia only: fused snapshot+debit of
-            # Tokyo misses, one walk debit lands, the join rides the
-            # migrate.
-            ((a, self.FREEZE, -1, -1), 3),
-            # b takes its slot at Frankfurt in the fused trip; it already
-            # hung up, so its close is the call-side trip.
-            ((b, self.FREEZE, -1, -1), 2),
+            ((a, self.FREEZE, -1, -1), a_freeze),
+            ((b, self.FREEZE, -1, -1), b_freeze),
             ((c, self.FREEZE, -1, -1), 0),  # unknown call
             ((a, self.JOIN, jp, -1), 0),
-            ((a, self.END, -1, -1), 1),     # join + close, one pipeline
+            ((a, self.END, -1, -1), 0),
             ((a, self.JOIN, de, -1), 0),    # after the hangup: no write
             ((a, self.MEDIA, -1, video), 0),
         ]]
-        tails = [1, 0]  # window 1 leaves two calls' writes: one pipeline
+        # Window 0 leaves both opens, two joins and a media write; window
+        # 1 leaves b's close, a's join and a's close.
+        tails = [1, 1]
 
         def config(country):
             return CallConfig.build({country: 1}, MediaType.AUDIO)
@@ -357,10 +379,15 @@ class TestWindowKernel:
             shares={(0, config("JP")): {"dc-virginia": 1.0},
                     (0, config("DE")): {"dc-frankfurt": 1.0}})
         store = InMemoryKVStore()
-        ledger = KVSlotLedger(store)
-        ledger.load_plan(plan)
-        port = LocalPort(RealTimeSelector(topology, plan, ledger=ledger),
-                         ledger, None, LatencyHistogram())
+        if arm == "local":
+            ledger = LocalSlotLedger.from_plan(plan)
+        else:
+            ledger = KVSlotLedger(store)
+            ledger.load_plan(plan)
+        selector = RealTimeSelector(topology, plan, ledger=ledger)
+        if arm == "down":
+            selector.down_dcs = {"dc-tokyo"}
+        port = LocalPort(selector, ledger, None, LatencyHistogram(), store)
         port.open(trace)
         worker = WorkerState(topology)
         client = PipelinedStateClient(store)
