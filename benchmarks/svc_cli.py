@@ -1,6 +1,6 @@
 """Shared CLI plumbing for the service-plane benchmarks.
 
-Both ``bench_service.py`` and ``bench_datapath.py`` run standalone in
+Both ``bench_service.py`` and ``bench_migration.py`` run standalone in
 CI smoke jobs and need the same executor knobs: which execution model
 serves the load (``--executor thread|process``), how many workers
 (``--workers``), smoke vs full assertions (``--smoke``), and the JSON

@@ -61,7 +61,7 @@ def main(argv=None) -> int:
     load = generate_packing_load(n_calls=args.calls, seed=args.seed,
                                  countries=["US"])
     print(f"Load: {load.n_calls} calls -> {load.n_events} events, "
-          f"mix {media_mix(load.trace.calls)}")
+          f"mix {media_mix(load.trace)}")
 
     controller = Switchboard(topology,
                              config=PlannerConfig(max_link_scenarios=0))
@@ -83,7 +83,7 @@ def main(argv=None) -> int:
         topology, plan, store=store, ledger=ledger,
         defragmenter=defragmenter,
         defrag_interval_s=packing_config.defrag_interval_s)
-    report = runtime.run(load.events)
+    report = runtime.run(load.batch)
 
     print()
     print(report.summary())

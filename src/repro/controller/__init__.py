@@ -1,4 +1,5 @@
-"""Controller event streams: object events and the columnar batch (§6.6)."""
+"""Controller event streams: the columnar batch the engine serves, and
+the per-call object reference it is tested against (§6.6)."""
 
 from repro.controller.columnar import (
     ColumnarEventBatch,

@@ -1,9 +1,7 @@
 """Columnar controller event batches: vectorized generate + sort.
 
-The object pipeline (``events_of_call`` -> Python ``list.sort``) builds
-one :class:`~repro.controller.events.ControllerEvent` dataclass per
-event; at Fig-10 scale that object churn dominates the replay.  This
-module emits the same stream as parallel arrays:
+The serving engine's only input.  A trace's event stream is held as
+parallel arrays:
 
 * ``t_s``            — float64 event timestamps;
 * ``call_idx``       — int64 index into the owning
@@ -14,13 +12,9 @@ module emits the same stream as parallel arrays:
 * ``media_code``     — int8 media escalation rank (-1 = none).
 
 Sorting is one ``np.lexsort`` over ``(type_code, call_idx, t_s)`` — the
-same total order the object sorter pins — instead of a global Python
-sort.  Iterating a batch yields lazily-constructed ``ControllerEvent``
-views (with :class:`~repro.workload.columnar.CallView` payloads for
-CALL_START/CONFIG_FREEZE), so every object-based consumer keeps working;
-columnar-aware consumers read the arrays directly.
-:func:`batch_from_events` is the reverse edge: an object event stream
-encoded as one batch, which is how the admission service ingests one.
+total order the per-call reference sorter
+(:func:`~repro.controller.events.event_stream`) pins — instead of a
+global Python sort.  Consumers read the arrays directly.
 
 :func:`iter_event_batches` is the bounded-memory streaming contract:
 chunks arrive at call granularity (each call's events complete within
@@ -31,27 +25,21 @@ the trace length.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
 from repro.core.errors import WorkloadError
 from repro.core.units import DEFAULT_FREEZE_WINDOW_S
-from repro.controller.events import EVENT_SORT_CODE, ControllerEvent, EventType
-from repro.core.types import MediaType
+from repro.controller.events import EVENT_SORT_CODE, EventType
 from repro.workload.columnar import ColumnarTrace
-from repro.workload.trace import CallTrace
 
 __all__ = [
     "ColumnarEventBatch",
-    "batch_from_events",
     "build_event_batch",
     "events_per_call",
     "iter_event_batches",
 ]
-
-#: sort/type code -> EventType (inverse of EVENT_SORT_CODE).
-KIND_OF_CODE = tuple(sorted(EVENT_SORT_CODE, key=EVENT_SORT_CODE.get))
 
 _START = EVENT_SORT_CODE[EventType.CALL_START]
 _JOIN = EVENT_SORT_CODE[EventType.PARTICIPANT_JOIN]
@@ -80,34 +68,6 @@ class ColumnarEventBatch:
         return int(self.t_s.shape[0])
 
     # ------------------------------------------------------------------
-    # lazy object views (the edge API)
-    # ------------------------------------------------------------------
-    def event(self, i: int) -> ControllerEvent:
-        """Materialize event ``i`` as a ``ControllerEvent`` view."""
-        code = int(self.type_code[i])
-        kind = KIND_OF_CODE[code]
-        call_idx = int(self.call_idx[i])
-        country_code = int(self.country_code[i])
-        media_code = int(self.media_code[i])
-        return ControllerEvent(
-            t_s=float(self.t_s[i]),
-            event_type=kind,
-            call_id=self.trace.call_id(call_idx),
-            country=(self.trace.countries.value(country_code)
-                     if country_code >= 0 else None),
-            media=MediaType.from_code(media_code) if media_code >= 0 else None,
-            call=(self.trace.call(call_idx)
-                  if code in (_START, _FREEZE) else None),
-        )
-
-    def __iter__(self) -> Iterator[ControllerEvent]:
-        for i in range(len(self)):
-            yield self.event(i)
-
-    def to_events(self) -> List[ControllerEvent]:
-        return [self.event(i) for i in range(len(self))]
-
-    # ------------------------------------------------------------------
     # chunk surgery
     # ------------------------------------------------------------------
     def slice(self, start: int, stop: int) -> "ColumnarEventBatch":
@@ -120,19 +80,6 @@ class ColumnarEventBatch:
             country_code=self.country_code[start:stop],
             media_code=self.media_code[start:stop],
         )
-
-    def split_at_times(self, boundaries: np.ndarray
-                       ) -> List["ColumnarEventBatch"]:
-        """Split on time boundaries (events are already time-sorted)."""
-        cuts = np.searchsorted(self.t_s, boundaries)
-        pieces: List[ColumnarEventBatch] = []
-        last = 0
-        for cut in list(cuts) + [len(self)]:
-            cut = int(cut)
-            if cut > last:
-                pieces.append(self.slice(last, cut))
-            last = cut
-        return pieces
 
 
 def events_per_call(trace: ColumnarTrace) -> np.ndarray:
@@ -228,49 +175,6 @@ def build_event_batch(trace: ColumnarTrace,
         country_code=np.concatenate(ctry_parts)[order],
         media_code=np.concatenate(media_parts)[order],
     )
-
-
-def batch_from_events(events: Iterable[ControllerEvent]
-                      ) -> Tuple[ColumnarEventBatch, int]:
-    """Encode an object event stream as one batch, rows in the given
-    order; returns ``(batch, undeliverable)``.
-
-    The batch's trace is built from the calls carried on CALL_START
-    events.  An event whose call id no CALL_START delivered a call for
-    (or a CALL_START carrying none) has no row to point at: it is left
-    out and counted, for the caller to report as dropped.  A missing
-    country or media encodes as ``-1``, like the generated batches.
-    """
-    events = list(events)
-    calls = []
-    index_of: Dict[str, int] = {}
-    for event in events:
-        if (event.event_type is EventType.CALL_START
-                and event.call is not None
-                and event.call_id not in index_of):
-            index_of[event.call_id] = len(calls)
-            calls.append(event.call)
-    trace = ColumnarTrace.from_trace(CallTrace(calls, []))
-    country_code = trace.countries.code
-    rows = [
-        (e.t_s, index_of[e.call_id], EVENT_SORT_CODE[e.event_type],
-         country_code(e.country) if e.country is not None else -1,
-         e.media.code if e.media is not None else -1)
-        for e in events
-        if e.call_id in index_of
-        and (e.call is not None or e.event_type is not EventType.CALL_START)
-    ]
-    t_s, call_idx, type_code, country, media = (
-        zip(*rows) if rows else ((),) * 5)
-    batch = ColumnarEventBatch(
-        trace=trace,
-        t_s=np.array(t_s, dtype=np.float64),
-        call_idx=np.array(call_idx, dtype=np.int64),
-        type_code=np.array(type_code, dtype=np.int8),
-        country_code=np.array(country, dtype=np.int32),
-        media_code=np.array(media, dtype=np.int8),
-    )
-    return batch, len(events) - len(rows)
 
 
 def iter_event_batches(chunks: Iterable[ColumnarTrace],

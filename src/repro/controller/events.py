@@ -1,12 +1,18 @@
 """Controller event stream: what the service sees in real time.
 
 The controller benchmark (§6.6) replays a 24-hour trace of "millions of
-calls and events (participants joining and media changes)".  This module
-turns a :class:`~repro.workload.trace.CallTrace` into that event stream:
-``CALL_START`` when the first participant joins, ``PARTICIPANT_JOIN`` for
-each later joiner, ``MEDIA_CHANGE`` when someone escalates the call's
-media, ``CONFIG_FREEZE`` at A seconds (the §5.4 decision point), and
-``CALL_END``.
+calls and events (participants joining and media changes)".  A call
+emits ``CALL_START`` when the first participant joins,
+``PARTICIPANT_JOIN`` for each later joiner, ``MEDIA_CHANGE`` when
+someone escalates the call's media, ``CONFIG_FREEZE`` at A seconds (the
+§5.4 decision point), and ``CALL_END``.
+
+This module pins those kinds and their equal-timestamp total order
+(:data:`EVENT_SORT_CODE`).  :func:`events_of_call` / :func:`event_stream`
+build the stream one :class:`ControllerEvent` at a time from a
+:class:`~repro.workload.trace.CallTrace`: the per-call reference the
+columnar sorter (:func:`repro.controller.columnar.build_event_batch`,
+what the engine serves) is tested against.
 """
 
 from __future__ import annotations
@@ -135,15 +141,12 @@ def peak_event_rate(events, window_s: float = 60.0) -> float:
     """Peak events/second over fixed windows — the trace's "peak load".
 
     Fig 10 normalizes controller throughput to the peak traffic seen in
-    the trace; this is that denominator.  Accepts a list of
-    :class:`ControllerEvent` or anything exposing a ``t_s`` array (a
-    :class:`~repro.controller.columnar.ColumnarEventBatch`); either way
-    the windowed histogram is one ``np.bincount`` over window indices.
+    the trace; this is that denominator.  ``events`` is anything exposing
+    a ``t_s`` array (a
+    :class:`~repro.controller.columnar.ColumnarEventBatch`); the windowed
+    histogram is one ``np.bincount`` over window indices.
     """
-    t = getattr(events, "t_s", None)
-    if t is None:
-        t = np.fromiter((e.t_s for e in events), dtype=np.float64)
-    t = np.asarray(t, dtype=np.float64)
+    t = np.asarray(events.t_s, dtype=np.float64)
     if t.size == 0:
         raise WorkloadError("no events")
     windows = np.floor_divide(t, window_s).astype(np.int64)

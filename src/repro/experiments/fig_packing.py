@@ -65,7 +65,7 @@ def run_policy(topology: Topology, plan, fleet: Dict[str, float],
         topology, plan, store=store,
         ledger=ledger, defragmenter=defragmenter,
         defrag_interval_s=config.defrag_interval_s)
-    report = runtime.run(load.events)
+    report = runtime.run(load.batch)
     report.require_exact_accounting()
     packing = report.packing
     return {

@@ -24,7 +24,7 @@ from typing import Dict, Optional
 
 from repro.allocation.realtime import RealTimeSelector
 from repro.config import PlannerConfig, ServiceConfig
-from repro.controller.events import event_stream
+from repro.controller.columnar import build_event_batch
 from repro.core.errors import SwitchboardError
 from repro.experiments.common import Scenario, build_scenario
 from repro.provisioning.planner import CapacityPlan
@@ -98,7 +98,7 @@ def run(scenario: Optional[Scenario] = None,
 
     runtime = ServiceRuntime.from_config(
         scn.topology, plan, ServiceConfig(), freeze_window_s=_FREEZE_S)
-    report = runtime.run(event_stream(scn.trace, _FREEZE_S))
+    report = runtime.run(build_event_batch(scn.columnar_trace, _FREEZE_S))
     report.require_exact_accounting()
     live_stats = runtime.selector.stats
 

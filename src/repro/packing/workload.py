@@ -24,15 +24,16 @@ is the comparison ``fig_packing`` and ``bench_packing`` make.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, List, Optional
 
 import numpy as np
 
 from repro.core.errors import WorkloadError
 from repro.core.types import Call, MediaType, Participant, make_slots
 from repro.core.units import DEFAULT_FREEZE_WINDOW_S, DEFAULT_SLOT_S
-from repro.controller.events import ControllerEvent, event_stream
+from repro.controller.columnar import ColumnarEventBatch, build_event_batch
 from repro.workload.arrivals import Demand
+from repro.workload.columnar import ColumnarTrace
 from repro.workload.trace import CallTrace
 
 
@@ -40,8 +41,8 @@ from repro.workload.trace import CallTrace
 class PackingLoad:
     """A generated packing workload plus its planning inputs."""
 
-    trace: CallTrace
-    events: List[ControllerEvent]
+    trace: ColumnarTrace
+    batch: ColumnarEventBatch
     demand: Demand
     freeze_window_s: float
     #: Held-out calls (same distribution, different seed) for fitting
@@ -50,11 +51,11 @@ class PackingLoad:
 
     @property
     def n_calls(self) -> int:
-        return len(self.trace.calls)
+        return self.trace.n_calls
 
     @property
     def n_events(self) -> int:
-        return len(self.events)
+        return len(self.batch)
 
 
 def _build_calls(rng: np.random.Generator, n_calls: int,
@@ -135,17 +136,18 @@ def generate_packing_load(n_calls: int = 300,
     training = _build_calls(train_rng, n_calls, horizon_s, freeze_window_s,
                             chosen, audio_fraction, tag=f"t{seed}")
     slot_horizon = max(call.start_s + call.duration_s for call in calls) + 1.0
-    trace = CallTrace(calls, make_slots(slot_horizon, DEFAULT_SLOT_S))
+    trace = ColumnarTrace.from_trace(
+        CallTrace(calls, make_slots(slot_horizon, DEFAULT_SLOT_S)))
     return PackingLoad(
         trace=trace,
-        events=event_stream(trace, freeze_window_s),
+        batch=build_event_batch(trace, freeze_window_s),
         demand=trace.to_demand(freeze_after_s=freeze_window_s),
         freeze_window_s=freeze_window_s,
         training_calls=training,
     )
 
 
-def media_mix(calls: List[Call]) -> Dict[str, int]:
+def media_mix(calls: Iterable[Call]) -> Dict[str, int]:
     """Count calls by their (escalated) media class."""
     mix: Dict[str, int] = {}
     for call in calls:

@@ -33,12 +33,11 @@ Redis sits in production.  Scale-out only changes who schedules it:
 
 from __future__ import annotations
 
-import itertools
 import threading
 import time
 import zlib
-from typing import (Any, Callable, Dict, Iterable, List, Optional, Sequence,
-                    Tuple, Union)
+from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional,
+                    Sequence, Tuple, Union)
 
 import numpy as np
 
@@ -52,12 +51,8 @@ from repro.allocation.realtime import (
     SlotLedger,
 )
 from repro.autoscale.telemetry import ServiceSnapshot
-from repro.controller.columnar import ColumnarEventBatch, batch_from_events
-from repro.controller.events import (
-    EVENT_SORT_CODE,
-    ControllerEvent,
-    EventType,
-)
+from repro.controller.columnar import ColumnarEventBatch
+from repro.controller.events import EVENT_SORT_CODE, EventType
 from repro.kvstore.client import PipelinedStateClient, Write
 from repro.kvstore.sharded import ShardedKVStore
 from repro.kvstore.store import InMemoryKVStore
@@ -73,11 +68,9 @@ _MEDIA = EVENT_SORT_CODE[EventType.MEDIA_CHANGE]
 _FREEZE = EVENT_SORT_CODE[EventType.CONFIG_FREEZE]
 _END = EVENT_SORT_CODE[EventType.CALL_END]
 
-#: What ``run`` accepts: one columnar batch, an iterable of batches
-#: (served incrementally, so peak memory stays one batch), or a
-#: time-sorted object event stream.
-EventSource = Union[ColumnarEventBatch, Iterable[ColumnarEventBatch],
-                    Iterable[ControllerEvent]]
+#: What ``run`` accepts: one columnar batch, or an iterable of batches
+#: (served incrementally, so peak memory stays one batch).
+EventSource = Union[ColumnarEventBatch, Iterable[ColumnarEventBatch]]
 
 
 # ----------------------------------------------------------------------
@@ -537,16 +530,15 @@ class ServingEngine:
         """Serve the whole stream; returns the run's report.
 
         Calls shard to workers by call id, so per-call event order is
-        preserved while different calls proceed concurrently.  An object
-        event stream is encoded once at the boundary
-        (:func:`~repro.controller.columnar.batch_from_events`) and
-        served like any other batch.
+        preserved while different calls proceed concurrently.  Any item
+        that is not a :class:`~repro.controller.columnar.ColumnarEventBatch`
+        raises :class:`SwitchboardError`.
         """
-        batches, undeliverable = self._batch_source(events)
+        batches = self._batch_source(events)
         if self.obs is not None:
             self.obs.record("service.run", label="admission",
                             n_workers=self.n_workers, executor=self.executor)
-        n_events = undeliverable
+        n_events = 0
         anchor: Optional[float] = None
         failed = True
         try:
@@ -571,7 +563,7 @@ class ServingEngine:
         if n_events == 0:
             raise SwitchboardError("no events to serve")
 
-        report = self._report(fragments, n_events, undeliverable, wall)
+        report = self._report(fragments, n_events, wall)
         if self.obs is not None:
             self.obs.record("service.done", label="admission",
                             events_per_s=report.events_per_s,
@@ -584,21 +576,17 @@ class ServingEngine:
 
     # ------------------------------------------------------------------
     @staticmethod
-    def _batch_source(events: EventSource
-                      ) -> Tuple[Iterable[ColumnarEventBatch], int]:
-        """Normalize any accepted input into an iterable of batches, plus
-        the count of object events that could not be encoded."""
-        if isinstance(events, ColumnarEventBatch):
-            return [events], 0
-        iterator = iter(events)
-        first = next(iterator, None)
-        if first is None:
-            return [], 0
-        rest = itertools.chain([first], iterator)
-        if isinstance(first, ColumnarEventBatch):
-            return rest, 0
-        batch, undeliverable = batch_from_events(rest)
-        return [batch], undeliverable
+    def _batch_source(events: EventSource) -> Iterator[ColumnarEventBatch]:
+        """Normalize the input into an iterator of batches, rejecting
+        anything else as it arrives."""
+        for batch in ([events] if isinstance(events, ColumnarEventBatch)
+                      else events):
+            if not isinstance(batch, ColumnarEventBatch):
+                raise SwitchboardError(
+                    f"run serves ColumnarEventBatch input, got "
+                    f"{type(batch).__name__}; encode a trace with "
+                    f"repro.controller.columnar.build_event_batch")
+            yield batch
 
     def _shard_of_call(self, trace: ColumnarTrace) -> Optional[np.ndarray]:
         """Call index → owning worker; ``None`` for a single worker."""
@@ -657,7 +645,7 @@ class ServingEngine:
 
     # ------------------------------------------------------------------
     def _report(self, fragments: List[Dict[str, Any]], n_events: int,
-                undeliverable: int, wall_s: float) -> ServiceReport:
+                wall_s: float) -> ServiceReport:
         """Fold the workers' fragments and the ledger side into one
         report.  Fragments from worker processes also carry their private
         store's ``kv_op_count`` / ``kv_samples_ms``."""
@@ -687,7 +675,7 @@ class ServingEngine:
             executor=self.executor,
             events_total=n_events,
             events_processed=processed,
-            dropped_events=total("dropped") + undeliverable,
+            dropped_events=total("dropped"),
             joins=total("joins"),
             media_changes=total("media_changes"),
             generated_calls=total("generated"),

@@ -8,19 +8,18 @@ so a generated stream is always serveable with exact accounting
 (admitted + migrated + overflowed == generated), which is what the
 service-smoke CI job and ``bench_service`` assert.
 
-Generation itself runs on the columnar data plane
+Generation runs on the columnar data plane
 (:class:`~repro.workload.columnar.ColumnarTrace` →
-:class:`~repro.controller.columnar.ColumnarEventBatch`); the object
-``trace``/``events`` of :class:`GeneratedLoad` are views materialized
-only when a caller asks for them.  :meth:`LoadGenerator.stream` is the
-bounded-memory variant: it never holds more than one chunk of slots in
+:class:`~repro.controller.columnar.ColumnarEventBatch`), and a load is
+held as those columns only; a caller that wants ``Call`` objects asks
+the trace (``load.columnar.to_trace()``).  :meth:`LoadGenerator.stream`
+is the bounded-memory variant: it never holds more than one chunk of slots in
 memory, regenerating chunks deterministically from the seed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable, Iterator, List, Optional
 
 import numpy as np
@@ -34,24 +33,20 @@ from repro.controller.columnar import (
     events_per_call,
     iter_event_batches,
 )
-from repro.controller.events import ControllerEvent, peak_event_rate
+from repro.controller.events import peak_event_rate
 from repro.topology.builder import Topology
 from repro.workload.arrivals import Demand
 from repro.workload.arrivals import DemandModel
 from repro.workload.columnar import ColumnarTrace
 from repro.workload.configs import generate_population
 from repro.workload.diurnal import DiurnalModel
-from repro.workload.trace import DEFAULT_CHUNK_SLOTS, CallTrace, TraceGenerator
+from repro.workload.trace import DEFAULT_CHUNK_SLOTS, TraceGenerator
 
 
 @dataclass
 class GeneratedLoad:
-    """One generated serving workload: calls, their events, and demand.
-
-    Held as columns; ``trace`` and ``events`` are object views built (and
-    cached) on first access, for callers at the object edge — serving a
-    load never touches them.
-    """
+    """One generated serving workload: calls, their events, and demand,
+    held as columns."""
 
     columnar: ColumnarTrace
     batch: ColumnarEventBatch
@@ -59,14 +54,6 @@ class GeneratedLoad:
     #: engine serves against should be built from.
     demand: Demand
     freeze_window_s: float
-
-    @cached_property
-    def trace(self) -> CallTrace:
-        return self.columnar.to_trace()
-
-    @cached_property
-    def events(self) -> List[ControllerEvent]:
-        return self.batch.to_events()
 
     @property
     def n_calls(self) -> int:

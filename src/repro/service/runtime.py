@@ -123,8 +123,10 @@ class ServiceRuntime:
 
         Accepts a :class:`~repro.service.loadgen.GeneratedLoad` or
         :class:`~repro.service.loadgen.StreamingLoad`, a
-        :class:`~repro.controller.columnar.ColumnarEventBatch`, an
-        iterable of batches, or an object event stream.
+        :class:`~repro.controller.columnar.ColumnarEventBatch`, or an
+        iterable of batches.  Anything else raises
+        :class:`~repro.core.errors.SwitchboardError`: encode a trace with
+        :func:`~repro.controller.columnar.build_event_batch` first.
         """
         if isinstance(load, GeneratedLoad):
             payload = load.batch

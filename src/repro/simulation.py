@@ -48,7 +48,7 @@ from repro.switchboard import Switchboard
 from repro.topology.builder import Topology
 from repro.workload.arrivals import Demand, DemandModel
 from repro.workload.columnar import ColumnarTrace
-from repro.workload.trace import CallTrace, TraceGenerator
+from repro.workload.trace import TraceGenerator
 
 _SLOTS_PER_DAY = int(86400.0 / DEFAULT_SLOT_S)
 
@@ -168,14 +168,14 @@ class ServiceSimulator:
 
     # ------------------------------------------------------------------
     def _day_trace(self, full_demand: Demand, day: int,
-                   generator: TraceGenerator) -> CallTrace:
+                   generator: TraceGenerator) -> ColumnarTrace:
         start, end = day * _SLOTS_PER_DAY, (day + 1) * _SLOTS_PER_DAY
         day_demand = Demand(
             full_demand.slots[start:end],
             full_demand.configs,
             full_demand.counts[start:end],
         )
-        return generator.generate(day_demand)
+        return generator.generate_columnar(day_demand)
 
     def _cushioned(self, capacity: CapacityPlan) -> CapacityPlan:
         return CapacityPlan(
@@ -188,7 +188,7 @@ class ServiceSimulator:
             obs=capacity.obs,
         )
 
-    def _serve_day(self, plan, trace: CallTrace, forecast: Demand
+    def _serve_day(self, plan, trace: ColumnarTrace, forecast: Demand
                    ) -> Tuple[SelectorStats, int]:
         """One day served by the admission engine.
 
@@ -202,7 +202,7 @@ class ServiceSimulator:
         re-provisions the plan mid-day; returns
         ``(stats, rescale_events)``.
         """
-        if not trace.calls:
+        if trace.n_calls == 0:
             return SelectorStats(), 0
         rescaler = None
         if self.planner_config.autoscale is not None:
@@ -215,8 +215,7 @@ class ServiceSimulator:
             self.topology, plan, self.planner_config,
             freeze_window_s=self.freeze_window_s, obs=self.controller.obs,
             rescaler=rescaler)
-        report = runtime.run(build_event_batch(
-            ColumnarTrace.from_trace(trace), self.freeze_window_s))
+        report = runtime.run(build_event_batch(trace, self.freeze_window_s))
         report.require_exact_accounting()
         return runtime.selector.stats, report.rescale_events
 

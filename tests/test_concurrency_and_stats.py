@@ -104,8 +104,9 @@ class TestSelectorConcurrencySafety:
         from repro.core.types import Call, CallConfig, Participant, make_slots
         from repro.allocation.plan import AllocationPlan
         from repro.config import ServiceConfig
-        from repro.controller.events import event_stream
+        from repro.controller.columnar import build_event_batch
         from repro.service import ServiceRuntime
+        from repro.workload.columnar import ColumnarTrace
         from repro.workload.trace import CallTrace
 
         config = CallConfig.build({"JP": 2}, MediaType.AUDIO)
@@ -123,7 +124,8 @@ class TestSelectorConcurrencySafety:
         ]
         runtime = ServiceRuntime.from_config(
             topology, plan, ServiceConfig(executor="thread", n_workers=4))
-        runtime.run(event_stream(CallTrace(calls, make_slots(3600.0))))
+        runtime.run(build_event_batch(ColumnarTrace.from_trace(
+            CallTrace(calls, make_slots(3600.0)))))
         snapshot = runtime.selector.ledger.snapshot(0, config)
         assert snapshot is not None
         assert snapshot["dc-tokyo"] == 0  # exactly n_calls debits

@@ -1,12 +1,16 @@
 """Tests for controller events and one call's lifecycle through the
 serving core over a server-level fleet ledger."""
 
+import numpy as np
 import pytest
 
+from repro.core.errors import WorkloadError
 from repro.core.types import Call, CallConfig, MediaType, Participant, make_slots
 from repro.core.units import to_microcores
 from repro.allocation.plan import AllocationPlan
+from repro.controller.columnar import ColumnarEventBatch, build_event_batch
 from repro.controller.events import (
+    EVENT_SORT_CODE,
     EventType,
     event_stream,
     events_of_call,
@@ -14,6 +18,7 @@ from repro.controller.events import (
 )
 from repro.packing import LocalFleetLedger, make_policy
 from repro.service import ServiceRuntime
+from repro.workload.columnar import ColumnarTrace
 from repro.workload.media import MediaLoadModel
 from repro.workload.trace import CallTrace
 
@@ -24,6 +29,19 @@ def _call(call_id="c1", start=100.0):
         Participant(f"{call_id}-b", "JP", 30.0, MediaType.VIDEO),
         Participant(f"{call_id}-c", "IN", 400.0, MediaType.AUDIO),
     ])
+
+
+def _batch(*calls):
+    """The calls' event stream as the engine serves it."""
+    return build_event_batch(ColumnarTrace.from_trace(
+        CallTrace(list(calls), make_slots(3600.0))))
+
+
+def _rows(batch, mask):
+    """The rows of ``batch`` that ``mask`` selects, as a batch."""
+    return ColumnarEventBatch(batch.trace, batch.t_s[mask],
+                              batch.call_idx[mask], batch.type_code[mask],
+                              batch.country_code[mask], batch.media_code[mask])
 
 
 class TestEvents:
@@ -51,13 +69,13 @@ class TestEvents:
         assert times == sorted(times)
 
     def test_peak_event_rate(self):
-        trace = CallTrace([_call("a", 0.0), _call("b", 1.0)], make_slots(3600.0))
-        rate = peak_event_rate(event_stream(trace), window_s=60.0)
-        assert rate > 0
+        batch = _batch(_call("a", 0.0), _call("b", 1.0))
+        # Both calls start, join and escalate inside the first minute.
+        assert peak_event_rate(batch, window_s=60.0) == 6 / 60.0
 
     def test_empty_raises(self):
-        with pytest.raises(Exception):
-            peak_event_rate([])
+        with pytest.raises(WorkloadError):
+            peak_event_rate(_batch(_call()).slice(0, 0))
 
 
 class TestControllerWithFleet:
@@ -65,7 +83,7 @@ class TestControllerWithFleet:
     on a specific MP server at its freeze, moves with a migration, and
     releases everything — server and store state — at its end."""
 
-    def _serve(self, topology, plan_dc, events):
+    def _serve(self, topology, plan_dc, batch):
         config = CallConfig.build({"JP": 2}, MediaType.VIDEO)
         plan = AllocationPlan(
             slots=make_slots(3600.0, 1800.0),
@@ -75,15 +93,15 @@ class TestControllerWithFleet:
         ledger = LocalFleetLedger({"dc-tokyo": 64.0, "dc-seoul": 64.0},
                                   make_policy("first_fit"))
         runtime = ServiceRuntime.from_config(topology, plan, ledger=ledger)
-        return runtime, ledger, runtime.run(events)
+        return runtime, ledger, runtime.run(batch)
 
     def test_call_lands_on_server_and_releases(self, topology):
-        events = events_of_call(_call())
-        runtime, ledger, report = self._serve(topology, "dc-tokyo", events)
+        batch = _batch(_call())
+        runtime, ledger, report = self._serve(topology, "dc-tokyo", batch)
         report.require_exact_accounting()
         assert (report.generated_calls, report.ended_calls) == (1, 1)
         assert (report.joins, report.media_changes) == (2, 1)
-        assert report.events_processed == len(events)
+        assert report.events_processed == len(batch)
         # Frozen config is (JP-2, video), the plan's: no migration.
         assert report.migrated_calls == 0
         assert report.migration_rate == 0.0
@@ -102,11 +120,11 @@ class TestControllerWithFleet:
 
     def test_usage_trued_up_at_freeze(self, topology):
         call = _call()
-        events = events_of_call(call)
-        freeze = next(i for i, e in enumerate(events)
-                      if e.event_type is EventType.CONFIG_FREEZE)
+        batch = _batch(call)
+        [freeze] = np.flatnonzero(
+            batch.type_code == EVENT_SORT_CODE[EventType.CONFIG_FREEZE])
         _, ledger, _ = self._serve(topology, "dc-tokyo",
-                                   events[:freeze + 1])
+                                   batch.slice(0, freeze + 1))
         assert ledger.server_of("c1").startswith("dc-tokyo/")
         assert ledger.fleet("dc-tokyo").call_count.sum() == 1
         # The server holds the frozen (JP-2, video) config's cores — the
@@ -115,10 +133,11 @@ class TestControllerWithFleet:
         assert ledger.held_mc_of("c1") == to_microcores(frozen_cores)
 
     def test_fleet_migration_follows_plan(self, topology):
-        events = [e for e in events_of_call(_call())
-                  if e.event_type is not EventType.CALL_END]
+        batch = _batch(_call())
+        no_end = _rows(batch, batch.type_code
+                       != EVENT_SORT_CODE[EventType.CALL_END])
         # The plan disagrees with the closest DC (dc-tokyo).
-        _, ledger, report = self._serve(topology, "dc-seoul", events)
+        _, ledger, report = self._serve(topology, "dc-seoul", no_end)
         assert report.migrated_calls == 1
         assert report.migration_rate == 1.0
         assert ledger.server_of("c1").startswith("dc-seoul/")

@@ -1,11 +1,14 @@
 """Columnar data plane: round-trips, stream parity, pinned event order.
 
 The struct-of-arrays pipeline (ColumnarTrace -> ColumnarEventBatch ->
-engine/replay) must be observably identical to the object pipeline:
-same calls, same events in the same order, same demand matrices, same
-per-day accounting.  These tests pin that equivalence plus the explicit
-equal-timestamp event total order both sorters share.
+engine) must be observably identical to the per-call object reference
+(``CallTrace`` -> ``event_stream``): same calls, same events in the same
+order, same demand matrices.  These tests pin that equivalence plus the
+explicit equal-timestamp event total order both sorters share, and the
+streaming iterator's bounded memory.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +16,6 @@ import pytest
 from repro.core.types import Call, CallConfig, MediaType, Participant, make_slots
 from repro.config import PlannerConfig
 from repro.controller.columnar import (
-    ColumnarEventBatch,
     build_event_batch,
     events_per_call,
     iter_event_batches,
@@ -26,11 +28,7 @@ from repro.controller.events import (
     peak_event_rate,
 )
 from repro.kvstore import InMemoryKVStore
-from repro.service import (
-    AdmissionEngine,
-    LoadGenerator,
-    MultiprocessAdmissionEngine,
-)
+from repro.service import AdmissionEngine, LoadGenerator
 from repro.switchboard import Switchboard
 from repro.workload.columnar import ColumnarTrace, concat_traces
 from repro.workload.trace import CallTrace, TraceGenerator
@@ -48,6 +46,18 @@ def generator(topology):
 @pytest.fixture(scope="module")
 def load(generator):
     return generator.generate(target_events=2000)
+
+
+@pytest.fixture(scope="module")
+def trace(load):
+    """The generated load as ``Call`` objects: the reference's input."""
+    return load.columnar.to_trace()
+
+
+@pytest.fixture(scope="module")
+def stream(trace, load):
+    """The per-call reference stream for the generated load."""
+    return event_stream(trace, load.freeze_window_s)
 
 
 @pytest.fixture(scope="module")
@@ -88,9 +98,27 @@ def handcrafted_trace() -> CallTrace:
     return CallTrace(calls, make_slots(1800.0))
 
 
+#: sort/type code -> EventType (inverse of EVENT_SORT_CODE).
+KINDS = sorted(EVENT_SORT_CODE, key=EVENT_SORT_CODE.get)
+
+
 def as_tuples(events):
     return [(e.t_s, e.event_type, e.call_id, e.country, e.media)
             for e in events]
+
+
+def batch_tuples(batch):
+    """A batch's rows decoded into :func:`as_tuples`' form."""
+    trace = batch.trace
+    return [
+        (t, KINDS[code], trace.call_id(call),
+         trace.countries.value(country) if country >= 0 else None,
+         MediaType.from_code(media) if media >= 0 else None)
+        for t, call, code, country, media in zip(
+            batch.t_s.tolist(), batch.call_idx.tolist(),
+            batch.type_code.tolist(), batch.country_code.tolist(),
+            batch.media_code.tolist())
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -105,13 +133,10 @@ class TestPeakEventRate:
             counts[int(e.t_s // window_s)] = counts.get(int(e.t_s // window_s), 0) + 1
         return max(counts.values()) / window_s
 
-    def test_matches_old_impl_on_seeded_trace(self, load):
+    def test_matches_old_impl_on_seeded_trace(self, load, stream):
         for window in (30.0, 60.0, 600.0):
-            assert peak_event_rate(load.events, window) == pytest.approx(
-                self._reference(load.events, window))
-
-    def test_columnar_batch_input(self, load):
-        assert peak_event_rate(load.batch) == peak_event_rate(load.events)
+            assert peak_event_rate(load.batch, window) == pytest.approx(
+                self._reference(stream, window))
 
 
 # ----------------------------------------------------------------------
@@ -143,7 +168,7 @@ class TestEventTieBreakOrder:
         # The columnar sorter pins the identical order.
         batch = build_event_batch(ColumnarTrace.from_trace(trace),
                                   freeze_window_s=300.0)
-        assert as_tuples(batch) == as_tuples(stream)
+        assert batch_tuples(batch) == as_tuples(stream)
 
     def test_cross_call_ties_break_by_trace_position(self):
         calls = [
@@ -157,7 +182,7 @@ class TestEventTieBreakOrder:
         # Trace position wins, not call-id collation.
         assert [e.call_id for e in stream[:2]] == ["z-call", "a-call"]
         batch = build_event_batch(ColumnarTrace.from_trace(trace))
-        assert as_tuples(batch) == as_tuples(stream)
+        assert batch_tuples(batch) == as_tuples(stream)
 
 
 # ----------------------------------------------------------------------
@@ -189,15 +214,15 @@ class TestRoundTrip:
         assert trace.calls[3].first_joiner.participant_id == "guest-a"
         assert columnar.call(3).first_joiner.participant_id == "guest-a"
 
-    def test_generated_trace_round_trip(self, load):
-        back = ColumnarTrace.from_trace(load.trace)
-        self.assert_traces_equal(load.trace, back.to_trace())
+    def test_generated_trace_round_trip(self, trace):
+        back = ColumnarTrace.from_trace(trace)
+        self.assert_traces_equal(trace, back.to_trace())
         # Generated canonical ids need no override dicts.
         assert not back.call_id_overrides
         assert not back.part_id_overrides
 
-    def test_configs_and_aggregates_match(self, load):
-        trace, columnar = load.trace, load.columnar
+    def test_configs_and_aggregates_match(self, load, trace):
+        columnar = load.columnar
         for freeze in (None, 300.0):
             for i, call in enumerate(trace.calls):
                 assert call.config(freeze) == columnar.config_of(i, freeze)
@@ -206,9 +231,9 @@ class TestRoundTrip:
         np.testing.assert_allclose(
             np.sort(columnar.join_offsets()), np.sort(trace.join_offsets()))
 
-    def test_to_demand_parity(self, load):
+    def test_to_demand_parity(self, load, trace):
         for freeze in (None, 300.0):
-            d_obj = load.trace.to_demand(freeze_after_s=freeze)
+            d_obj = trace.to_demand(freeze_after_s=freeze)
             d_col = load.columnar.to_demand(freeze_after_s=freeze)
             assert d_obj.configs == d_col.configs
             np.testing.assert_array_equal(d_obj.counts, d_col.counts)
@@ -218,13 +243,12 @@ class TestRoundTrip:
 # stream parity: same events, same order, object vs columnar vs chunks
 # ----------------------------------------------------------------------
 class TestStreamParity:
-    def test_event_stream_equality(self, load):
-        assert as_tuples(load.batch) == as_tuples(event_stream(
-            load.trace, load.freeze_window_s))
+    def test_event_stream_equality(self, load, stream):
+        assert batch_tuples(load.batch) == as_tuples(stream)
 
-    def test_events_per_call_matches_object_count(self, load):
+    def test_events_per_call_matches_object_count(self, load, trace):
         counts = events_per_call(load.columnar)
-        for i, call in enumerate(load.trace.calls):
+        for i, call in enumerate(trace.calls):
             assert counts[i] == len(events_of_call(call, load.freeze_window_s))
 
     def test_streaming_equals_generate(self, generator, load):
@@ -246,10 +270,10 @@ class TestStreamParity:
         # Same multiset of events as the one-shot batch, each batch
         # internally time-sorted.
         streamed = sorted(
-            (t for b in chunks for t in as_tuples(b)),
+            (t for b in chunks for t in batch_tuples(b)),
             key=lambda t: (t[0], t[2], EVENT_SORT_CODE[t[1]]))
         oneshot = sorted(
-            as_tuples(load.batch),
+            batch_tuples(load.batch),
             key=lambda t: (t[0], t[2], EVENT_SORT_CODE[t[1]]))
         assert streamed == oneshot
         for b in chunks:
@@ -259,10 +283,47 @@ class TestStreamParity:
         batch = load.batch
         head = batch.slice(0, 100)
         assert len(head) == 100
-        assert as_tuples(head) == as_tuples(batch)[:100]
-        pieces = batch.split_at_times(
-            np.array([batch.t_s[0] + 3600.0, batch.t_s[0] + 7200.0]))
-        assert sum(len(p) for p in pieces) == len(batch)
+        assert head.trace is batch.trace
+        assert batch_tuples(head) == batch_tuples(batch)[:100]
+        cuts = [0, *np.searchsorted(
+            batch.t_s, [batch.t_s[0] + 3600.0, batch.t_s[0] + 7200.0]),
+            len(batch)]
+        pieces = [batch.slice(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+        np.testing.assert_array_equal(
+            np.concatenate([p.t_s for p in pieces]), batch.t_s)
+
+    @staticmethod
+    def _traced_peak(build):
+        """Peak bytes traced while ``build()`` runs, and its result."""
+        tracemalloc.start()
+        try:
+            result = build()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak, result
+
+    def test_streaming_peak_is_bounded(self, generator):
+        """Draining the streaming iterator holds one chunk at a time: over
+        whole diurnal days, doubling the horizon doubles the chunk count
+        but not the busiest chunk, so the traced peak stays flat, and it
+        stays below the peak of building the materialized batch."""
+        def peaks(horizon_s):
+            demand = generator.demand_model.sample(make_slots(horizon_s),
+                                                   seed=7)
+            streaming, n_events = self._traced_peak(lambda: sum(
+                len(batch) for batch in iter_event_batches(
+                    TraceGenerator(seed=8).iter_chunks(demand))))
+            materialized, full = self._traced_peak(lambda: build_event_batch(
+                TraceGenerator(seed=8).generate_columnar(demand)))
+            assert len(full) == n_events
+            return streaming, materialized
+
+        day_streaming, _ = peaks(86400.0)
+        streaming, materialized = peaks(2 * 86400.0)
+        growth = streaming / day_streaming
+        assert growth < 1.6, f"streaming peak grew {growth:.2f}x with 2x trace"
+        assert streaming < materialized
 
     def test_iter_event_batches_truncates_at_call_granularity(self, load):
         chunks = list(TraceGenerator(seed=99).iter_chunks(
@@ -272,7 +333,7 @@ class TestStreamParity:
 
 
 # ----------------------------------------------------------------------
-# satellite 3b: identical ServiceReport accounting on both paths
+# serving: one-row, one-shot and streamed batches agree
 # ----------------------------------------------------------------------
 class TestAccountingParity:
     @staticmethod
@@ -285,31 +346,10 @@ class TestAccountingParity:
                 report.joins, report.media_changes, report.dropped_events,
                 report.events_processed)
 
-    ENGINES = {"thread": AdmissionEngine,
-               "process": MultiprocessAdmissionEngine}
-
-    def run_path(self, topology, plan, events, n_workers=1,
-                 executor="thread"):
-        engine = self.ENGINES[executor](topology, plan,
-                                        store=InMemoryKVStore(),
-                                        n_workers=n_workers)
-        return engine.run(events)
-
-    def test_object_vs_columnar_single_worker(self, topology, plan, load):
-        for executor in self.ENGINES:
-            obj = self.run_path(topology, plan, load.events,
-                                executor=executor)
-            col = self.run_path(topology, plan, load.batch,
-                                executor=executor)
-            assert self.accounting(obj) == self.accounting(col), executor
-
-    def test_object_vs_columnar_sharded(self, topology, plan, load):
-        for executor in self.ENGINES:
-            obj = self.run_path(topology, plan, load.events, n_workers=4,
-                                executor=executor)
-            col = self.run_path(topology, plan, load.batch, n_workers=4,
-                                executor=executor)
-            assert self.accounting(obj) == self.accounting(col), executor
+    @staticmethod
+    def run_path(topology, plan, events):
+        return AdmissionEngine(topology, plan,
+                               store=InMemoryKVStore()).run(events)
 
     def test_store_state_parity(self, topology, plan, load):
         """The kernel batches each call's join writes per window, at
@@ -319,11 +359,10 @@ class TestAccountingParity:
         oracle = InMemoryKVStore()
         AdmissionEngine(topology, plan, store=oracle).run(
             load.batch.slice(i, i + 1) for i in range(len(load.batch)))
-        for events, n_workers in ((load.events, 1), (load.batch, 1),
-                                  (load.batch, 2), (load.batch, 4)):
+        for n_workers in (1, 2, 4):
             store = InMemoryKVStore()
             AdmissionEngine(topology, plan, store=store,
-                            n_workers=n_workers).run(events)
+                            n_workers=n_workers).run(load.batch)
             assert store._data == oracle._data, n_workers
             assert store.op_count == oracle.op_count, n_workers
 
@@ -331,5 +370,5 @@ class TestAccountingParity:
                                           load):
         streaming = generator.stream(target_events=2000)
         stream_report = self.run_path(topology, plan, streaming.batches())
-        obj = self.run_path(topology, plan, load.events)
-        assert self.accounting(stream_report) == self.accounting(obj)
+        oneshot = self.run_path(topology, plan, load.batch)
+        assert self.accounting(stream_report) == self.accounting(oneshot)

@@ -9,7 +9,7 @@ global invariants at each hand-off.
 import pytest
 
 from repro.allocation.realtime import RealTimeSelector
-from repro.controller.events import event_stream
+from repro.controller.columnar import build_event_batch
 from repro.core.types import make_slots
 from repro.provisioning.demand import PlacementData
 from repro.provisioning.failures import FailureScenario
@@ -21,6 +21,7 @@ from repro.config import PlannerConfig, ServiceConfig
 from repro.service import ServiceRuntime
 from repro.switchboard import Switchboard, SwitchboardPipeline
 from repro.workload.arrivals import DemandModel
+from repro.workload.columnar import ColumnarTrace
 from repro.workload.configs import generate_population
 from repro.workload.trace import TraceGenerator
 
@@ -93,14 +94,14 @@ class TestProvisionToRealtime:
 
     def test_controller_replay_matches_selector_counts(self, plan_and_trace):
         topology, trace, plan = plan_and_trace
-        events = event_stream(trace)
+        batch = build_event_batch(ColumnarTrace.from_trace(trace))
         runtime = ServiceRuntime.from_config(
             topology, plan, ServiceConfig(executor="thread", n_workers=4))
-        report = runtime.run(events)
+        report = runtime.run(batch)
         report.require_exact_accounting()
         assert report.generated_calls == len(trace)
         assert report.ended_calls == len(trace)
-        assert report.events_processed == len(events)
+        assert report.events_processed == len(batch)
         # All per-call state was cleaned up.
         loads = {key: value for key, value in runtime.store_state().items()
                  if key.startswith("dcload:")}

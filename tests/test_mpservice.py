@@ -7,8 +7,7 @@ state whether the day is served in-process or sharded over 2 or 4
 worker processes — including with a packing fleet ledger defragmenting
 between windows and with a closed-loop autoscaler rescaling mid-day
 across a worker barrier.  Also covers the ServiceRuntime construction
-API itself: executor selection, object streams on the process path, and
-the versioned report schema.
+API itself: executor selection and the versioned report schema.
 """
 
 import json
@@ -121,7 +120,7 @@ class TestCallStateStore:
         """The load's calls whose every participant joins before the
         hangup: no JOIN/MEDIA row after the call's END."""
         return CallTrace(
-            [call for call in load.trace.calls
+            [call for call in load.columnar.to_trace().calls
              if all(p.join_offset_s < call.duration_s
                     for p in call.participants)], [])
 
@@ -167,7 +166,7 @@ class TestCallStateStore:
         their hash tags, slot hashes, ``dcload`` counters) equals the
         per-op client's at every executor."""
         trace = self._punctual(load)
-        assert 0 < len(trace.calls) < len(load.trace.calls)
+        assert 0 < len(trace.calls) < load.n_calls
         oracle = self._per_op_replay(topology, plan, trace)
         assert any(key.startswith("dcload:") for key in oracle)
         batch = build_event_batch(ColumnarTrace.from_trace(trace), FREEZE_S)
@@ -227,13 +226,7 @@ class TestFleetLedgerParity:
                                           n_workers=n_workers),
             ledger=ledger, defragmenter=defragmenter,
             defrag_interval_s=config.defrag_interval_s)
-        if executor == "process":
-            events = build_event_batch(
-                ColumnarTrace.from_trace(plan_load.trace),
-                plan_load.freeze_window_s)
-        else:
-            events = plan_load.events
-        report = runtime.run(events)
+        report = runtime.run(plan_load.batch)
         report.require_exact_accounting()
         return report, runtime.store_state()
 
@@ -321,18 +314,6 @@ class TestServiceRuntimeAPI:
         runtime = ServiceRuntime.from_config(topology, plan)
         with pytest.raises(SwitchboardError, match="no report yet"):
             runtime.report()
-
-    def test_process_executor_serves_object_streams(self, topology, plan,
-                                                    load):
-        """Object streams enter both executors through the same adapter:
-        same report and store state as the columnar batch."""
-        oracle, oracle_state = _serve(topology, plan, load, "process", 2)
-        runtime = ServiceRuntime.from_config(
-            topology, plan, ServiceConfig(n_shards=4, n_workers=2,
-                                          executor="process"))
-        report = runtime.run(iter(load.events))
-        assert_parity(oracle, report)
-        assert runtime.store_state() == oracle_state
 
     def test_runtime_path_does_not_warn(self, topology, plan):
         with warnings.catch_warnings():

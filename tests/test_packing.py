@@ -459,7 +459,7 @@ class TestEngineWithFleetLedger:
             topology, plan, store=store, ledger=ledger,
             defragmenter=defragmenter,
             defrag_interval_s=config.defrag_interval_s)
-        return runtime.run(load.events)
+        return runtime.run(load.batch)
 
     @pytest.mark.parametrize("policy", ["first_fit", "predictive"])
     def test_replay_accounting_exact(self, topology, packing_setup,
@@ -521,7 +521,7 @@ class TestEngineWithFleetLedger:
                                              packing_setup):
         load, plan, _ = packing_setup
         engine = AdmissionEngine(topology, plan)
-        report = engine.run(load.events)
+        report = engine.run(load.batch)
         report.require_exact_accounting()
         assert report.packing == {}
         assert report.defrag_migrated_calls == 0
@@ -532,17 +532,18 @@ class TestPackingWorkload:
     def test_deterministic(self):
         one = generate_packing_load(n_calls=50, seed=3)
         two = generate_packing_load(n_calls=50, seed=3)
-        assert [c.call_id for c in one.trace.calls] == \
-            [c.call_id for c in two.trace.calls]
-        assert [(e.t_s, e.event_type, e.call_id) for e in one.events] == \
-            [(e.t_s, e.event_type, e.call_id) for e in two.events]
+        assert one.trace.call_ids() == two.trace.call_ids()
+        for column in ("t_s", "call_idx", "type_code", "country_code",
+                       "media_code"):
+            np.testing.assert_array_equal(getattr(one.batch, column),
+                                          getattr(two.batch, column))
 
     def test_class_structure(self):
         load = generate_packing_load(n_calls=200, seed=5)
-        mix = media_mix(load.trace.calls)
+        mix = media_mix(load.trace)
         assert set(mix) == {"audio", "video"}
         freeze = load.freeze_window_s
-        for call in load.trace.calls:
+        for call in load.trace:
             late = [p for p in call.participants
                     if p.join_offset_s > freeze]
             if call.media is MediaType.AUDIO:
@@ -552,6 +553,6 @@ class TestPackingWorkload:
 
     def test_training_calls_are_held_out(self):
         load = generate_packing_load(n_calls=30, seed=9)
-        eval_ids = {c.call_id for c in load.trace.calls}
+        eval_ids = set(load.trace.call_ids())
         train_ids = {c.call_id for c in load.training_calls}
         assert eval_ids.isdisjoint(train_ids)

@@ -1,5 +1,6 @@
 """Tests for the online admission service: loadgen, engine, report."""
 
+import numpy as np
 import pytest
 
 from repro.core.errors import SwitchboardError
@@ -16,17 +17,18 @@ from repro.allocation.realtime import (
     LocalSlotLedger,
     RealTimeSelector,
 )
-from repro.config import PlannerConfig
-from repro.controller.events import (
-    EVENT_SORT_CODE,
-    ControllerEvent,
-    EventType,
-    event_stream,
-)
+from repro.config import PlannerConfig, ServiceConfig
+from repro.controller.columnar import ColumnarEventBatch
+from repro.controller.events import EVENT_SORT_CODE, EventType, event_stream
 from repro.kvstore import InMemoryKVStore, ShardedKVStore
 from repro.kvstore.client import PipelinedStateClient
 from repro.obs.histogram import LatencyHistogram
-from repro.service import AdmissionEngine, LoadGenerator, ServiceReport
+from repro.service import (
+    AdmissionEngine,
+    LoadGenerator,
+    ServiceReport,
+    ServiceRuntime,
+)
 from repro.service.engine import (
     LocalPort,
     WorkerState,
@@ -57,22 +59,23 @@ class TestLoadGenerator:
         again = LoadGenerator(topology, n_configs=40,
                               calls_per_slot_at_peak=40.0,
                               seed=7).generate(target_events=2500)
-        assert [c.call_id for c in again.trace.calls] == \
-            [c.call_id for c in load.trace.calls]
-        assert [(e.t_s, e.event_type, e.call_id) for e in again.events] == \
-            [(e.t_s, e.event_type, e.call_id) for e in load.events]
+        assert again.columnar.call_ids() == load.columnar.call_ids()
+        for column in ("t_s", "call_idx", "type_code", "country_code",
+                       "media_code"):
+            np.testing.assert_array_equal(getattr(again.batch, column),
+                                          getattr(load.batch, column))
 
     def test_truncates_at_call_granularity(self, load):
         """Every kept call contributes its complete event sequence —
         exactly one CALL_START, CONFIG_FREEZE, and CALL_END each."""
-        per_call = {}
-        for event in load.events:
-            per_call.setdefault(event.call_id, []).append(event.event_type)
-        assert len(per_call) == load.n_calls
-        for kinds in per_call.values():
-            assert kinds.count(EventType.CALL_START) == 1
-            assert kinds.count(EventType.CONFIG_FREEZE) == 1
-            assert kinds.count(EventType.CALL_END) == 1
+        batch = load.batch
+        assert len(np.unique(batch.call_idx)) == load.n_calls
+        for kind in (EventType.CALL_START, EventType.CONFIG_FREEZE,
+                     EventType.CALL_END):
+            rows = batch.type_code == EVENT_SORT_CODE[kind]
+            per_call = np.bincount(batch.call_idx[rows],
+                                   minlength=load.n_calls)
+            np.testing.assert_array_equal(per_call, 1)
 
     def test_event_budget_roughly_hit(self, load):
         # Whole calls only: may exceed the target by at most one call.
@@ -83,32 +86,7 @@ class TestLoadGenerator:
         assert load.demand.total_calls() == pytest.approx(load.n_calls)
 
     def test_events_time_sorted(self, load):
-        times = [e.t_s for e in load.events]
-        assert times == sorted(times)
-
-    def test_object_views_are_lazy(self, topology, plan):
-        """Generating and serving a load reads its columns only; the
-        object views appear on first access and are then cached."""
-        from repro.config import ServiceConfig
-        from repro.service import ServiceRuntime
-
-        fresh = LoadGenerator(topology, n_configs=40,
-                              calls_per_slot_at_peak=40.0,
-                              seed=7).generate(target_events=2500)
-        report = ServiceRuntime.from_config(
-            topology, plan, ServiceConfig()).run(fresh)
-        report.require_exact_accounting()
-        assert fresh.n_calls == report.generated_calls
-        assert fresh.n_events == report.events_total
-        assert fresh.peak_event_rate() > 0
-        assert "trace" not in vars(fresh) and "events" not in vars(fresh)
-
-        assert fresh.trace is fresh.trace and fresh.events is fresh.events
-        assert isinstance(fresh.trace, CallTrace)
-        assert fresh.trace.calls == fresh.columnar.to_trace().calls
-        assert [(e.t_s, e.event_type, e.call_id) for e in fresh.events] == \
-            [(e.t_s, e.event_type, e.call_id)
-             for e in event_stream(fresh.trace, fresh.freeze_window_s)]
+        assert np.all(np.diff(load.batch.t_s) >= 0)
 
     def test_invalid_parameters(self, topology):
         gen = LoadGenerator(topology, n_configs=10,
@@ -124,7 +102,7 @@ class TestAdmissionEngine:
     def test_exact_accounting_single_worker(self, topology, plan, load):
         engine = AdmissionEngine(topology, plan,
                                  store=ShardedKVStore(n_shards=4))
-        report = engine.run(load.events)
+        report = engine.run(load.batch)
         report.require_exact_accounting()
         assert report.generated_calls == load.n_calls
         assert report.events_processed == load.n_events
@@ -134,7 +112,7 @@ class TestAdmissionEngine:
         engine = AdmissionEngine(topology, plan,
                                  store=ShardedKVStore(n_shards=4),
                                  n_workers=4)
-        report = engine.run(load.events)
+        report = engine.run(load.batch)
         report.require_exact_accounting()
         assert report.generated_calls == load.n_calls
 
@@ -142,11 +120,11 @@ class TestAdmissionEngine:
         """The engine is the replay path, served online: one worker over
         the event stream reproduces process_trace() exactly."""
         selector = RealTimeSelector(topology, plan)
-        selector.process_trace(load.trace.calls)
+        selector.process_trace(load.columnar.to_trace().calls)
 
         engine = AdmissionEngine(topology, plan,
                                  store=ShardedKVStore(n_shards=4))
-        engine.run(load.events)
+        engine.run(load.batch)
 
         expected, got = selector.stats, engine.selector.stats
         assert (expected.calls, expected.migrations, expected.unplanned,
@@ -160,35 +138,64 @@ class TestAdmissionEngine:
             engine = AdmissionEngine(topology, plan,
                                      store=ShardedKVStore(n_shards=4),
                                      n_workers=n_workers)
-            reports.append(engine.run(load.events))
+            reports.append(engine.run(load.batch))
         assert reports[0].migrated_calls == reports[1].migrated_calls
         assert reports[0].overflowed_calls == reports[1].overflowed_calls
         assert reports[0].generated_calls == reports[1].generated_calls
 
     def test_runs_on_plain_store_too(self, topology, plan, load):
         engine = AdmissionEngine(topology, plan, store=InMemoryKVStore())
-        report = engine.run(load.events)
+        report = engine.run(load.batch)
         report.require_exact_accounting()
         assert report.n_shards == 1
 
-    def test_malformed_events_counted_dropped(self, topology, plan):
-        events = [
-            # CALL_START without its call payload: undeliverable.
-            ControllerEvent(t_s=0.0, event_type=EventType.CALL_START,
-                            call_id="ghost"),
-            # Events for a call the engine never admitted.
-            ControllerEvent(t_s=1.0, event_type=EventType.PARTICIPANT_JOIN,
-                            call_id="ghost"),
-            ControllerEvent(t_s=2.0, event_type=EventType.CALL_END,
-                            call_id="ghost"),
-        ]
-        engine = AdmissionEngine(topology, plan,
-                                 store=ShardedKVStore(n_shards=2))
-        report = engine.run(events)
-        assert report.dropped_events == 3
-        assert not report.accounting_exact
-        with pytest.raises(SwitchboardError):
-            report.require_exact_accounting()
+    #: Executor arms the input checks run at: both executors, and the
+    #: thread executor at one and two workers.
+    ARMS = (("thread", 1), ("thread", 2), ("process", 2))
+
+    def test_malformed_events_counted_dropped(self, topology, plan, load):
+        """A START with no country is dropped, and so are the FREEZE and
+        END of the call it never opened (its joins and media changes are
+        counted but write nothing).  Every worker's drops fold into the
+        report, on either executor."""
+        batch = load.batch
+        country = batch.country_code.copy()
+        start_rows = np.flatnonzero(
+            batch.type_code == EVENT_SORT_CODE[EventType.CALL_START])
+        country[start_rows[0]] = -1
+        broken = ColumnarEventBatch(batch.trace, batch.t_s, batch.call_idx,
+                                    batch.type_code, country,
+                                    batch.media_code)
+        for executor, n_workers in self.ARMS:
+            runtime = ServiceRuntime.from_config(
+                topology, plan,
+                ServiceConfig(n_workers=n_workers, executor=executor))
+            report = runtime.run(broken)
+            arm = (executor, n_workers)
+            assert report.dropped_events == 3, arm
+            assert report.events_total == load.n_events, arm
+            assert report.events_processed == load.n_events - 3, arm
+            assert report.generated_calls == load.n_calls - 1, arm
+            assert report.settled_calls == report.generated_calls, arm
+            assert not report.accounting_exact, arm
+            with pytest.raises(SwitchboardError):
+                report.require_exact_accounting()
+
+    def test_non_batch_input_rejected(self, topology, plan, load):
+        """Anything but columnar batches is refused with a pointer to the
+        encoder, whether it is the whole input or one item of it, and the
+        runtime serves a batch normally afterwards."""
+        trace = load.columnar.to_trace()
+        for executor, n_workers in self.ARMS:
+            runtime = ServiceRuntime.from_config(
+                topology, plan,
+                ServiceConfig(n_workers=n_workers, executor=executor))
+            for bad in (event_stream(trace, load.freeze_window_s),
+                        [load.batch, trace]):
+                with pytest.raises(SwitchboardError,
+                                   match="build_event_batch"):
+                    runtime.run(bad)
+            runtime.run(load.batch).require_exact_accounting()
 
     def test_empty_stream_rejected(self, topology, plan):
         engine = AdmissionEngine(topology, plan,
@@ -205,7 +212,7 @@ class TestAdmissionEngine:
                                             floor_ms=0.05, ceil_ms=0.3,
                                             seed=3)
         engine = AdmissionEngine(topology, plan, store=store, n_workers=2)
-        report = engine.run(load.events)
+        report = engine.run(load.batch)
         assert set(report.admission_latency_ms) == {"p50", "p95", "p99",
                                                     "count"}
         assert report.admission_latency_ms["count"] > 0
@@ -555,10 +562,12 @@ class TestServiceReport:
 
 class TestEventStreamContract:
     def test_engine_consumes_event_stream_output(self, topology, plan, load):
-        """event_stream() and the engine agree on the payload contract:
-        every event kind the stream emits is handled, none dropped."""
-        streamed = event_stream(load.trace, load.freeze_window_s)
+        """build_event_batch() and the engine agree on the payload
+        contract: every event kind the sorter emits is handled, none
+        dropped."""
+        assert set(np.unique(load.batch.type_code).tolist()) == \
+            set(EVENT_SORT_CODE.values())
         engine = AdmissionEngine(topology, plan,
                                  store=ShardedKVStore(n_shards=2))
-        report = engine.run(streamed)
+        report = engine.run(load.batch)
         assert report.dropped_events == 0

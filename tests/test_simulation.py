@@ -83,7 +83,7 @@ class _ProcessTraceReference(ServiceSimulator):
 
     def _serve_day(self, plan, trace, forecast):
         selector = RealTimeSelector(self.topology, plan, self.freeze_window_s)
-        selector.process_trace(trace.calls)
+        selector.process_trace(trace.to_trace().calls)
         return selector.stats, 0
 
 
