@@ -1,212 +1,15 @@
-"""Benchmark: §6.4 migration frequency + the live DC-loss drill.
+"""Benchmark: regenerate §6.4 (migration frequency, served live)."""
 
-Two measurements share this module:
-
-* ``test_migration`` — regenerates the §6.4 migration-frequency
-  experiment, now served through the live service plane (the offline
-  replay rides along inside ``migration.run()`` as its oracle).
-* the DC-loss drill — the ``viral-megameeting-during-dc-loss`` storm
-  day is served twice against the same plan: a **baseline** run where
-  the outage never fires, and a **drill** run where the
-  :class:`~repro.migrate.MigrationExecutor` evacuates the lost DC
-  mid-day.  The bench reports the migration throughput (moves/s over
-  the executor's cumulative move wall-clock) and pins the drill's
-  settle-latency tail against the baseline: evacuating a DC may not
-  inflate p99 settle latency beyond ``max(5x baseline, baseline +
-  5 ms)`` — migration work is bounded per window, so the tail must
-  stay in the same regime.
-
-Runnable standalone (CI's migration-smoke job)::
-
-    python benchmarks/bench_migration.py --smoke --json out.json
-
-or under pytest-benchmark (``pytest benchmarks/bench_migration.py``).
-"""
-
-from __future__ import annotations
-
-import sys
-
-try:
-    from benchmarks.svc_cli import service_arg_parser, write_json_artifact
-except ImportError:  # standalone: python benchmarks/bench_migration.py
-    from svc_cli import service_arg_parser, write_json_artifact
-
-from repro.config import MigrationConfig, PlannerConfig, ServiceConfig
-from repro.controller.columnar import build_event_batch
-from repro.core.types import make_slots
-from repro.core.units import DEFAULT_FREEZE_WINDOW_S, DEFAULT_SLOT_S
-from repro.experiments.fig_migration import DEFAULT_STORM
-from repro.migrate import MigrationExecutor
-from repro.service import ServiceRuntime
-from repro.storms.catalog import get_storm
-from repro.switchboard import Switchboard
-from repro.topology.builder import Topology
-from repro.workload.arrivals import DemandModel
-from repro.workload.configs import generate_population
-from repro.workload.diurnal import DiurnalModel
-from repro.workload.trace import TraceGenerator
-
-SEED = 29
-N_CONFIGS = 8
-SMOKE_N_CONFIGS = 6
-CALLS_PER_SLOT = 60.0
-SMOKE_CALLS_PER_SLOT = 30.0
-CUSHION = 1.25
-#: The drill's settle p99 may not leave the baseline's regime.
-TAIL_FACTOR = 5.0
-TAIL_SLACK_MS = 5.0
-
-
-def _build_world(n_configs: int, calls_per_slot: float):
-    """The stormed day of ``fig_migration``: plan + events + fault plan."""
-    spec = get_storm(DEFAULT_STORM)
-    plan_dsl = spec.build()
-    topo = Topology.small()
-    population = generate_population(topo.world, n_configs=n_configs,
-                                     seed=SEED)
-    model = DemandModel(topo.world, population, DiurnalModel(),
-                        calls_per_slot_at_peak=calls_per_slot)
-    slots = make_slots(86400.0, DEFAULT_SLOT_S)
-    base = model.expected(slots)
-    planning = base.scale(CUSHION)
-    controller = Switchboard(topo, config=PlannerConfig(
-        max_link_scenarios=0))
-    capacity = controller.provision(planning, with_backup=False)
-    plan = controller.allocate(planning, capacity).plan
-    actual = plan_dsl.realize(base, SEED + 1)
-    trace = TraceGenerator(seed=SEED + 2).generate_columnar(actual)
-    trace = plan_dsl.apply_trace(trace, seed=SEED + 3, demand_applied=True)
-    events = build_event_batch(trace, DEFAULT_FREEZE_WINDOW_S)
-    return topo, plan, events, plan_dsl
-
-
-def _serve(topo, plan, events, executor: str, n_workers: int,
-           migrator=None):
-    svc = ServiceConfig(executor=executor, n_workers=n_workers)
-    runtime = ServiceRuntime.from_config(
-        topo, plan, svc, freeze_window_s=DEFAULT_FREEZE_WINDOW_S,
-        migrator=migrator)
-    report = runtime.run(events)
-    report.require_exact_accounting()
-    return report
-
-
-def run_migration_bench(executor: str = "thread", n_workers: int = 1,
-                        smoke: bool = False) -> dict:
-    """Baseline vs DC-loss drill on the same stormed day."""
-    n_configs = SMOKE_N_CONFIGS if smoke else N_CONFIGS
-    calls_per_slot = SMOKE_CALLS_PER_SLOT if smoke else CALLS_PER_SLOT
-    topo, plan, events, plan_dsl = _build_world(n_configs, calls_per_slot)
-
-    baseline = _serve(topo, plan, events, executor, n_workers)
-
-    migrator = MigrationExecutor(config=MigrationConfig(
-        interval_s=600.0, max_moves_per_window=256))
-    orders = migrator.watch(plan_dsl.fault_plan(), day=0)
-    drill = _serve(topo, plan, events, executor, n_workers,
-                   migrator=migrator)
-
-    moves = migrator.live_migrated
-    moves_per_s = (moves / migrator.move_wall_s
-                   if migrator.move_wall_s > 0 else 0.0)
-    base_p99 = baseline.settle_latency_ms.get("p99")
-    drill_p99 = drill.settle_latency_ms.get("p99")
-    tail_bound_ms = (max(TAIL_FACTOR * base_p99, base_p99 + TAIL_SLACK_MS)
-                     if base_p99 is not None else None)
-
-    results = {
-        "mode": "smoke" if smoke else "full",
-        "executor": executor,
-        "n_workers": n_workers,
-        "storm": DEFAULT_STORM,
-        "lost_dcs": sorted({o.dc for o in orders}),
-        "generated_calls": drill.generated_calls,
-        "live_migrated_calls": moves,
-        "disrupted_calls": drill.disrupted_calls,
-        "migration_batches": drill.migration_batches,
-        "move_wall_s": round(migrator.move_wall_s, 6),
-        "moves_per_s": round(moves_per_s),
-        "migration_latency_ms": migrator.latency.percentiles(),
-        "baseline_settle_p99_ms": base_p99,
-        "drill_settle_p99_ms": drill_p99,
-        "settle_tail_bound_ms": tail_bound_ms,
-        "baseline_report": baseline.to_dict(),
-        "drill_report": drill.to_dict(),
-    }
-
-    # The drill must not lose calls or strand the dead DC …
-    assert drill.accounting_exact and baseline.accounting_exact
-    for dc in results["lost_dcs"]:
-        assert not migrator.registry.live_on(dc), (
-            f"calls stranded on {dc} after the drill")
-    assert moves > 0, "the drill moved nothing; the drain never fired"
-    # … and evacuation work stays out of the settle tail's regime.
-    if tail_bound_ms is not None and drill_p99 is not None:
-        assert drill_p99 <= tail_bound_ms, (
-            f"drill settle p99 {drill_p99:.2f} ms blew the bound "
-            f"{tail_bound_ms:.2f} ms (baseline {base_p99:.2f} ms)")
-    return results
-
-
-def render(results: dict) -> str:
-    tail = results["migration_latency_ms"]
-    move_tail = (f"p50={tail['p50']:.3f} p99={tail['p99']:.3f} ms"
-                 if tail.get("p50") is not None else "n/a")
-    return "\n".join([
-        f"DC-loss drill bench — {results['executor']}"
-        f"@{results['n_workers']}, storm {results['storm']!r}:",
-        f"  lost {', '.join(results['lost_dcs'])}: "
-        f"{results['live_migrated_calls']} live moves "
-        f"({results['disrupted_calls']} disrupted) over "
-        f"{results['migration_batches']} batches",
-        f"  migration throughput: {results['moves_per_s']:,} moves/s "
-        f"({results['move_wall_s']}s move wall), per-move {move_tail}",
-        f"  settle p99: baseline {results['baseline_settle_p99_ms']} ms "
-        f"-> drill {results['drill_settle_p99_ms']} ms "
-        f"(bound {results['settle_tail_bound_ms']} ms)",
-    ])
+from benchmarks.conftest import run_once
+from repro.experiments import migration
 
 
 def test_migration(benchmark, scenario):
-    from benchmarks.conftest import run_once
-    from repro.experiments import migration
     result = run_once(benchmark, lambda: migration.run(scenario))
-    benchmark.extra_info["sb_migration_rate"] = round(
-        result["sb_migration_rate"], 4
-    )
-    benchmark.extra_info["lf_migration_rate"] = round(
-        result["lf_migration_rate"], 4
-    )
+    for arm in ("sb", "lf"):
+        benchmark.extra_info[f"{arm}_migration_rate"] = round(
+            result[f"{arm}_migration_rate"], 4
+        )
     print("\n" + migration.render(result))
     assert result["sb_migration_rate"] < 0.12
     assert result["live_path"]
-
-
-def test_dc_loss_drill(benchmark):
-    from benchmarks.conftest import run_once
-    results = run_once(benchmark, lambda: run_migration_bench("thread"))
-    benchmark.extra_info["live_migrated_calls"] = \
-        results["live_migrated_calls"]
-    benchmark.extra_info["moves_per_s"] = results["moves_per_s"]
-    benchmark.extra_info["disrupted_calls"] = results["disrupted_calls"]
-    print("\n" + render(results))
-
-
-def main(argv=None) -> int:
-    parser = service_arg_parser(
-        "Serve the DC-loss storm day with and without the live migrator; "
-        "report migration throughput and the settle-tail inflation.",
-        default_workers=1)
-    args = parser.parse_args(argv)
-    results = run_migration_bench(executor=args.executor,
-                                  n_workers=args.workers,
-                                  smoke=args.smoke)
-    print(render(results))
-    if args.json:
-        write_json_artifact(results, args.json)
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

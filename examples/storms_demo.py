@@ -9,9 +9,9 @@ join offsets, and a co-scheduled DC outage merges into one
 deterministic fault timeline.
 
 Part 2 runs a storm from the seeded registry through the chaos harness
-(the same path as the ``storms-smoke`` CI job) and prints its invariant
-outcomes: exact accounting, overflow under the declared ceiling, zero
-drain shortfall, bounded settle tail.
+(the same path as the ``drills`` CI job's ``storms`` entry) and prints
+its invariant outcomes: exact accounting, overflow under the declared
+ceiling, zero drain shortfall, bounded settle tail.
 
 Run:  python examples/storms_demo.py [storm-name]
 """

@@ -19,7 +19,7 @@ static arm's overflowed calls at equal-or-lower provisioned
 capacity-hours (it follows the demand curve instead of holding the
 daily peak around the clock).  The smoke path asserts exactly that,
 plus exact accounting through every rescale and zero drain shortfall —
-this is the ``autoscale-smoke`` CI contract.
+this is the ``drills`` CI job's ``autoscale`` entry.
 """
 
 from __future__ import annotations
@@ -144,7 +144,8 @@ def run(n_configs: int = 12, calls_per_slot: float = 150.0, seed: int = 23,
 
 
 def check(result: Dict[str, object]) -> None:
-    """The autoscale-smoke contract; raises AssertionError on violation."""
+    """The ``drills`` job's ``autoscale`` contract; raises
+    AssertionError on violation."""
     static, closed = result["static"], result["closed_loop"]
     assert static["accounting_exact"], "static arm accounting broken"
     assert closed["accounting_exact"], \
@@ -214,7 +215,7 @@ def main(argv=None) -> int:
         print(f"report written to {args.json}")
     if args.smoke:
         check(result)
-        print("autoscale-smoke contract holds")
+        print("autoscale contract holds")
     return 0
 
 

@@ -17,14 +17,15 @@ live plane instead:
    served end to end; at the outage onset the selector stops settling
    onto the lost DC and the migrator evacuates every in-flight call
    through the ledger, bounded per batch window;
-4. the drill asserts: exact accounting (zero lost calls), the lost DC
-   fully evacuated (every in-flight call moved or explicitly
-   disrupted), disruption under the configured ceiling, zero drain
-   shortfall — and, in smoke mode, that the thread oracle and the
-   process executor at 1/2/4 workers emit **byte-identical** canonical
-   reports.
+4. the drill asserts: exact accounting (zero lost calls), the drain
+   fired, the lost DC fully evacuated (every in-flight call moved or
+   explicitly disrupted), disruption under the configured ceiling, zero
+   drain shortfall, a settle tail in the regime of the same day served
+   with no migrator — and, in smoke mode, that the thread oracle and
+   the process executor at 1/2/4 workers emit **byte-identical**
+   canonical reports.
 
-``--smoke --json`` is the ``migration-smoke`` CI contract.
+``--smoke --json`` is the ``drills`` CI job's ``migration`` entry.
 """
 
 from __future__ import annotations
@@ -51,12 +52,14 @@ from repro.workload.trace import TraceGenerator
 
 __all__ = ["check", "main", "render", "run"]
 
-#: Version of the drill report dict; the migration-smoke CI artifact
-#: keys its parsing off this field.
+#: Version of the drill report dict; the ``drills`` CI job's
+#: ``migration`` artifact keys its parsing off this field.
 #:
 #: History:
 #:   1 — initial schema.
-FIG_MIGRATION_SCHEMA_VERSION = 1
+#:   2 — per-arm ``drain_fired`` invariant and ``settle_p99_ms``;
+#:       top-level ``settle_tail`` block.
+FIG_MIGRATION_SCHEMA_VERSION = 2
 
 #: The storm-catalog scenario the drill serves: a 3x flash crowd landing
 #: in the same hour a DC is lost.
@@ -70,6 +73,12 @@ _NON_CANONICAL_KEYS = frozenset({
     "migration_latency_ms",
 })
 
+#: Evacuating a DC may not push the drill's settle p99 out of the
+#: no-migrator baseline's regime: ``max(5x baseline, baseline + 5 ms)``.
+#: Migration work is bounded per window, so the tail must stay put.
+TAIL_FACTOR = 5.0
+TAIL_SLACK_MS = 5.0
+
 
 def canonical_report(report_dict: Dict[str, object]) -> str:
     """The deterministic projection of a ``ServiceReport.to_dict()``.
@@ -82,12 +91,9 @@ def canonical_report(report_dict: Dict[str, object]) -> str:
     return json.dumps(projected, sort_keys=True, default=str)
 
 
-def _serve_drill(storm_name: str, executor: str, n_workers: int, *,
-                 n_configs: int, calls_per_slot: float, cushion: float,
-                 seed: int, migration: MigrationConfig) -> Dict[str, object]:
-    """One arm of the drill: fresh world, fresh ledgers, one run."""
-    spec = get_storm(storm_name)
-    plan_dsl = spec.build()
+def _stormed_day(plan_dsl, *, n_configs: int, calls_per_slot: float,
+                 cushion: float, seed: int):
+    """A fresh world: the plan of a normal day and the stormed events."""
     topo = Topology.small()
 
     # The planner's view: a normal cushioned day — unlike the static
@@ -105,6 +111,30 @@ def _serve_drill(storm_name: str, executor: str, n_workers: int, *,
     capacity = controller.provision(planning, with_backup=False)
     plan = controller.allocate(planning, capacity).plan
 
+    # The day that actually happens (same seeds as the storm harness).
+    actual = plan_dsl.realize(base, seed + 1)
+    trace = TraceGenerator(seed=seed + 2).generate_columnar(actual)
+    trace = plan_dsl.apply_trace(trace, seed=seed + 3, demand_applied=True)
+    events = build_event_batch(trace, DEFAULT_FREEZE_WINDOW_S)
+    return topo, controller, plan, events
+
+
+def _serve(topo, plan, events, executor: str, n_workers: int,
+           migrator: Optional[MigrationExecutor] = None):
+    svc = ServiceConfig(executor=executor, n_workers=n_workers)
+    runtime = ServiceRuntime.from_config(
+        topo, plan, svc, freeze_window_s=DEFAULT_FREEZE_WINDOW_S,
+        migrator=migrator)
+    return runtime.run(events)
+
+
+def _serve_drill(storm_name: str, executor: str, n_workers: int, *,
+                 migration: MigrationConfig,
+                 **day) -> Dict[str, object]:
+    """One arm of the drill: fresh world, fresh ledgers, one run."""
+    plan_dsl = get_storm(storm_name).build()
+    topo, controller, plan, events = _stormed_day(plan_dsl, **day)
+
     # The fault plan drives the live plane instead: DC failures become
     # drain orders firing mid-serve at their declared onset.
     migrator = MigrationExecutor(config=migration, obs=controller.obs)
@@ -114,20 +144,11 @@ def _serve_drill(storm_name: str, executor: str, n_workers: int, *,
             f"storm {storm_name!r} carries no dc_failure fault; the "
             f"live-migration drill needs a DC to lose")
 
-    # The day that actually happens (same seeds as the storm harness).
-    actual = plan_dsl.realize(base, seed + 1)
-    trace = TraceGenerator(seed=seed + 2).generate_columnar(actual)
-    trace = plan_dsl.apply_trace(trace, seed=seed + 3, demand_applied=True)
-    events = build_event_batch(trace, DEFAULT_FREEZE_WINDOW_S)
-
-    svc = ServiceConfig(executor=executor, n_workers=n_workers)
-    runtime = ServiceRuntime.from_config(
-        topo, plan, svc, freeze_window_s=DEFAULT_FREEZE_WINDOW_S,
-        migrator=migrator)
-    report = runtime.run(events)
+    report = _serve(topo, plan, events, executor, n_workers, migrator)
 
     generated = report.generated_calls
     metrics = report.migration
+    candidates = int(metrics.get("candidates", 0))
     lost_dcs = sorted({order.dc for order in orders})
     # live_on excludes disrupted calls, so a non-empty answer means an
     # in-flight call was neither moved nor accounted for.
@@ -136,12 +157,12 @@ def _serve_drill(storm_name: str, executor: str, n_workers: int, *,
                        if generated else 0.0)
     invariants = {
         "accounting_exact": bool(report.accounting_exact),
+        "drain_fired": candidates > 0,
         "dc_evacuated": stranded == 0,
         "disruption_bounded":
             disruption_frac <= migration.disruption_ceiling,
         "candidates_partitioned":
-            int(metrics.get("candidates", 0))
-            == report.live_migrated_calls + report.disrupted_calls,
+            candidates == report.live_migrated_calls + report.disrupted_calls,
         "drain_clean": int(report.autoscale.get("drain_shortfall", 0)) == 0,
     }
     return {
@@ -159,6 +180,7 @@ def _serve_drill(storm_name: str, executor: str, n_workers: int, *,
         "migration_batches": report.migration_batches,
         "fallback_moves": int(metrics.get("fallback_moves", 0)),
         "stranded_calls": stranded,
+        "settle_p99_ms": report.settle_latency_ms["p99"],
         "invariants": invariants,
         "ok": all(invariants.values()),
         "canonical": canonical_report(report.to_dict()),
@@ -174,18 +196,20 @@ def run(smoke: bool = False, *,
         disruption_ceiling: float = 0.25) -> Dict[str, object]:
     """The DC-loss drill; ``smoke=True`` adds the process-executor arms
     (1/2/4 workers) and the byte-identity comparison against the thread
-    oracle."""
+    oracle.  The thread@1 arm's settle tail is bounded against the same
+    day served with no migrator."""
     migration = MigrationConfig(
         interval_s=migrate_interval_s,
         max_moves_per_window=max_moves_per_window,
         disruption_ceiling=disruption_ceiling)
+    day = dict(n_configs=n_configs, calls_per_slot=calls_per_slot,
+               cushion=cushion, seed=seed)
     arms: List[Dict[str, object]] = [("thread", 1)]
     if smoke:
         arms.extend(("process", w) for w in (1, 2, 4))
 
-    runs = [_serve_drill(storm, executor, n_workers,
-                         n_configs=n_configs, calls_per_slot=calls_per_slot,
-                         cushion=cushion, seed=seed, migration=migration)
+    runs = [_serve_drill(storm, executor, n_workers, migration=migration,
+                         **day)
             for executor, n_workers in arms]
     oracle_canonical = runs[0]["canonical"]
     for row in runs:
@@ -193,6 +217,14 @@ def run(smoke: bool = False, *,
             row["canonical"] == oracle_canonical)
         del row["canonical"]  # multi-KB blob; the boolean is the result
     identical = all(r["canonical_matches_oracle"] for r in runs)
+
+    topo, _, plan, events = _stormed_day(get_storm(storm).build(), **day)
+    base_p99 = _serve(topo, plan, events, "thread", 1).settle_latency_ms["p99"]
+    bound_ms = max(TAIL_FACTOR * base_p99, base_p99 + TAIL_SLACK_MS)
+    settle_tail = {"baseline_p99_ms": base_p99,
+                   "drill_p99_ms": runs[0]["settle_p99_ms"],
+                   "bound_ms": bound_ms,
+                   "held": runs[0]["settle_p99_ms"] <= bound_ms}
     return {
         "schema_version": FIG_MIGRATION_SCHEMA_VERSION,
         "storm": storm,
@@ -205,12 +237,15 @@ def run(smoke: bool = False, *,
         "smoke": smoke,
         "runs": runs,
         "canonical_identical": identical,
-        "ok": identical and all(r["ok"] for r in runs),
+        "settle_tail": settle_tail,
+        "ok": (identical and settle_tail["held"]
+               and all(r["ok"] for r in runs)),
     }
 
 
 def check(result: Dict[str, object]) -> None:
-    """The migration-smoke contract; raises on any violated invariant."""
+    """The ``drills`` job's ``migration`` contract; raises on any
+    violated invariant."""
     failures: List[str] = []
     for row in result["runs"]:
         for invariant, held in row["invariants"].items():
@@ -224,6 +259,12 @@ def check(result: Dict[str, object]) -> None:
             failures.append(
                 f"{row['executor']}@{row['n_workers']}: canonical report "
                 f"differs from the thread oracle")
+    tail = result["settle_tail"]
+    if not tail["held"]:
+        failures.append(
+            f"settle tail: drill p99 {tail['drill_p99_ms']:.2f} ms over "
+            f"the bound {tail['bound_ms']:.2f} ms (no-migrator baseline "
+            f"{tail['baseline_p99_ms']:.2f} ms)")
     if failures:
         raise SwitchboardError(
             "migration drill invariants violated:\n  "
@@ -247,6 +288,10 @@ def render(result: Dict[str, object]) -> str:
     lines.append(
         f"  canonical reports identical across arms: "
         f"{'yes' if result['canonical_identical'] else 'NO'}")
+    tail = result["settle_tail"]
+    lines.append(
+        f"  settle p99: baseline {tail['baseline_p99_ms']:.2f} ms -> drill "
+        f"{tail['drill_p99_ms']:.2f} ms (bound {tail['bound_ms']:.2f} ms)")
     lines.append(f"  all invariants hold: {'yes' if result['ok'] else 'NO'}")
     return "\n".join(lines)
 
@@ -273,7 +318,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"report written to {args.json}")
     if args.smoke:
         check(result)
-        print("migration-smoke contract holds")
+        print("migration contract holds")
     return 0
 
 

@@ -10,8 +10,8 @@ ceiling.
 
 The smoke path sweeps **both** service executors (``thread`` and
 ``process``) and asserts every invariant of every run — this is the
-``storms-smoke`` CI contract.  ``--json`` writes the schema-versioned
-aggregate report (uploaded as the CI artifact).
+``drills`` CI job's ``storms`` entry.  ``--json`` writes the
+schema-versioned aggregate report (uploaded as the CI artifact).
 """
 
 from __future__ import annotations
@@ -35,7 +35,8 @@ def run(names: Optional[Sequence[str]] = None,
 
 
 def check(result: Dict[str, object]) -> None:
-    """The storms-smoke contract; raises on any violated invariant."""
+    """The ``drills`` job's ``storms`` contract; raises on any violated
+    invariant."""
     check_storm_report(result)
 
 
@@ -80,7 +81,7 @@ def main(argv=None) -> int:
         print(f"report written to {args.json}")
     if args.smoke:
         check(result)
-        print("storms-smoke contract holds")
+        print("storms contract holds")
     return 0
 
 

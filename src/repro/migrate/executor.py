@@ -85,7 +85,6 @@ class MigrationExecutor:
         #: Per-move latency (ms); wall-clock, excluded from canonical
         #: report comparisons.
         self.latency = LatencyHistogram()
-        self.move_wall_s = 0.0
         self.live_migrated = 0
         self.disrupted = 0
         self.fallback_moves = 0
@@ -186,7 +185,6 @@ class MigrationExecutor:
             drains = list(self._cell_drains)
         budget = self.config.max_moves_per_window
         processed = 0
-        wall_start = perf_counter()
         for order in active:
             if processed >= budget:
                 break
@@ -198,7 +196,6 @@ class MigrationExecutor:
         with self._lock:
             self._cell_drains = [r for r in self._cell_drains
                                  if r.remaining > 0]
-        self.move_wall_s += perf_counter() - wall_start
         if processed:
             self.batches += 1
         return processed
@@ -299,9 +296,9 @@ class MigrationExecutor:
     def migration_metrics(self) -> Dict[str, object]:
         """The deterministic migration block a ServiceReport carries.
 
-        Wall-clock quantities (per-move latency, ``move_wall_s``) are
-        deliberately *not* in here — this dict must be identical across
-        executors and worker counts for the same served input.
+        Wall-clock quantities (per-move latency) are deliberately *not*
+        in here — this dict must be identical across executors and
+        worker counts for the same served input.
         """
         with self._lock:
             return {

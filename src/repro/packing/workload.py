@@ -18,7 +18,7 @@ A predictive packer that learns the per-media joined-by-freeze fraction
 sizes both classes right (no reservation for audio, pre-reservation for
 video) and can run its servers hot; an observed-size packer must either
 overload on video growth or buy blanket headroom on every server.  That
-is the comparison ``fig_packing`` and ``bench_packing`` make.
+is the comparison ``fig_packing`` makes.
 """
 
 from __future__ import annotations

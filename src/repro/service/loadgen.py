@@ -6,7 +6,7 @@ engine ingests.  The generator only ever truncates at **call
 granularity** — a call contributes either all of its events or none —
 so a generated stream is always serveable with exact accounting
 (admitted + migrated + overflowed == generated), which is what the
-service-smoke CI job and ``bench_service`` assert.
+``drills`` CI job's ``service`` entries assert.
 
 Generation runs on the columnar data plane
 (:class:`~repro.workload.columnar.ColumnarTrace` →

@@ -5,8 +5,9 @@ in exactly one of ``admitted`` (stayed at its initial DC with a plan
 slot, or was never reconciled because it legitimately ended early —
 still settled at its freeze point), ``migrated`` (moved at the freeze),
 or ``overflowed`` (plan slots exhausted; served at the initial DC
-anyway).  ``accounting_exact`` is the invariant the service-smoke CI job
-enforces — a dropped or unsettled call is a serving bug, not noise.
+anyway).  ``accounting_exact`` is the invariant the ``drills`` CI job's
+``service`` entries enforce — a dropped or unsettled call is a serving
+bug, not noise.
 """
 
 from __future__ import annotations

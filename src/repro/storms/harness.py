@@ -52,8 +52,8 @@ __all__ = [
 ]
 
 #: Version of the per-storm report dict.  Bump when a key is added,
-#: removed, or changes meaning — the storms-smoke CI artifact and any
-#: downstream consumer key their parsing off this field.
+#: removed, or changes meaning — the ``drills`` CI job's ``storms``
+#: artifact and any downstream consumer key their parsing off this field.
 #:
 #: History:
 #:   1 — initial schema.

@@ -159,6 +159,7 @@ class TestMigration:
         assert result["lf_migration_rate"] < 0.12
         assert result["majority_matches_first_joiner"] > 0.9
         assert result["sb_mean_acl_ms"] < 120.0
+        assert result["live_path"]
 
 
 class TestPrediction:

@@ -403,8 +403,7 @@ class TestMigrationExecutor:
         topo, ledger = _small_world()
         ex = _executor(topo, ledger)
         metrics = ex.migration_metrics()
-        assert "move_wall_s" not in metrics
-        assert not any("latency" in key for key in metrics)
+        assert not any("latency" in key or "wall" in key for key in metrics)
 
     def test_interval_comes_from_config(self):
         ex = MigrationExecutor(config=MigrationConfig(interval_s=123.0))
@@ -560,14 +559,26 @@ class TestDcLossDrill:
         fig_migration.check(result)  # must not raise
 
     def test_check_raises_on_violated_invariants(self):
+        tail = {"baseline_p99_ms": 0.3, "drill_p99_ms": 0.4,
+                "bound_ms": 5.3, "held": True}
         bad = {"runs": [{
             "executor": "thread", "n_workers": 1,
-            "invariants": {"dc_evacuated": False},
+            "invariants": {"dc_evacuated": False, "drain_fired": True},
             "canonical_matches_oracle": True,
             "disrupted_calls": 3, "stranded_calls": 2,
             "generated_calls": 10,
-        }]}
+        }], "settle_tail": tail}
         with pytest.raises(SwitchboardError, match="dc_evacuated"):
+            fig_migration.check(bad)
+        bad["runs"][0]["invariants"] = {"dc_evacuated": True,
+                                        "drain_fired": False}
+        with pytest.raises(SwitchboardError, match="drain_fired"):
+            fig_migration.check(bad)
+        # Every arm clean, but evacuation blew the settle tail.
+        bad["runs"][0]["invariants"]["drain_fired"] = True
+        fig_migration.check(bad)
+        bad["settle_tail"] = dict(tail, drill_p99_ms=9.0, held=False)
+        with pytest.raises(SwitchboardError, match="settle tail"):
             fig_migration.check(bad)
 
     def test_canonical_projection_drops_wall_clock_keys(self):

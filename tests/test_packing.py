@@ -18,6 +18,7 @@ from repro.core.types import CallConfig, MediaType, make_slots
 from repro.core.units import to_microcores
 from repro.allocation.plan import AllocationPlan
 from repro.config import PackingConfig, PlannerConfig
+from repro.experiments import fig_packing
 from repro.kvstore import ShardedKVStore
 from repro.packing import (
     Defragmenter,
@@ -556,3 +557,18 @@ class TestPackingWorkload:
         eval_ids = set(load.trace.call_ids())
         train_ids = {c.call_id for c in load.training_calls}
         assert eval_ids.isdisjoint(train_ids)
+
+
+def test_predictive_packing_dominates_at_matched_quality():
+    """Predicted-peak sizing needs fewer servers at the same (zero)
+    overflow: each policy at the hottest utilization_target it runs
+    clean, the operating point an operator would pick."""
+    matched = fig_packing.run(n_calls=300, seed=7)["matched"]
+    first_fit, predictive = matched["first_fit"], matched["predictive"]
+    assert first_fit["clean"] and predictive["clean"]
+    assert first_fit["overflowed_calls"] == 0
+    assert predictive["overflowed_calls"] == 0
+    assert (predictive["utilization_target"]
+            > first_fit["utilization_target"])
+    assert (predictive["servers_used_peak"]
+            < first_fit["servers_used_peak"])

@@ -74,6 +74,42 @@ def assert_traces_identical(a: ColumnarTrace, b: ColumnarTrace):
     assert a.part_id_overrides == b.part_id_overrides
 
 
+def joins_then_shift_per_call(trace: ColumnarTrace,
+                              joins: SynchronizedJoins,
+                              shift: ClockShift) -> ColumnarTrace:
+    """``joins.overlay(shift)`` one call at a time, as a naive port would.
+
+    Compress each windowed call's join offsets so its slowest joiner
+    lands within ``compress_to_s``, then shift every start modulo the
+    one-day horizon and stably re-sort, slicing the CSR layout per call.
+    """
+    lo, hi = joins.window(DAY)
+    offsets = trace.part_offsets
+    rows = [slice(offsets[i], offsets[i + 1]) for i in range(trace.n_calls)]
+
+    join = trace.join_offset_s.copy()
+    for i, row in enumerate(rows):
+        call_max = float(join[row].max())
+        if lo <= trace.start_s[i] < hi and call_max > joins.compress_to_s:
+            join[row] = join[row] * (joins.compress_to_s / call_max)
+
+    shifted = [float((start + shift.shift_s) % DAY)
+               for start in trace.start_s]
+    order = sorted(range(trace.n_calls), key=lambda i: shifted[i])
+    sizes = [rows[i].stop - rows[i].start for i in order]
+    return trace.replace(
+        start_s=np.array([shifted[i] for i in order]),
+        duration_s=trace.duration_s[order],
+        call_uid=trace.call_uid[order],
+        part_offsets=np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64),
+        join_offset_s=np.concatenate([join[rows[i]] for i in order]),
+        country_code=np.concatenate(
+            [trace.country_code[rows[i]] for i in order]),
+        media_code=np.concatenate([trace.media_code[rows[i]] for i in order]),
+        part_index=np.concatenate([trace.part_index[rows[i]] for i in order]),
+    )
+
+
 # ----------------------------------------------------------------------
 # DSL composition
 # ----------------------------------------------------------------------
@@ -231,6 +267,16 @@ class TestColumnarOverlayEdges:
         back = ColumnarTrace.from_trace(out.to_trace(),
                                         countries=out.countries)
         assert_traces_identical(out, back)
+
+    def test_joins_then_shift_match_per_call_reference(self, trace):
+        joins = SynchronizedJoins(compress_to_s=45.0, start_s=0.25 * DAY,
+                                  duration_s=0.5 * DAY)
+        shift = ClockShift(shift_s=-3600.0)
+        reference = joins_then_shift_per_call(trace, joins, shift)
+        assert not np.array_equal(reference.join_offset_s,
+                                  trace.join_offset_s)
+        out = joins.overlay(shift).apply_trace(trace, seed=3)
+        assert_traces_identical(out, reference)
 
     def test_dual_face_overlays_skipped_when_demand_applied(self, trace):
         plan = (FlashCrowd(factor=4.0, start_s=0.0, duration_s=DAY)
