@@ -13,6 +13,10 @@ columnar segments) with identical accounting.
 Run:  python examples/online_service.py [--events N] [--workers N]
       [--shards N] [--executor thread|process] [--kv-latency-ms X]
       [--json PATH] [--smoke]
+
+``--smoke`` exits non-zero unless accounting is exact and the
+end-of-day store holds no call state (no ``call:`` key, every
+``dcload:`` counter zero).
 """
 
 import argparse
@@ -43,7 +47,8 @@ def main(argv=None) -> int:
                         help="write the ServiceReport to this JSON file")
     parser.add_argument("--smoke", action="store_true",
                         help="CI mode: exit non-zero unless call "
-                             "accounting is exact")
+                             "accounting is exact and the end-of-day "
+                             "store holds no call state")
     args = parser.parse_args(argv)
 
     topology = Topology.default()
@@ -77,6 +82,20 @@ def main(argv=None) -> int:
         print("\nsmoke: exact accounting verified "
               f"({report.generated_calls} calls, "
               f"{report.events_processed} events, 0 dropped)")
+        # Every call has hung up by the end of the day, so a call key or
+        # a non-zero load counter left in the store is a queued write
+        # that never left its shard's queue.
+        state = runtime.store_state()
+        calls = [key for key in state if key.startswith("call:")]
+        loads = {key: value for key, value in state.items()
+                 if key.startswith("dcload:")}
+        loaded = {key: value for key, value in loads.items() if value != 0}
+        if calls or loaded:
+            print(f"smoke: FAILED: end-of-day store holds {len(calls)} call "
+                  f"keys and non-zero load counters {loaded}")
+            return 1
+        print(f"smoke: end-of-day store holds no call key and "
+              f"{len(loads)} zero load counters")
     return 0
 
 

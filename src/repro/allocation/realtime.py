@@ -262,7 +262,9 @@ class KVSlotLedger(SlotLedger):
         #: other on its first use (a settle formats no key).
         self._keys: Dict[Tuple[int, CallConfig], str] = {}
 
-    def _key(self, slot_index: int, config: CallConfig) -> str:
+    def cell_key(self, slot_index: int, config: CallConfig) -> str:
+        """The ``slots:{t}:{config}`` key of a cell (its shard is where a
+        settle's debit trip goes)."""
         key = self._keys.get((slot_index, config))
         if key is None:
             key = self._keys[slot_index, config] = \
@@ -274,7 +276,7 @@ class KVSlotLedger(SlotLedger):
         cells = plan.integerized()
         pipe = self.store.pipeline()
         for (slot_index, config), cell in cells.items():
-            key = self._key(slot_index, config)
+            key = self.cell_key(slot_index, config)
             pipe.hset(key, self._SENTINEL, 1)
             for dc_id, count in cell.items():
                 pipe.hset(key, dc_id, count)
@@ -290,30 +292,31 @@ class KVSlotLedger(SlotLedger):
 
     def snapshot(self, slot_index: int, config: CallConfig
                  ) -> Optional[Dict[str, int]]:
-        return self._cell(self.store.hgetall(self._key(slot_index, config)))
+        return self._cell(
+            self.store.hgetall(self.cell_key(slot_index, config)))
 
     def try_debit(self, slot_index: int, config: CallConfig, dc_id: str,
                   call_id: Optional[str] = None) -> bool:
-        return self.store.htake(self._key(slot_index, config), dc_id)
+        return self.store.htake(self.cell_key(slot_index, config), dc_id)
 
     def snapshot_and_debit(self, slot_index: int, config: CallConfig,
                            dc_id: str, call_id: Optional[str] = None,
                            writes: Sequence[Write] = ()
                            ) -> Tuple[Optional[Dict[str, int]], bool]:
-        key = self._key(slot_index, config)
+        key = self.cell_key(slot_index, config)
         table, took = self.store.execute_batch(
             [*writes, ("hgetall", (key,)), ("htake", (key, dc_id))])[-2:]
         return self._cell(table), took
 
     def credit(self, slot_index: int, config: CallConfig,
                dc_id: str) -> None:
-        self.store.hincrby(self._key(slot_index, config), dc_id, 1)
+        self.store.hincrby(self.cell_key(slot_index, config), dc_id, 1)
 
     def add_slots(self, slot_index: int, config: CallConfig, dc_id: str,
                   count: int) -> None:
         if count < 0:
             raise CapacityError("add_slots count must be >= 0")
-        key = self._key(slot_index, config)
+        key = self.cell_key(slot_index, config)
         pipe = self.store.pipeline()
         # Mark the cell planned: a scaled-out cell the original plan
         # never had must read as planned-but-exhaustible (overflow

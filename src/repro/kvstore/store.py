@@ -159,6 +159,12 @@ class InMemoryKVStore:
         time.sleep(delay_ms / 1000.0)
         return delay_ms
 
+    def sample_trip_ms(self) -> Optional[float]:
+        """One round-trip's simulated latency, drawn but not slept
+        (``None`` at zero latency).  A sharded store draws one per shard
+        a batch touches and sleeps once, for the slowest."""
+        return None if self._latency is None else self._latency.sample_ms()
+
     def _one(self, op: str, *args: Any) -> Any:
         """Issue a single op: one network trip, applier under the lock."""
         if self._latency is None:
@@ -257,6 +263,15 @@ class InMemoryKVStore:
             if name not in appliers:
                 raise KVStoreError(f"unsupported batch op {name!r}")
         latency = self._simulate_network() if self._latency is not None else None
+        return self.apply_batch(ops, latency)
+
+    def apply_batch(self, ops: Sequence[Tuple[str, Tuple[Any, ...]]],
+                    latency_ms: Optional[float] = None) -> List[Any]:
+        """The server side of :meth:`execute_batch`: apply validated ops
+        under the lock and record one trip (with ``latency_ms`` as its
+        sample, if any) — for a caller that already paid the network
+        wait, as a sharded store does once for all shards of a batch."""
+        appliers = self._appliers
         results: List[Any] = []
         with self._lock:
             try:
@@ -267,9 +282,9 @@ class InMemoryKVStore:
             finally:
                 self._op_count += len(results)
                 self._trip_count += 1
-                if (latency is not None
+                if (latency_ms is not None
                         and len(self._op_latencies_ms) < 1_000_000):
-                    self._op_latencies_ms.append(latency)
+                    self._op_latencies_ms.append(latency_ms)
         return results
 
     def pipeline(self) -> Pipeline:

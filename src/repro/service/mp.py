@@ -49,7 +49,7 @@ import numpy as np
 
 from repro.core.errors import SwitchboardError
 from repro.controller.columnar import ColumnarEventBatch
-from repro.kvstore.client import PipelinedStateClient, Write
+from repro.kvstore.client import PipelinedStateClient
 from repro.kvstore.sharded import ShardedKVStore
 from repro.kvstore.store import InMemoryKVStore
 from repro.service.engine import (
@@ -255,15 +255,15 @@ class PipePort:
 
     ``fleet`` says whether the parent consumes joins and ends (a fleet
     ledger or a migrator is bound) and so schedules those rows too;
-    without it only freezes are scheduled.  ``flush`` sends the kernel's
-    call-side writes to the worker's private store: they cannot ride the
-    parent's ledger trip, so a settle flushes them as one pipeline first.
+    without it only freezes are scheduled.  The kernel's call-side
+    writes go to the worker's private store: they cannot ride the
+    parent's ledger trip, so a settle flushes every queue as one
+    pipeline first.
     """
 
-    def __init__(self, conn, fleet: bool, flush):
+    def __init__(self, conn, fleet: bool):
         self._conn = conn
         self._send = conn.send
-        self._flush = flush
         self.join = self._join if fleet else None
         self.release = self._release if fleet else None
 
@@ -278,8 +278,8 @@ class PipePort:
 
     def settle(self, row: int, call_index: int, call_id: str,
                initial_dc: str, ended: bool,
-               writes: List[Write]) -> Tuple[str, bool]:
-        self._flush(writes)
+               client: PipelinedStateClient) -> Tuple[str, bool]:
+        client.flush()
         # Blocking round-trip: the parent runs the selector against the
         # shared ledger (releasing an already-ended call's reservation in
         # the same step) and replies with the outcome to write.
@@ -310,7 +310,7 @@ def _worker_main(worker_index: int, topology: Topology,
         state = WorkerState(topology)
         store = store_spec.build()
         client = PipelinedStateClient(store)
-        port = PipePort(conn, fleet, client.flush)
+        port = PipePort(conn, fleet)
         conn.send(("ready", worker_index))
         while True:
             msg = conn.recv()

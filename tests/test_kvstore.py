@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.types import CallConfig, MediaType
 from repro.kvstore.client import ControllerStateClient, PipelinedStateClient
+from repro.kvstore.sharded import ShardedKVStore
 from repro.kvstore.store import InMemoryKVStore, KVStoreError, LatencyProfile
 from repro.obs.histogram import LatencyHistogram, percentiles_ms
 
@@ -187,14 +188,16 @@ class TestControllerStateClient:
         plain.close_call("c2")
 
         piped = PipelinedStateClient(piped_store)
-        spread, writes = piped.open_writes("c1", "dc-a", "US")
-        piped.flush(writes)
-        piped.flush([("hincrby", (spread, "CA", 1)),
-                     piped.media_write("c1", MediaType.VIDEO)]
-                    + piped.migrate_writes("c1", "dc-a", "dc-b"))
-        _, writes = piped.open_writes("c2", "dc-a", "US")
-        piped.flush(writes + piped.close_writes("c2", "dc-a"))
-        piped.flush([])  # nothing buffered: no trip
+        spread, queue = piped.open("c1", "dc-a", "US")
+        piped.flush()
+        queue.append(("hincrby", (spread, "CA", 1)))
+        piped.media(queue, "c1", MediaType.VIDEO)
+        piped.migrate(queue, "c1", "dc-a", "dc-b")
+        piped.flush()
+        _, queue = piped.open("c2", "dc-a", "US")
+        piped.close(queue, "c2", "dc-a")
+        piped.flush()
+        piped.flush()  # nothing queued: no trip
         assert piped_store.trip_count == 3
 
         assert set(piped_store._data) >= {"call:{c1}", "call:{c1}:spread"}
@@ -206,11 +209,37 @@ class TestControllerStateClient:
         store = InMemoryKVStore(LatencyProfile(median_ms=0.1, floor_ms=0.05,
                                                ceil_ms=0.2))
         client = PipelinedStateClient(store)
-        _, writes = client.open_writes("c1", "dc-a", "US")
-        assert not store.latency_samples_ms()  # building writes sends none
+        client.open("c1", "dc-a", "US")
+        assert not store.latency_samples_ms()  # queueing writes sends none
         # A call's open is several writes; batched, they pay one trip.
-        client.flush(writes)
+        client.flush()
         assert len(store.latency_samples_ms()) == 1
+
+    def test_pipelined_client_queues_per_shard(self):
+        """On a sharded store each write joins its key's shard's queue —
+        a call's keys one, each load counter's its own — and a flush is
+        one store wait, one trip per shard with writes."""
+        store = ShardedKVStore(n_shards=4)
+        client = PipelinedStateClient(store)
+        assert len(client.queues) == 4
+        dcs = [f"dc-{i}" for i in range(8)]
+        for i in range(40):
+            spread, queue = client.open(f"c{i}", dcs[i % 8], "US")
+            assert queue is client.queues[store.shard_index(spread)]
+            client.close(queue, f"c{i}", dcs[i % 8])
+        for index, queue in enumerate(client.queues):
+            assert all(store.shard_index(args[0]) == index
+                       for _, args in queue)
+        waits = []
+        execute_batch = store.execute_batch
+        store.execute_batch = lambda ops: waits.append(ops) or \
+            execute_batch(ops)
+        client.flush()
+        assert len(waits) == 1 and not any(client.queues)
+        assert store.trip_count == 4
+        assert store.op_count == 40 * 7
+        assert len(store) == 8
+        assert all(store.get(f"dcload:{dc}") == 0 for dc in dcs)
 
 
 class TestPerThreadRNGStreams:

@@ -222,11 +222,10 @@ class TestAdmissionEngine:
 
 class RecordingPort:
     """A fake ledger side: records every port call the kernel makes, and
-    flushes the write buffer each settle hands it to ``store``."""
+    flushes the write queues each settle hands it."""
 
-    def __init__(self, hooks: bool, store):
+    def __init__(self, hooks: bool):
         self.calls = []
-        self._store = store
         self.join = self._join if hooks else None
         self.release = self._release if hooks else None
 
@@ -239,11 +238,10 @@ class RecordingPort:
     def skip(self, row):
         self.calls.append(("skip", row))
 
-    def settle(self, row, call_index, call_id, initial_dc, ended, writes):
+    def settle(self, row, call_index, call_id, initial_dc, ended, client):
         self.calls.append(("settle", row, call_index, call_id, initial_dc,
-                           ended, len(writes)))
-        if writes:
-            self._store.execute_batch(writes)
+                           ended, sum(map(len, client.queues))))
+        client.flush()
         # Call "a" migrates at its freeze; everything else stays put.
         return ("dc-virginia", True) if call_id == "a" else (initial_dc,
                                                              False)
@@ -292,7 +290,7 @@ class TestWindowKernel:
         ]
         worker = WorkerState(topology)
         store = InMemoryKVStore()
-        port = RecordingPort(hooks, store)
+        port = RecordingPort(hooks)
         serve_rows(worker, trace, range(len(stream)), *zip(*stream),
                    PipelinedStateClient(store), port)
         return worker, store, port
@@ -330,33 +328,38 @@ class TestWindowKernel:
 
     def test_round_trip_budget_per_lifecycle_step(self, topology):
         """Exact store round-trips per row, call state and slot ledger on
-        one one-shard store.  START, JOIN, MEDIA and END make none: every
-        call-side write joins the worker's buffer.  A FREEZE makes one
-        trip, which carries the buffer and the fused snapshot+debit, plus
-        one per preference-walk debit; a window's leftover buffer leaves
-        as one tail pipeline."""
-        self._check_budget(topology, "carried")
+        one two-shard store.  START, JOIN, MEDIA and END make none: every
+        call-side write joins its shard's queue.  A FREEZE makes one
+        trip, on its ledger cell's shard, which carries that shard's
+        queue and the fused snapshot+debit, plus one per preference-walk
+        debit; a window's leftover queues leave as one tail batch, one
+        trip per shard with writes."""
+        self._check_budget(topology, "carried", 2)
+
+    def test_round_trip_budget_on_a_one_shard_store(self, topology):
+        """One shard, one queue: a settle carries every write queued."""
+        self._check_budget(topology, "carried", 1)
 
     @pytest.mark.parametrize("arm", ["down", "local"])
     def test_round_trip_budget_when_the_settle_cannot_carry(self, topology,
                                                             arm):
         """A settle with no debit trip on the call-side store — a down
         initial DC (a snapshot only) or a ledger outside the store —
-        sends the buffer as one flush just before it."""
-        self._check_budget(topology, arm)
+        sends every queue as one batch just before it."""
+        self._check_budget(topology, arm, 2)
 
-    def _check_budget(self, topology, arm):
+    def _check_budget(self, topology, arm, n_shards):
         trace = self._trace()
         jp, de = trace.countries.code("JP"), trace.countries.code("DE")
         video = MediaType.VIDEO.code
         a, b, c = 0, 1, 2
         # Plan has a's slot in Virginia only.  Carried: the fused trip
-        # (with the buffered join) misses Tokyo, one walk debit lands.
-        # Down: the flush, a snapshot, the walk debit.  Local: the flush.
-        # b takes its slot at Frankfurt; its trip (or, local, its flush)
-        # carries a's migrate.
+        # misses Tokyo, one walk debit lands.  Down: the flush, a
+        # snapshot, the walk debit.  Local: the flush.  b takes its slot
+        # at Frankfurt; its trip (or, local, its flush) carries a's
+        # migrate, which on two shards is two queues when flushed.
         a_freeze, b_freeze = {"carried": (2, 1), "down": (3, 1),
-                              "local": (1, 1)}[arm]
+                              "local": (1, n_shards)}[arm]
         windows = [[  # (row, round-trips it costs)
             ((a, self.START, jp, -1), 0),
             ((b, self.START, de, -1), 0),
@@ -374,9 +377,6 @@ class TestWindowKernel:
             ((a, self.JOIN, de, -1), 0),    # after the hangup: no write
             ((a, self.MEDIA, -1, video), 0),
         ]]
-        # Window 0 leaves both opens, two joins and a media write; window
-        # 1 leaves b's close, a's join and a's close.
-        tails = [1, 1]
 
         def config(country):
             return CallConfig.build({country: 1}, MediaType.AUDIO)
@@ -385,7 +385,8 @@ class TestWindowKernel:
             slots=make_slots(3600.0, 1800.0),
             shares={(0, config("JP")): {"dc-virginia": 1.0},
                     (0, config("DE")): {"dc-frankfurt": 1.0}})
-        store = InMemoryKVStore()
+        store = (InMemoryKVStore() if n_shards == 1
+                 else ShardedKVStore(n_shards=n_shards))
         if arm == "local":
             ledger = LocalSlotLedger.from_plan(plan)
         else:
@@ -398,7 +399,19 @@ class TestWindowKernel:
         port.open(trace)
         worker = WorkerState(topology)
         client = PipelinedStateClient(store)
-        for window, tail in zip(windows, tails):
+        batches = []  # every store wait's ops, in order
+        execute_batch = store.execute_batch
+
+        def recording(ops):
+            batches.append(list(ops))
+            return execute_batch(ops)
+
+        store.execute_batch = recording
+        # Window 0 leaves both opens, two joins and a media write; window
+        # 1 leaves b's close, a's pre-freeze join and a's close.  On two
+        # shards each tail has writes for both.
+        tails = []
+        for window in windows:
             marks = []
 
             def rows():
@@ -414,12 +427,45 @@ class TestWindowKernel:
             assert [after - before
                     for before, after in zip(marks, marks[1:])] == \
                 [cost for _, cost in window]
-            assert store.trip_count - marks[-1] == tail
+            assert store.trip_count - marks[-1] == n_shards
+            tails.append(batches[-1])
         assert (port.migrated, port.admitted, port.overflowed) == (1, 1, 0)
         assert worker.counts() == dict(
             processed=13, dropped=1, joins=5, media_changes=2, generated=2,
             early_ended=1, ended=2)
-        assert not [key for key in store._data if key.startswith("call:")]
+        assert not [key for key in dump_store_state(store)
+                    if key.startswith("call:")]
+        if n_shards == 1:
+            return
+
+        # The routes that make the two-shard case bite: both calls live on
+        # one shard and both ledger cells on the other, with Virginia's
+        # load counter.
+        shard = store.shard_index
+        assert shard("call:{a}") == shard("call:{b}") == 1
+        assert shard("dcload:dc-virginia") == 0
+        if arm != "local":
+            assert {shard(ledger.cell_key(0, config(country)))
+                    for country in ("JP", "DE")} == {0}
+        a_join = ("hincrby", ("call:{a}:spread", "JP", 1))
+        virginia = ("incr", ("dcload:dc-virginia", 1))
+        settles = [ops for ops in batches
+                   if any(name == "htake" for name, _ in ops)]
+        for ops in settles:
+            # A carried settle's trip touches one shard: its cell's.
+            assert {shard(args[0]) for _, args in ops} == {0}
+        # a joins from Japan once before its freeze and once after.
+        if arm == "carried":
+            assert len(settles) == 2
+            # The pre-freeze join, queued on the calls' shard, waits for
+            # the window tail beside the post-freeze one; a's migrate's
+            # Virginia increment, queued on the cells' shard, leaves with
+            # b's settle.
+            assert a_join not in settles[0] and tails[1].count(a_join) == 2
+            assert virginia in settles[1] and virginia not in tails[1]
+        else:
+            # A settle that cannot carry sends every queue ahead of it.
+            assert tails[1].count(a_join) == 1 and virginia not in tails[1]
 
 
 class TestKVSlotLedger:
