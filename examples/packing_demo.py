@@ -11,7 +11,7 @@ fragmentation, defrag moves) and optionally writes it as JSON for CI
 artifacts.
 
 Run:  python examples/packing_demo.py [--calls N] [--policy NAME]
-      [--utilization X] [--sharded-kv] [--json PATH] [--smoke]
+      [--utilization X] [--json PATH] [--smoke]
 """
 
 import argparse
@@ -20,7 +20,6 @@ import sys
 
 from repro import PlannerConfig, Switchboard, Topology
 from repro.config import PACKING_POLICIES, PackingConfig
-from repro.kvstore import ShardedKVStore
 from repro.packing import build_packing
 from repro.packing.workload import generate_packing_load, media_mix
 from repro.service import ServiceRuntime
@@ -45,9 +44,6 @@ def main(argv=None) -> int:
                         help="fleet cores as a multiple of provisioned")
     parser.add_argument("--defrag-interval", type=float, default=1800.0,
                         help="defrag round width in seconds (0 disables)")
-    parser.add_argument("--sharded-kv", action="store_true",
-                        help="back the fleet ledger with the sharded "
-                             "kvstore instead of local state")
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--json", type=str, default=None,
                         help="write the ServiceReport to this JSON file")
@@ -75,12 +71,10 @@ def main(argv=None) -> int:
         utilization_target=args.utilization,
         defrag_interval_s=args.defrag_interval or None,
     )
-    store = ShardedKVStore() if args.sharded_kv else None
     ledger, defragmenter = build_packing(
-        fleet, packing_config, store=store,
-        training_calls=load.training_calls)
+        fleet, packing_config, training_calls=load.training_calls)
     runtime = ServiceRuntime.from_config(
-        topology, plan, store=store, ledger=ledger,
+        topology, plan, ledger=ledger,
         defragmenter=defragmenter,
         defrag_interval_s=packing_config.defrag_interval_s)
     report = runtime.run(load.batch)

@@ -65,11 +65,6 @@ class SelectorStats:
     unplanned: int = 0
     overflow: int = 0
     acl_sum_ms: float = 0.0
-    #: Calls moved *between servers inside a DC* by the defragmenter —
-    #: a distinct category from ``migrations`` (DC-to-DC moves at the
-    #: config freeze) and never folded into it: the accounting partition
-    #: admitted + migrated + overflowed == generated must stay exact.
-    defrag_migrations: int = 0
 
     def __post_init__(self):
         # Not a dataclass field: invisible to __eq__/__repr__, never
@@ -88,11 +83,6 @@ class SelectorStats:
                 self.unplanned += 1
             if overflowed:
                 self.overflow += 1
-
-    def record_defrag(self, moves: int = 1) -> None:
-        """Count defrag-driven server moves (not DC migrations)."""
-        with self._lock:
-            self.defrag_migrations += moves
 
     @property
     def migration_rate(self) -> float:

@@ -2,7 +2,7 @@
 
 Two intra-DC placement policies serve the same seeded
 class-structured workload (``repro.packing.workload``) through the
-admission engine backed by a :class:`~repro.packing.FleetLedgerBase`:
+admission engine backed by a :class:`~repro.packing.FleetLedger`:
 
 * ``first_fit`` sizes calls by their *observed* frozen config — tight
   packing that overloads servers when video calls grow after the
@@ -53,16 +53,16 @@ def build_plan(topology: Topology, load: PackingLoad):
 def run_policy(topology: Topology, plan, fleet: Dict[str, float],
                load: PackingLoad, policy: str,
                utilization_target: float,
-               defrag_interval_s: Optional[float] = 1800.0,
-               store=None) -> Dict[str, object]:
+               defrag_interval_s: Optional[float] = 1800.0
+               ) -> Dict[str, object]:
     """One engine run of the load under one (policy, ut) point."""
     config = PackingConfig(policy=policy,
                            utilization_target=utilization_target,
                            defrag_interval_s=defrag_interval_s)
     ledger, defragmenter = build_packing(
-        fleet, config, store=store, training_calls=load.training_calls)
+        fleet, config, training_calls=load.training_calls)
     runtime = ServiceRuntime.from_config(
-        topology, plan, store=store,
+        topology, plan,
         ledger=ledger, defragmenter=defragmenter,
         defrag_interval_s=config.defrag_interval_s)
     report = runtime.run(load.batch)

@@ -2,7 +2,7 @@
 
 Turns each DC from an opaque slot counter into a packed fleet of MP
 servers: a :class:`PackingPolicy` sizes and places calls, a
-:class:`FleetLedgerBase` keeps the authoritative per-server capacity
+:class:`FleetLedger` keeps the authoritative per-server capacity
 (implementing the :class:`~repro.allocation.realtime.SlotLedger`
 contract so the selector and admission engine route through server-level
 placement unchanged), and a :class:`Defragmenter` reclaims stranded
@@ -21,11 +21,8 @@ from repro.obs.events import Observability
 from repro.packing.defrag import Defragmenter, DefragMove, DefragRound
 from repro.packing.ledger import (
     DEFAULT_SERVER_CORES,
-    FleetLedgerBase,
+    FleetLedger,
     FleetStats,
-    KVFleetLedger,
-    LocalFleetLedger,
-    build_fleet_ledger,
     servers_for_cores,
 )
 from repro.packing.policy import (
@@ -39,15 +36,15 @@ from repro.prediction.peak import peak_predictor_or_default
 
 
 def build_packing(capacity, config: Optional[PackingConfig] = None,
-                  store=None, training_calls=None, load_model=None,
+                  training_calls=None, load_model=None,
                   obs: Optional[Observability] = None,
-                  ) -> Tuple[FleetLedgerBase, Optional[Defragmenter]]:
+                  ) -> Tuple[FleetLedger, Optional[Defragmenter]]:
     """Construct the packing stack a :class:`PackingConfig` describes.
 
-    ``capacity`` is a CapacityPlan (or ``{dc: cores}`` mapping); a
-    ``store`` selects the sharded-KV ledger backend; ``training_calls``
-    (historical complete calls) fit the predictive policy's peak
-    predictor — without them it falls back to its conservative prior.
+    ``capacity`` is a CapacityPlan (or ``{dc: cores}`` mapping);
+    ``training_calls`` (historical complete calls) fit the predictive
+    policy's peak predictor — without them it falls back to its
+    conservative prior.
     Returns ``(ledger, defragmenter)``; the defragmenter is ``None``
     when ``config.defrag_interval_s`` is.
     """
@@ -58,8 +55,8 @@ def build_packing(capacity, config: Optional[PackingConfig] = None,
         predictor = peak_predictor_or_default(training_calls)
     policy = make_policy(config.policy, load_model=load_model,
                          predictor=predictor)
-    ledger = build_fleet_ledger(
-        capacity, policy, store=store,
+    ledger = FleetLedger(
+        capacity, policy,
         utilization_target=config.utilization_target, obs=obs)
     defragmenter = None
     if config.defrag_interval_s is not None:
@@ -73,16 +70,13 @@ __all__ = [
     "DefragMove",
     "DefragRound",
     "FirstFit",
-    "FleetLedgerBase",
+    "FleetLedger",
     "FleetStats",
-    "KVFleetLedger",
-    "LocalFleetLedger",
     "MICROCORES_PER_CORE",
     "POLICIES",
     "PackingConfig",
     "PackingPolicy",
     "PredictivePack",
-    "build_fleet_ledger",
     "build_packing",
     "from_microcores",
     "make_policy",

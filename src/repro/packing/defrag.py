@@ -22,11 +22,11 @@ conferencing service has to treat live calls:
 * at most ``max_moves_per_round`` calls move per round, bounding the
   user-visible disturbance between event batches.
 
-Execution goes through :meth:`FleetLedgerBase.move_call`, which
+Execution goes through :meth:`FleetLedger.move_call`, which
 revalidates capacity under the ledger lock — a plan gone stale (a call
 ended, a server filled) degrades to fewer moves, never to an overload.
-Every executed move is a **defrag migration**: counted in its own
-accounting category, never folded into the selector's DC-to-DC
+Every executed move is a **defrag migration**: counted once, in the
+ledger's ``defrag_moves``, never folded into the selector's DC-to-DC
 migrations.
 """
 
@@ -38,7 +38,7 @@ from typing import List, Optional
 import numpy as np
 
 from repro.obs.events import Observability
-from repro.packing.ledger import FleetLedgerBase
+from repro.packing.ledger import FleetLedger
 
 _NO_FIT = np.iinfo(np.int64).max
 
@@ -71,7 +71,7 @@ class DefragRound:
 class Defragmenter:
     """Plans and executes bounded defrag rounds over a fleet ledger."""
 
-    def __init__(self, ledger: FleetLedgerBase,
+    def __init__(self, ledger: FleetLedger,
                  max_moves_per_round: int = 8,
                  donor_fill_threshold: float = 0.5,
                  obs: Optional[Observability] = None):
@@ -167,7 +167,6 @@ class Defragmenter:
         executed = self.execute(moves)
         frag_after = self.ledger.fragmentation_slots_lost()
         self.rounds_run += 1
-        self.ledger.frag_histogram.record(float(frag_after))
         if self.obs is not None:
             if executed:
                 self.obs.counters.increment("packing.defrag.moves", executed)

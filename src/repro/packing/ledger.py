@@ -1,26 +1,18 @@
-"""Fleet ledgers: DC slot accounting *plus* server-level placement.
+"""The fleet ledger: DC slot accounting *plus* server-level placement.
 
-PR 3's admission engine debits DC-granularity plan slots from a
-:class:`~repro.allocation.realtime.SlotLedger` and stops there — inside
-the DC the call lands "somewhere".  A :class:`FleetLedger` keeps the
-same contract (so :class:`~repro.allocation.realtime.RealTimeSelector`
-and the engine run unchanged) but makes ``try_debit`` mean what it does
-in production: a plan slot is taken **and** a specific MP server is
-reserved for the call.  If no server fits, the slot debit is undone and
-the selector's preference walk moves on to the next DC — server-level
-pressure propagates into DC-level decisions for free.
+A plain :class:`~repro.allocation.realtime.SlotLedger` debits
+DC-granularity plan slots and stops there — inside the DC the call lands
+"somewhere".  A :class:`FleetLedger` keeps the same contract (so
+:class:`~repro.allocation.realtime.RealTimeSelector` and the engine run
+unchanged) but makes ``try_debit`` mean what it does in production: a
+plan slot is taken **and** a specific MP server is reserved for the
+call.  If no server fits, the slot debit is undone and the selector's
+preference walk moves on to the next DC — server-level pressure
+propagates into DC-level decisions for free.
 
-Two backends, mirroring the slot-ledger split:
-
-* :class:`LocalFleetLedger` — numpy free-capacity vectors behind one
-  lock; the fast path and the reference for equivalence tests.
-* :class:`KVFleetLedger` — per-server state in the (sharded) kvstore
-  under hash-tagged keys ``pack:{<server-id>}``, so every op of one
-  call's placement routes to a single shard and travels as one pipelined
-  batch.  Reservations use the same ``HINCRBY`` compare-and-take idiom
-  as slot debits: capacity is never double-granted across concurrent
-  debitors.  A process-local mirror (updated under the commit lock)
-  keeps candidate scoring a pure numpy pass.
+The authority is in-process: per-DC numpy free-capacity vectors behind
+one lock, with the plan cells in a
+:class:`~repro.allocation.realtime.LocalSlotLedger`.
 
 All capacity amounts are integer microcores
 (:func:`repro.core.units.to_microcores`), so allocate/release round-trips
@@ -29,7 +21,7 @@ question: how many servers realize a DC's planned cores
 (:func:`servers_for_cores`).
 
 Post-freeze growth: the engine reports late joins via
-:meth:`FleetLedgerBase.note_join`.  A call that outgrows its reservation
+:meth:`FleetLedger.note_join`.  A call that outgrows its reservation
 enlarges it in place; if its server then exceeds capacity the ledger
 counts an **overload** and tries to move the grown call to a server that
 fits — the reactive churn that predictive sizing exists to avoid.
@@ -38,8 +30,8 @@ fits — the reactive churn that predictive sizing exists to avoid.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Mapping, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterator, List, Mapping, Optional
 
 import numpy as np
 
@@ -47,13 +39,8 @@ from repro.core.errors import CapacityError
 from repro.core.types import CallConfig, MediaType
 from repro.core.units import from_microcores, to_microcores
 from repro.allocation.plan import AllocationPlan
-from repro.allocation.realtime import (
-    KVSlotLedger,
-    LocalSlotLedger,
-    SlotLedger,
-)
+from repro.allocation.realtime import LocalSlotLedger, SlotLedger
 from repro.obs.events import Observability
-from repro.obs.histogram import LatencyHistogram
 from repro.packing.policy import PackingPolicy
 
 #: Cores per MP server: a mid-size VM/host dedicated to media processing.
@@ -184,21 +171,20 @@ class FleetStats:
             }
 
 
-class FleetLedgerBase(SlotLedger):
-    """Shared mechanics of both fleet-ledger backends.
+class FleetLedger(SlotLedger):
+    """Plan slots plus per-server reservations, behind one lock.
 
-    Subclasses provide the *authoritative* commit primitives
-    (``_commit_place`` / ``_commit_release`` / ``_commit_adjust``) and
-    the plan-slot ledger; everything else — candidate scoring, growth,
-    rebalance, defrag moves, metrics — lives here over the shared
-    in-process fleet vectors.
+    The in-process fleet vectors are the authority: they are checked and
+    updated under the same lock, so a placement that scored a server can
+    always commit it.  ``capacity`` is a CapacityPlan or a plain
+    ``{dc: cores}`` mapping.
     """
 
-    def __init__(self, dc_cores: Mapping[str, float],
-                 policy: PackingPolicy,
+    def __init__(self, capacity, policy: PackingPolicy,
                  server_cores: float = DEFAULT_SERVER_CORES,
                  utilization_target: float = 0.9,
                  obs: Optional[Observability] = None):
+        dc_cores: Mapping[str, float] = getattr(capacity, "cores", capacity)
         self.policy = policy
         self.server_cores = server_cores
         self.utilization_target = utilization_target
@@ -210,26 +196,23 @@ class FleetLedgerBase(SlotLedger):
             n = servers_for_cores(cores, server_cores, utilization_target)
             self._fleets[dc_id] = _DCFleet(dc_id, n, usable_mc, physical_mc)
         self._placements: Dict[str, _Placement] = {}
+        self._slots: Optional[LocalSlotLedger] = None
         self.stats = FleetStats()
-        #: Fragmentation samples (stranded slots per defrag round), the
-        #: histogram ``repro.obs`` reports alongside the counters.
-        self.frag_histogram = LatencyHistogram()
         self._lock = threading.RLock()
-
-    # ------------------------------------------------------------------
-    # construction helpers
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _cores_of(capacity) -> Mapping[str, float]:
-        """Accept a CapacityPlan or a plain {dc: cores} mapping."""
-        return getattr(capacity, "cores", capacity)
 
     # ------------------------------------------------------------------
     # the SlotLedger contract
     # ------------------------------------------------------------------
     @property
     def slot_ledger(self) -> SlotLedger:
-        raise NotImplementedError
+        if self._slots is None:
+            raise CapacityError("fleet ledger has no plan loaded")
+        return self._slots
+
+    def load_plan(self, plan: AllocationPlan) -> int:
+        cells = plan.integerized()
+        self._slots = LocalSlotLedger(cells)
+        return len(cells)
 
     def snapshot(self, slot_index: int, config: CallConfig
                  ) -> Optional[Dict[str, int]]:
@@ -250,7 +233,7 @@ class FleetLedgerBase(SlotLedger):
             return True
         if self._place(call_id, config, dc_id):
             return True
-        self._credit_slot(slot_index, config, dc_id)
+        self.slot_ledger.credit(slot_index, config, dc_id)
         return False
 
     def add_slots(self, slot_index: int, config: CallConfig, dc_id: str,
@@ -288,25 +271,21 @@ class FleetLedgerBase(SlotLedger):
         with self._lock:
             if call_id in self._placements:
                 return False
-            while True:
-                index = self.policy.select(fleet.free_mc, held)
-                if index < 0:
-                    self.stats.bump("placement_failures")
-                    return False
-                if self._commit_place(fleet, index, call_id, held):
-                    fleet.free_mc[index] -= held
-                    fleet.call_count[index] += 1
-                    fleet.touched[index] = True
-                    fleet.note_open_peak()
-                    self._placements[call_id] = _Placement(
-                        dc_id=dc_id, server_index=index,
-                        reserved_mc=reserved, actual_mc=actual,
-                        media=config.media, cap_mc=fleet.usable_mc,
-                    )
-                    self.stats.bump("placements")
-                    return True
-                # Authority refused (cross-process race): the mirror for
-                # that server was refreshed by _commit_place; rescore.
+            index = self.policy.select(fleet.free_mc, held)
+            if index < 0:
+                self.stats.bump("placement_failures")
+                return False
+            fleet.free_mc[index] -= held
+            fleet.call_count[index] += 1
+            fleet.touched[index] = True
+            fleet.note_open_peak()
+            self._placements[call_id] = _Placement(
+                dc_id=dc_id, server_index=index,
+                reserved_mc=reserved, actual_mc=actual,
+                media=config.media, cap_mc=fleet.usable_mc,
+            )
+            self.stats.bump("placements")
+            return True
 
     def note_join(self, call_id: str) -> None:
         """A post-freeze participant joined: grow the call's live load.
@@ -327,8 +306,6 @@ class FleetLedgerBase(SlotLedger):
                 return
             fleet = self._fleets[placement.dc_id]
             index = placement.server_index
-            self._commit_adjust(fleet, index, call_id, delta,
-                                placement.held_mc)
             fleet.free_mc[index] -= delta
             if fleet.free_mc[index] < -fleet.headroom_mc:
                 # Growth ate through the placement budget AND the
@@ -353,7 +330,6 @@ class FleetLedgerBase(SlotLedger):
                 return
             fleet = self._fleets[placement.dc_id]
             index = placement.server_index
-            self._commit_release(fleet, index, call_id, placement.held_mc)
             fleet.free_mc[index] += placement.held_mc
             fleet.call_count[index] -= 1
             self.stats.bump("releases")
@@ -383,9 +359,6 @@ class FleetLedgerBase(SlotLedger):
                 return False
             if fleet.free_mc[to_index] < held:
                 return False
-            if not self._commit_place(fleet, to_index, call_id, held):
-                return False
-            self._commit_release(fleet, source, call_id, held)
             fleet.free_mc[to_index] -= held
             fleet.free_mc[source] += held
             fleet.call_count[to_index] += 1
@@ -440,15 +413,10 @@ class FleetLedgerBase(SlotLedger):
                 return False
             # 2. commit a destination server reservation.
             held = min(placement.held_mc, dest.usable_mc)
-            while True:
-                index = self.policy.select(dest.free_mc, held)
-                if index < 0:
-                    self._credit_slot(slot_index, config, to_dc)
-                    return False
-                if self._commit_place(dest, index, call_id, held):
-                    break
-                # Authority refused (cross-process race): the mirror for
-                # that server was refreshed by _commit_place; rescore.
+            index = self.policy.select(dest.free_mc, held)
+            if index < 0:
+                self.slot_ledger.credit(slot_index, config, to_dc)
+                return False
             dest.free_mc[index] -= held
             dest.call_count[index] += 1
             dest.touched[index] = True
@@ -456,13 +424,11 @@ class FleetLedgerBase(SlotLedger):
             # 3. only now release the source server...
             source = self._fleets[from_dc]
             src_index = placement.server_index
-            self._commit_release(source, src_index, call_id,
-                                 placement.held_mc)
             source.free_mc[src_index] += placement.held_mc
             source.call_count[src_index] -= 1
             # 4. ...and credit the source plan slot.
             if credit_source:
-                self._credit_slot(slot_index, config, from_dc)
+                self.slot_ledger.credit(slot_index, config, from_dc)
             placement.dc_id = to_dc
             placement.server_index = index
             placement.cap_mc = dest.usable_mc
@@ -470,7 +436,7 @@ class FleetLedgerBase(SlotLedger):
             return True
 
     # ------------------------------------------------------------------
-    # introspection (metrics, defrag planning, equivalence tests)
+    # introspection (metrics, defrag planning)
     # ------------------------------------------------------------------
     def server_of(self, call_id: str) -> Optional[str]:
         with self._lock:
@@ -536,143 +502,3 @@ class FleetLedgerBase(SlotLedger):
         }
         metrics.update(self.stats.snapshot())
         return metrics
-
-    # ------------------------------------------------------------------
-    # authoritative commit primitives + slot-cell plumbing
-    # ------------------------------------------------------------------
-    def load_plan(self, plan: AllocationPlan) -> int:
-        raise NotImplementedError
-
-    def _credit_slot(self, slot_index: int, config: CallConfig,
-                     dc_id: str) -> None:
-        raise NotImplementedError
-
-    def _commit_place(self, fleet: _DCFleet, index: int, call_id: str,
-                      held_mc: int) -> bool:
-        raise NotImplementedError
-
-    def _commit_release(self, fleet: _DCFleet, index: int, call_id: str,
-                        held_mc: int) -> None:
-        raise NotImplementedError
-
-    def _commit_adjust(self, fleet: _DCFleet, index: int, call_id: str,
-                       delta_mc: int, held_mc: int) -> None:
-        raise NotImplementedError
-
-
-class LocalFleetLedger(FleetLedgerBase):
-    """In-process backend: the mirror vectors *are* the authority."""
-
-    def __init__(self, capacity, policy: PackingPolicy, **kwargs):
-        super().__init__(self._cores_of(capacity), policy, **kwargs)
-        self._slots: Optional[LocalSlotLedger] = None
-
-    @property
-    def slot_ledger(self) -> SlotLedger:
-        if self._slots is None:
-            raise CapacityError("fleet ledger has no plan loaded")
-        return self._slots
-
-    def load_plan(self, plan: AllocationPlan) -> int:
-        cells = plan.integerized()
-        self._slots = LocalSlotLedger(cells)
-        return len(cells)
-
-    def _credit_slot(self, slot_index, config, dc_id) -> None:
-        self.slot_ledger.credit(slot_index, config, dc_id)
-
-    # The in-process vectors were checked under the lock; commit is
-    # unconditional.
-    def _commit_place(self, fleet, index, call_id, held_mc) -> bool:
-        return True
-
-    def _commit_release(self, fleet, index, call_id, held_mc) -> None:
-        pass
-
-    def _commit_adjust(self, fleet, index, call_id, delta_mc,
-                       held_mc) -> None:
-        pass
-
-
-class KVFleetLedger(FleetLedgerBase):
-    """Sharded-KV backend: per-server hash-tagged keys, atomic debits.
-
-    Key schema (all keys of one server share its ``{hash tag}``, so one
-    placement is a single-shard pipelined batch):
-
-    * ``pack:{<server-id>}``              — hash, field ``free_mc``;
-    * ``pack:{<server-id>}:call:<id>``    — the call's held microcores.
-    """
-
-    def __init__(self, store, capacity, policy: PackingPolicy, **kwargs):
-        super().__init__(self._cores_of(capacity), policy, **kwargs)
-        self._store = store
-        self._slots = KVSlotLedger(store)
-
-    @property
-    def slot_ledger(self) -> SlotLedger:
-        return self._slots
-
-    @staticmethod
-    def _server_key(server_id: str) -> str:
-        return f"pack:{{{server_id}}}"
-
-    @staticmethod
-    def _call_key(server_id: str, call_id: str) -> str:
-        return f"pack:{{{server_id}}}:call:{call_id}"
-
-    def load_plan(self, plan: AllocationPlan) -> int:
-        """Write plan cells *and* the fleet's free-capacity records."""
-        pipe = self._store.pipeline()
-        for fleet in self._fleets.values():
-            for index, server_id in enumerate(fleet.server_ids):
-                pipe.hset(self._server_key(server_id), "free_mc",
-                          int(fleet.free_mc[index]))
-        pipe.execute()
-        return self._slots.load_plan(plan)
-
-    def _credit_slot(self, slot_index, config, dc_id) -> None:
-        self._slots.credit(slot_index, config, dc_id)
-
-    def _commit_place(self, fleet, index, call_id, held_mc) -> bool:
-        server_id = fleet.server_ids[index]
-        pipe = self._store.pipeline()
-        pipe.hincrby(self._server_key(server_id), "free_mc", -held_mc)
-        pipe.set(self._call_key(server_id, call_id), held_mc)
-        new_free = pipe.execute()[0]
-        if new_free < 0:
-            undo = self._store.pipeline()
-            undo.hincrby(self._server_key(server_id), "free_mc", held_mc)
-            undo.delete(self._call_key(server_id, call_id))
-            undo.execute()
-            # Refresh the mirror from the authority before rescoring.
-            fresh = self._store.hget(self._server_key(server_id), "free_mc")
-            if fresh is not None:
-                fleet.free_mc[index] = int(fresh)
-            return False
-        return True
-
-    def _commit_release(self, fleet, index, call_id, held_mc) -> None:
-        server_id = fleet.server_ids[index]
-        pipe = self._store.pipeline()
-        pipe.hincrby(self._server_key(server_id), "free_mc", held_mc)
-        pipe.delete(self._call_key(server_id, call_id))
-        pipe.execute()
-
-    def _commit_adjust(self, fleet, index, call_id, delta_mc,
-                       held_mc) -> None:
-        # Growth is real load, not a request: it may push free_mc
-        # negative (overload), which the caller detects and repairs.
-        server_id = fleet.server_ids[index]
-        pipe = self._store.pipeline()
-        pipe.hincrby(self._server_key(server_id), "free_mc", -delta_mc)
-        pipe.set(self._call_key(server_id, call_id), held_mc)
-        pipe.execute()
-
-
-def build_fleet_ledger(capacity, policy: PackingPolicy,
-                       store=None, **kwargs) -> FleetLedgerBase:
-    """Local backend without a store, KV backend with one."""
-    if store is None:
-        return LocalFleetLedger(capacity, policy, **kwargs)
-    return KVFleetLedger(store, capacity, policy, **kwargs)

@@ -50,12 +50,9 @@ class PackingPolicy(ABC):
         """
         return to_microcores(self.load_model.call_cores(config))
 
-    def growth_mc(self, config: CallConfig) -> int:
-        """Microcores one *additional* (post-freeze) participant adds."""
-        return self.growth_mc_of(config.media)
-
     def growth_mc_of(self, media) -> int:
-        """Same, keyed by media type (the ledger tracks media per call)."""
+        """Microcores one *additional* (post-freeze) participant of
+        ``media`` adds (the ledger tracks media per call)."""
         return to_microcores(self.load_model.compute_load(media))
 
     # ------------------------------------------------------------------

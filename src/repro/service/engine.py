@@ -636,11 +636,8 @@ class ServingEngine:
         """The safe point between windows: workers are quiescent, so the
         fleet and the plan may be mutated through the ledger."""
         if self.defragmenter is not None:
-            round_result = self.defragmenter.run_round()
+            self.defragmenter.run_round()
             self.defrag_rounds += 1
-            if round_result.executed_moves:
-                self.selector.stats.record_defrag(
-                    round_result.executed_moves)
         if self.rescaler is not None:
             self.rescaler.on_window(self._snapshot(t_s))
         if self.migrator is not None:
@@ -712,7 +709,7 @@ class ServingEngine:
                          + sum(f.get("kv_op_count", 0) for f in fragments)),
             migration_rate=stats.migration_rate,
             mean_acl_ms=stats.mean_acl_ms,
-            defrag_migrated_calls=stats.defrag_migrations,
+            defrag_migrated_calls=int(packing.get("defrag_moves", 0)),
             defrag_rounds=self.defrag_rounds,
             frag_slots_lost=int(packing.get("frag_slots_lost", 0)),
             packing=packing,

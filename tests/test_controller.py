@@ -16,7 +16,7 @@ from repro.controller.events import (
     events_of_call,
     peak_event_rate,
 )
-from repro.packing import LocalFleetLedger, make_policy
+from repro.packing import FleetLedger, make_policy
 from repro.service import ServiceRuntime
 from repro.workload.columnar import ColumnarTrace
 from repro.workload.media import MediaLoadModel
@@ -79,7 +79,7 @@ class TestEvents:
 
 
 class TestControllerWithFleet:
-    """One call through the engine over a ``LocalFleetLedger``: it lands
+    """One call through the engine over a ``FleetLedger``: it lands
     on a specific MP server at its freeze, moves with a migration, and
     releases everything — server and store state — at its end."""
 
@@ -90,8 +90,8 @@ class TestControllerWithFleet:
             shares={(0, config): {plan_dc: 5.0}},
         )
         # Generous fleets in the two DCs this test can touch.
-        ledger = LocalFleetLedger({"dc-tokyo": 64.0, "dc-seoul": 64.0},
-                                  make_policy("first_fit"))
+        ledger = FleetLedger({"dc-tokyo": 64.0, "dc-seoul": 64.0},
+                             make_policy("first_fit"))
         runtime = ServiceRuntime.from_config(topology, plan, ledger=ledger)
         return runtime, ledger, runtime.run(batch)
 

@@ -3,7 +3,7 @@
 Covers the fault-plan recovery extensions, the live-call registry, the
 backup-placement planner, the drain executor (activation, heal, move
 budget, disruption, deferred autoscale drains), ``relocate_call``
-semantics on both fleet-ledger backends, ledger invariants under
+semantics on the fleet ledger, ledger invariants under
 concurrent migration + admission, the report-schema pin, the live
 §6.4 path, and thread/process parity of the DC-loss drill.
 """
@@ -22,14 +22,13 @@ from repro.core.types import CallConfig, MediaType, make_slots
 from repro.core.units import to_microcores
 from repro.experiments import fig_migration, migration
 from repro.experiments.common import build_scenario
-from repro.kvstore import ShardedKVStore
 from repro.migrate import (
     CallRegistry,
     DrainOrder,
     MigrationExecutor,
     MigrationPlanner,
 )
-from repro.packing import KVFleetLedger, LocalFleetLedger, make_policy
+from repro.packing import FleetLedger, make_policy
 from repro.resilience.faults import FaultPlan, FaultSpec
 from repro.service.report import REPORT_SCHEMA_VERSION, ServiceReport
 from repro.topology.builder import Topology
@@ -47,13 +46,8 @@ def _plan(shares, config=AUDIO_2):
     )
 
 
-def _fleet_ledger(backend, dc_cores, shares, config=AUDIO_2,
-                  policy="first_fit"):
-    if backend == "kv":
-        ledger = KVFleetLedger(ShardedKVStore(n_shards=4), dc_cores,
-                               make_policy(policy))
-    else:
-        ledger = LocalFleetLedger(dc_cores, make_policy(policy))
+def _fleet_ledger(dc_cores, shares, config=AUDIO_2, policy="first_fit"):
+    ledger = FleetLedger(dc_cores, make_policy(policy))
     ledger.load_plan(_plan(shares, config=config))
     return ledger
 
@@ -63,8 +57,8 @@ def _small_world(shares=None, config=JP_2):
     topo = Topology.small()
     if shares is None:
         shares = {dc: 10 for dc in SMALL_DCS}
-    ledger = _fleet_ledger("local", {dc: 14.4 for dc in SMALL_DCS},
-                           shares, config=config)
+    ledger = _fleet_ledger({dc: 14.4 for dc in SMALL_DCS}, shares,
+                           config=config)
     return topo, ledger
 
 
@@ -416,14 +410,13 @@ class TestMigrationExecutor:
             MigrationConfig(disruption_ceiling=1.5)
 
 
-@pytest.mark.parametrize("backend", ["local", "kv"])
 class TestRelocateCall:
-    def _two_dc(self, backend, shares=None):
+    def _two_dc(self, shares=None):
         shares = shares if shares is not None else {"dc-a": 10, "dc-b": 10}
-        return _fleet_ledger(backend, {"dc-a": 14.4, "dc-b": 14.4}, shares)
+        return _fleet_ledger({"dc-a": 14.4, "dc-b": 14.4}, shares)
 
-    def test_relocate_moves_slot_and_server(self, backend):
-        ledger = self._two_dc(backend)
+    def test_relocate_moves_slot_and_server(self):
+        ledger = self._two_dc()
         assert ledger.try_debit(0, AUDIO_2, "dc-a", call_id="c1")
         assert ledger.relocate_call("c1", 0, AUDIO_2, "dc-b")
         assert ledger.server_of("c1").startswith("dc-b/")
@@ -432,22 +425,22 @@ class TestRelocateCall:
         assert cell == {"dc-a": 10, "dc-b": 9}
         assert ledger.stats.snapshot()["live_moves"] == 1
 
-    def test_drain_flavour_keeps_the_source_slot(self, backend):
-        ledger = self._two_dc(backend)
+    def test_drain_flavour_keeps_the_source_slot(self):
+        ledger = self._two_dc()
         assert ledger.try_debit(0, AUDIO_2, "dc-a", call_id="c1")
         assert ledger.relocate_call("c1", 0, AUDIO_2, "dc-b",
                                     credit_source=False)
         assert ledger.snapshot(0, AUDIO_2) == {"dc-a": 9, "dc-b": 9}
 
-    def test_unknown_and_same_dc_refused(self, backend):
-        ledger = self._two_dc(backend)
+    def test_unknown_and_same_dc_refused(self):
+        ledger = self._two_dc()
         assert not ledger.relocate_call("ghost", 0, AUDIO_2, "dc-b")
         assert ledger.try_debit(0, AUDIO_2, "dc-a", call_id="c1")
         assert not ledger.relocate_call("c1", 0, AUDIO_2, "dc-a")
         assert ledger.snapshot(0, AUDIO_2) == {"dc-a": 9, "dc-b": 10}
 
-    def test_exhausted_destination_leaves_the_call_in_place(self, backend):
-        ledger = self._two_dc(backend, shares={"dc-a": 10, "dc-b": 0})
+    def test_exhausted_destination_leaves_the_call_in_place(self):
+        ledger = self._two_dc(shares={"dc-a": 10, "dc-b": 0})
         assert ledger.try_debit(0, AUDIO_2, "dc-a", call_id="c1")
         assert not ledger.relocate_call("c1", 0, AUDIO_2, "dc-b")
         assert ledger.server_of("c1").startswith("dc-a/")
@@ -455,10 +448,10 @@ class TestRelocateCall:
         after = ledger.snapshot(0, AUDIO_2)
         assert after["dc-a"] == 9 and after.get("dc-b", 0) == 0
 
-    def test_hammer_admission_and_migration_conserve_capacity(self, backend):
+    def test_hammer_admission_and_migration_conserve_capacity(self):
         n_initial, n_new, n_threads = 60, 40, 4
         total_slots = 400
-        ledger = _fleet_ledger(backend, {"dc-a": 144.0, "dc-b": 144.0},
+        ledger = _fleet_ledger({"dc-a": 144.0, "dc-b": 144.0},
                                {"dc-a": 200, "dc-b": 200})
         for i in range(n_initial):
             assert ledger.try_debit(0, AUDIO_2, "dc-a", call_id=f"old{i}")

@@ -1,7 +1,6 @@
 """Tests for intra-DC server-level call packing (``repro.packing``).
 
-Covers the packing policies, both fleet-ledger backends (and their
-equivalence on identical operation streams), concurrent-debit safety,
+Covers the packing policies, the fleet ledger, concurrent-debit safety,
 online defragmentation, and the accounting partition — defrag-driven
 server moves are a distinct category that must never leak into the
 admitted/migrated/overflowed call partition.
@@ -19,11 +18,9 @@ from repro.core.units import to_microcores
 from repro.allocation.plan import AllocationPlan
 from repro.config import PackingConfig, PlannerConfig
 from repro.experiments import fig_packing
-from repro.kvstore import ShardedKVStore
 from repro.packing import (
     Defragmenter,
-    KVFleetLedger,
-    LocalFleetLedger,
+    FleetLedger,
     build_packing,
     make_policy,
     servers_for_cores,
@@ -47,7 +44,7 @@ def _plan(count=500.0, config=AUDIO_2, dc="dc-a"):
 
 
 def _local(dc_cores, policy="first_fit", **kwargs):
-    ledger = LocalFleetLedger(dc_cores, make_policy(policy), **kwargs)
+    ledger = FleetLedger(dc_cores, make_policy(policy), **kwargs)
     ledger.load_plan(_plan())
     return ledger
 
@@ -117,7 +114,7 @@ class TestFleetLedger:
         # 40 video participants = 20 cores > one server's 14.4 usable:
         # the call must still place (dedicated server), not fail.
         giant = CallConfig.build({"US": 40}, MediaType.VIDEO)
-        ledger = LocalFleetLedger({"dc-a": 28.8}, make_policy("predictive"))
+        ledger = FleetLedger({"dc-a": 28.8}, make_policy("predictive"))
         ledger.load_plan(_plan(config=giant))
         assert ledger.try_debit(0, giant, "dc-a", call_id="giant")
         fleet = ledger.fleet("dc-a")
@@ -216,7 +213,7 @@ class TestCapacityArithmetic:
     def _ledger(per_participant, dc_cores, server_cores, max_participants):
         model = MediaLoadModel(
             cl_cores={media: per_participant for media in MediaType})
-        ledger = LocalFleetLedger(
+        ledger = FleetLedger(
             {"dc-a": dc_cores}, make_policy("first_fit", load_model=model),
             server_cores=server_cores, utilization_target=1.0)
         configs = {n: CallConfig.build({"US": n}, MediaType.AUDIO)
@@ -280,17 +277,10 @@ class TestCapacityArithmetic:
 
 
 class TestConcurrentDebits:
-    @pytest.mark.parametrize("backend", ["local", "kv"])
-    def test_hammer_never_oversubscribes_servers(self, backend):
+    def test_hammer_never_oversubscribes_servers(self):
         # 3 servers x 28 half-core calls = 84 fleet slots, 500 plan
         # slots: the fleet is the binding constraint.
-        if backend == "local":
-            ledger = LocalFleetLedger({"dc-a": 43.2},
-                                      make_policy("first_fit"))
-        else:
-            ledger = KVFleetLedger(ShardedKVStore(n_shards=4),
-                                   {"dc-a": 43.2},
-                                   make_policy("first_fit"))
+        ledger = FleetLedger({"dc-a": 43.2}, make_policy("first_fit"))
         ledger.load_plan(_plan(count=500.0))
         wins, lock = [], threading.Lock()
 
@@ -316,73 +306,12 @@ class TestConcurrentDebits:
         assert len(ledger.placements()) == 84
 
 
-class TestLedgerEquivalence:
-    """Local and sharded-KV fleet ledgers must take identical decisions."""
-
-    def _drive(self, ledger):
-        decisions = []
-        for i in range(40):
-            config = VIDEO_4 if i % 3 == 0 else AUDIO_4
-            ok = ledger.try_debit(0, config, "dc-a", call_id=f"c{i}")
-            decisions.append((f"c{i}", ok, ledger.server_of(f"c{i}")))
-        for i in range(0, 40, 4):
-            ledger.release(f"c{i}")
-            decisions.append((f"c{i}", "released", None))
-        for i in range(1, 40, 5):
-            ledger.note_join(f"c{i}")
-            decisions.append((f"c{i}", "grown", ledger.server_of(f"c{i}")))
-        return decisions
-
-    @pytest.mark.parametrize("policy", ["first_fit", "predictive"])
-    def test_same_stream_same_placements(self, policy):
-        plan = AllocationPlan(
-            slots=make_slots(3600.0, 1800.0),
-            shares={(0, AUDIO_4): {"dc-a": 200.0},
-                    (0, VIDEO_4): {"dc-a": 200.0}})
-
-        def build(cls, *args):
-            predictor = (peak_predictor_or_default(None)
-                         if policy == "predictive" else None)
-            ledger = cls(*args, make_policy(policy, predictor=predictor))
-            ledger.load_plan(plan)
-            return ledger
-
-        local = build(LocalFleetLedger, {"dc-a": 86.4})
-        kv = build(KVFleetLedger, ShardedKVStore(n_shards=4),
-                   {"dc-a": 86.4})
-        assert self._drive(local) == self._drive(kv)
-        assert local.placements() == kv.placements()
-        local_metrics = local.fleet_metrics()
-        kv_metrics = kv.fleet_metrics()
-        for key in ("servers_used_peak", "frag_slots_lost", "placements",
-                    "placement_failures", "overload_events",
-                    "rebalance_moves"):
-            assert local_metrics[key] == kv_metrics[key], key
-
-    def test_kv_state_survives_via_store(self):
-        # The KV backend's authority lives in the store: server hash
-        # cells and per-call keys under the same hash tag.
-        store = ShardedKVStore(n_shards=4)
-        ledger = KVFleetLedger(store, {"dc-a": 14.4},
-                               make_policy("first_fit"))
-        ledger.load_plan(_plan())
-        assert ledger.try_debit(0, AUDIO_2, "dc-a", call_id="c1")
-        server_id = ledger.server_of("c1")
-        key = f"pack:{{{server_id}}}"
-        free = int(store.hget(key, "free_mc"))
-        assert free == to_microcores(14.4) - to_microcores(0.5)
-        assert store.get(f"pack:{{{server_id}}}:call:c1") is not None
-        ledger.release("c1")
-        assert int(store.hget(key, "free_mc")) == to_microcores(14.4)
-        assert store.get(f"pack:{{{server_id}}}:call:c1") is None
-
-
 class TestDefragmenter:
     def _fragmented_ledger(self):
         # 4 servers; spread one-core calls everywhere (first-fit fills
         # in order), then release most of them so the tail servers are
         # nearly empty — strandable capacity the defragmenter reclaims.
-        ledger = LocalFleetLedger({"dc-a": 57.6}, make_policy("first_fit"))
+        ledger = FleetLedger({"dc-a": 57.6}, make_policy("first_fit"))
         plan = AllocationPlan(
             slots=make_slots(3600.0, 1800.0),
             shares={(0, AUDIO_4): {"dc-a": 200.0}})
@@ -434,9 +363,6 @@ class TestDefragmenter:
         assert len(events) == 1
         assert events[0].detail["frag_before"] == result.frag_slots_before
         assert events[0].detail["frag_after"] == result.frag_slots_after
-        # Each round samples the fragmentation histogram.
-        assert ledger.frag_histogram.percentiles()["p50"] == \
-            float(result.frag_slots_after)
 
 
 @pytest.fixture(scope="module")
@@ -451,13 +377,12 @@ def packing_setup(topology):
 
 
 class TestEngineWithFleetLedger:
-    def _run(self, topology, packing_setup, config, store=None):
+    def _run(self, topology, packing_setup, config):
         load, plan, fleet = packing_setup
         ledger, defragmenter = build_packing(
-            fleet, config, store=store,
-            training_calls=load.training_calls)
+            fleet, config, training_calls=load.training_calls)
         runtime = ServiceRuntime.from_config(
-            topology, plan, store=store, ledger=ledger,
+            topology, plan, ledger=ledger,
             defragmenter=defragmenter,
             defrag_interval_s=config.defrag_interval_s)
         return runtime.run(load.batch)
@@ -474,19 +399,6 @@ class TestEngineWithFleetLedger:
         assert report.packing["placements"] == \
             report.packing["releases"] + report.packing.get(
                 "placement_leaks", 0)
-
-    def test_local_and_kv_backends_agree(self, topology, packing_setup):
-        config = PackingConfig(policy="predictive", defrag_interval_s=None)
-        local_report = self._run(topology, packing_setup, config)
-        kv_report = self._run(topology, packing_setup, config,
-                              store=ShardedKVStore(n_shards=4))
-        for attr in ("admitted_calls", "migrated_calls",
-                     "overflowed_calls"):
-            assert getattr(local_report, attr) == getattr(kv_report, attr)
-        for key in ("servers_used_peak", "placements",
-                    "placement_failures", "overload_events",
-                    "frag_slots_lost"):
-            assert local_report.packing[key] == kv_report.packing[key], key
 
     def test_defrag_is_a_distinct_accounting_category(self, topology,
                                                       packing_setup):
