@@ -34,17 +34,11 @@ def main() -> None:
     # config the controller actually observes at A=300 s).  The cushion
     # (§5.2) gives the allocation the headroom that keeps placement
     # LF-like — and migrations rare — at the no-failure operating point.
-    from repro.provisioning import CapacityPlan
-
     demand = trace.to_demand(freeze_after_s=300.0)
     controller = Switchboard(topology,
                              config=PlannerConfig(max_link_scenarios=0))
     capacity = controller.provision(demand, with_backup=True)
-    cushioned = CapacityPlan(
-        cores={dc: 1.25 * v for dc, v in capacity.cores.items()},
-        link_gbps={l: 1.25 * v for l, v in capacity.link_gbps.items()},
-    )
-    plan = controller.allocate(demand, cushioned).plan
+    plan = controller.allocate(demand, capacity.scaled(1.25)).plan
 
     # Serve through the controller with simulated Redis trip latency.
     runtime = ServiceRuntime.from_config(

@@ -45,8 +45,7 @@ def run(scenario: Optional[Scenario] = None,
 
     controller = Switchboard(scn.topology, scn.load_model,
                              config=PlannerConfig(max_link_scenarios=0))
-    capacity = controller.provision(demand, with_backup=False)
-    plan = controller.allocate(demand, capacity).plan
+    plan = controller.allocation_plan(demand)
 
     # Serve whole calls only (every served call must settle): the leading
     # calls, in start order, whose events reach the budget.

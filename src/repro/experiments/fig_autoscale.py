@@ -30,20 +30,11 @@ import sys
 from typing import Dict, Optional, Tuple
 
 from repro.autoscale import Autoscaler
-from repro.config import AutoscaleConfig, PlannerConfig
-from repro.controller.columnar import build_event_batch
-from repro.core.types import make_slots
+from repro.config import AutoscaleConfig
 from repro.core.units import DEFAULT_SLOT_S
-from repro.service import ServiceRuntime
+from repro.day import Day, plan_day
 from repro.storms import FlashCrowd, StormPlan
-from repro.switchboard import Switchboard
 from repro.topology.builder import Topology
-from repro.workload.arrivals import DemandModel
-from repro.workload.configs import generate_population
-from repro.workload.diurnal import DiurnalModel
-from repro.workload.trace import TraceGenerator
-
-FREEZE_WINDOW_S = 300.0
 
 
 def _surprise_storm(demand_surprise: float, flash_slots: Tuple[int, ...],
@@ -61,13 +52,11 @@ def _surprise_storm(demand_surprise: float, flash_slots: Tuple[int, ...],
     return plan.named("demand-surprise")
 
 
-def _serve(topology: Topology, plan, events,
+def _serve(day: Day,
            rescaler: Optional[Autoscaler] = None) -> Dict[str, object]:
     """One arm: a fresh engine (fresh kvstore + ledger) over the
     realized stream; returns the arm's result row."""
-    runtime = ServiceRuntime.from_config(
-        topology, plan, freeze_window_s=FREEZE_WINDOW_S, rescaler=rescaler)
-    report = runtime.run(events)
+    report = day.serve(rescaler=rescaler)
     report.require_exact_accounting()
     return {
         "generated_calls": report.generated_calls,
@@ -87,38 +76,27 @@ def run(n_configs: int = 12, calls_per_slot: float = 150.0, seed: int = 23,
         cushion: float = 1.25,
         config: Optional[AutoscaleConfig] = None,
         topology: Optional[Topology] = None) -> Dict[str, object]:
-    topo = topology if topology is not None else Topology.default()
-    population = generate_population(topo.world, n_configs=n_configs,
-                                     seed=seed)
-    model = DemandModel(topo.world, population, DiurnalModel(),
-                        calls_per_slot_at_peak=calls_per_slot)
-    slots = make_slots(86400.0, DEFAULT_SLOT_S)
-    base = model.expected(slots)
-    # What the planner believes: the base forecast with its usual tail
-    # cushion.  Both arms are provisioned from this, and the autoscaler
-    # measures demand ratios against it.
-    planning = base.scale(cushion)
-    storm = _surprise_storm(demand_surprise, flash_slots, flash_factor)
-    actual = storm.realize(base, seed + 1)
-    trace = TraceGenerator(seed=seed + 2).generate_columnar(actual)
-    events = build_event_batch(trace, FREEZE_WINDOW_S)
-
     # Demand-surprise tuning: generous headroom (per-cell Poisson noise
     # is large at synthetic volumes) and patient scale-down (the
     # surprise is sustained, so a quiet window is noise, not a trend).
     autoscale = config if config is not None else AutoscaleConfig(
         headroom=0.5, scale_down_patience=4)
-    controller = Switchboard(topo, config=PlannerConfig(
-        max_link_scenarios=0, autoscale=autoscale))
-    capacity = controller.provision(planning, with_backup=False)
-    plan = controller.allocate(planning, capacity).plan
+    # Both arms are provisioned from the cushioned base forecast, and
+    # the autoscaler measures demand ratios against it.
+    day = plan_day(topology if topology is not None else Topology.default(),
+                   _surprise_storm(demand_surprise, flash_slots,
+                                   flash_factor),
+                   n_configs=n_configs, calls_per_slot=calls_per_slot,
+                   cushion=cushion, seed=seed, autoscale=autoscale)
 
-    static = _serve(topo, plan, events)
-    static["capacity_core_hours"] = round(capacity.total_cores() * 24.0, 3)
+    static = _serve(day)
+    static["capacity_core_hours"] = round(
+        day.capacity.total_cores() * 24.0, 3)
 
-    rescaler = Autoscaler(controller, planning, plan, config=autoscale,
-                          capacity=capacity, obs=controller.obs)
-    closed = _serve(topo, plan, events, rescaler=rescaler)
+    rescaler = Autoscaler(day.controller, day.planning, day.plan,
+                          config=autoscale, capacity=day.capacity,
+                          obs=day.controller.obs)
+    closed = _serve(day, rescaler=rescaler)
     closed["capacity_core_hours"] = rescaler.autoscale_metrics()[
         "capacity_core_hours"]
 

@@ -7,8 +7,8 @@ experiment does what an operator actually faces — the outage lands
 mid-day with calls already settled on the failing DC — and drives the
 live plane instead:
 
-1. the planner provisions and allocates a **normal** cushioned day (no
-   storm or fault knowledge);
+1. :func:`repro.day.plan_day` plans a **normal** cushioned day (no
+   fault knowledge) once, and every arm serves it;
 2. the storm's fault plan is handed to a
    :class:`~repro.migrate.MigrationExecutor` as drain orders
    (:meth:`~repro.migrate.MigrationExecutor.watch`), so the DC loss
@@ -35,20 +35,12 @@ import json
 import sys
 from typing import Dict, List, Optional, Sequence
 
-from repro.config import MigrationConfig, PlannerConfig, ServiceConfig
-from repro.controller.columnar import build_event_batch
+from repro.config import MigrationConfig, ServiceConfig
 from repro.core.errors import SwitchboardError
-from repro.core.types import make_slots
-from repro.core.units import DEFAULT_FREEZE_WINDOW_S, DEFAULT_SLOT_S
+from repro.day import Day, plan_day
 from repro.migrate import MigrationExecutor
-from repro.service import ServiceRuntime
 from repro.storms.catalog import get_storm
-from repro.switchboard import Switchboard
 from repro.topology.builder import Topology
-from repro.workload.arrivals import DemandModel
-from repro.workload.configs import generate_population
-from repro.workload.diurnal import DiurnalModel
-from repro.workload.trace import TraceGenerator
 
 __all__ = ["check", "main", "render", "run"]
 
@@ -91,60 +83,20 @@ def canonical_report(report_dict: Dict[str, object]) -> str:
     return json.dumps(projected, sort_keys=True, default=str)
 
 
-def _stormed_day(plan_dsl, *, n_configs: int, calls_per_slot: float,
-                 cushion: float, seed: int):
-    """A fresh world: the plan of a normal day and the stormed events."""
-    topo = Topology.small()
-
-    # The planner's view: a normal cushioned day — unlike the static
-    # storm harness, the fault plan is NOT consulted here.  The plan
-    # still holds slots on the DC that is about to fail.
-    population = generate_population(topo.world, n_configs=n_configs,
-                                     seed=seed)
-    model = DemandModel(topo.world, population, DiurnalModel(),
-                        calls_per_slot_at_peak=calls_per_slot)
-    slots = make_slots(86400.0, DEFAULT_SLOT_S)
-    base = model.expected(slots)
-    planning = base.scale(cushion)
-    controller = Switchboard(topo, config=PlannerConfig(
-        max_link_scenarios=0))
-    capacity = controller.provision(planning, with_backup=False)
-    plan = controller.allocate(planning, capacity).plan
-
-    # The day that actually happens (same seeds as the storm harness).
-    actual = plan_dsl.realize(base, seed + 1)
-    trace = TraceGenerator(seed=seed + 2).generate_columnar(actual)
-    trace = plan_dsl.apply_trace(trace, seed=seed + 3, demand_applied=True)
-    events = build_event_batch(trace, DEFAULT_FREEZE_WINDOW_S)
-    return topo, controller, plan, events
-
-
-def _serve(topo, plan, events, executor: str, n_workers: int,
-           migrator: Optional[MigrationExecutor] = None):
-    svc = ServiceConfig(executor=executor, n_workers=n_workers)
-    runtime = ServiceRuntime.from_config(
-        topo, plan, svc, freeze_window_s=DEFAULT_FREEZE_WINDOW_S,
-        migrator=migrator)
-    return runtime.run(events)
-
-
-def _serve_drill(storm_name: str, executor: str, n_workers: int, *,
-                 migration: MigrationConfig,
-                 **day) -> Dict[str, object]:
-    """One arm of the drill: fresh world, fresh ledgers, one run."""
-    plan_dsl = get_storm(storm_name).build()
-    topo, controller, plan, events = _stormed_day(plan_dsl, **day)
-
-    # The fault plan drives the live plane instead: DC failures become
-    # drain orders firing mid-serve at their declared onset.
-    migrator = MigrationExecutor(config=migration, obs=controller.obs)
+def _serve_drill(day: Day, plan_dsl, executor: str, n_workers: int, *,
+                 migration: MigrationConfig) -> Dict[str, object]:
+    """One arm of the drill: fresh ledgers and migrator, one run."""
+    # The fault plan drives the live plane: DC failures become drain
+    # orders firing mid-serve at their declared onset.
+    migrator = MigrationExecutor(config=migration, obs=day.controller.obs)
     orders = migrator.watch(plan_dsl.fault_plan(), day=0)
     if not orders:
         raise SwitchboardError(
-            f"storm {storm_name!r} carries no dc_failure fault; the "
+            f"storm {plan_dsl.name!r} carries no dc_failure fault; the "
             f"live-migration drill needs a DC to lose")
 
-    report = _serve(topo, plan, events, executor, n_workers, migrator)
+    report = day.serve(ServiceConfig(executor=executor, n_workers=n_workers),
+                       migrator=migrator)
 
     generated = report.generated_calls
     metrics = report.migration
@@ -202,14 +154,18 @@ def run(smoke: bool = False, *,
         interval_s=migrate_interval_s,
         max_moves_per_window=max_moves_per_window,
         disruption_ceiling=disruption_ceiling)
-    day = dict(n_configs=n_configs, calls_per_slot=calls_per_slot,
-               cushion=cushion, seed=seed)
+    # The planner's view is a normal cushioned day: unlike the static
+    # storm harness, no fault is handed to it, so the plan still holds
+    # slots on the DC that is about to fail.
+    plan_dsl = get_storm(storm).build()
+    day = plan_day(Topology.small(), plan_dsl, n_configs=n_configs,
+                   calls_per_slot=calls_per_slot, cushion=cushion, seed=seed)
     arms: List[Dict[str, object]] = [("thread", 1)]
     if smoke:
         arms.extend(("process", w) for w in (1, 2, 4))
 
-    runs = [_serve_drill(storm, executor, n_workers, migration=migration,
-                         **day)
+    runs = [_serve_drill(day, plan_dsl, executor, n_workers,
+                         migration=migration)
             for executor, n_workers in arms]
     oracle_canonical = runs[0]["canonical"]
     for row in runs:
@@ -218,8 +174,7 @@ def run(smoke: bool = False, *,
         del row["canonical"]  # multi-KB blob; the boolean is the result
     identical = all(r["canonical_matches_oracle"] for r in runs)
 
-    topo, _, plan, events = _stormed_day(get_storm(storm).build(), **day)
-    base_p99 = _serve(topo, plan, events, "thread", 1).settle_latency_ms["p99"]
+    base_p99 = day.serve().settle_latency_ms["p99"]
     bound_ms = max(TAIL_FACTOR * base_p99, base_p99 + TAIL_SLACK_MS)
     settle_tail = {"baseline_p99_ms": base_p99,
                    "drill_p99_ms": runs[0]["settle_p99_ms"],

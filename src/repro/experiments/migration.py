@@ -27,7 +27,6 @@ from repro.config import PlannerConfig, ServiceConfig
 from repro.controller.columnar import build_event_batch
 from repro.core.errors import SwitchboardError
 from repro.experiments.common import Scenario, build_scenario
-from repro.provisioning.planner import CapacityPlan
 from repro.service import ServiceRuntime
 from repro.switchboard import Switchboard
 
@@ -43,11 +42,7 @@ def _build_plan(scn: Scenario, cushion: float, with_backup: bool,
         config=PlannerConfig(max_link_scenarios=max_link_scenarios),
     )
     capacity = controller.provision(demand, with_backup=with_backup)
-    cushioned = CapacityPlan(
-        cores={dc: v * cushion for dc, v in capacity.cores.items()},
-        link_gbps={l: v * cushion for l, v in capacity.link_gbps.items()},
-    )
-    return controller.allocate(demand, cushioned).plan
+    return controller.allocate(demand, capacity.scaled(cushion)).plan
 
 
 def _oracle_stats(scn: Scenario, plan):

@@ -20,7 +20,6 @@ from typing import Dict, Optional
 
 from repro.allocation.predictive import compare_selectors, series_hint_fn
 from repro.prediction.predictor import CallConfigPredictor
-from repro.provisioning.planner import CapacityPlan
 from repro.config import PlannerConfig
 from repro.switchboard import Switchboard
 from repro.topology.builder import Topology
@@ -50,11 +49,7 @@ def run(topology: Optional[Topology] = None,
 
     controller = Switchboard(topo, config=PlannerConfig(max_link_scenarios=0))
     capacity = controller.provision(demand, with_backup=with_backup)
-    cushioned = CapacityPlan(
-        cores={dc: cushion * v for dc, v in capacity.cores.items()},
-        link_gbps={l: cushion * v for l, v in capacity.link_gbps.items()},
-    )
-    plan = controller.allocate(demand, cushioned).plan
+    plan = controller.allocate(demand, capacity.scaled(cushion)).plan
 
     series_index = {series.series_id: series for series in all_series}
     hint_fn = series_hint_fn(series_index, predictor)

@@ -89,6 +89,15 @@ class CapacityPlan:
             return 0
         return self.obs.counters.get(name)
 
+    def scaled(self, factor: float) -> "CapacityPlan":
+        """Every DC's cores and link's Gbps times ``factor`` (the tail
+        cushion); provenance is carried, scenario results are not."""
+        return CapacityPlan(
+            cores={dc: factor * v for dc, v in self.cores.items()},
+            link_gbps={l: factor * v for l, v in self.link_gbps.items()},
+            method=self.method, degradation_level=self.degradation_level,
+            obs=self.obs)
+
     def total_cores(self) -> float:
         """Sum of peak cores across DCs (the "Compute cores" metric, §6.1)."""
         return sum(self.cores.values())

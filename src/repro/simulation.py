@@ -177,17 +177,6 @@ class ServiceSimulator:
         )
         return generator.generate_columnar(day_demand)
 
-    def _cushioned(self, capacity: CapacityPlan) -> CapacityPlan:
-        return CapacityPlan(
-            cores={dc: self.capacity_cushion * v
-                   for dc, v in capacity.cores.items()},
-            link_gbps={l: self.capacity_cushion * v
-                       for l, v in capacity.link_gbps.items()},
-            method=capacity.method,
-            degradation_level=capacity.degradation_level,
-            obs=capacity.obs,
-        )
-
     def _serve_day(self, plan, trace: ColumnarTrace, forecast: Demand
                    ) -> Tuple[SelectorStats, int]:
         """One day served by the admission engine.
@@ -276,9 +265,9 @@ class ServiceSimulator:
             cores_added = cores_reclaimed = 0.0
             due = (day - self.bootstrap_days) % self.reprovision_every == 0
             if self.capacity is None or due:
-                new_capacity = self._cushioned(self.controller.provision(
+                new_capacity = self.controller.provision(
                     forecast, with_backup=self.with_backup
-                ))
+                ).scaled(self.capacity_cushion)
                 if self.capacity is not None:
                     diff = capacity_diff(self.capacity, new_capacity)
                     cores_added = diff["totals"]["cores_added"]

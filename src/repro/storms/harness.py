@@ -2,21 +2,15 @@
 
 One :func:`run_storm` call drives the full stack through one storm:
 
-1. the planner provisions and allocates from the *un-stormed* forecast
-   (cushioned, exactly like a normal day — the storm is a surprise);
-2. the storm's co-scheduled :class:`~repro.resilience.faults.FaultPlan`
-   is consumed on the shared timeline: DC/link failures landing on the
-   served day rebuild the allocation for the failure scenario (§4.2),
-   both faults of a compound storm in one deterministic batch;
-3. the day that actually happens is realized through the storm's demand
-   faces (one Poisson draw over the stormed expectation), expanded to a
-   columnar trace, and the storm's residual trace faces (join-time
-   compression and friends) are applied vectorized;
-4. the realized event stream is served by
+1. :func:`repro.day.plan_day` plans the day from the *un-stormed*
+   cushioned forecast (the storm is a surprise), rebuilds the allocation
+   for the storm's DC/link failures landing on the served day (§4.2, in
+   one deterministic batch), and realizes the day that actually happens;
+2. the realized event stream is served by
    :class:`~repro.service.ServiceRuntime` under the requested executor
    (``"thread"`` or ``"process"``), with the closed-loop autoscaler
    bound for non-fault storms;
-5. the declared invariants are checked: exact accounting, bounded
+3. the declared invariants are checked: exact accounting, bounded
    overflow, zero drain shortfall, settle-tail ceiling — and the result
    is a schema-versioned per-storm JSON-ready report.
 
@@ -29,20 +23,12 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Union
 
 from repro.autoscale import Autoscaler
-from repro.config import AutoscaleConfig, PlannerConfig, ServiceConfig
-from repro.controller.columnar import build_event_batch
+from repro.config import AutoscaleConfig, ServiceConfig
 from repro.core.errors import SwitchboardError
-from repro.core.types import make_slots
-from repro.core.units import DEFAULT_FREEZE_WINDOW_S, DEFAULT_SLOT_S
-from repro.service import ServiceRuntime
+from repro.day import plan_day
 from repro.storms.catalog import StormSpec, get_storm, named_storms
 from repro.storms.overlays import StormPlan
-from repro.switchboard import Switchboard
 from repro.topology.builder import Topology
-from repro.workload.arrivals import DemandModel
-from repro.workload.configs import generate_population
-from repro.workload.diurnal import DiurnalModel
-from repro.workload.trace import TraceGenerator
 
 __all__ = [
     "STORM_REPORT_SCHEMA_VERSION",
@@ -88,59 +74,31 @@ def run_storm(storm: Union[str, StormSpec], *,
     """
     spec = get_storm(storm) if isinstance(storm, str) else storm
     plan_dsl: StormPlan = spec.build()
-    topo = topology if topology is not None else Topology.small()
 
-    # 1. The planner's view: a normal cushioned day, no storm knowledge.
-    population = generate_population(topo.world, n_configs=n_configs,
-                                     seed=seed)
-    model = DemandModel(topo.world, population, DiurnalModel(),
-                        calls_per_slot_at_peak=calls_per_slot)
-    slots = make_slots(86400.0, DEFAULT_SLOT_S)
-    base = model.expected(slots)
-    planning = base.scale(cushion)
-
+    # 1. Plan, fault and realize the day.
     bind_autoscaler = spec.autoscale and autoscale is not False
     autoscale_cfg = autoscale if isinstance(autoscale, AutoscaleConfig) \
         else AutoscaleConfig(headroom=0.5, scale_down_patience=4)
-    controller = Switchboard(topo, config=PlannerConfig(
-        max_link_scenarios=0,
-        autoscale=autoscale_cfg if bind_autoscaler else None))
-    capacity = controller.provision(planning, with_backup=False)
-
-    # 2. Co-scheduled faults on the shared timeline: every DC/link
-    # failure landing on the served day, in one deterministic batch.
     faults = plan_dsl.fault_plan().take_topology_faults(0)
-    failed_dc = next((f.dc for f in faults if f.kind == "dc_failure"), None)
-    failed_link = next((f.link for f in faults if f.kind == "link_failure"),
-                       None)
-    if failed_dc is not None or failed_link is not None:
-        plan = controller.allocation_plan(planning, failed_dc=failed_dc,
-                                          failed_link=failed_link)
-    else:
-        plan = controller.allocate(planning, capacity).plan
+    day = plan_day(topology if topology is not None else Topology.small(),
+                   plan_dsl, n_configs=n_configs,
+                   calls_per_slot=calls_per_slot, cushion=cushion, seed=seed,
+                   autoscale=autoscale_cfg if bind_autoscaler else None,
+                   faults=faults)
 
-    # 3. The day that actually happens.
-    actual = plan_dsl.realize(base, seed + 1)
-    trace = TraceGenerator(seed=seed + 2).generate_columnar(actual)
-    trace = plan_dsl.apply_trace(trace, seed=seed + 3, demand_applied=True)
-    events = build_event_batch(trace, DEFAULT_FREEZE_WINDOW_S)
-
-    # 4. Serve under the requested executor.
+    # 2. Serve under the requested executor.
     rescaler = None
     if bind_autoscaler:
-        rescaler = Autoscaler(controller, planning, plan,
-                              config=autoscale_cfg, capacity=capacity,
-                              obs=controller.obs)
+        rescaler = Autoscaler(day.controller, day.planning, day.plan,
+                              config=autoscale_cfg, capacity=day.capacity,
+                              obs=day.controller.obs)
     svc = ServiceConfig(
         executor=executor,
         n_workers=n_workers if n_workers is not None
         else (2 if executor == "process" else 1))
-    runtime = ServiceRuntime.from_config(
-        topo, plan, svc, freeze_window_s=DEFAULT_FREEZE_WINDOW_S,
-        rescaler=rescaler)
-    report = runtime.run(events)
+    report = day.serve(svc, rescaler=rescaler)
 
-    # 5. Invariants.
+    # 3. Invariants.
     generated = report.generated_calls
     overflow_frac = (report.overflowed_calls / generated
                      if generated else 0.0)

@@ -5,6 +5,8 @@ paper reports — peak ordering, who wins, directionality — not absolute
 numbers.
 """
 
+import warnings
+
 import pytest
 
 from repro.experiments import (
@@ -154,7 +156,9 @@ class TestFig9:
 
 class TestMigration:
     def test_migrations_are_rare_and_tracked(self, scenario):
-        result = migration.run(scenario)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            result = migration.run(scenario)
         assert result["sb_migration_rate"] < 0.12
         assert result["lf_migration_rate"] < 0.12
         assert result["majority_matches_first_joiner"] > 0.9

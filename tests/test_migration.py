@@ -4,14 +4,13 @@ Covers the fault-plan recovery extensions, the live-call registry, the
 backup-placement planner, the drain executor (activation, heal, move
 budget, disruption, deferred autoscale drains), ``relocate_call``
 semantics on the fleet ledger, ledger invariants under
-concurrent migration + admission, the report-schema pin, the live
-§6.4 path, and thread/process parity of the DC-loss drill.
+concurrent migration + admission, the report-schema pin, and
+thread/process parity of the DC-loss drill.
 """
 
 import pickle
 import threading
 import types
-import warnings
 
 import pytest
 
@@ -20,8 +19,7 @@ from repro.config import MigrationConfig
 from repro.core.errors import SwitchboardError
 from repro.core.types import CallConfig, MediaType, make_slots
 from repro.core.units import to_microcores
-from repro.experiments import fig_migration, migration
-from repro.experiments.common import build_scenario
+from repro.experiments import fig_migration
 from repro.migrate import (
     CallRegistry,
     DrainOrder,
@@ -526,15 +524,6 @@ class TestReportSchema:
             disrupted_calls=1, migration_batches=2,
             migration={"drained_dcs": ["dc-a"]})
         assert "5 live moves + 1 disrupted" in report.summary()
-
-
-class TestDeprecatedOfflinePath:
-    def test_live_run_does_not_warn(self):
-        scn = build_scenario("small", seed=5)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            result = migration.run(scn)
-        assert result["live_path"] is True
 
 
 class TestDcLossDrill:
