@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.allocation.plan import AllocationPlan
-from repro.config import AutoscaleConfig, PlannerConfig, ServiceConfig
+from repro.config import PlannerConfig, ServiceConfig
 from repro.controller.columnar import ColumnarEventBatch, build_event_batch
 from repro.core.types import make_slots
 from repro.core.units import DEFAULT_FREEZE_WINDOW_S, DEFAULT_SLOT_S
@@ -42,13 +42,12 @@ __all__ = ["Day", "plan_day"]
 class Day:
     """A planned and realized day, ready to serve any number of times.
 
-    ``base`` is the expected demand, ``planning`` the cushioned forecast
-    the plan was built from, and ``events`` the realized stormed day.
+    ``planning`` is the cushioned forecast the plan was built from, and
+    ``events`` the realized stormed day.
     """
 
     topology: Topology
     controller: Switchboard
-    base: Demand
     planning: Demand
     capacity: CapacityPlan
     plan: AllocationPlan
@@ -67,14 +66,12 @@ class Day:
 
 def plan_day(topology: Topology, storm: StormPlan, *, n_configs: int,
              calls_per_slot: float, cushion: float, seed: int,
-             autoscale: Optional[AutoscaleConfig] = None,
              faults: Sequence[FaultSpec] = ()) -> Day:
     """Plan a normal cushioned day, then realize ``storm`` on it.
 
     The planner never sees the storm.  A DC or link failure in
     ``faults`` rebuilds the allocation for that failure scenario
-    (§4.2); ``autoscale`` goes into the controller's config for a
-    closed-loop rescaler to read.
+    (§4.2).
     """
     population = generate_population(topology.world, n_configs=n_configs,
                                      seed=seed)
@@ -83,8 +80,8 @@ def plan_day(topology: Topology, storm: StormPlan, *, n_configs: int,
     base = model.expected(make_slots(86400.0, DEFAULT_SLOT_S))
     planning = base.scale(cushion)
 
-    controller = Switchboard(topology, config=PlannerConfig(
-        max_link_scenarios=0, autoscale=autoscale))
+    controller = Switchboard(topology,
+                             config=PlannerConfig(max_link_scenarios=0))
     capacity = controller.provision(planning, with_backup=False)
     failed_dc = next((f.dc for f in faults if f.kind == "dc_failure"), None)
     failed_link = next((f.link for f in faults if f.kind == "link_failure"),
@@ -99,4 +96,4 @@ def plan_day(topology: Topology, storm: StormPlan, *, n_configs: int,
     trace = TraceGenerator(seed=seed + 2).generate_columnar(actual)
     trace = storm.apply_trace(trace, seed=seed + 3, demand_applied=True)
     events = build_event_batch(trace, DEFAULT_FREEZE_WINDOW_S)
-    return Day(topology, controller, base, planning, capacity, plan, events)
+    return Day(topology, controller, planning, capacity, plan, events)

@@ -87,7 +87,7 @@ def run(n_configs: int = 12, calls_per_slot: float = 150.0, seed: int = 23,
                    _surprise_storm(demand_surprise, flash_slots,
                                    flash_factor),
                    n_configs=n_configs, calls_per_slot=calls_per_slot,
-                   cushion=cushion, seed=seed, autoscale=autoscale)
+                   cushion=cushion, seed=seed)
 
     static = _serve(day)
     static["capacity_core_hours"] = round(

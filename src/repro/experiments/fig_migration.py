@@ -39,6 +39,7 @@ from repro.config import MigrationConfig, ServiceConfig
 from repro.core.errors import SwitchboardError
 from repro.day import Day, plan_day
 from repro.migrate import MigrationExecutor
+from repro.obs.events import Observability
 from repro.storms.catalog import get_storm
 from repro.topology.builder import Topology
 
@@ -85,10 +86,10 @@ def canonical_report(report_dict: Dict[str, object]) -> str:
 
 def _serve_drill(day: Day, plan_dsl, executor: str, n_workers: int, *,
                  migration: MigrationConfig) -> Dict[str, object]:
-    """One arm of the drill: fresh ledgers and migrator, one run."""
+    """One arm of the drill: fresh ledgers, migrator and obs trail."""
     # The fault plan drives the live plane: DC failures become drain
     # orders firing mid-serve at their declared onset.
-    migrator = MigrationExecutor(config=migration, obs=day.controller.obs)
+    migrator = MigrationExecutor(config=migration, obs=Observability())
     orders = migrator.watch(plan_dsl.fault_plan(), day=0)
     if not orders:
         raise SwitchboardError(

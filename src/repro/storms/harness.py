@@ -83,7 +83,6 @@ def run_storm(storm: Union[str, StormSpec], *,
     day = plan_day(topology if topology is not None else Topology.small(),
                    plan_dsl, n_configs=n_configs,
                    calls_per_slot=calls_per_slot, cushion=cushion, seed=seed,
-                   autoscale=autoscale_cfg if bind_autoscaler else None,
                    faults=faults)
 
     # 2. Serve under the requested executor.

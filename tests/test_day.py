@@ -24,14 +24,11 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from repro.config import AutoscaleConfig
 from repro.day import plan_day
 from repro.experiments import fig_autoscale
 from repro.storms import Storm, get_storm
 from repro.topology.builder import Topology
 
-#: The storm harness's and the autoscale drill's default tuning.
-AUTOSCALE = AutoscaleConfig(headroom=0.5, scale_down_patience=4)
 #: Shared by every small-world row: a storm-agnostic planning day.
 SMALL_PLAN = "61b4979cdd5ed4ad4edc22b283fc254d1b691ad105b25872b25d99772c9b7c76"
 SMALL_CORES = "d2f7e22a9bb57a1c2ffb51a80fff5608d7bd339f36670ead349f112577de5f45"
@@ -113,17 +110,14 @@ def _day(row: str):
     if row == "demand-surprise":  # fig_autoscale's smoke day
         storm = fig_autoscale._surprise_storm(1.5, (26, 27), 2.0)
         return plan_day(Topology.default(), storm, n_configs=8,
-                        calls_per_slot=120.0, cushion=1.25, seed=23,
-                        autoscale=AUTOSCALE)
+                        calls_per_slot=120.0, cushion=1.25, seed=23)
     # The storm harness's smoke day.
     if row == "join-jitter":
-        storm, autoscale = JoinJitter().plan().named(row), None
+        storm = JoinJitter().plan().named(row)
     else:
-        spec = get_storm(row)
-        storm, autoscale = spec.build(), AUTOSCALE if spec.autoscale else None
+        storm = get_storm(row).build()
     return plan_day(Topology.small(), storm, n_configs=8,
                     calls_per_slot=60.0, cushion=1.25, seed=29,
-                    autoscale=autoscale,
                     faults=storm.fault_plan().take_topology_faults(0))
 
 
