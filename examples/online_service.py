@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
-"""The online admission service end to end: loadgen -> plan -> runtime.
+"""The online admission service end to end: day -> plan -> runtime.
 
-Generates a high-volume day of controller events with the workload
-model, provisions capacity and an allocation plan for it, then serves
+Cuts a high-volume stretch of controller events, at whole calls, from a
+sampled day of the workload model, provisions capacity and an
+allocation plan for it, then serves
 the event stream through :class:`~repro.service.ServiceRuntime` —
 printing the ServiceReport (throughput, p50/p95/p99 admission latency,
 exact call accounting) and optionally writing it as JSON for CI
@@ -25,7 +26,10 @@ import sys
 
 from repro import PlannerConfig, Switchboard, Topology
 from repro.config import SERVICE_EXECUTORS, ServiceConfig
-from repro.service import LoadGenerator, ServiceRuntime
+from repro.controller import build_event_batch, event_prefix, peak_event_rate
+from repro.core.units import DEFAULT_FREEZE_WINDOW_S
+from repro.experiments.common import Scenario
+from repro.service import ServiceRuntime
 
 
 def main(argv=None) -> int:
@@ -52,22 +56,24 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     topology = Topology.default()
-    load = LoadGenerator(topology, n_configs=60,
-                         calls_per_slot_at_peak=80.0,
-                         seed=33).generate(target_events=args.events)
-    print(f"Load: {load.n_calls} calls -> {load.n_events} events "
-          f"(peak {load.peak_event_rate():.1f} events/s)")
+    day = Scenario.build(topology, n_configs=60, calls_per_slot=80.0, seed=33)
+    trace = event_prefix(day.columnar_trace, args.events)
+    events = build_event_batch(trace)
+    print(f"Load: {trace.n_calls} calls -> {len(events)} events "
+          f"(peak {peak_event_rate(events):.1f} events/s)")
 
+    # Plan for exactly the calls served, at their freeze-time configs.
+    demand = trace.to_demand(freeze_after_s=DEFAULT_FREEZE_WINDOW_S)
     controller = Switchboard(topology,
                              config=PlannerConfig(max_link_scenarios=0))
-    capacity = controller.provision(load.demand, with_backup=False)
-    plan = controller.allocate(load.demand, capacity).plan
+    capacity = controller.provision(demand, with_backup=False)
+    plan = controller.allocate(demand, capacity).plan
 
     config = ServiceConfig(n_shards=args.shards, n_workers=args.workers,
                            kv_latency_median_ms=args.kv_latency_ms,
                            kv_latency_seed=5, executor=args.executor)
     runtime = ServiceRuntime.from_config(topology, plan, config)
-    report = runtime.run(load)
+    report = runtime.run(events)
 
     print()
     print(report.summary())

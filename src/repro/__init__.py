@@ -24,7 +24,7 @@ from repro.kvstore import ShardedKVStore
 from repro.migrate import MigrationExecutor, MigrationPlanner
 from repro.obs import Observability
 from repro.resilience import FaultPlan, SolveSupervisor
-from repro.service import AdmissionEngine, LoadGenerator, ServiceReport
+from repro.service import AdmissionEngine, ServiceReport
 from repro.simulation import ServiceSimulator, SimulationReport
 from repro.switchboard import PipelineResult, Switchboard, SwitchboardPipeline
 from repro.topology.builder import Topology
@@ -39,7 +39,6 @@ __all__ = [
     "Call",
     "CallConfig",
     "FaultPlan",
-    "LoadGenerator",
     "MediaType",
     "MigrationConfig",
     "MigrationExecutor",

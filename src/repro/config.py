@@ -316,9 +316,6 @@ class PlannerConfig:
     * ``service`` — online admission service knobs
       (:class:`ServiceConfig`); ``None`` means the service-backed paths
       use :class:`ServiceConfig`'s defaults.
-    * ``packing`` — intra-DC server-level packing knobs
-      (:class:`PackingConfig`); ``None`` keeps admission at DC
-      granularity (no server placement).
     * ``autoscale`` — closed-loop elastic autoscaling knobs
       (:class:`AutoscaleConfig`); ``None`` keeps provisioning one-shot
       (the historical static behaviour).
@@ -334,7 +331,6 @@ class PlannerConfig:
     retry_backoff_s: float = 0.05
     fault_plan: Optional[FaultPlan] = None
     service: Optional[ServiceConfig] = None
-    packing: Optional[PackingConfig] = None
     autoscale: Optional[AutoscaleConfig] = None
     #: Arm-racing / dedup knobs (:class:`PortfolioConfig`); ``None``
     #: solves every scenario with the exact LP.

@@ -4,6 +4,7 @@ the per-call object reference it is tested against (§6.6)."""
 from repro.controller.columnar import (
     ColumnarEventBatch,
     build_event_batch,
+    event_prefix,
     events_per_call,
     iter_event_batches,
 )
@@ -22,6 +23,7 @@ __all__ = [
     "ControllerEvent",
     "EventType",
     "build_event_batch",
+    "event_prefix",
     "event_stream",
     "events_of_call",
     "events_per_call",

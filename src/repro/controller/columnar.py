@@ -37,6 +37,7 @@ from repro.workload.columnar import ColumnarTrace
 __all__ = [
     "ColumnarEventBatch",
     "build_event_batch",
+    "event_prefix",
     "events_per_call",
     "iter_event_batches",
 ]
@@ -96,6 +97,22 @@ def events_per_call(trace: ColumnarTrace) -> np.ndarray:
     per_call_media = np.add.reduceat(media_events.astype(np.int64),
                                      trace.part_offsets[:-1])
     return counts + 2 + per_call_media
+
+
+def event_prefix(trace: ColumnarTrace, target_events: int) -> ColumnarTrace:
+    """The leading calls, in start order, whose events reach the target.
+
+    The cut is at call granularity: the call that crosses the target is
+    kept whole, so the prefix serves with exact accounting.  A target at
+    or above the trace's total returns ``trace`` itself.
+    """
+    if target_events < 1:
+        raise WorkloadError("target_events must be positive")
+    crossing = int(np.searchsorted(np.cumsum(events_per_call(trace)),
+                                   target_events))
+    if crossing + 1 >= trace.n_calls:
+        return trace
+    return trace.slice_calls(0, crossing + 1)
 
 
 def _media_change_mask(trace: ColumnarTrace) -> np.ndarray:

@@ -5,18 +5,20 @@ config population, demand model, expected/sampled demand, and (lazily) a
 full call trace — so that results across tables and figures describe one
 coherent world, the way the paper's experiments all describe one service.
 
-Three size presets:
+Three size presets of :meth:`Scenario.build`:
 
 * ``small``  — unit-test scale (seconds end to end);
 * ``default`` — benchmark/experiment scale (the numbers in
   EXPERIMENTS.md);
 * ``large``  — stress scale for the scalability checks.
+
+The online service's loads are whole-call prefixes of a scenario's day.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.errors import SwitchboardError
 from repro.core.types import TimeSlot, make_slots
@@ -29,19 +31,23 @@ from repro.workload.media import MediaLoadModel
 from repro.workload.columnar import ColumnarTrace
 from repro.workload.trace import CallTrace, TraceGenerator
 
-#: Size presets: (n_configs, calls_per_slot_at_peak, horizon_days).
-_PRESETS: Dict[str, Dict[str, float]] = {
-    "small": {"n_configs": 40, "calls_per_slot": 60, "days": 1},
-    "default": {"n_configs": 120, "calls_per_slot": 300, "days": 1},
-    "large": {"n_configs": 400, "calls_per_slot": 1200, "days": 1},
+#: Size presets: (n_configs, calls_per_slot_at_peak).
+_PRESETS: Dict[str, Tuple[int, float]] = {
+    "small": (40, 60.0),
+    "default": (120, 300.0),
+    "large": (400, 1200.0),
 }
 
 
 @dataclass
 class Scenario:
-    """One coherent synthetic world + workload."""
+    """One coherent synthetic world + workload: a day of it.
 
-    name: str
+    The sampled day is drawn at ``seed`` and expanded into calls at
+    ``seed + 1``; a serving load is a whole-call prefix of that day
+    (:func:`~repro.controller.columnar.event_prefix`).
+    """
+
     topology: Topology
     population: ConfigPopulation
     demand_model: DemandModel
@@ -84,6 +90,20 @@ class Scenario:
         slots = make_slots(days * 86400.0, DEFAULT_SLOT_S)
         return self.demand_model.sample(slots, seed=self.seed + seed_offset)
 
+    @classmethod
+    def build(cls, topology: Topology, *, n_configs: int,
+              calls_per_slot: float, seed: int) -> "Scenario":
+        """One day of a ``n_configs`` population at ``seed``, peaking at
+        ``calls_per_slot`` calls per slot."""
+        population = generate_population(topology.world, n_configs=n_configs,
+                                         seed=seed)
+        demand_model = DemandModel(topology.world, population, DiurnalModel(),
+                                   calls_per_slot_at_peak=calls_per_slot)
+        slots = make_slots(86400.0, DEFAULT_SLOT_S)
+        return cls(topology=topology, population=population,
+                   demand_model=demand_model, slots=slots,
+                   expected_demand=demand_model.expected(slots), seed=seed)
+
 
 def build_scenario(size: str = "default", seed: int = 11,
                    topology: Optional[Topology] = None) -> Scenario:
@@ -92,23 +112,7 @@ def build_scenario(size: str = "default", seed: int = 11,
         raise SwitchboardError(
             f"unknown size {size!r}; choose from {sorted(_PRESETS)}"
         )
-    preset = _PRESETS[size]
-    topo = topology if topology is not None else Topology.default()
-    population = generate_population(
-        topo.world, n_configs=int(preset["n_configs"]), seed=seed
-    )
-    demand_model = DemandModel(
-        topo.world, population, DiurnalModel(),
-        calls_per_slot_at_peak=float(preset["calls_per_slot"]),
-    )
-    slots = make_slots(preset["days"] * 86400.0, DEFAULT_SLOT_S)
-    expected = demand_model.expected(slots)
-    return Scenario(
-        name=size,
-        topology=topo,
-        population=population,
-        demand_model=demand_model,
-        slots=slots,
-        expected_demand=expected,
-        seed=seed,
-    )
+    n_configs, calls_per_slot = _PRESETS[size]
+    return Scenario.build(
+        topology if topology is not None else Topology.default(),
+        n_configs=n_configs, calls_per_slot=calls_per_slot, seed=seed)

@@ -21,10 +21,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.config import PlannerConfig, ServiceConfig
-from repro.controller.columnar import build_event_batch, events_per_call
+from repro.controller.columnar import build_event_batch, event_prefix
 from repro.controller.events import peak_event_rate
 from repro.experiments.common import Scenario, build_scenario
 from repro.service.report import ServiceReport
@@ -50,10 +48,8 @@ def run(scenario: Optional[Scenario] = None,
     # Serve whole calls only (every served call must settle): the leading
     # calls, in start order, whose events reach the budget.
     batch = build_event_batch(trace)
-    kept = int(np.searchsorted(np.cumsum(events_per_call(trace)),
-                               max_events)) + 1
-    events = (batch if kept >= trace.n_calls
-              else build_event_batch(trace.slice_calls(0, kept)))
+    served = event_prefix(trace, max_events)
+    events = batch if served is trace else build_event_batch(served)
 
     # Production-equivalent peak: our trace's peak rate scaled by the
     # volume ratio to a Teams-scale day.

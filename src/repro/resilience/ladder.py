@@ -34,7 +34,6 @@ from repro.core.types import CallConfig
 from repro.config import PlannerConfig
 from repro.allocation.offline import AllocationOutcome
 from repro.allocation.plan import AllocationPlan
-from repro.obs.events import Observability
 from repro.provisioning.demand import PlacementData
 from repro.provisioning.planner import CapacityPlan, CapacityPlanner
 from repro.resilience.supervisor import SolveSupervisor
@@ -145,10 +144,6 @@ def locality_allocation_plan(placement: PlacementData, demand: Demand,
     )
 
 
-# Backwards-compatible internal alias (the public name is the API).
-_locality_plan = locality_allocation_plan
-
-
 def locality_fallback_plan(placement: PlacementData, demand: Demand,
                            config: PlannerConfig,
                            with_backup: bool = True) -> CapacityPlan:
@@ -167,7 +162,7 @@ def locality_fallback_plan(placement: PlacementData, demand: Demand,
 
     topology = placement.topology
     usage = UsageCalculator(topology, placement.load_model)
-    base_plan = _locality_plan(placement, demand)
+    base_plan = locality_allocation_plan(placement, demand)
     serving_cores, link_peaks = usage.peaks(base_plan, demand)
     cores = dict(serving_cores)
     links = dict(link_peaks)
@@ -188,7 +183,8 @@ def locality_fallback_plan(placement: PlacementData, demand: Demand,
                 cores[dc_id] = cores.get(dc_id, 0.0) + share
 
         for dc_id in list(serving_cores):
-            failover = _locality_plan(placement, demand, failed_dc=dc_id)
+            failover = locality_allocation_plan(placement, demand,
+                                                failed_dc=dc_id)
             try:
                 _, failover_links = usage.peaks(failover, demand)
             except TopologyError:
@@ -227,7 +223,7 @@ def locality_allocation_outcome(placement: PlacementData,
     """
     from repro.baselines.base import UsageCalculator
 
-    plan = _locality_plan(placement, demand)
+    plan = locality_allocation_plan(placement, demand)
     usage = UsageCalculator(placement.topology, placement.load_model)
     dc_peaks, link_peaks = usage.peaks(plan, demand)
     compute_overflow = sum(

@@ -8,7 +8,7 @@ path for the engine/ledger/defragmenter/autoscaler/migrator wiring:
 >>> runtime = ServiceRuntime.from_config(topology, plan,
 ...                                      ServiceConfig(executor="process",
 ...                                                    n_workers=4))
->>> report = runtime.run(load)
+>>> report = runtime.run(build_event_batch(trace))
 
 ``ServiceConfig.executor`` selects who schedules the one window kernel
 (:func:`~repro.service.engine.serve_rows`) — ``"thread"`` (the
@@ -34,7 +34,6 @@ from repro.kvstore.sharded import ShardedKVStore
 from repro.kvstore.store import InMemoryKVStore
 from repro.obs.events import Observability
 from repro.service.engine import AdmissionEngine
-from repro.service.loadgen import GeneratedLoad, StreamingLoad
 from repro.service.mp import MultiprocessAdmissionEngine, StoreSpec
 from repro.service.report import ServiceReport
 from repro.topology.builder import Topology
@@ -118,23 +117,17 @@ class ServiceRuntime:
         return cls(engine)
 
     # ------------------------------------------------------------------
-    def run(self, load) -> ServiceReport:
-        """Serve a load end to end; returns (and retains) the report.
+    def run(self, events) -> ServiceReport:
+        """Serve events end to end; returns (and retains) the report.
 
-        Accepts a :class:`~repro.service.loadgen.GeneratedLoad` or
-        :class:`~repro.service.loadgen.StreamingLoad`, a
-        :class:`~repro.controller.columnar.ColumnarEventBatch`, or an
-        iterable of batches.  Anything else raises
-        :class:`~repro.core.errors.SwitchboardError`: encode a trace with
-        :func:`~repro.controller.columnar.build_event_batch` first.
+        Accepts a :class:`~repro.controller.columnar.ColumnarEventBatch`
+        or an iterable of batches (bounded memory:
+        :func:`~repro.controller.columnar.iter_event_batches`).  Anything
+        else raises :class:`~repro.core.errors.SwitchboardError`: encode
+        a trace with :func:`~repro.controller.columnar.build_event_batch`
+        first.
         """
-        if isinstance(load, GeneratedLoad):
-            payload = load.batch
-        elif isinstance(load, StreamingLoad):
-            payload = load.batches()
-        else:
-            payload = load
-        self._report = self.engine.run(payload)
+        self._report = self.engine.run(events)
         return self._report
 
     def report(self) -> ServiceReport:

@@ -82,29 +82,6 @@ class Switchboard(ProvisioningStrategy):
         self._warm_cache = WarmStartCache()
 
     # ------------------------------------------------------------------
-    # config attribute shims (read-only views onto the frozen config)
-    # ------------------------------------------------------------------
-    @property
-    def latency_threshold_ms(self) -> float:
-        return self.config.latency_threshold_ms
-
-    @property
-    def max_link_scenarios(self) -> Optional[int]:
-        return self.config.max_link_scenarios
-
-    @property
-    def backup_method(self) -> str:
-        return self.config.backup_method
-
-    @property
-    def background(self):
-        return self.config.background
-
-    @property
-    def dc_core_limits(self):
-        return self.config.dc_core_limits
-
-    # ------------------------------------------------------------------
     # provisioning (§5.3)
     # ------------------------------------------------------------------
     def placement_for(self, configs: Sequence[CallConfig]) -> PlacementData:
@@ -304,10 +281,6 @@ class SwitchboardPipeline:
         self.use_estimated_latency = use_estimated_latency
         self.config = (config if config is not None
                        else PlannerConfig(max_link_scenarios=0))
-
-    @property
-    def max_link_scenarios(self) -> Optional[int]:
-        return self.config.max_link_scenarios
 
     def run(self, db: CallRecordsDatabase, horizon_slots: int,
             with_backup: bool = True) -> PipelineResult:

@@ -7,10 +7,15 @@ mutates must be built inside the test.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import settings
 
+from repro.controller.columnar import build_event_batch, event_prefix
 from repro.core.types import make_slots
+from repro.core.units import DEFAULT_FREEZE_WINDOW_S
+from repro.experiments.common import Scenario
 from repro.provisioning import planner as planner_module
 from repro.provisioning.demand import PlacementData
 from repro.provisioning.planner import CapacityPlanner
@@ -74,6 +79,28 @@ def sampled_demand(demand_model, day_slots):
 @pytest.fixture(scope="session")
 def trace(sampled_demand):
     return TraceGenerator(seed=7).generate(sampled_demand)
+
+
+@pytest.fixture(scope="session")
+def service_day(topology):
+    """The serving tests' sampled day: 40 configs, 40 calls per peak slot."""
+    return Scenario.build(topology, n_configs=40, calls_per_slot=40.0, seed=7)
+
+
+@pytest.fixture(scope="session")
+def cut_load(service_day):
+    """``cut_load(n)``: the day's leading whole calls reaching ``n`` events,
+    with their event batch and the freeze-time demand of exactly those
+    calls (what the plan they are served against is built from)."""
+    def cut(target_events):
+        trace = event_prefix(service_day.columnar_trace, target_events)
+        batch = build_event_batch(trace)
+        return SimpleNamespace(
+            columnar=trace, batch=batch,
+            demand=trace.to_demand(freeze_after_s=DEFAULT_FREEZE_WINDOW_S),
+            n_calls=trace.n_calls, n_events=len(batch),
+            freeze_window_s=DEFAULT_FREEZE_WINDOW_S)
+    return cut
 
 
 @pytest.fixture(scope="session")

@@ -13,7 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.core.types import Call, CallConfig, MediaType, Participant, make_slots
+from repro.core.types import Call, MediaType, Participant, make_slots
 from repro.config import PlannerConfig
 from repro.controller.columnar import (
     build_event_batch,
@@ -28,7 +28,7 @@ from repro.controller.events import (
     peak_event_rate,
 )
 from repro.kvstore import InMemoryKVStore
-from repro.service import AdmissionEngine, LoadGenerator
+from repro.service import AdmissionEngine
 from repro.switchboard import Switchboard
 from repro.workload.columnar import ColumnarTrace, concat_traces
 from repro.workload.trace import CallTrace, TraceGenerator
@@ -38,14 +38,16 @@ from repro.workload.trace import CallTrace, TraceGenerator
 # fixtures
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
-def generator(topology):
-    return LoadGenerator(topology, n_configs=40, calls_per_slot_at_peak=40.0,
-                         seed=7)
+def load(cut_load):
+    return cut_load(2000)
 
 
-@pytest.fixture(scope="module")
-def load(generator):
-    return generator.generate(target_events=2000)
+def chunked_day(day, n_calls):
+    """The first ``n_calls`` of the day, regenerated chunk by chunk from
+    its trace seed: the bounded-memory serving path."""
+    return iter_event_batches(
+        TraceGenerator(seed=day.seed + 1).iter_chunks(day.sampled_demand),
+        max_calls=n_calls)
 
 
 @pytest.fixture(scope="module")
@@ -251,14 +253,9 @@ class TestStreamParity:
         for i, call in enumerate(trace.calls):
             assert counts[i] == len(events_of_call(call, load.freeze_window_s))
 
-    def test_streaming_equals_generate(self, generator, load):
-        streaming = generator.stream(target_events=2000)
-        assert streaming.n_calls == load.n_calls
-        assert streaming.n_events == load.n_events
-        assert streaming.demand.configs == load.demand.configs
-        np.testing.assert_array_equal(streaming.demand.counts,
-                                      load.demand.counts)
-        chunks = list(streaming.batches())
+    def test_streaming_equals_generate(self, service_day, load):
+        chunks = list(chunked_day(service_day, load.n_calls))
+        assert sum(map(len, chunks)) == load.n_events
         assert len(chunks) > 1  # genuinely chunked
         # Whole calls per batch, and chunk traces re-concatenate to the
         # generated trace.
@@ -303,14 +300,14 @@ class TestStreamParity:
             tracemalloc.stop()
         return peak, result
 
-    def test_streaming_peak_is_bounded(self, generator):
+    def test_streaming_peak_is_bounded(self, service_day):
         """Draining the streaming iterator holds one chunk at a time: over
         whole diurnal days, doubling the horizon doubles the chunk count
         but not the busiest chunk, so the traced peak stays flat, and it
         stays below the peak of building the materialized batch."""
         def peaks(horizon_s):
-            demand = generator.demand_model.sample(make_slots(horizon_s),
-                                                   seed=7)
+            demand = service_day.demand_model.sample(make_slots(horizon_s),
+                                                     seed=7)
             streaming, n_events = self._traced_peak(lambda: sum(
                 len(batch) for batch in iter_event_batches(
                     TraceGenerator(seed=8).iter_chunks(demand))))
@@ -366,9 +363,9 @@ class TestAccountingParity:
             assert store._data == oracle._data, n_workers
             assert store.op_count == oracle.op_count, n_workers
 
-    def test_streaming_batches_accounting(self, topology, plan, generator,
+    def test_streaming_batches_accounting(self, topology, plan, service_day,
                                           load):
-        streaming = generator.stream(target_events=2000)
-        stream_report = self.run_path(topology, plan, streaming.batches())
+        stream_report = self.run_path(topology, plan,
+                                      chunked_day(service_day, load.n_calls))
         oneshot = self.run_path(topology, plan, load.batch)
         assert self.accounting(stream_report) == self.accounting(oneshot)

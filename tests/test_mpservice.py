@@ -31,7 +31,6 @@ from repro.packing import build_packing
 from repro.packing.workload import generate_packing_load
 from repro.service import (
     AdmissionEngine,
-    LoadGenerator,
     MultiprocessAdmissionEngine,
     REPORT_SCHEMA_VERSION,
     ServiceRuntime,
@@ -62,9 +61,8 @@ def assert_parity(oracle, candidate):
 
 
 @pytest.fixture(scope="module")
-def load(topology):
-    return LoadGenerator(topology, n_configs=40, calls_per_slot_at_peak=40.0,
-                         seed=7).generate(target_events=1500)
+def load(cut_load):
+    return cut_load(1500)
 
 
 @pytest.fixture(scope="module")
@@ -75,13 +73,13 @@ def plan(topology, load):
     return controller.allocate(load.demand, capacity).plan
 
 
-def _serve(topology, plan, load, executor, n_workers,
+def _serve(topology, plan, events, executor, n_workers,
            kv_latency_median_ms=None):
     config = ServiceConfig(n_shards=4, n_workers=n_workers,
                            kv_latency_median_ms=kv_latency_median_ms,
                            kv_latency_seed=5, executor=executor)
     runtime = ServiceRuntime.from_config(topology, plan, config)
-    report = runtime.run(load)
+    report = runtime.run(events)
     report.require_exact_accounting()
     return report, runtime.store_state()
 
@@ -91,8 +89,9 @@ class TestExecutorParity:
     def test_process_matches_oracle(self, topology, plan, load, n_workers):
         """Same seed -> identical accounting, KV op counts, and
         byte-identical merged store state at 1/2/4 processes."""
-        oracle, oracle_state = _serve(topology, plan, load, "thread", 1)
-        report, state = _serve(topology, plan, load, "process", n_workers)
+        oracle, oracle_state = _serve(topology, plan, load.batch, "thread", 1)
+        report, state = _serve(topology, plan, load.batch, "process",
+                               n_workers)
         assert_parity(oracle, report)
         assert state == oracle_state
         assert report.executor == "process"
@@ -102,9 +101,9 @@ class TestExecutorParity:
                                                    load):
         """The latency-simulating sharded store (the bench config) must
         not perturb outcomes either."""
-        oracle, oracle_state = _serve(topology, plan, load, "thread", 1,
+        oracle, oracle_state = _serve(topology, plan, load.batch, "thread", 1,
                                       kv_latency_median_ms=0.05)
-        report, state = _serve(topology, plan, load, "process", 2,
+        report, state = _serve(topology, plan, load.batch, "process", 2,
                                kv_latency_median_ms=0.05)
         assert_parity(oracle, report)
         assert state == oracle_state
@@ -348,7 +347,7 @@ class TestWorkerDeath:
             topology, plan, ServiceConfig(executor="process", n_workers=2),
             rescaler=KillAtFirstBarrier(), rescale_interval_s=600.0)
         with pytest.raises(SwitchboardError, match="crashed"):
-            runtime.run(load)
+            runtime.run(load.batch)
         assert segments, "the barrier must have fired mid-run"
         assert not self._live_workers()
         for name in segments:
@@ -377,7 +376,7 @@ class TestWorkerDeath:
 
 class TestReportSchema:
     def test_schema_version_and_stable_key_order(self, topology, plan, load):
-        report, _ = _serve(topology, plan, load, "process", 2)
+        report, _ = _serve(topology, plan, load.batch, "process", 2)
         dumped = report.to_dict()
         assert dumped["schema_version"] == REPORT_SCHEMA_VERSION
         assert next(iter(dumped)) == "schema_version"

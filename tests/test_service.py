@@ -1,9 +1,9 @@
-"""Tests for the online admission service: loadgen, engine, report."""
+"""Tests for the online admission service: the served load, engine, report."""
 
 import numpy as np
 import pytest
 
-from repro.core.errors import SwitchboardError
+from repro.core.errors import SwitchboardError, WorkloadError
 from repro.core.types import (
     Call,
     CallConfig,
@@ -18,14 +18,18 @@ from repro.allocation.realtime import (
     RealTimeSelector,
 )
 from repro.config import PlannerConfig, ServiceConfig
-from repro.controller.columnar import ColumnarEventBatch
+from repro.controller.columnar import (
+    ColumnarEventBatch,
+    build_event_batch,
+    event_prefix,
+    events_per_call,
+)
 from repro.controller.events import EVENT_SORT_CODE, EventType, event_stream
 from repro.kvstore import InMemoryKVStore, ShardedKVStore
 from repro.kvstore.client import PipelinedStateClient
 from repro.obs.histogram import LatencyHistogram
 from repro.service import (
     AdmissionEngine,
-    LoadGenerator,
     ServiceReport,
     ServiceRuntime,
 )
@@ -35,15 +39,15 @@ from repro.service.engine import (
     dump_store_state,
     serve_rows,
 )
+from repro.experiments.common import Scenario
 from repro.switchboard import Switchboard
 from repro.workload.columnar import ColumnarTrace
 from repro.workload.trace import CallTrace
 
 
 @pytest.fixture(scope="module")
-def load(topology):
-    return LoadGenerator(topology, n_configs=40, calls_per_slot_at_peak=40.0,
-                         seed=7).generate(target_events=2500)
+def load(cut_load):
+    return cut_load(2500)
 
 
 @pytest.fixture(scope="module")
@@ -54,15 +58,16 @@ def plan(topology, load):
     return controller.allocate(load.demand, capacity).plan
 
 
-class TestLoadGenerator:
+class TestEventPrefix:
     def test_deterministic(self, topology, load):
-        again = LoadGenerator(topology, n_configs=40,
-                              calls_per_slot_at_peak=40.0,
-                              seed=7).generate(target_events=2500)
-        assert again.columnar.call_ids() == load.columnar.call_ids()
+        day = Scenario.build(topology, n_configs=40, calls_per_slot=40.0,
+                             seed=7)
+        trace = event_prefix(day.columnar_trace, 2500)
+        again = build_event_batch(trace)
+        assert trace.call_ids() == load.columnar.call_ids()
         for column in ("t_s", "call_idx", "type_code", "country_code",
                        "media_code"):
-            np.testing.assert_array_equal(getattr(again.batch, column),
+            np.testing.assert_array_equal(getattr(again, column),
                                           getattr(load.batch, column))
 
     def test_truncates_at_call_granularity(self, load):
@@ -88,14 +93,16 @@ class TestLoadGenerator:
     def test_events_time_sorted(self, load):
         assert np.all(np.diff(load.batch.t_s) >= 0)
 
-    def test_invalid_parameters(self, topology):
-        gen = LoadGenerator(topology, n_configs=10,
-                            calls_per_slot_at_peak=10.0)
-        from repro.core.errors import WorkloadError
+    def test_invalid_parameters(self, load):
         with pytest.raises(WorkloadError):
-            gen.generate(duration_s=1.0)
-        with pytest.raises(WorkloadError):
-            gen.generate(target_events=0)
+            event_prefix(load.columnar, 0)
+
+    def test_target_above_the_day_keeps_it_whole(self, service_day):
+        trace = service_day.columnar_trace
+        total = int(events_per_call(trace).sum())
+        assert event_prefix(trace, total) is trace
+        assert event_prefix(trace, 10 * total) is trace
+        assert event_prefix(trace, 1).n_calls == 1
 
 
 class TestAdmissionEngine:
