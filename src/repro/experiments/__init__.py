@@ -19,8 +19,8 @@ module            reproduces
 ``fig_packing``   server-level packing policies at matched quality
 ``fig_autoscale``  closed-loop autoscaling vs static plan (surprise)
 ``fig_storms``    chaos harness over the named scenario storms
+``fig_migration``  live cross-DC migration when a DC is lost mid-day
 ``threshold_sweep``  ablation: cost vs the 120 ms ACL threshold
-``figdata``       CSV export of every plot-shaped experiment's series
 ================  =============================================
 """
 

@@ -20,10 +20,6 @@ single peaks: one country's calls surge, and
 * **app-aware** provisioning re-runs Switchboard's placement LP over the
   new *call-config* demand and absorbs the surge into the other DCs'
   off-peak slack.
-
-A second entry point (:func:`run_full_world`) repeats the comparison on
-the default 15-DC world, where the absorbable fraction depends on how much
-slack neighbouring DCs have at the surging country's peak.
 """
 
 from __future__ import annotations
@@ -35,7 +31,6 @@ import numpy as np
 from repro.baselines.locality_first import LocalityFirstStrategy
 from repro.baselines.resource_log import ResourceLogProvisioner
 from repro.core.types import CallConfig, MediaType, make_slots
-from repro.experiments.common import Scenario, build_scenario
 from repro.config import PlannerConfig
 from repro.switchboard import Switchboard
 from repro.topology.builder import Topology
@@ -104,24 +99,6 @@ def run(surge_country: str = "JP", surge: float = 0.5) -> Dict[str, object]:
         _toy_demand(surge_country, surge),
     )
     result.update({"country": surge_country, "surge": surge, "world": "3-DC toy"})
-    return result
-
-
-def run_full_world(scenario: Optional[Scenario] = None,
-                   surge_country: str = "IN",
-                   surge: float = 0.5) -> Dict[str, object]:
-    """The same comparison on the default world's config-level demand."""
-    scn = scenario if scenario is not None else build_scenario("default")
-    base = scn.expected_demand
-    counts = base.counts.copy()
-    for j, config in enumerate(base.configs):
-        if config.majority_country == surge_country:
-            counts[:, j] *= 1.0 + surge
-    surged = Demand(base.slots, base.configs, counts)
-    result = _compare(scn.topology, scn.load_model, base, surged)
-    result.update({
-        "country": surge_country, "surge": surge, "world": "default 15-DC",
-    })
     return result
 
 

@@ -83,12 +83,12 @@ class Scenario:
             self._trace = self.columnar_trace.to_trace()
         return self._trace
 
-    def history_demand(self, days: int, seed_offset: int = 100) -> Demand:
+    def history_demand(self, days: int) -> Demand:
         """A multi-day sampled history for forecasting experiments."""
         if days < 1:
             raise SwitchboardError("need at least one history day")
         slots = make_slots(days * 86400.0, DEFAULT_SLOT_S)
-        return self.demand_model.sample(slots, seed=self.seed + seed_offset)
+        return self.demand_model.sample(slots, seed=self.seed + 100)
 
     @classmethod
     def build(cls, topology: Topology, *, n_configs: int,

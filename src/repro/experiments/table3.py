@@ -40,10 +40,9 @@ from repro.switchboard import Switchboard
 
 
 def run(scenario: Optional[Scenario] = None,
-        max_link_scenarios: int = 3,
-        use_sampled_demand: bool = True) -> Dict[str, object]:
+        max_link_scenarios: int = 3) -> Dict[str, object]:
     scn = scenario if scenario is not None else build_scenario("default")
-    demand = scn.sampled_demand if use_sampled_demand else scn.expected_demand
+    demand = scn.sampled_demand
     strategies = [
         RoundRobinStrategy(scn.topology, scn.load_model),
         LocalityFirstStrategy(scn.topology, scn.load_model),

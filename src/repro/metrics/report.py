@@ -72,8 +72,7 @@ def evaluate_strategy(strategy: ProvisioningStrategy, demand: Demand,
     )
 
 
-def comparison_table(metrics: Sequence[SchemeMetrics],
-                     baseline_scheme: str = "round_robin"
+def comparison_table(metrics: Sequence[SchemeMetrics]
                      ) -> Dict[bool, Dict[str, Dict[str, float]]]:
     """Table 3: per backup-regime, per scheme, metrics normalized to RR."""
     table: Dict[bool, Dict[str, Dict[str, float]]] = {}
@@ -81,10 +80,10 @@ def comparison_table(metrics: Sequence[SchemeMetrics],
         rows = [m for m in metrics if m.with_backup == regime]
         if not rows:
             continue
-        baseline = next((m for m in rows if m.scheme == baseline_scheme), None)
+        baseline = next((m for m in rows if m.scheme == "round_robin"), None)
         if baseline is None:
             raise SwitchboardError(
-                f"no {baseline_scheme} row for regime with_backup={regime}"
+                f"no round_robin row for regime with_backup={regime}"
             )
         table[regime] = {m.scheme: m.normalized_to(baseline) for m in rows}
     return table

@@ -121,14 +121,6 @@ class EventLog:
             seen.setdefault(event.kind, None)
         return list(seen)
 
-    def to_dicts(self) -> List[Dict[str, Any]]:
-        """JSON-friendly dump of the whole trail."""
-        return [
-            {"seq": e.seq, "kind": e.kind, "label": e.label,
-             "wall_time": e.wall_time, **e.detail}
-            for e in self.events()
-        ]
-
     def __len__(self) -> int:
         with self._lock:
             return len(self._events)

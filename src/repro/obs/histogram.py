@@ -16,6 +16,10 @@ from typing import Dict, Iterable, List, Optional, Sequence
 #: The percentile set every report in this repo shows by default.
 DEFAULT_PERCENTILES: Sequence[float] = (50.0, 95.0, 99.0)
 
+#: Samples a :class:`LatencyHistogram` retains; later ones count toward
+#: ``count`` and ``mean_ms`` only.
+MAX_SAMPLES = 1_000_000
+
 
 def percentiles_ms(samples: Sequence[float],
                    percentiles: Sequence[float] = DEFAULT_PERCENTILES
@@ -45,12 +49,9 @@ def percentiles_ms(samples: Sequence[float],
 class LatencyHistogram:
     """Append-only bounded sample set, safe to record from any thread."""
 
-    def __init__(self, max_samples: int = 1_000_000):
-        if max_samples < 1:
-            raise ValueError("max_samples must be positive")
+    def __init__(self):
         self._lock = threading.Lock()
         self._samples: List[float] = []
-        self._max_samples = max_samples
         self._count = 0
         self._sum = 0.0
 
@@ -58,7 +59,7 @@ class LatencyHistogram:
         with self._lock:
             self._count += 1
             self._sum += latency_ms
-            if len(self._samples) < self._max_samples:
+            if len(self._samples) < MAX_SAMPLES:
                 self._samples.append(latency_ms)
 
     def record_many(self, latencies_ms: Iterable[float]) -> None:
@@ -90,7 +91,7 @@ class LatencyHistogram:
 
         The windowed view the autoscaler reads: pair with ``len(self)``
         taken at the previous window boundary.  Only retained samples
-        participate (recording stops at ``max_samples``)."""
+        participate (recording stops at :data:`MAX_SAMPLES`)."""
         with self._lock:
             window = self._samples[max(0, start_index):]
         return percentiles_ms(window, percentiles)

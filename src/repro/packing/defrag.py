@@ -63,10 +63,6 @@ class DefragRound:
     frag_slots_before: int
     frag_slots_after: int
 
-    @property
-    def slots_reclaimed(self) -> int:
-        return self.frag_slots_before - self.frag_slots_after
-
 
 class Defragmenter:
     """Plans and executes bounded defrag rounds over a fleet ledger."""

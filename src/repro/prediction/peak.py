@@ -110,18 +110,6 @@ class PeakParticipantPredictor:
         peak = frozen_count / fraction
         return max(frozen_count, int(math.ceil(peak - 1e-9)))
 
-    def predict_peak_config(self, config: CallConfig) -> CallConfig:
-        """The frozen config inflated to its predicted peak: extra
-        participants are attributed to the majority country (the §5.4
-        assumption — late joiners follow the call's dominant locale)."""
-        extra = self.predict_peak(config) - config.participant_count
-        if extra <= 0:
-            return config
-        spread = dict(config.spread)
-        majority = config.majority_country
-        spread[majority] = spread.get(majority, 0) + extra
-        return CallConfig.build(spread, config.media)
-
 
 def fit_peak_predictor(calls: Iterable[Call],
                        freeze_window_s: float = DEFAULT_FREEZE_WINDOW_S,

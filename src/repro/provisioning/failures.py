@@ -98,15 +98,13 @@ def _survivable_links(topology: Topology,
 
 
 def enumerate_scenarios(topology: Topology,
-                        include_dc_failures: bool = True,
                         include_link_failures: bool = True,
                         max_link_scenarios: Optional[int] = None
                         ) -> List[FailureScenario]:
     """The paper's scenario set F = {F_0, F_DC1.., F_L1..} (§5.3)."""
     scenarios: List[FailureScenario] = [NO_FAILURE]
-    if include_dc_failures:
-        for dc_id in topology.fleet.ids:
-            scenarios.append(FailureScenario(name=f"F_dc:{dc_id}", failed_dc=dc_id))
+    for dc_id in topology.fleet.ids:
+        scenarios.append(FailureScenario(name=f"F_dc:{dc_id}", failed_dc=dc_id))
     if include_link_failures:
         for link in _survivable_links(topology, max_link_scenarios):
             scenarios.append(

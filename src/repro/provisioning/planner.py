@@ -228,7 +228,6 @@ class CapacityPlanner:
 
     def plan_with_backup(self, max_link_scenarios: Optional[int] = None,
                          method: str = "joint",
-                         latency_tiebreak: float = 1e-6,
                          background=None,
                          dc_core_limits=None) -> CapacityPlan:
         """Serving + backup: all DC and (non-bridge) link failures.
@@ -251,7 +250,6 @@ class CapacityPlanner:
 
             joint = JointProvisioningLP(
                 self.placement, self.demand, scenarios,
-                latency_weight=latency_tiebreak,
                 background=background,
                 dc_core_limits=dc_core_limits,
             )

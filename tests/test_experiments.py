@@ -10,7 +10,7 @@ import warnings
 import pytest
 
 from repro.experiments import (
-    fig3, fig4, fig7, fig8, fig9,
+    fig3, fig4, fig7, fig8, fig9, fig10,
     migration, prediction, table1, table3, table4,
 )
 from repro.experiments.common import build_scenario
@@ -164,6 +164,15 @@ class TestMigration:
         assert result["majority_matches_first_joiner"] > 0.9
         assert result["sb_mean_acl_ms"] < 120.0
         assert result["live_path"]
+
+
+class TestFig10:
+    def test_throughput_scales_with_threads(self, scenario):
+        # Each simulated store trip sleeps ~2 ms, so four writer threads
+        # overlap those waits and serve well above one thread's rate.
+        result = fig10.run(scenario, threads=(1, 4), max_events=2000)
+        vs_peak = result["throughput_vs_peak"]
+        assert vs_peak[4] > vs_peak[1]
 
 
 class TestPrediction:

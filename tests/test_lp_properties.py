@@ -109,20 +109,3 @@ def test_scaling_demand_scales_cost_linearly(counts, _dc):
     single = ScenarioLP(_PLACEMENT, demand).solve()
     double = ScenarioLP(_PLACEMENT, demand.scale(2.0)).solve()
     assert double.cost == pytest.approx(2.0 * single.cost, rel=1e-5)
-
-
-def test_figdata_export(tmp_path):
-    """The CSV exporter writes parseable files for every figure."""
-    import csv
-
-    from repro.experiments.common import build_scenario
-    from repro.experiments.figdata import export_all
-
-    scenario = build_scenario("small", seed=11)
-    paths = export_all(str(tmp_path), scenario)
-    assert len(paths) == 5
-    for path in paths:
-        with open(path) as handle:
-            rows = list(csv.reader(handle))
-        assert len(rows) > 1  # header + data
-        assert len(set(len(r) for r in rows)) == 1  # rectangular

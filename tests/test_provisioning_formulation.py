@@ -21,6 +21,7 @@ from repro.provisioning.failures import (
 from repro.provisioning.formulation import ScenarioLP
 from repro.provisioning.joint import JointProvisioningLP
 from repro.provisioning.planner import CapacityPlan, CapacityPlanner
+from repro.switchboard import Switchboard
 from repro.topology.builder import Topology
 from repro.workload.arrivals import Demand
 from repro.workload.media import MediaLoadModel
@@ -266,6 +267,30 @@ class TestJointLP:
                                                 rel=1e-12)
             assert result.excess_cores == result.cores == plan.cores
             assert result.excess_links == result.link_gbps == plan.link_gbps
+
+    def test_latency_tiebreak_never_worsens_realized_acl(self, small_demand):
+        """Eq 10 as a secondary objective (§5.3): the capacity it buys
+        admits an allocation no slower than a pure-cost plan's, and the
+        shipped weight barely moves cost.  On the 15-DC world, unlike the
+        3-DC one, cost-tied placements differ in latency."""
+        world = Topology.default()
+        placement = PlacementData(world, small_demand.configs,
+                                  MediaLoadModel())
+        scenarios = enumerate_scenarios(world, include_link_failures=False)
+        controller = Switchboard(world)
+
+        def solve(**weight):
+            plan = JointProvisioningLP(placement, small_demand, scenarios,
+                                       **weight).solve()
+            return (plan.cost(world),
+                    controller.mean_acl_with_capacity(small_demand, plan))
+
+        plain_cost, plain_acl = solve(latency_weight=0.0)
+        shipped_cost, shipped_acl = solve()
+        _, heavy_acl = solve(latency_weight=1e-3)
+        assert shipped_cost <= plain_cost * 1.01
+        assert shipped_acl <= plain_acl + 1e-9
+        assert heavy_acl <= plain_acl + 1e-9
 
     def test_fig4_peak_aware_total(self, small_placement, small_demand,
                                    small_world):
