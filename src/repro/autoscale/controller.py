@@ -149,6 +149,10 @@ class Autoscaler:
                                    float(capacity.total_cores())))
 
     # ------------------------------------------------------------------
+    @property
+    def interval_s(self) -> float:
+        return self.config.interval_s
+
     def bind(self, engine) -> None:
         """Called by the engine at construction; gives the loop access
         to the live ledger and the settle-latency histogram."""

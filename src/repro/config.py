@@ -316,9 +316,10 @@ class PlannerConfig:
     * ``service`` — online admission service knobs
       (:class:`ServiceConfig`); ``None`` means the service-backed paths
       use :class:`ServiceConfig`'s defaults.
-    * ``autoscale`` — closed-loop elastic autoscaling knobs
-      (:class:`AutoscaleConfig`); ``None`` keeps provisioning one-shot
-      (the historical static behaviour).
+    * ``autoscale`` — the :class:`AutoscaleConfig` that
+      :meth:`~repro.switchboard.SwitchboardPipeline.autoscaler` builds
+      its autoscaler with (``None`` = the defaults); the storm drills
+      pass their own to :class:`~repro.autoscale.Autoscaler`.
     """
 
     latency_threshold_ms: float = DEFAULT_LATENCY_THRESHOLD_MS

@@ -5,8 +5,6 @@ from repro.obs.events import (
     Event,
     EventLog,
     Observability,
-    ObsCheckpoint,
-    ObsWindow,
 )
 from repro.obs.histogram import (
     DEFAULT_PERCENTILES,
@@ -21,7 +19,5 @@ __all__ = [
     "EventLog",
     "LatencyHistogram",
     "Observability",
-    "ObsCheckpoint",
-    "ObsWindow",
     "percentiles_ms",
 ]

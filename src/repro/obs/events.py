@@ -63,12 +63,8 @@ class Event:
 class EventLog:
     """Append-only, thread-safe structured event log.
 
-    Lifetime semantics: the log accumulates until :meth:`clear` — a
-    long-lived owner (e.g. a multi-day :class:`ServiceSimulator`) that
-    wants per-window views takes :attr:`next_seq` at a boundary and
-    reads :meth:`since` later; ``seq`` stays monotonic across
-    :meth:`clear`, so a held sequence number never silently re-matches
-    newer events.
+    The log accumulates for its owner's whole lifetime; ``seq`` numbers
+    events in emission order.
     """
 
     def __init__(self):
@@ -85,27 +81,6 @@ class EventLog:
             self._next_seq += 1
             self._events.append(event)
         return event
-
-    @property
-    def next_seq(self) -> int:
-        """The seq the next event will get (a window checkpoint)."""
-        with self._lock:
-            return self._next_seq
-
-    def since(self, seq: int, kind: Optional[str] = None,
-              label_contains: Optional[str] = None) -> List[Event]:
-        """Events with ``event.seq >= seq``, optionally filtered."""
-        with self._lock:
-            snapshot = [e for e in self._events if e.seq >= seq]
-        return [e for e in snapshot if e.matches(kind, label_contains)]
-
-    def clear(self) -> int:
-        """Drop retained events (``seq`` keeps counting); returns how
-        many were dropped."""
-        with self._lock:
-            dropped = len(self._events)
-            self._events = []
-        return dropped
 
     def events(self, kind: Optional[str] = None,
                label_contains: Optional[str] = None) -> List[Event]:
@@ -145,11 +120,6 @@ class Counters:
 
     Counters accumulate for the owner's whole lifetime by design (a
     shared :class:`Observability` spans many solves and serving days).
-    Consumers that need *windowed* readings — the autoscaler's telemetry
-    intervals, the simulator's per-day dashboards — must not read the
-    raw totals: take a :meth:`checkpoint` at the window boundary and
-    diff with :meth:`since`, or :meth:`reset` when the owner genuinely
-    starts a new life.
     """
 
     def __init__(self):
@@ -170,23 +140,6 @@ class Counters:
         with self._lock:
             return dict(self._counts)
 
-    def checkpoint(self) -> Dict[str, int]:
-        """A window boundary: the totals to diff against later."""
-        return self.snapshot()
-
-    def since(self, checkpoint: Dict[str, int]) -> Dict[str, int]:
-        """Per-counter deltas accumulated after ``checkpoint`` (only
-        non-zero deltas are returned)."""
-        current = self.snapshot()
-        deltas = {name: value - checkpoint.get(name, 0)
-                  for name, value in current.items()}
-        return {name: delta for name, delta in deltas.items() if delta}
-
-    def reset(self) -> None:
-        """Zero every counter (a genuinely new lifetime, not a window)."""
-        with self._lock:
-            self._counts.clear()
-
     def __getstate__(self):
         return {"counts": self.snapshot()}
 
@@ -195,31 +148,9 @@ class Counters:
         self._counts = dict(state["counts"])
 
 
-@dataclass(frozen=True)
-class ObsCheckpoint:
-    """One window boundary of an :class:`Observability` bundle."""
-
-    next_seq: int
-    counters: Dict[str, int]
-
-
-@dataclass(frozen=True)
-class ObsWindow:
-    """What one window of an :class:`Observability` bundle saw."""
-
-    events: List[Event]
-    counters: Dict[str, int]
-
-
 @dataclass
 class Observability:
-    """The event log + counters bundle one orchestration run writes into.
-
-    The bundle is often longer-lived than any one consumer window (the
-    simulator shares one across every simulated day): :meth:`checkpoint`
-    / :meth:`since` give windowed views without perturbing other
-    readers; :meth:`reset` is the explicit full-lifetime restart.
-    """
+    """The event log + counters bundle one orchestration run writes into."""
 
     log: EventLog = field(default_factory=EventLog)
     counters: Counters = field(default_factory=Counters)
@@ -232,19 +163,3 @@ class Observability:
     def events(self, kind: Optional[str] = None,
                label_contains: Optional[str] = None) -> List[Event]:
         return self.log.events(kind=kind, label_contains=label_contains)
-
-    def checkpoint(self) -> ObsCheckpoint:
-        """Mark a window boundary (cheap; holds no references)."""
-        return ObsCheckpoint(next_seq=self.log.next_seq,
-                             counters=self.counters.checkpoint())
-
-    def since(self, checkpoint: ObsCheckpoint) -> ObsWindow:
-        """Events and counter deltas recorded after ``checkpoint``."""
-        return ObsWindow(events=self.log.since(checkpoint.next_seq),
-                         counters=self.counters.since(checkpoint.counters))
-
-    def reset(self) -> None:
-        """Drop events and zero counters (sequence numbers keep
-        counting, so checkpoints taken before the reset stay valid)."""
-        self.log.clear()
-        self.counters.reset()

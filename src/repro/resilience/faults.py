@@ -1,9 +1,8 @@
 """Fault injection: declarative failure drills for the solve pipeline.
 
-A :class:`FaultPlan` is a budgeted list of :class:`FaultSpec` entries that
-the :class:`~repro.resilience.supervisor.SolveSupervisor` and
-:class:`~repro.simulation.ServiceSimulator` consult at well-defined
-points:
+A :class:`FaultPlan` is a budgeted list of :class:`FaultSpec` entries
+that the :class:`~repro.resilience.supervisor.SolveSupervisor` and the
+live service plane consult at well-defined points:
 
 * ``crash`` — the next matching supervised solve raises
   :class:`~repro.core.errors.SolverError` *instead of running* (models a
@@ -11,12 +10,13 @@ points:
 * ``hang`` — the next matching solve sleeps ``hang_seconds`` before
   running (models a stuck solve; exercises the per-solve timeout).
 * ``dc_failure`` / ``link_failure`` — at simulated day ``at_day``, the
-  named DC or WAN link goes down (exercises the failure-aware
-  allocation path from the simulator).  An outage may carry an *end*:
-  ``until_day`` keeps the fault active across days until it heals, and
-  the optional intra-day ``at_s`` / ``until_s`` timestamps let the live
-  service plane (``repro.migrate``) drain the DC mid-day and drain back
-  after recovery.
+  named DC or WAN link goes down.  :meth:`FaultPlan.take_topology_faults`
+  hands a day's outages over in one batch: the storm drills plan the
+  failure-scenario allocation from it, and
+  :meth:`~repro.migrate.MigrationExecutor.watch` turns DC failures into
+  drain orders.  ``until_day`` (or the intra-day ``at_s`` / ``until_s``
+  timestamps) gives the outage an end, at which the live plane drains
+  calls back.
 
 Each spec has a ``times`` budget; consuming a fault decrements it, so a
 ``times=2`` crash fails the first two attempts and lets the third
@@ -34,7 +34,7 @@ particular scenario targets its label.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import List, Optional
 
 from repro.core.errors import SwitchboardError
@@ -120,12 +120,6 @@ class FaultPlan:
     def __init__(self, specs: Optional[List[FaultSpec]] = None):
         self._lock = threading.Lock()
         self._specs: List[FaultSpec] = list(specs or [])
-        #: Topology faults consumed via ``take_topology_fault(s)`` whose
-        #: ``until_day`` has not arrived yet — they keep a DC/link down
-        #: across days and surface again through
-        #: ``active_topology_faults`` until ``take_topology_recoveries``
-        #: heals them.
-        self._active: List[FaultSpec] = []
 
     # -- builders ------------------------------------------------------
     @classmethod
@@ -191,25 +185,13 @@ class FaultPlan:
                 return taken
         return None
 
-    def take_topology_fault(self, day: int) -> Optional[FaultSpec]:
-        """The DC/link failure scheduled for this simulated day, if any."""
-        with self._lock:
-            for i, spec in enumerate(self._specs):
-                if spec.kind in _TOPOLOGY_FAULTS and spec.at_day == day:
-                    del self._specs[i]
-                    if spec.until_day is not None:
-                        self._active.append(spec)
-                    return spec
-        return None
-
     def take_topology_faults(self, day: int) -> List[FaultSpec]:
         """All DC/link failures scheduled for this day, consumed at once.
 
         Returned in the canonical ``(kind, target)`` order regardless of
         how the plan was built — a storm that cuts a link *and* loses a
         DC on the same day hands both to the allocator in one
-        deterministic batch (``take_topology_fault`` only ever surfaced
-        the first by insertion order).
+        deterministic batch.
         """
         with self._lock:
             matching = [spec for spec in self._specs
@@ -219,39 +201,7 @@ class FaultPlan:
                     spec for spec in self._specs
                     if not (spec.kind in _TOPOLOGY_FAULTS
                             and spec.at_day == day)]
-                self._active.extend(
-                    spec for spec in matching if spec.until_day is not None)
             return sorted(matching, key=_spec_sort_key)
-
-    def active_topology_faults(self, day: int) -> List[FaultSpec]:
-        """Previously fired outages still down on this simulated day.
-
-        An outage with ``until_day`` stays active on every day in
-        ``[at_day, until_day)`` after it first fires; day-granularity
-        consumers keep rebuilding the failure-scenario allocation until
-        the recovery lands.  Returned in canonical order, unconsumed.
-        """
-        with self._lock:
-            return sorted(
-                (spec for spec in self._active
-                 if spec.at_day is not None and spec.until_day is not None
-                 and spec.at_day <= day < spec.until_day),
-                key=_spec_sort_key)
-
-    def take_topology_recoveries(self, day: int) -> List[FaultSpec]:
-        """All outages whose ``until_day`` has arrived, healed at once.
-
-        Consuming a recovery removes the fault from the active set — the
-        DC/link is back, and the live plane may drain calls back onto
-        it.  Returned in canonical order.
-        """
-        with self._lock:
-            healed = [spec for spec in self._active
-                      if spec.until_day is not None and spec.until_day <= day]
-            if healed:
-                self._active = [spec for spec in self._active
-                                if spec not in healed]
-            return sorted(healed, key=_spec_sort_key)
 
     def pending(self) -> List[FaultSpec]:
         with self._lock:
@@ -263,10 +213,8 @@ class FaultPlan:
 
     def __getstate__(self):
         with self._lock:
-            return {"specs": list(self._specs),
-                    "active": list(self._active)}
+            return {"specs": list(self._specs)}
 
     def __setstate__(self, state):
         self._lock = threading.Lock()
         self._specs = list(state["specs"])
-        self._active = list(state.get("active", []))

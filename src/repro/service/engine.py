@@ -26,10 +26,10 @@ Redis sits in production.  Scale-out only changes who schedules it:
   snapshots, and the report folded from per-worker fragments.
 * :class:`AdmissionEngine` — the thread executor: one worker serves each
   window on the calling thread (fully deterministic — the oracle the
-  process executor and :class:`~repro.simulation.ServiceSimulator` are
-  pinned against); N workers run the kernel once per window per call
-  partition on N threads, so their simulated store round-trips overlap
-  the way Fig 10's controller scales with Redis writer threads.
+  process executor is pinned against); N workers run the kernel once
+  per window per call partition on N threads, so their simulated store
+  round-trips overlap the way Fig 10's controller scales with Redis
+  writer threads.
 """
 
 from __future__ import annotations
@@ -474,16 +474,11 @@ class ServingEngine:
                  defragmenter=None,
                  defrag_interval_s: Optional[float] = None,
                  rescaler=None,
-                 rescale_interval_s: Optional[float] = None,
-                 migrator=None,
-                 migrate_interval_s: Optional[float] = None):
+                 migrator=None):
         if n_workers < 1:
             raise SwitchboardError("need at least one admission worker")
-        for name, interval in (("defrag_interval_s", defrag_interval_s),
-                               ("rescale_interval_s", rescale_interval_s),
-                               ("migrate_interval_s", migrate_interval_s)):
-            if interval is not None and interval <= 0:
-                raise SwitchboardError(f"{name} must be positive")
+        if defrag_interval_s is not None and defrag_interval_s <= 0:
+            raise SwitchboardError("defrag_interval_s must be positive")
         self.topology = topology
         self.store = store if store is not None else self._default_store()
         #: Shard count of the store(s) holding per-call state.
@@ -500,34 +495,21 @@ class ServingEngine:
         self.defragmenter = defragmenter
         self.defrag_interval_s = defrag_interval_s
         self.defrag_rounds = 0
-        # The autoscaler shares the defragmenter's safe point: serving
-        # pauses at window boundaries (workers quiescent), so plan
-        # mutations never race the admission path.  With several
-        # consumers the window grid is the finest of their intervals;
-        # each still acts on every boundary it observes.
+        # The rescaler and the migrator share the defragmenter's safe
+        # point: serving pauses at window boundaries (workers quiescent),
+        # so plan mutations never race the admission path.  Each declares
+        # its own ``interval_s``; with several consumers the window grid
+        # is the finest of their intervals, and each still acts on every
+        # boundary it observes.
         self.rescaler = rescaler
-        if rescaler is not None and rescale_interval_s is None:
-            config = getattr(rescaler, "config", None)
-            rescale_interval_s = getattr(config, "interval_s", None)
-        self.rescale_interval_s = (rescale_interval_s
-                                   if rescaler is not None else None)
         self.migrator = migrator
-        if migrator is not None and migrate_interval_s is None:
-            migrate_interval_s = getattr(migrator, "interval_s", None)
-        self.migrate_interval_s = (migrate_interval_s
-                                   if migrator is not None else None)
-        intervals = [i for i in (
-            defrag_interval_s if defragmenter is not None else None,
-            self.rescale_interval_s,
-            self.migrate_interval_s,
-        ) if i is not None]
+        consumers = [c for c in (rescaler, migrator) if c is not None]
+        intervals = [c.interval_s for c in consumers]
+        if defragmenter is not None and defrag_interval_s is not None:
+            intervals.append(defrag_interval_s)
         self._window_interval_s = min(intervals) if intervals else None
-        if rescaler is not None:
-            bind = getattr(rescaler, "bind", None)
-            if bind is not None:
-                bind(self)
-        if migrator is not None:
-            migrator.bind(self)
+        for consumer in consumers:
+            consumer.bind(self)
         self.admission_latency = LatencyHistogram()
         self.settle_latency = LatencyHistogram()
         #: Ledger-side ports of the current run (their outcome counts sum

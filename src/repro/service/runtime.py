@@ -81,9 +81,7 @@ class ServiceRuntime:
                     defragmenter=None,
                     defrag_interval_s: Optional[float] = None,
                     rescaler=None,
-                    rescale_interval_s: Optional[float] = None,
                     migrator=None,
-                    migrate_interval_s: Optional[float] = None,
                     freeze_window_s: float = DEFAULT_FREEZE_WINDOW_S,
                     obs: Optional[Observability] = None) -> "ServiceRuntime":
         """Stand up the service plane described by ``config``.
@@ -102,8 +100,7 @@ class ServiceRuntime:
             n_workers=svc.n_workers, freeze_window_s=freeze_window_s,
             obs=obs, ledger=ledger, defragmenter=defragmenter,
             defrag_interval_s=defrag_interval_s, rescaler=rescaler,
-            rescale_interval_s=rescale_interval_s, migrator=migrator,
-            migrate_interval_s=migrate_interval_s)
+            migrator=migrator)
         spec = StoreSpec.from_service_config(svc)
         if svc.executor == "process":
             engine = MultiprocessAdmissionEngine(

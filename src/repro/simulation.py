@@ -29,13 +29,12 @@ slot-exhaustion path prescribes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from repro.core.errors import SwitchboardError
 from repro.core.types import make_slots
-from repro.core.units import DEFAULT_SLOT_S
+from repro.core.units import DEFAULT_FREEZE_WINDOW_S, DEFAULT_SLOT_S
 from repro.allocation.realtime import SelectorStats
-from repro.autoscale import Autoscaler
 from repro.config import PlannerConfig
 from repro.controller.columnar import build_event_batch
 from repro.service.runtime import ServiceRuntime
@@ -51,6 +50,13 @@ from repro.workload.columnar import ColumnarTrace
 from repro.workload.trace import TraceGenerator
 
 _SLOTS_PER_DAY = int(86400.0 / DEFAULT_SLOT_S)
+#: Share of the records database's configs (by call volume) forecast
+#: and provisioned for.
+_TOP_CONFIG_FRACTION = 0.5
+#: Capacity covers the forecast times the cushion, with no backup
+#: capacity for a failure scenario.
+_WITH_BACKUP = False
+_TOPOLOGY_FAULTS = ("dc_failure", "link_failure")
 
 
 @dataclass
@@ -68,22 +74,8 @@ class DayReport:
     capacity_cost: float
     cores_added: float = 0.0
     cores_reclaimed: float = 0.0
-    #: ``describe()`` of the injected DC/link failure this day, if any.
-    #: A multi-day outage (``until_day``) repeats here on every day it
-    #: remains active.
-    injected_fault: Optional[str] = None
-    #: ``describe()`` of outage(s) whose ``until_day`` arrived this day —
-    #: the failed DC/link is back and the normal plan resumes.
-    recovered_fault: Optional[str] = None
     #: How far provisioning/allocation degraded this day (0 = full LP).
     degradation_level: int = 0
-    #: Closed-loop autoscaler rescale events this day (0 unless
-    #: ``planner_config.autoscale`` is set).
-    rescales: int = 0
-    #: Observability events recorded *this day* — per-day scoped via
-    #: checkpoints, so multi-day runs don't silently attribute one day's
-    #: noise to another.
-    obs_events: int = 0
 
 
 @dataclass
@@ -126,20 +118,15 @@ class ServiceSimulator:
     def __init__(self, topology: Topology, demand_model: DemandModel,
                  bootstrap_days: int = 7,
                  reprovision_every: int = 7,
-                 top_config_fraction: float = 0.5,
                  capacity_cushion: float = 1.25,
-                 with_backup: bool = False,
-                 season_length: int = _SLOTS_PER_DAY,
-                 freeze_window_s: float = 300.0,
                  seed: int = 97,
                  planner_config: Optional[PlannerConfig] = None):
         """``planner_config`` configures the inner :class:`Switchboard`
         (defaults to DC-failure scenarios only, the simulator's
-        historical setting).  Its ``fault_plan`` doubles as the drill
-        schedule: ``dc_failure`` / ``link_failure`` specs with an
-        ``at_day`` fire on that simulated day — the allocation plan is
-        rebuilt for the failure scenario and the day is tagged in its
-        :class:`DayReport`.
+        historical setting).  Its ``fault_plan`` may inject solve faults
+        (``crash`` / ``hang``); a ``dc_failure`` or ``link_failure`` is
+        refused, because the simulator serves every day on the full
+        topology.
 
         Every operational day is served by the online admission engine;
         its knobs come from ``planner_config.service``.  With the default
@@ -150,19 +137,23 @@ class ServiceSimulator:
             raise SwitchboardError("need at least one bootstrap day")
         if reprovision_every < 1:
             raise SwitchboardError("reprovision_every must be >= 1")
+        self.planner_config = (planner_config if planner_config is not None
+                               else PlannerConfig(max_link_scenarios=0))
+        fault_plan = self.planner_config.fault_plan
+        outages = [spec.describe() for spec in
+                   (fault_plan.pending() if fault_plan is not None else ())
+                   if spec.kind in _TOPOLOGY_FAULTS]
+        if outages:
+            raise SwitchboardError(
+                f"ServiceSimulator serves the full topology every day; "
+                f"it cannot inject {', '.join(outages)}")
         self.topology = topology
         self.demand_model = demand_model
         self.bootstrap_days = bootstrap_days
         self.reprovision_every = reprovision_every
-        self.top_config_fraction = top_config_fraction
         self.capacity_cushion = capacity_cushion
-        self.with_backup = with_backup
-        self.season_length = season_length
-        self.freeze_window_s = freeze_window_s
         self.seed = seed
         self.db = CallRecordsDatabase()
-        self.planner_config = (planner_config if planner_config is not None
-                               else PlannerConfig(max_link_scenarios=0))
         self.controller = Switchboard(topology, config=self.planner_config)
         self.capacity: Optional[CapacityPlan] = None
 
@@ -177,39 +168,25 @@ class ServiceSimulator:
         )
         return generator.generate_columnar(day_demand)
 
-    def _serve_day(self, plan, trace: ColumnarTrace, forecast: Demand
-                   ) -> Tuple[SelectorStats, int]:
+    def _serve_day(self, plan, trace: ColumnarTrace) -> SelectorStats:
         """One day served by the admission engine.
 
         The engine keeps its ledgers and call state in a fresh sharded
         kvstore per day — the same way the production controller starts
         each plan day against Redis — and the day's statistics come from
         its selector core.
-
-        With ``planner_config.autoscale`` set, the engine carries a
-        closed-loop :class:`~repro.autoscale.Autoscaler` that
-        re-provisions the plan mid-day; returns
-        ``(stats, rescale_events)``.
         """
         if trace.n_calls == 0:
-            return SelectorStats(), 0
-        rescaler = None
-        if self.planner_config.autoscale is not None:
-            rescaler = Autoscaler(
-                self.controller, forecast, plan,
-                config=self.planner_config.autoscale,
-                capacity=self.capacity, obs=self.controller.obs,
-                with_backup=self.with_backup)
+            return SelectorStats()
         runtime = ServiceRuntime.from_config(
             self.topology, plan, self.planner_config,
-            freeze_window_s=self.freeze_window_s, obs=self.controller.obs,
-            rescaler=rescaler)
-        report = runtime.run(build_event_batch(trace, self.freeze_window_s))
+            freeze_window_s=DEFAULT_FREEZE_WINDOW_S, obs=self.controller.obs)
+        report = runtime.run(build_event_batch(trace, DEFAULT_FREEZE_WINDOW_S))
         report.require_exact_accounting()
-        return runtime.selector.stats, report.rescale_events
+        return runtime.selector.stats
 
     def _forecast_next_day(self, day: int) -> Demand:
-        top = self.db.top_configs(self.top_config_fraction)
+        top = self.db.top_configs(_TOP_CONFIG_FRACTION)
         # Pad the history grid to whole days so the forecast's "next 48
         # slots" are exactly tomorrow, even if tonight's last buckets saw
         # no calls.
@@ -217,7 +194,7 @@ class ServiceSimulator:
                                        n_buckets=day * _SLOTS_PER_DAY)
         cushion = min(cushion_factor(self.db, top), 1.5)
         forecaster = CallCountForecaster(
-            season_length=self.season_length, cushion=cushion
+            season_length=_SLOTS_PER_DAY, cushion=cushion
         )
         return forecaster.forecast_demand(history, _SLOTS_PER_DAY)
 
@@ -234,10 +211,6 @@ class ServiceSimulator:
 
         report = SimulationReport()
         for day in range(n_days):
-            # Scope observability per simulated day: everything recorded
-            # from here to day end is attributed to this day's report,
-            # instead of a single run-lifetime blob.
-            day_checkpoint = self.controller.obs.checkpoint()
             trace = self._day_trace(full_demand, day, generator)
             if day < self.bootstrap_days:
                 # Pre-Switchboard operation: closest DC, no plan.
@@ -251,12 +224,10 @@ class ServiceSimulator:
                     overflow_calls=0,
                     mean_acl_ms=acl_sum / len(trace) if len(trace) else 0.0,
                     reprovisioned=False, capacity_cost=0.0,
-                    obs_events=len(
-                        self.controller.obs.since(day_checkpoint).events),
                 ))
                 ingest_trace(self.db, trace, self.topology,
                              seed=self.seed + 10 + day,
-                             freeze_after_s=self.freeze_window_s)
+                             freeze_after_s=DEFAULT_FREEZE_WINDOW_S)
                 continue
 
             forecast = self._forecast_next_day(day)
@@ -266,7 +237,7 @@ class ServiceSimulator:
             due = (day - self.bootstrap_days) % self.reprovision_every == 0
             if self.capacity is None or due:
                 new_capacity = self.controller.provision(
-                    forecast, with_backup=self.with_backup
+                    forecast, with_backup=_WITH_BACKUP
                 ).scaled(self.capacity_cushion)
                 if self.capacity is not None:
                     diff = capacity_diff(self.capacity, new_capacity)
@@ -275,49 +246,8 @@ class ServiceSimulator:
                 self.capacity = new_capacity
                 reprovisioned = True
 
-            # Drill schedule: a dc_failure/link_failure fault landing on
-            # this day rebuilds the plan for the failure scenario — the
-            # surviving capacity absorbs the displaced calls (§4.2).
-            injected_fault = None
-            recovered_fault = None
-            allocation_level = 0
-            fault = None
-            fault_plan = self.planner_config.fault_plan
-            if fault_plan is not None:
-                healed = fault_plan.take_topology_recoveries(day)
-                if healed:
-                    recovered_fault = ", ".join(
-                        spec.describe() for spec in healed)
-                    self.controller.obs.record(
-                        "fault.recovered", label=f"day[{day}]",
-                        fault=recovered_fault,
-                    )
-                fault = fault_plan.take_topology_fault(day)
-                if fault is not None:
-                    self.controller.obs.record(
-                        "fault.injected", label=f"day[{day}]",
-                        fault_kind=fault.kind, fault=fault.describe(),
-                    )
-                else:
-                    # A multi-day outage consumed on an earlier day keeps
-                    # the failure-scenario plan until its recovery lands.
-                    active = fault_plan.active_topology_faults(day)
-                    if active:
-                        fault = active[0]
-                        self.controller.obs.record(
-                            "fault.active", label=f"day[{day}]",
-                            fault_kind=fault.kind, fault=fault.describe(),
-                        )
-            if fault is not None:
-                injected_fault = fault.describe()
-                plan = self.controller.allocation_plan(
-                    forecast, failed_dc=fault.dc, failed_link=fault.link,
-                )
-            else:
-                outcome = self.controller.allocate(forecast, self.capacity)
-                allocation_level = outcome.degradation_level
-                plan = outcome.plan
-            stats, rescales = self._serve_day(plan, trace, forecast)
+            outcome = self.controller.allocate(forecast, self.capacity)
+            stats = self._serve_day(outcome.plan, trace)
 
             report.days.append(DayReport(
                 day=day,
@@ -332,15 +262,10 @@ class ServiceSimulator:
                 capacity_cost=self.capacity.cost(self.topology),
                 cores_added=cores_added,
                 cores_reclaimed=cores_reclaimed,
-                injected_fault=injected_fault,
-                recovered_fault=recovered_fault,
                 degradation_level=max(self.capacity.degradation_level,
-                                      allocation_level),
-                rescales=rescales,
-                obs_events=len(
-                    self.controller.obs.since(day_checkpoint).events),
+                                      outcome.degradation_level),
             ))
             ingest_trace(self.db, trace, self.topology,
                          seed=self.seed + 10 + day,
-                         freeze_after_s=self.freeze_window_s)
+                         freeze_after_s=DEFAULT_FREEZE_WINDOW_S)
         return report

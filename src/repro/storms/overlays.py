@@ -309,7 +309,7 @@ def _outage_timing(storm: Storm):
     """``(at_day, until_day, at_s, until_s)`` for a fault-face overlay.
 
     The window's start day anchors the day-granularity consumers (the
-    simulator's failure-scenario replan); ``at_s``/``until_s`` carry the
+    storm drills' failure-scenario plan); ``at_s``/``until_s`` carry the
     exact onset/heal for the live plane (``repro.migrate``).  A bounded
     window healing within its start day keeps ``until_day=None`` — the
     day-granularity view still sees a whole-day outage, the live view
@@ -332,11 +332,9 @@ class RegionalOutage(Storm):
 
     Pure fault-face overlay: no workload change, but the plan's merged
     fault timeline gains a ``dc_failure`` at the window's day, which the
-    chaos harness (and :class:`~repro.simulation.ServiceSimulator`)
-    consume by rebuilding the allocation for the failure scenario.  A
-    bounded window (``duration_s``) gives the outage an end: the
-    simulator heals it at ``until_day`` and the live migration plane
-    drains back at ``until_s``.
+    chaos harness consumes by planning the allocation for the failure
+    scenario.  A bounded window (``duration_s``) gives the outage an
+    end: the live migration plane drains back at ``until_s``.
     """
 
     dc: str = ""

@@ -2,8 +2,7 @@
 
 Also pins the telemetry-correctness sweep that rode along with the
 autoscaler: empty-percentile semantics (None + count, never a fake
-"perfect" 0.0), degenerate report denominators, and the observability
-checkpoint/window scoping that keeps multi-day runs honest.
+"perfect" 0.0) and degenerate report denominators.
 """
 
 import numpy as np
@@ -25,8 +24,7 @@ from repro.autoscale.policy import MAX_SCALE, MIN_SCALE
 from repro.config import AutoscaleConfig, PackingConfig, PlannerConfig
 from repro.controller.columnar import build_event_batch
 from repro.kvstore import InMemoryKVStore
-from repro.obs import Counters, EventLog, LatencyHistogram, Observability, \
-    percentiles_ms
+from repro.obs import LatencyHistogram, percentiles_ms
 from repro.packing import build_packing
 from repro.service import ServiceReport, ServiceRuntime
 from repro.switchboard import PipelineResult, Switchboard, SwitchboardPipeline
@@ -86,53 +84,6 @@ class TestEmptyPercentiles:
         d = report.to_dict()
         assert d["migration_rate"] == 0.1
         assert d["mean_acl_ms"] == 50.0
-
-
-class TestObsScoping:
-    def test_counters_checkpoint_since(self):
-        counters = Counters()
-        counters.increment("a", 2)
-        mark = counters.checkpoint()
-        counters.increment("a")
-        counters.increment("b", 3)
-        assert counters.since(mark) == {"a": 1, "b": 3}
-        # The raw totals still accumulate.
-        assert counters.get("a") == 3
-
-    def test_counters_reset(self):
-        counters = Counters()
-        counters.increment("a")
-        counters.reset()
-        assert counters.get("a") == 0
-        assert counters.snapshot() == {}
-
-    def test_event_log_seq_survives_clear(self):
-        log = EventLog()
-        log.record("x")
-        log.record("y")
-        assert log.clear() == 2
-        event = log.record("z")
-        # seq keeps counting: a held checkpoint never re-matches newer
-        # events after a clear.
-        assert event.seq == 2
-        assert [e.kind for e in log.since(2)] == ["z"]
-        assert log.since(3) == []
-
-    def test_observability_window(self):
-        obs = Observability()
-        obs.record("solve.attempt")
-        mark = obs.checkpoint()
-        obs.record("solve.attempt")
-        obs.record("solve.retry", label="lp")
-        window = obs.since(mark)
-        assert [e.kind for e in window.events] == ["solve.attempt",
-                                                  "solve.retry"]
-        assert window.counters == {"solve.attempt": 1, "solve.retry": 1}
-        # Checkpoints stay valid across reset (seq keeps counting).
-        obs.reset()
-        assert obs.counters.get("solve.attempt") == 0
-        obs.record("post.reset")
-        assert [e.kind for e in obs.since(mark).events] == ["post.reset"]
 
 
 # ----------------------------------------------------------------------

@@ -8,7 +8,6 @@ concurrent migration + admission, the report-schema pin, and
 thread/process parity of the DC-loss drill.
 """
 
-import pickle
 import threading
 import types
 
@@ -100,36 +99,12 @@ class TestFaultPlanRecovery:
             FaultSpec(kind="dc_failure", dc="dc-a", at_day=0,
                       at_s=10.0, until_s=10.0)
 
-    def test_outage_lifecycle_across_days(self):
-        plan = FaultPlan().dc_failure("dc-a", at_day=1, until_day=3)
-        assert plan.take_topology_fault(0) is None
-        fired = plan.take_topology_fault(1)
-        assert fired is not None and fired.dc == "dc-a"
-        # Still down on days 1 and 2; heals on day 3.
-        assert [s.dc for s in plan.active_topology_faults(1)] == ["dc-a"]
-        assert [s.dc for s in plan.active_topology_faults(2)] == ["dc-a"]
-        assert plan.take_topology_recoveries(2) == []
-        assert plan.active_topology_faults(3) == []
-        healed = plan.take_topology_recoveries(3)
-        assert [s.dc for s in healed] == ["dc-a"]
-        # Healing consumes: the outage never surfaces again.
-        assert plan.take_topology_recoveries(3) == []
-        assert plan.active_topology_faults(2) == []
-
-    def test_endless_outage_never_enters_active_set(self):
-        plan = FaultPlan().dc_failure("dc-a", at_day=0)
-        assert plan.take_topology_fault(0) is not None
-        assert plan.active_topology_faults(0) == []
-        assert plan.take_topology_recoveries(10) == []
-
     def test_batch_take_stashes_recovering_faults(self):
         plan = FaultPlan() \
             .dc_failure("dc-a", at_day=1, until_day=2) \
             .link_failure("dc-a<->dc-b", at_day=1)
         taken = plan.take_topology_faults(1)
         assert len(taken) == 2
-        assert [s.dc for s in plan.active_topology_faults(1)] == ["dc-a"]
-        assert [s.dc for s in plan.take_topology_recoveries(2)] == ["dc-a"]
 
     def test_compose_stays_commutative_with_recovery_fields(self):
         a = FaultPlan().dc_failure("dc-a", at_day=1, until_day=4,
@@ -145,16 +120,6 @@ class TestFaultPlanRecovery:
                            .dc_failure("dc-b", at_day=1)
         assert ([s.dc for s in plain.compose(FaultPlan()).pending()]
                 == [s.dc for s in ended.compose(FaultPlan()).pending()])
-
-    def test_pickle_round_trip_preserves_active_outages(self):
-        plan = FaultPlan().dc_failure("dc-a", at_day=0, until_day=2) \
-                          .dc_failure("dc-b", at_day=1)
-        assert plan.take_topology_fault(0) is not None
-        clone = pickle.loads(pickle.dumps(plan))
-        assert [s.dc for s in clone.active_topology_faults(1)] == ["dc-a"]
-        assert [s.dc for s in clone.pending()] == ["dc-b"]
-        assert [s.dc for s in clone.take_topology_recoveries(2)] == ["dc-a"]
-
 
 class TestCallRegistry:
     def test_settle_and_end_lifecycle(self):

@@ -317,8 +317,7 @@ class TestServiceRuntimeAPI:
     def test_runtime_path_does_not_warn(self, topology, plan):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
-            ServiceRuntime.from_config(topology, plan,
-                                       rescale_interval_s=60.0)
+            ServiceRuntime.from_config(topology, plan)
 
 
 class TestWorkerDeath:
@@ -334,6 +333,8 @@ class TestWorkerDeath:
         segments = []
 
         class KillAtFirstBarrier:
+            interval_s = 600.0
+
             def bind(self, engine):
                 self.engine = engine
 
@@ -345,7 +346,7 @@ class TestWorkerDeath:
 
         runtime = ServiceRuntime.from_config(
             topology, plan, ServiceConfig(executor="process", n_workers=2),
-            rescaler=KillAtFirstBarrier(), rescale_interval_s=600.0)
+            rescaler=KillAtFirstBarrier())
         with pytest.raises(SwitchboardError, match="crashed"):
             runtime.run(load.batch)
         assert segments, "the barrier must have fired mid-run"

@@ -155,10 +155,10 @@ class TestFaultPlan:
     def test_topology_faults_fire_on_their_day(self):
         plan = (FaultPlan().dc_failure("dc-tokyo", at_day=3)
                 .link_failure("link-a", at_day=5))
-        assert plan.take_topology_fault(2) is None
-        assert plan.take_topology_fault(3).dc == "dc-tokyo"
-        assert plan.take_topology_fault(3) is None
-        assert plan.take_topology_fault(5).link == "link-a"
+        assert plan.take_topology_faults(2) == []
+        assert [s.dc for s in plan.take_topology_faults(3)] == ["dc-tokyo"]
+        assert plan.take_topology_faults(3) == []
+        assert [s.link for s in plan.take_topology_faults(5)] == ["link-a"]
 
     def test_plan_survives_pickling(self):
         plan = FaultPlan().crash("x", times=2).hang("y", seconds=1.0)

@@ -4,8 +4,9 @@ import pytest
 
 from repro.allocation.realtime import RealTimeSelector
 from repro.core.errors import SwitchboardError
+from repro.core.units import DEFAULT_FREEZE_WINDOW_S
+from repro.resilience.faults import FaultPlan
 from repro.simulation import ServiceSimulator, SimulationReport
-from repro.topology import Topology
 from repro.workload import DemandModel, generate_population
 
 
@@ -73,6 +74,32 @@ class TestServiceSimulator:
         with pytest.raises(SwitchboardError):
             simulator.run(n_days=3)  # must exceed bootstrap
 
+    @pytest.mark.parametrize("faults", [
+        FaultPlan().dc_failure("dc-tokyo", at_day=4),
+        FaultPlan().crash("provision").link_failure("link-a", at_day=4),
+    ], ids=["dc_failure", "link_failure"])
+    def test_topology_faults_are_refused(self, topology, faults):
+        """Every day is served on the full topology, so an outage in the
+        fault plan is an error, not a silently skipped drill."""
+        from repro.config import PlannerConfig
+
+        population = generate_population(topology.world, n_configs=10, seed=3)
+        model = DemandModel(topology.world, population,
+                            calls_per_slot_at_peak=10.0)
+        config = PlannerConfig(max_link_scenarios=0, fault_plan=faults)
+        with pytest.raises(SwitchboardError, match="cannot inject"):
+            ServiceSimulator(topology, model, planner_config=config)
+
+    def test_solve_faults_are_accepted(self, topology):
+        from repro.config import PlannerConfig
+
+        population = generate_population(topology.world, n_configs=10, seed=3)
+        model = DemandModel(topology.world, population,
+                            calls_per_slot_at_peak=10.0)
+        config = PlannerConfig(max_link_scenarios=0,
+                               fault_plan=FaultPlan().crash("provision"))
+        ServiceSimulator(topology, model, planner_config=config)
+
     def test_empty_report_migration_rate_raises(self):
         with pytest.raises(SwitchboardError):
             SimulationReport().overall_migration_rate
@@ -81,10 +108,11 @@ class TestServiceSimulator:
 class _ProcessTraceReference(ServiceSimulator):
     """The per-day oracle: the selector replays the trace in process."""
 
-    def _serve_day(self, plan, trace, forecast):
-        selector = RealTimeSelector(self.topology, plan, self.freeze_window_s)
+    def _serve_day(self, plan, trace):
+        selector = RealTimeSelector(self.topology, plan,
+                                    DEFAULT_FREEZE_WINDOW_S)
         selector.process_trace(trace.to_trace().calls)
-        return selector.stats, 0
+        return selector.stats
 
 
 class TestServiceBackedSimulation:
