@@ -301,7 +301,8 @@ class PlannerConfig:
     Resilience:
 
     * ``solve_timeout_s`` — wall-clock budget per supervised solve
-      (``None`` disables timeouts); a deployment setting.
+      attempt, shared by its HiGHS calls; assembly uses it up but falls
+      outside HiGHS's limit (``None`` = none); a deployment setting.
     * ``solve_retries`` — additional attempts after the first failure.
     * ``retry_backoff_s`` — base delay before a retry, doubled per retry
       and jittered by :mod:`repro.resilience.supervisor`; a deployment

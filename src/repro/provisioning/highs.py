@@ -12,12 +12,14 @@ simplex near the new optimum.  Without ``_core``, ``linprog`` solves cold.
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING, Any, Optional, Tuple
+from contextlib import contextmanager
+from contextvars import ContextVar
+from typing import TYPE_CHECKING, Any, Iterator, Optional, Tuple
 
 import numpy as np
 from scipy.optimize import linprog
 
-from repro.core.errors import InfeasibleError, SolverError
+from repro.core.errors import InfeasibleError, SolverError, SolveTimeoutError
 from repro.provisioning.lp import LPSolution, SolveStats
 
 if TYPE_CHECKING:
@@ -41,14 +43,30 @@ _OPTIONS = (("presolve", "on"), ("output_flag", False),
 #: ``linprog``'s feasibility check on a reported optimum (``10·√1e-9``).
 _TOLERANCE = 10 * np.sqrt(1e-9)
 
+#: Monotonic deadline of the enclosing :func:`time_limit` (inf: none).
+_DEADLINE: ContextVar[float] = ContextVar("deadline", default=np.inf)
+
+
+@contextmanager
+def time_limit(seconds: Optional[float]) -> Iterator[None]:
+    """Every :func:`solve` in the block gets what is left of one
+    ``seconds`` budget (``None``: unbounded) as HiGHS's ``time_limit``;
+    the deadline is a context variable, so each thread sets its own."""
+    token = _DEADLINE.set(
+        np.inf if seconds is None else time.monotonic() + seconds)
+    try:
+        yield
+    finally:
+        _DEADLINE.reset(token)
+
 
 def _status_code(model_status) -> int:
-    """``linprog``'s status for a HiGHS model status: 0 optimal, 1 limit,
-    2 infeasible, 3 unbounded, 4 anything else."""
+    """``linprog``'s status for a HiGHS model status: 0 optimal, 1
+    iteration limit, 2 infeasible, 3 unbounded, 4 anything else."""
     statuses = _core.HighsModelStatus
-    return {statuses.kOptimal: 0, statuses.kTimeLimit: 1,
-            statuses.kIterationLimit: 1, statuses.kInfeasible: 2,
-            statuses.kModelError: 2, statuses.kUnbounded: 3,
+    return {statuses.kOptimal: 0, statuses.kIterationLimit: 1,
+            statuses.kInfeasible: 2, statuses.kModelError: 2,
+            statuses.kUnbounded: 3,
             }.get(model_status, 4)
 
 
@@ -73,11 +91,15 @@ def _solution(instance: "LPInstance", x: np.ndarray, fun: float,
 
 
 def _solve_linprog(instance: "LPInstance", description: str) -> LPSolution:
+    deadline = _DEADLINE.get()
     t0 = time.perf_counter()
     result = linprog(c=instance.c, A_ub=instance.a_ub, b_ub=instance.b_ub,
                      A_eq=instance.a_eq, b_eq=instance.b_eq,
-                     bounds=instance.bounds, method="highs")
+                     bounds=instance.bounds, method="highs", options={
+                         "time_limit": max(0.0, deadline - time.monotonic())})
     seconds = time.perf_counter() - t0
+    if result.status == 1 and deadline < np.inf:  # time or iteration limit
+        raise SolveTimeoutError(f"{description}: out of time budget")
     _raise_for(result.status, result.message, description)
     marginals = [result.ineqlin.marginals, result.eqlin.marginals]
     row_dual = (np.concatenate(marginals)
@@ -90,6 +112,7 @@ def solve(instance: "LPInstance", basis: Any = None,
     """Solve ``instance``, from ``basis`` when given (an earlier solve's,
     same matrix); returns ``(solution, final basis)`` — the basis is
     ``None`` on the ``linprog`` fallback.  Raises
+    :class:`SolveTimeoutError` past the :func:`time_limit` budget, and
     :class:`InfeasibleError` / :class:`SolverError` where ``linprog``
     reports status 2 / any other non-zero status."""
     if _core is None:
@@ -101,6 +124,8 @@ def solve(instance: "LPInstance", basis: Any = None,
     highs = _core._Highs()
     for name, value in _OPTIONS:
         highs.setOptionValue(name, value)
+    highs.setOptionValue("time_limit",
+                         max(0.0, _DEADLINE.get() - time.monotonic()))
     lp = _core.HighsLp()
     lp.num_col_ = lp.a_matrix_.num_col_ = instance.n_cols
     lp.num_row_ = lp.a_matrix_.num_row_ = instance.n_rows
@@ -116,6 +141,8 @@ def solve(instance: "LPInstance", basis: Any = None,
         highs.setBasis(basis)
     highs.run()
     model_status = highs.getModelStatus()
+    if model_status == _core.HighsModelStatus.kTimeLimit:
+        raise SolveTimeoutError(f"{description}: out of time budget")
     _raise_for(_status_code(model_status),
                highs.modelStatusToString(model_status), description)
     fun = highs.getInfo().objective_function_value

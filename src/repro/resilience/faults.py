@@ -7,8 +7,8 @@ live service plane consult at well-defined points:
 * ``crash`` — the next matching supervised solve raises
   :class:`~repro.core.errors.SolverError` *instead of running* (models a
   solver segfault/abort; exercises retry + backoff + ladder).
-* ``hang`` — the next matching solve sleeps ``hang_seconds`` before
-  running (models a stuck solve; exercises the per-solve timeout).
+* ``hang`` — the next matching solve sleeps out its ``solve_timeout_s``
+  first, so HiGHS's own time limit stops it (models a stuck solve).
 * ``dc_failure`` / ``link_failure`` — at simulated day ``at_day``, the
   named DC or WAN link goes down.  :meth:`FaultPlan.take_topology_faults`
   hands a day's outages over in one batch: the storm drills plan the
@@ -71,7 +71,6 @@ class FaultSpec:
     kind: str
     target: str = ""
     times: int = 1
-    hang_seconds: float = 0.0
     dc: Optional[str] = None
     link: Optional[str] = None
     at_day: Optional[int] = None
@@ -130,10 +129,8 @@ class FaultPlan:
         self._specs.append(FaultSpec(kind="crash", target=target, times=times))
         return self
 
-    def hang(self, target: str = "", seconds: float = 0.25,
-             times: int = 1) -> "FaultPlan":
-        self._specs.append(FaultSpec(kind="hang", target=target,
-                                     hang_seconds=seconds, times=times))
+    def hang(self, target: str = "", times: int = 1) -> "FaultPlan":
+        self._specs.append(FaultSpec(kind="hang", target=target, times=times))
         return self
 
     def dc_failure(self, dc: str, at_day: int,

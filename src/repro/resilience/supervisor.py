@@ -4,14 +4,13 @@ Every LP solve in the resilient pipeline — scenario, joint, backup,
 allocation — runs through :meth:`SolveSupervisor.run`, which adds the
 production behaviours the bare solver layer deliberately does not have:
 
-* **per-solve timeout** (``solve_timeout_s``): the solve runs on a worker
-  thread and is abandoned when the budget expires.  HiGHS offers no
-  cooperative cancellation, so the thread keeps running to completion in
-  the background; what the timeout buys is *bounded decision latency* —
-  the caller moves on to a retry or a ladder rung instead of waiting
-  forever.  In the threaded ``max`` sweep a scenario that runs out of
-  retries this way cancels the scenarios not yet started (see the
-  planner).
+* **per-solve timeout** (``solve_timeout_s``): each attempt runs inside
+  :func:`repro.provisioning.highs.time_limit`, so HiGHS stops on its own
+  ``time_limit`` and no thread is left behind.  Time before HiGHS first
+  checks it overruns the budget: at 0.05 s the default topology's joint
+  LP (``max_link_scenarios=0``) times out after about 1.9 s on two
+  vCPUs, 1.0 s of it assembly and 0.85 s loading the model and HiGHS
+  setup.  A thunk that never calls HiGHS is not bounded at all.
 * **bounded retries with jittered exponential backoff**: transient
   failures (``SolverError``, including timeouts) are retried up to
   ``solve_retries`` times, waiting ``retry_backoff_s · 2^attempt``
@@ -27,8 +26,8 @@ production behaviours the bare solver layer deliberately does not have:
 * **fault injection**: before each attempt the supervisor consults the
   config's :class:`~repro.resilience.faults.FaultPlan` — a ``crash``
   fault replaces the attempt with a raised ``SolverError``, a ``hang``
-  fault sleeps inside the worker thread so the timeout machinery fires
-  for real.
+  fault sleeps the whole budget before the attempt runs, so HiGHS's own
+  limit fires on it.
 
 Every decision emits a structured event into the supervisor's
 :class:`~repro.obs.Observability` bundle, which ends up queryable from
@@ -39,8 +38,6 @@ from __future__ import annotations
 
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeoutError
 from typing import Any, Callable, Optional
 
 from repro.core.errors import (
@@ -51,6 +48,7 @@ from repro.core.errors import (
 )
 from repro.config import PlannerConfig
 from repro.obs.events import Observability
+from repro.provisioning import highs
 from repro.resilience.faults import FaultSpec
 
 #: Multiplicative jitter fraction on each retry delay: spreads retries of
@@ -151,25 +149,10 @@ class SolveSupervisor:
         fault = self._take_solve_fault(label)
         if fault is not None and fault.kind == "crash":
             raise SolverError(f"{label}: injected solver crash")
-        work = fn
-        if fault is not None and fault.kind == "hang":
-            work = self._hung(fn, fault)
-        timeout = self.config.solve_timeout_s
-        if timeout is None:
-            return work()
-        # One dedicated thread per attempt: cheap at solve granularity,
-        # and an abandoned (timed-out) thread cannot poison later solves.
-        executor = ThreadPoolExecutor(max_workers=1,
-                                      thread_name_prefix=f"solve[{label}]")
-        future = executor.submit(work)
-        try:
-            return future.result(timeout=timeout)
-        except FutureTimeoutError:
-            raise SolveTimeoutError(
-                f"{label}: solve exceeded {timeout}s budget"
-            ) from None
-        finally:
-            executor.shutdown(wait=False, cancel_futures=True)
+        with highs.time_limit(self.config.solve_timeout_s):
+            if fault is not None:  # a hang outlasts the budget for real
+                time.sleep(self.config.solve_timeout_s or 0.0)
+            return fn()
 
     def _take_solve_fault(self, label: str) -> Optional[FaultSpec]:
         plan = self.config.fault_plan
@@ -180,12 +163,3 @@ class SolveSupervisor:
             self.obs.record("fault.injected", label=label,
                             fault_kind=fault.kind, fault=fault.describe())
         return fault
-
-    @staticmethod
-    def _hung(fn: Callable[[], Any], fault: FaultSpec) -> Callable[[], Any]:
-        def hung():
-            # Real sleep (not the injected one): the hang must burn the
-            # wall clock the timeout thread is watching.
-            time.sleep(fault.hang_seconds)
-            return fn()
-        return hung

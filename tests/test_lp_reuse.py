@@ -7,8 +7,10 @@
   fresh build gives (property test over day pairs with base capacities,
   core limits and background);
 * the HiGHS binding calls only ``_Highs`` methods that exist, a failing
-  import falls back to ``linprog`` with identical results, and solves on
-  concurrent threads return what they return one after another.
+  import falls back to ``linprog`` with identical results, a spent
+  :func:`~repro.provisioning.highs.time_limit` budget stops either path,
+  and solves on concurrent threads return what they return one after
+  another.
 """
 
 import importlib
@@ -19,6 +21,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.errors import SolveTimeoutError
 from repro.core.types import CallConfig, MediaType, make_slots
 from repro.provisioning import highs
 from repro.provisioning.background import BackgroundTraffic
@@ -204,6 +207,21 @@ def test_failing_highs_import_falls_back_to_linprog(monkeypatch):
     assert fallback.values == direct.values
     assert np.array_equal(fallback.dual_ineq, direct.dual_ineq)
     assert np.array_equal(fallback.dual_eq, direct.dual_eq)
+
+
+@pytest.mark.parametrize("binding", ["core", "linprog"])
+def test_spent_budget_stops_the_solve(monkeypatch, binding):
+    """HiGHS's own time limit ends a solve whose budget is gone, on both
+    paths; a budget with time left changes nothing."""
+    _, instance, _ = ScenarioLP(_PLACEMENT, _demand(_COUNTS)).prepared()
+    unbounded = highs.solve(instance)[0].objective
+    if binding == "linprog":
+        monkeypatch.setattr(highs, "_core", None)
+    with highs.time_limit(0.0), pytest.raises(SolveTimeoutError,
+                                              match="budget"):
+        highs.solve(instance)
+    with highs.time_limit(60.0):
+        assert highs.solve(instance)[0].objective == unbounded
 
 
 @pytest.mark.skipif(highs._core is None,

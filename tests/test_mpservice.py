@@ -13,7 +13,6 @@ API itself: executor selection and the versioned report schema.
 import json
 import multiprocessing
 import os
-import warnings
 
 import pytest
 
@@ -313,11 +312,6 @@ class TestServiceRuntimeAPI:
         runtime = ServiceRuntime.from_config(topology, plan)
         with pytest.raises(SwitchboardError, match="no report yet"):
             runtime.report()
-
-    def test_runtime_path_does_not_warn(self, topology, plan):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            ServiceRuntime.from_config(topology, plan)
 
 
 class TestWorkerDeath:

@@ -134,6 +134,21 @@ class TestScenarioLP:
         assert sum(again.excess_cores.values()) == pytest.approx(0.0, abs=1e-6)
         assert sum(again.excess_links.values()) == pytest.approx(0.0, abs=1e-6)
 
+    def test_cost_prices_base_plus_excess_capacity(self, small_world,
+                                                   small_placement,
+                                                   small_demand):
+        """Eq 3 over the whole capacity the result reports, the base it
+        was given included, not over the excess the LP bought."""
+        first = ScenarioLP(small_placement, small_demand).solve()
+        result = ScenarioLP(
+            small_placement, small_demand,
+            base_cores={dc: 0.5 * v for dc, v in first.cores.items()},
+        ).solve()
+        assert sum(result.excess_cores.values()) > 0
+        assert result.cost == pytest.approx(
+            CapacityPlan(result.cores, result.link_gbps).cost(small_world),
+            rel=1e-9)
+
     def test_latency_weight_prefers_local_placement(self, topology,
                                                     small_demand):
         """On the 15-DC world, cost-tied placements differ in latency:

@@ -1,6 +1,7 @@
 """The solve supervisor, fault injection, and the degradation ladder."""
 
 import pickle
+import threading
 import time
 
 import numpy as np
@@ -14,6 +15,7 @@ from repro.core.errors import (
 )
 from repro.core.types import CallConfig, MediaType, make_slots
 from repro.obs.events import EventLog, Observability
+from repro.provisioning import PlacementData, ScenarioLP
 from repro.resilience import FaultPlan, SolveSupervisor
 from repro.switchboard import Switchboard
 from repro.topology.builder import Topology
@@ -114,11 +116,20 @@ class TestSupervisor:
         [event] = sup.obs.events("solve.infeasible")
         assert event.detail["diagnosis"] == {"family": "test"}
 
-    def test_timeout_abandons_slow_solve(self):
+    def test_timeout_leaves_no_solver_running(self, small_world):
+        topo, demand = small_world
+        lp = ScenarioLP(PlacementData(topo, demand.configs), demand)
+
+        def slow_solve():
+            time.sleep(0.1)
+            return lp.solve()
+
         sup = SolveSupervisor(PlannerConfig(solve_timeout_s=0.05,
                                             solve_retries=0))
-        with pytest.raises(SolveTimeoutError):
-            sup.run("slow", lambda: time.sleep(0.5))
+        threads = threading.active_count()
+        with pytest.raises(SolveTimeoutError, match="budget"):
+            sup.run("slow", slow_solve)
+        assert threading.active_count() == threads
         assert sup.obs.counters.get("solve.timeout") == 1
 
     def test_crash_fault_consumes_budget(self):
@@ -131,14 +142,17 @@ class TestSupervisor:
         assert sup.obs.counters.get("solve.error") == 2
         assert len(plan) == 0
 
-    def test_hang_fault_trips_the_real_timeout(self):
-        plan = FaultPlan().hang("lbl", seconds=0.5, times=1)
-        sup = SolveSupervisor(PlannerConfig(solve_timeout_s=0.05,
+    def test_hang_fault_trips_the_real_timeout(self, small_world):
+        topo, demand = small_world
+        lp = ScenarioLP(PlacementData(topo, demand.configs), demand)
+        plan = FaultPlan().hang("lbl", times=1)
+        sup = SolveSupervisor(PlannerConfig(solve_timeout_s=0.5,
                                             solve_retries=1,
                                             retry_backoff_s=0.0,
                                             fault_plan=plan))
-        assert sup.run("lbl", lambda: "fine") == "fine"
+        assert sup.run("lbl", lp.solve).cost == pytest.approx(lp.solve().cost)
         assert sup.obs.counters.get("solve.timeout") == 1
+        assert sup.obs.counters.get("solve.success") == 1
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +175,7 @@ class TestFaultPlan:
         assert [s.link for s in plan.take_topology_faults(5)] == ["link-a"]
 
     def test_plan_survives_pickling(self):
-        plan = FaultPlan().crash("x", times=2).hang("y", seconds=1.0)
+        plan = FaultPlan().crash("x", times=2).hang("y")
         clone = pickle.loads(pickle.dumps(plan))
         assert [s.describe() for s in clone.pending()] == \
             [s.describe() for s in plan.pending()]

@@ -281,7 +281,7 @@ class TestParallelScenarioSweep:
         SolveTimeoutError without starting the two scenarios still
         queued, and the ladder falls to the incremental rung."""
         monkeypatch.setattr(planner_module, "usable_cpus", lambda: 2)
-        faults = FaultPlan().hang("provision.scenario", seconds=2.0, times=2)
+        faults = FaultPlan().hang("provision.scenario", times=2)
         switchboard = Switchboard(_TOPOLOGY, config=PlannerConfig(
             backup_method="max", max_link_scenarios=0, solve_timeout_s=0.5,
             solve_retries=0, fault_plan=faults))
