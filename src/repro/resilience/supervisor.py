@@ -6,11 +6,14 @@ production behaviours the bare solver layer deliberately does not have:
 
 * **per-solve timeout** (``solve_timeout_s``): each attempt runs inside
   :func:`repro.provisioning.highs.time_limit`, so HiGHS stops on its own
-  ``time_limit`` and no thread is left behind.  Time before HiGHS first
-  checks it overruns the budget: at 0.05 s the default topology's joint
-  LP (``max_link_scenarios=0``) times out after about 1.9 s on two
-  vCPUs, 1.0 s of it assembly and 0.85 s loading the model and HiGHS
-  setup.  A thunk that never calls HiGHS is not bounded at all.
+  ``time_limit`` and no thread is left behind.  A budget spent before
+  the attempt reaches HiGHS raises there, before any model is built, so
+  it overruns by the LP assembly after the deadline: at 0.05 s the
+  default topology's joint LP (``max_link_scenarios=0``) times out after
+  about 0.6 s on two vCPUs, all of it assembly.  A deadline that passes
+  inside HiGHS overruns to its next check of the limit (up to 0.6 s on
+  that LP at a 1.2 s budget).  A thunk that never calls HiGHS is not
+  bounded at all.
 * **bounded retries with jittered exponential backoff**: transient
   failures (``SolverError``, including timeouts) are retried up to
   ``solve_retries`` times, waiting ``retry_backoff_s · 2^attempt``

@@ -1,7 +1,11 @@
 """Whole-package import health and public-API consistency."""
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -47,3 +51,30 @@ def test_every_module_has_docstring():
 
 def test_version_string():
     assert repro.__version__.count(".") == 2
+
+
+#: Plans and serves the storm drills' small day, then prints whether
+#: networkx was loaded, and whether scipy.optimize was although the HiGHS
+#: extension was there (without it, scipy < 1.15, ``linprog`` solves).
+_FOOTPRINT = """
+import sys
+from repro.day import plan_day
+from repro.provisioning import highs
+from repro.storms import get_storm
+from repro.topology import Topology
+day = plan_day(Topology.small(), get_storm("flash-crowd-cascade").build(),
+               n_configs=8, calls_per_slot=60.0, cushion=1.25, seed=29)
+assert day.serve().admitted_calls > 0
+print("networkx" in sys.modules,
+      highs._core is not None and "scipy.optimize" in sys.modules)
+"""
+
+
+def test_a_served_day_loads_neither_networkx_nor_scipy_optimize():
+    src = str(Path(repro.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-c", _FOOTPRINT], env=env,
+                            capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["False", "False"]

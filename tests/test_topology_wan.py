@@ -1,8 +1,11 @@
 """Tests for the WAN graph: links, paths, failures."""
 
+import hashlib
+
 import pytest
 
 from repro.core.errors import TopologyError
+from repro.topology.builder import Topology
 from repro.topology.datacenter import DatacenterFleet
 from repro.topology.geo import World
 from repro.topology.wan import WanNetwork
@@ -112,9 +115,8 @@ class TestPaths:
 
     def test_bridges_found_whatever_their_orientation(self, single_homed,
                                                       wan, world):
-        """``nx.bridges`` orients edges arbitrarily; every single-homed
-        access link is a bridge and nothing else is, and a twice-homed
-        world has none."""
+        """Every single-homed access link is a bridge and nothing else
+        is, and a twice-homed world has none."""
         bridges = {l.link_id for l in single_homed.links
                    if single_homed.is_bridge(l.link_id)}
         access = {l.link_id for l in single_homed.links
@@ -133,3 +135,49 @@ class TestPaths:
 
     def test_path_cached_deterministic(self, wan):
         assert wan.path("dc-london", "ZA") == wan.path("dc-london", "ZA")
+
+
+#: sha256 of :func:`_wan_digest` as networkx 3.6.1 built and searched
+#: these graphs.  The default world's 13 countries at their DC's
+#: coordinates have zero-length access links, so equal-length paths tie;
+#: a plain Dijkstra breaks 38 of those ties differently.
+WAN_GOLDEN = {
+    "small": "f48b555a1dfe5db192571ea362e0bf4d93c2215e9ba16eec0e3312e273cd1afe",
+    "default": "84412d3a9942533a805c3b9f61841615cbaf5363a4337bc8be28d5bfdc23cb7a",
+    "single-homed": "995a4e642bfccb4d2a30121d215434505bfaee03eedf730f9bcad5456c00c117",
+}
+
+
+def _wan_digest(wan, dc_ids, country_codes) -> str:
+    """Every link, the bridge set, and ``path(dc, country)`` with no link
+    excluded and with each single link excluded (``None``: no path)."""
+    digest = hashlib.sha256()
+    links = wan.links
+    for link in links:
+        digest.update(repr((link.link_id, link.node_a, link.node_b,
+                            link.distance_km.hex(), link.unit_cost.hex(),
+                            link.inter_country)).encode())
+    digest.update(repr(sorted(link.link_id for link in links
+                              if wan.is_bridge(link.link_id))).encode())
+    for dc_id in dc_ids:
+        for country in country_codes:
+            for excluded in [None] + [link.link_id for link in links]:
+                try:
+                    path = wan.path(dc_id, country, exclude_link=excluded)
+                except TopologyError:
+                    path = None
+                digest.update(repr((dc_id, country, excluded, path)).encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(WAN_GOLDEN))
+def test_links_bridges_and_paths_match_golden(name, world):
+    if name == "single-homed":
+        fleet = DatacenterFleet.default(world)
+        wan, dc_ids, codes = (WanNetwork(world, fleet, country_homing=1),
+                              fleet.ids, world.codes)
+    else:
+        topology = getattr(Topology, name)()
+        wan, dc_ids, codes = (topology.wan, topology.fleet.ids,
+                              topology.world.codes)
+    assert _wan_digest(wan, dc_ids, codes) == WAN_GOLDEN[name]
