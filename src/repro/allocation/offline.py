@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 import numpy as np
-from scipy import sparse
 
 from repro.core.errors import SolverError
 from repro.allocation.plan import AllocationPlan
@@ -28,7 +27,8 @@ from repro.provisioning.demand import PlacementData
 from repro.provisioning.formulation import (ColumnLayout,
                                             assemble_serving_blocks,
                                             shares_from_columns)
-from repro.provisioning.lp import LinearProgram, LPInstance, SolveStats
+from repro.provisioning.lp import (CscMatrix, LinearProgram, LPInstance,
+                                   SolveStats)
 from repro.provisioning.planner import CapacityPlan
 from repro.workload.arrivals import Demand
 
@@ -182,7 +182,8 @@ class AllocationLP:
         eq_rows = np.flatnonzero(self._eq_slot >= k)
         # A kept column loads only rows of its own slot, so every entry
         # of a kept column sits in a kept row: renumber the rows, keep
-        # each column's entries as they are.
+        # each column's entries as they are (still in ascending rows,
+        # since the renumbering keeps the rows' order).
         row_of = np.full(full.n_rows, -1, dtype=np.int64)
         kept_rows = np.concatenate([ub_rows, full.n_ub + eq_rows])
         row_of[kept_rows] = np.arange(kept_rows.size)
@@ -193,11 +194,10 @@ class AllocationLP:
         np.cumsum(lengths, out=indptr[1:])
         entries = (np.repeat(starts - indptr[:-1], lengths)
                    + np.arange(indptr[-1]))
-        sliced = sparse.csc_array(
-            (matrix.data[entries],
-             row_of[matrix.indices[entries]].astype(matrix.indices.dtype),
-             indptr),
-            shape=(kept_rows.size, cols.size))
+        sliced = CscMatrix(
+            matrix.data[entries],
+            row_of[matrix.indices[entries]].astype(matrix.indices.dtype),
+            indptr, (kept_rows.size, cols.size))
         capacities = np.array([_capacity_of(capacity, kind, resource)
                                for kind, resource in self._runs])
         return LPInstance(

@@ -564,7 +564,7 @@ class ScenarioLP:
                  ) -> Tuple["ScenarioLP", LPInstance, float]:
         """``(normalized problem, materialized instance, scale)``, memoized.
 
-        Conditioning, formulation build, and the COO→CSR conversion run
+        Conditioning, formulation build, and the COO→CSC conversion run
         once per ``ScenarioLP`` object however many consumers need the
         instance — the portfolio race prices a cached dual point on it
         first and, only if no heuristic arm certifies, hands the *same*

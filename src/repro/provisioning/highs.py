@@ -11,7 +11,9 @@ simplex near the new optimum.
 ``_core`` is loaded from its file, not imported: importing it runs
 ``scipy.optimize``'s ``__init__``, which loads all of ``scipy.optimize``
 for one extension module (22 MB and 0.37 s more than the extension
-alone, measured on a 2-vCPU VM).  Without the file (scipy < 1.15 has
+alone, measured on a 2-vCPU VM).  The file is found through scipy's
+import spec, so not even scipy's own ``__init__`` runs: the extension is
+the only scipy code a solve loads.  Without the file (scipy < 1.15 has
 no ``_core``), ``linprog`` solves cold.
 """
 
@@ -28,7 +30,6 @@ from types import ModuleType
 from typing import TYPE_CHECKING, Any, Iterator, Optional, Tuple
 
 import numpy as np
-import scipy
 
 from repro.core.errors import InfeasibleError, SolverError, SolveTimeoutError
 from repro.provisioning.lp import LPSolution, SolveStats
@@ -59,7 +60,9 @@ def _load_core(directory: Path) -> Optional[ModuleType]:
     return None
 
 
-_core = _load_core(Path(scipy.__file__).parent / "optimize" / "_highspy")
+_core = _load_core(
+    Path(importlib.util.find_spec("scipy").submodule_search_locations[0])
+    / "optimize" / "_highspy")
 
 #: The ``_Highs`` methods :func:`solve` calls (a test pins that they exist).
 HIGHS_METHODS = ("setOptionValue", "passModel", "setBasis", "run",

@@ -7,6 +7,12 @@ accumulator that collects COO triplets, and an instance whose ``solve``
 goes through :mod:`repro.provisioning.highs`, which maps solver statuses
 onto the library's exception types.
 
+The matrix is a :class:`CscMatrix`: the three numpy arrays HiGHS loads,
+built from the triplets with one sort.  Nothing here imports
+``scipy.sparse``, which costs about 20 MB per process for what are three
+array operations here; only :attr:`LPInstance.a_ub`/:attr:`LPInstance.a_eq`,
+read by the ``linprog`` fallback alone, build scipy matrices.
+
 Two things make the layer fast enough for the planner's many-scenario
 sweeps:
 
@@ -30,7 +36,6 @@ from typing import (Any, Dict, Hashable, Iterable, List, NamedTuple, Optional,
                     Sequence, Tuple, Union)
 
 import numpy as np
-from scipy import sparse
 
 from repro.core.errors import SolverError
 
@@ -96,7 +101,7 @@ def conditioning_scale(*value_groups) -> float:
 class SolveStats:
     """Observability record for one (or several merged) LP solves.
 
-    ``assembly_seconds`` covers formulation build plus COO→CSR conversion;
+    ``assembly_seconds`` covers formulation build plus COO→CSC conversion;
     ``solver_seconds`` is the HiGHS call itself.  ``arm`` attributes the
     record to the portfolio arm that produced it (``"exact"``, ``"warm"``,
     ``"locality"``, ``"dedup"``; ``None`` for plain
@@ -149,6 +154,73 @@ class SolveStats:
         for record in records:
             total = record if total is None else total.merge(record)
         return total if total is not None else cls(n_solves=0)
+
+
+#: Largest index (and entry count) HiGHS's array ``passModel`` takes.
+_INT32_MAX = int(np.iinfo(np.int32).max)
+
+
+class CscMatrix(NamedTuple):
+    """A sparse matrix in compressed sparse column form, as HiGHS loads it.
+
+    Column ``j``'s entries are ``data[indptr[j]:indptr[j + 1]]``, in the
+    rows ``indices[indptr[j]:indptr[j + 1]]`` (ascending).  Code reading
+    a matrix touches only these four fields and :attr:`nnz`, so a scipy
+    ``csc_array`` serves wherever one is passed in.
+    """
+
+    data: np.ndarray     # float64
+    indices: np.ndarray  # int32 row of each entry
+    indptr: np.ndarray   # int32, n_cols + 1 offsets into data
+    shape: Tuple[int, int]
+
+    @property
+    def nnz(self) -> int:
+        return int(self.indptr[-1])
+
+    @classmethod
+    def from_triplets(cls, rows: np.ndarray, cols: np.ndarray,
+                      values: np.ndarray,
+                      shape: Tuple[int, int]) -> "CscMatrix":
+        """The matrix with ``values[i]`` at ``(rows[i], cols[i])``.
+
+        Entries are ordered by one sort on the key ``col * n_rows + row``
+        (a two-key ``lexsort`` is several times slower); explicit zeros
+        are kept.  A position given twice, an index out of ``shape`` and a
+        matrix larger than int32 can index raise :class:`SolverError`.
+        """
+        n_rows, n_cols = shape
+        if max(n_rows, n_cols, rows.size) > _INT32_MAX:
+            raise SolverError(f"LP matrix {n_rows}x{n_cols} with "
+                              f"{rows.size} entries exceeds int32 indexing")
+        if rows.size and (rows.min() < 0 or rows.max() >= n_rows
+                          or cols.min() < 0 or cols.max() >= n_cols):
+            raise SolverError(f"LP matrix entry outside its {n_rows}x"
+                              f"{n_cols} shape")
+        key = cols.astype(np.int64) * n_rows + rows
+        order = np.argsort(key)
+        key = key[order]
+        repeats = np.flatnonzero(key[1:] == key[:-1])
+        if repeats.size:
+            repeated = int(key[repeats[0]])
+            raise SolverError(
+                f"LP matrix entry (row {repeated % n_rows}, column "
+                f"{repeated // n_rows}) given twice")
+        indptr = np.zeros(n_cols + 1, dtype=np.int32)
+        np.cumsum(np.bincount(cols, minlength=n_cols), out=indptr[1:])
+        return cls(np.asarray(values, dtype=np.float64)[order],
+                   rows[order].astype(np.int32), indptr, (n_rows, n_cols))
+
+
+def transpose_times(matrix: CscMatrix, y: np.ndarray) -> np.ndarray:
+    """``A'y`` for a CSC ``A``: each column's products summed in entry
+    order from 0.0, the order (and so the rounding) of scipy's CSR
+    product with ``A'``.  ``np.add.reduceat`` sums pairwise and would
+    round otherwise."""
+    n_cols = matrix.shape[1]
+    column = np.repeat(np.arange(n_cols), np.diff(matrix.indptr))
+    return np.bincount(column, weights=matrix.data * y[matrix.indices],
+                       minlength=n_cols)
 
 
 class VariableRegistry:
@@ -240,7 +312,7 @@ class ConstraintSet:
 
     Scalar appends (``new_row``/``add_term``/``add_row``) and batched
     numpy appends (``new_rows``/``add_terms``) can be mixed freely; the
-    matrix is materialized once in :meth:`matrix`.
+    matrix is materialized once, by :meth:`LinearProgram.snapshot`.
     """
 
     def __init__(self):
@@ -307,14 +379,6 @@ class ConstraintSet:
             vals.append(chunk_vals)
         return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
 
-    def matrix(self, n_cols: int) -> Optional[sparse.csr_matrix]:
-        if not self._rhs:
-            return None
-        rows, cols, vals = self._triplets()
-        return sparse.coo_matrix(
-            (vals, (rows, cols)), shape=(len(self._rhs), n_cols)
-        ).tocsr()
-
     @property
     def nnz(self) -> int:
         return len(self._rows) + sum(chunk[0].size for chunk in self._chunks)
@@ -377,11 +441,15 @@ class LinearProgram:
         if n == 0:
             raise SolverError("LP snapshot: no variables")
         t0 = time.perf_counter()
-        parts = [m for m in (self.less_equal.matrix(n), self.equal.matrix(n))
-                 if m is not None]
         # The stacking linprog does: <= rows, then == rows, as CSC.
-        matrix = (sparse.csc_array(sparse.vstack(parts)) if parts
-                  else sparse.csc_array((0, n)))
+        n_ub = len(self.less_equal)
+        ub_rows, ub_cols, ub_vals = self.less_equal._triplets()
+        eq_rows, eq_cols, eq_vals = self.equal._triplets()
+        matrix = CscMatrix.from_triplets(
+            np.concatenate([ub_rows, eq_rows + n_ub]),
+            np.concatenate([ub_cols, eq_cols]),
+            np.concatenate([ub_vals, eq_vals]),
+            (n_ub + len(self.equal), n))
         bounds = self.variables.bounds
         return LPInstance(
             c=self.variables.objective,
@@ -389,7 +457,7 @@ class LinearProgram:
             upper=np.array([np.inf if up is None else up for _, up in bounds],
                            dtype=float),
             matrix=matrix,
-            n_ub=len(self.less_equal),
+            n_ub=n_ub,
             b_ub=self.less_equal.rhs,
             b_eq=self.equal.rhs,
             keys=self.variables.keys(),
@@ -421,7 +489,7 @@ class LPInstance:
     """
 
     def __init__(self, c: np.ndarray, lower: np.ndarray, upper: np.ndarray,
-                 matrix: sparse.csc_array, n_ub: int,
+                 matrix: CscMatrix, n_ub: int,
                  b_ub: np.ndarray, b_eq: np.ndarray,
                  keys: Optional[List[Hashable]],
                  assembly_seconds: float = 0.0,
@@ -456,12 +524,24 @@ class LPInstance:
         return self.matrix.nnz
 
     @property
-    def a_ub(self) -> Optional[sparse.csc_array]:
-        return self.matrix[:self.n_ub] if self.n_ub else None
+    def a_ub(self) -> Any:
+        """The ``<=`` rows as a scipy sparse matrix, ``None`` without any."""
+        return self._scipy_rows(slice(None, self.n_ub)) if self.n_ub else None
 
     @property
-    def a_eq(self) -> Optional[sparse.csc_array]:
-        return self.matrix[self.n_ub:] if self.n_rows > self.n_ub else None
+    def a_eq(self) -> Any:
+        """The ``==`` rows as a scipy sparse matrix, ``None`` without any."""
+        return (self._scipy_rows(slice(self.n_ub, None))
+                if self.n_rows > self.n_ub else None)
+
+    def _scipy_rows(self, rows: slice) -> Any:
+        # Only the linprog fallback reads these, and it imports
+        # scipy.optimize (and with it scipy.sparse) anyway.
+        from scipy import sparse
+
+        matrix = self.matrix
+        return sparse.csc_array((matrix.data, matrix.indices, matrix.indptr),
+                                shape=matrix.shape)[rows]
 
     @property
     def bounds(self) -> List[Tuple[float, Optional[float]]]:
@@ -504,17 +584,17 @@ class LPInstance:
         if lam.size != n_ub or mu.size != n_eq:
             return None
         lam = np.minimum(lam, 0.0)  # λ > 0 on a ≤-row is solver noise
-        # A' of the stacked CSC matrix is a CSR view; each block's
-        # product is taken on its own (zero-padded) so the sums round
-        # exactly as the per-block products would.
-        at = self.matrix.T
+        # Each block's product is taken on its own (zero-padded) so the
+        # sums round exactly as the per-block products would.
         reduced = self.c.copy()
         bound = 0.0
         if n_ub:
-            reduced -= at @ np.concatenate([lam, np.zeros(n_eq)])
+            reduced -= transpose_times(self.matrix,
+                                       np.concatenate([lam, np.zeros(n_eq)]))
             bound += float(lam @ self.b_ub)
         if n_eq:
-            reduced -= at @ np.concatenate([np.zeros(n_ub), mu])
+            reduced -= transpose_times(self.matrix,
+                                       np.concatenate([np.zeros(n_ub), mu]))
             bound += float(mu @ self.b_eq)
         uppers = self.upper
         slack = tolerance * np.maximum(1.0, np.abs(self.c))

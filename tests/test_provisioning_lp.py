@@ -8,10 +8,27 @@ from repro.core.errors import InfeasibleError, SolverError
 from repro.provisioning.backup_lp import solve_backup_lp, total_backup
 from repro.provisioning.lp import (
     ConstraintSet,
+    CscMatrix,
     LinearProgram,
     VariableRegistry,
     conditioning_scale,
+    transpose_times,
 )
+
+
+def _dense(matrix) -> np.ndarray:
+    """A :class:`CscMatrix` as a dense array."""
+    dense = np.zeros(matrix.shape)
+    for col in range(matrix.shape[1]):
+        span = slice(matrix.indptr[col], matrix.indptr[col + 1])
+        dense[matrix.indices[span], col] = matrix.data[span]
+    return dense
+
+
+def _program(n_cols: int) -> LinearProgram:
+    lp = LinearProgram()
+    lp.variables.add_batch([f"x{i}" for i in range(n_cols)])
+    return lp
 
 
 class TestConditioningScale:
@@ -103,13 +120,14 @@ class TestVariableRegistryBatch:
 
 class TestConstraintSet:
     def test_rows_and_matrix(self):
-        constraints = ConstraintSet()
+        lp = _program(2)
+        constraints = lp.less_equal
         row = constraints.new_row(7.0)
         constraints.add_term(row, 0, 2.0)
         constraints.add_term(row, 1, -1.0)
-        matrix = constraints.matrix(2)
+        matrix = lp.snapshot().matrix
         assert matrix.shape == (1, 2)
-        assert matrix.toarray().tolist() == [[2.0, -1.0]]
+        assert _dense(matrix).tolist() == [[2.0, -1.0]]
         assert constraints.rhs.tolist() == [7.0]
 
     def test_add_term_to_missing_row_raises(self):
@@ -118,34 +136,40 @@ class TestConstraintSet:
             constraints.add_term(0, 0, 1.0)
 
     def test_empty_matrix_is_none(self):
-        assert ConstraintSet().matrix(3) is None
+        instance = _program(3).snapshot()
+        assert instance.matrix.shape == (0, 3)
+        assert instance.a_ub is None and instance.a_eq is None
 
     def test_batched_rows_and_terms_match_scalar_path(self):
-        scalar = ConstraintSet()
+        scalar_lp = _program(4)
+        scalar = scalar_lp.less_equal
         for rhs in (1.0, 2.0, 3.0):
             scalar.new_row(rhs)
         for row in range(3):
             scalar.add_term(row, 0, -1.0)
             scalar.add_term(row, row + 1, 2.0)
 
-        batched = ConstraintSet()
+        batched_lp = _program(4)
+        batched = batched_lp.less_equal
         start = batched.new_rows([1.0, 2.0, 3.0])
         rows = np.arange(start, start + 3)
         batched.add_terms(rows, 0, -1.0)
         batched.add_terms(rows, rows + 1, 2.0)
 
-        assert (scalar.matrix(4).toarray() == batched.matrix(4).toarray()).all()
+        assert (_dense(scalar_lp.snapshot().matrix)
+                == _dense(batched_lp.snapshot().matrix)).all()
         assert scalar.rhs.tolist() == batched.rhs.tolist()
         assert scalar.nnz == batched.nnz == 6
 
     def test_scalar_and_batched_appends_mix(self):
-        constraints = ConstraintSet()
+        lp = _program(2)
+        constraints = lp.less_equal
         row = constraints.new_row(5.0)
         constraints.add_term(row, 1, 1.0)
         start = constraints.new_rows(np.array([7.0]))
         constraints.add_terms([start], [0], [4.0])
-        matrix = constraints.matrix(2)
-        assert matrix.toarray().tolist() == [[0.0, 1.0], [4.0, 0.0]]
+        matrix = lp.snapshot().matrix
+        assert _dense(matrix).tolist() == [[0.0, 1.0], [4.0, 0.0]]
 
     def test_batched_out_of_range_row_rejected(self):
         constraints = ConstraintSet()
@@ -159,6 +183,90 @@ class TestConstraintSet:
         constraints.add_terms(np.array([], dtype=int), np.array([], dtype=int),
                               np.array([]))
         assert constraints.nnz == 0
+
+
+def _random_triplets(rng, n_rows, n_cols, nnz):
+    """Distinct positions in shuffled order, values ±1e-8..1e8 with
+    explicit ±0 among them; some rows and columns stay empty."""
+    flat = rng.choice(n_rows * n_cols, size=nnz, replace=False)
+    values = rng.choice([-1.0, 1.0], nnz) * 10.0 ** rng.uniform(-8, 8, nnz)
+    values[rng.random(nnz) < 0.1] = 0.0
+    values[rng.random(nnz) < 0.1] = -0.0
+    return flat % n_rows, flat // n_rows, values
+
+
+class TestCscMatrix:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_arrays_are_scipys_byte_for_byte(self, seed):
+        from scipy import sparse
+
+        rng = np.random.default_rng(seed)
+        n_rows, n_cols = (int(n) for n in rng.integers(1, 40, size=2))
+        nnz = int(rng.integers(0, n_rows * n_cols // 3 + 1))
+        rows, cols, values = _random_triplets(rng, n_rows, n_cols, nnz)
+        got = CscMatrix.from_triplets(rows, cols, values, (n_rows, n_cols))
+        want = sparse.csc_array(sparse.coo_matrix(
+            (values, (rows, cols)), shape=(n_rows, n_cols)).tocsr())
+        assert got.shape == want.shape and got.nnz == want.nnz == nnz
+        for name in ("data", "indices", "indptr"):
+            mine, theirs = getattr(got, name), getattr(want, name)
+            assert mine.dtype == theirs.dtype, name
+            assert mine.tobytes() == theirs.tobytes(), name
+
+    def test_snapshot_stacks_equal_rows_under_less_equal_rows(self):
+        lp = _program(3)
+        lp.equal.add_row([(2, 5.0), (0, 1.0)], 1.0)
+        lp.less_equal.add_row([(1, -2.0)], 0.0)
+        lp.less_equal.add_row([], 0.0)
+        instance = lp.snapshot()
+        assert instance.n_ub == 2
+        assert _dense(instance.matrix).tolist() == [
+            [0.0, -2.0, 0.0], [0.0, 0.0, 0.0], [1.0, 0.0, 5.0]]
+        assert instance.a_ub.toarray().tolist() == [[0.0, -2.0, 0.0],
+                                                    [0.0, 0.0, 0.0]]
+        assert instance.a_eq.toarray().tolist() == [[1.0, 0.0, 5.0]]
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_transpose_product_is_scipys_bit_for_bit(self, seed):
+        from scipy import sparse
+
+        rng = np.random.default_rng(100 + seed)
+        n_rows, n_cols = (int(n) for n in rng.integers(1, 50, size=2))
+        nnz = int(rng.integers(0, n_rows * n_cols + 1))
+        rows, cols, values = _random_triplets(rng, n_rows, n_cols, nnz)
+        y = rng.choice([-1.0, 1.0], n_rows) * 10.0 ** rng.uniform(-8, 8, n_rows)
+        y[rng.random(n_rows) < 0.2] = 0.0
+        y[rng.random(n_rows) < 0.2] = -0.0
+        matrix = CscMatrix.from_triplets(rows, cols, values, (n_rows, n_cols))
+        want = sparse.csc_array(
+            (values, (rows, cols)), shape=(n_rows, n_cols)).T @ y
+        assert transpose_times(matrix, y).tobytes() == want.tobytes()
+
+    def test_signed_zero_sums_match_scipy(self):
+        from scipy import sparse
+
+        # Column 0's products are -0.0 and -0.0, column 1 has none and
+        # column 2's is 0.0: each sum starts from 0.0, as scipy's does.
+        rows, cols = np.array([0, 1, 0]), np.array([0, 0, 2])
+        values = np.array([-0.0, 1.0, 0.0])
+        y = np.array([1.0, -0.0])
+        matrix = CscMatrix.from_triplets(rows, cols, values, (2, 3))
+        want = sparse.csc_array((values, (rows, cols)), shape=(2, 3)).T @ y
+        assert transpose_times(matrix, y).tobytes() == want.tobytes()
+
+    def test_duplicate_coefficient_raises(self):
+        lp = _program(2)
+        row = lp.less_equal.new_row(1.0)
+        lp.less_equal.add_term(row, 1, 1.0)
+        lp.less_equal.add_terms([row], [1], [2.0])
+        with pytest.raises(SolverError, match="given twice"):
+            lp.snapshot()
+
+    def test_out_of_range_column_raises(self):
+        lp = _program(2)
+        lp.equal.add_row([(0, 1.0), (2, 1.0)], 1.0)
+        with pytest.raises(SolverError, match="outside"):
+            lp.snapshot()
 
 
 class TestLinearProgram:
